@@ -107,46 +107,6 @@ def compare_memory(base_meta: dict, new_meta: dict, threshold: float,
     return ["memory"] if delta > threshold else []
 
 
-def compare_batch(base_meta: dict, new_meta: dict, threshold: float,
-                  annotate: bool) -> List[str]:
-    """Diff the A/B ``batch`` block's per-row speedups.
-
-    A row regresses when its batch-mode speedup falls by more than
-    ``threshold`` relative to the baseline snapshot, or when batch
-    mode stopped being bit-identical (which is never acceptable).
-    Snapshots without the block (pre-planner, or a bench selection
-    that skipped it) skip the comparison.
-    """
-    base_rows = (base_meta.get("batch") or {}).get("rows") or {}
-    new_rows = (new_meta.get("batch") or {}).get("rows") or {}
-    shared = sorted(set(base_rows) & set(new_rows))
-    if not shared:
-        print("batch block: not recorded on both sides -- skipping")
-        return []
-    regressions = []
-    print(f"{'batch row':<12}  {'base x':>7}  {'new x':>7}")
-    for exp in shared:
-        b = float(base_rows[exp].get("speedup", 0.0))
-        n = float(new_rows[exp].get("speedup", 0.0))
-        marker = ""
-        if not new_rows[exp].get("identical", True):
-            marker = "  << NOT BIT-IDENTICAL"
-            regressions.append(f"batch:{exp}")
-            if annotate:
-                print(f"::warning title=batch parity broken::{exp} "
-                      f"batch mode is no longer bit-identical")
-        elif b > 0 and (b - n) / b > threshold:
-            marker = "  << BATCH REGRESSION"
-            regressions.append(f"batch:{exp}")
-            if annotate:
-                print(f"::warning title=batch speedup regression::{exp} "
-                      f"{b:.2f}x -> {n:.2f}x")
-        elif b > 0 and (n - b) / b > threshold:
-            marker = "  (improved)"
-        print(f"{exp:<12}  {b:>6.2f}x  {n:>6.2f}x{marker}")
-    return regressions
-
-
 def compare(base_path: str, new_path: str, threshold: float,
             annotate: bool,
             mem_threshold: float = DEFAULT_MEM_THRESHOLD) -> List[str]:
@@ -165,8 +125,7 @@ def compare(base_path: str, new_path: str, threshold: float,
     shared = sorted(set(base) & set(new))
     if not shared:
         print("no tests in common")
-        return (compare_memory(base_meta, new_meta, mem_threshold, annotate)
-                + compare_batch(base_meta, new_meta, threshold, annotate))
+        return compare_memory(base_meta, new_meta, mem_threshold, annotate)
     width = max(len(short_name(t)) for t in shared)
     print(f"{'test':<{width}}  {'base s':>8}  {'new s':>8}  {'delta':>7}")
     for test in shared:
@@ -191,7 +150,6 @@ def compare(base_path: str, new_path: str, threshold: float,
               f"{'-':>8}     gone")
     regressions += compare_memory(base_meta, new_meta, mem_threshold,
                                   annotate)
-    regressions += compare_batch(base_meta, new_meta, threshold, annotate)
     return regressions
 
 

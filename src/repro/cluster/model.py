@@ -4,8 +4,9 @@ For one kernel iteration on an N-node cluster this model:
 
 1. 1D-partitions the matrix and builds every node's idx scan trace.
 2. Applies RIG batching + Idx-Filter/Pending-Table semantics exactly
-   (:func:`repro.core.filtering.filter_and_coalesce`) to decide which
-   remote idxs become wire PRs.
+   (:func:`repro.core.filtering.anchored_drops`, the anchor-reusing
+   form of :func:`~repro.core.filtering.filter_and_coalesce`) to decide
+   which remote idxs become wire PRs.
 3. Concatenates PR streams with the window model
    (:func:`repro.core.concat.window_concat`) at the NIC and again at
    the ToR switch (cross-node), producing per-flow wire bytes.
@@ -26,11 +27,10 @@ downscaling documented in DESIGN.md.
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import threading
 import weakref
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,10 +38,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import NetSparseConfig
-from repro.core import batchmode, kernels, reusedist
+from repro.core import reusedist
 from repro.core.concat import ConcatStats, window_concat, window_concat_totals
-from repro.core.filtering import filter_and_coalesce, first_occurrence_positions
-from repro.core.pcache import PropertyCache, n_sets_for
+from repro.core.filtering import anchored_drops, first_occurrence_positions
+from repro.core.pcache import n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.rig import rig_generation_time
 from repro.results import CommResult
@@ -57,25 +57,28 @@ __all__ = [
 ]
 
 
-# -- batch-mode logical memos ------------------------------------------
+# -- logical memos -------------------------------------------------------
 #
-# With REPRO_BATCH enabled, sweep evaluation becomes single-pass: every
-# stage output that is a pure function of *logical* inputs (which
-# partition, which per-node clamped batch size, which cache geometry)
-# is memoized under that logical key, so the planner's fused groups —
-# and sequential probe loops like the autotune ladder — stop replaying
-# identical stages.  Keys never hash array content: object identity
-# tokens stand in for the heavyweight inputs (matrix, partition,
-# topology, config), which the suite/trace/topology caches already
-# share across a sweep.  Everything here is bit-exact: a memo hit
-# returns the same arrays (or a pickled copy) the miss path computed.
+# Sweep evaluation is single-pass: every stage output that is a pure
+# function of *logical* inputs (which partition, which per-node clamped
+# batch size, which cache geometry) is memoized under that logical key,
+# so the planner's fused groups — and sequential probe loops like the
+# autotune ladder — stop replaying identical stages.  Keys never hash
+# array content: object identity tokens stand in for the heavyweight
+# inputs (matrix, partition, topology, config), which the
+# suite/trace/topology caches already share across a sweep.  A key is
+# ``None`` when an input has no token; the stage then runs the same
+# code unmemoized.  Everything here is bit-exact: a memo hit returns
+# the same arrays (or a pickled copy) the miss path computed.
 
 _MEMO_LOCK = threading.RLock()
 _MISS = object()
 
 
 class _BoundedMemo:
-    """FIFO-bounded memo with approximate byte accounting."""
+    """FIFO-bounded memo with approximate byte accounting.
+
+    A ``None`` key is never stored and always misses uncounted."""
 
     def __init__(self, budget_bytes: int):
         self.budget = int(budget_bytes)
@@ -85,6 +88,8 @@ class _BoundedMemo:
         self.misses = 0
 
     def get(self, key):
+        if key is None:
+            return None
         with _MEMO_LOCK:
             entry = self.data.get(key, _MISS)
             if entry is _MISS:
@@ -95,7 +100,7 @@ class _BoundedMemo:
 
     def put(self, key, value, nbytes: int) -> None:
         nbytes = max(int(nbytes), 1)
-        if nbytes > self.budget:
+        if key is None or nbytes > self.budget:
             return
         with _MEMO_LOCK:
             if key in self.data:
@@ -118,12 +123,7 @@ class _BoundedMemo:
                 "hits": self.hits, "misses": self.misses}
 
 
-def _memo_budget_mb() -> int:
-    raw = os.environ.get("REPRO_BATCH_MEMO_MB", "").strip()
-    return int(raw) if raw else 256
-
-
-_B = _memo_budget_mb() * (1 << 20) // 8
+_B = 256 * (1 << 20) // 8           # budget unit: an eighth of 256 MiB
 _ANCHORS = _BoundedMemo(_B)       # (part, node) -> first-occurrence anchor
 _FBASE = _BoundedMemo(_B)         # + window -> batch-invariant drop masks
 _MASKS = _BoundedMemo(_B)         # + clamped batch -> issued node stream
@@ -176,7 +176,7 @@ def _obj_token(obj) -> Optional[int]:
 
 
 def reset_batch_state() -> None:
-    """Drop every batch-mode memo (tests and A/B benchmarks)."""
+    """Drop every logical memo (tests, benchmarks and profiling)."""
     for memo in _ALL_MEMOS.values():
         memo.clear()
     with _MEMO_LOCK:
@@ -225,43 +225,6 @@ class NetSparseKnobs:
     cache_inflight_frac: float = 0.03
 
 
-class DelayedInsertCache:
-    """Property Cache front-end with in-flight response modelling.
-
-    A read that misses triggers an insert only ``delay`` stream
-    positions later (its response's return).  Duplicate in-flight
-    misses both travel (the switch has no MSHR-style coalescing).
-
-    This is the *reference* backend for the cache stage; the default
-    fast path is :func:`repro.core.pcache_fast.property_cache_hits`,
-    golden-tested to reproduce this class bit-for-bit.
-    """
-
-    def __init__(self, cache: PropertyCache, delay: int):
-        self.cache = cache
-        self.delay = max(int(delay), 0)
-        self._pending: deque = deque()
-
-    def process(self, idxs: np.ndarray) -> np.ndarray:
-        hits = np.zeros(idxs.size, dtype=bool)
-        pending = self._pending
-        cache = self.cache
-        for i, idx in enumerate(idxs.tolist()):
-            while pending and pending[0][0] <= i:
-                cache.insert(pending.popleft()[1])
-            if cache.lookup(idx):
-                hits[i] = True
-            else:
-                pending.append((i + self.delay, idx))
-        while pending:
-            cache.insert(pending.popleft()[1])
-        return hits
-
-
-#: Backwards-compatible alias (pre-rename private name).
-_DelayedInsertCache = DelayedInsertCache
-
-
 def _merge_rack_streams(
     per_node: List[Tuple[np.ndarray, ...]], nodes: List[int]
 ) -> Dict[str, np.ndarray]:
@@ -279,64 +242,6 @@ def _merge_rack_streams(
     order = np.lexsort((src, pos))
     return {"src": src[order], "pos": pos[order],
             "idx": idx[order], "owner": owner[order]}
-
-
-def _rack_cache_hits(
-    rack_streams: List[np.ndarray],
-    config: NetSparseConfig,
-    pcache_bytes: int,
-    payload: int,
-    knobs: "NetSparseKnobs",
-) -> List[np.ndarray]:
-    """Hit masks for every rack's merged PR stream, backend-dispatched.
-
-    The racks' replays are independent deterministic kernels, so all
-    three backends — ``reference`` (the per-element front-end),
-    ``fast`` (the fused array kernel) and ``pool`` (the same kernel
-    fanned across a process pool) — return identical bits; only the
-    wall time differs.
-    """
-    delays = [
-        max(int(knobs.cache_inflight_frac * m_idx.size), 1)
-        for m_idx in rack_streams
-    ]
-    if not kernels.is_fast():
-        out = []
-        for m_idx, delay in zip(rack_streams, delays):
-            if m_idx.size == 0:
-                out.append(np.zeros(0, dtype=bool))
-                continue
-            pcache = PropertyCache(
-                capacity_bytes=pcache_bytes,
-                ways=config.pcache_ways,
-                n_segments=config.pcache_segments,
-                segment_bytes=config.pcache_min_line,
-            )
-            pcache.configure(max(payload, 1))
-            out.append(DelayedInsertCache(pcache, delay).process(m_idx))
-        return out
-    n_sets = n_sets_for(
-        pcache_bytes, config.pcache_ways, max(payload, 1),
-        config.pcache_segments, config.pcache_min_line,
-    )
-    tasks = [
-        (m_idx, n_sets, config.pcache_ways, delay, "lru")
-        for m_idx, delay in zip(rack_streams, delays)
-        if m_idx.size
-    ]
-    if kernels.is_pool() and len(tasks) > 1:
-        from repro.core import poolexec
-
-        results = poolexec.map_cache_replays(tasks)
-    else:
-        results = [delayed_cache_hits(*t) for t in tasks]
-    out, it = [], iter(results)
-    for m_idx in rack_streams:
-        if m_idx.size == 0:
-            out.append(np.zeros(0, dtype=bool))
-        else:
-            out.append(next(it)[0])
-    return out
 
 
 def _concat_stage_bytes(
@@ -365,8 +270,8 @@ def _concat_stage_totals(
     window_prs: int,
 ) -> Tuple[int, int]:
     """``(wire bytes, packets)`` of one concatenation stage — the lean
-    batch-mode form for consumers that never look at individual
-    destinations (integer-exact; see
+    form for consumers that never look at individual destinations
+    (integer-exact; see
     :func:`repro.core.concat.window_concat_totals`)."""
     maxp = config.max_prs_per_packet(payload)
     return window_concat_totals(
@@ -449,32 +354,29 @@ def simulate_netsparse(
     cmd_overhead = config.rig_cmd_overhead * scale
     pcache_bytes = int(config.pcache_bytes * scale)
 
-    # Batch mode: identity tokens key the logical memos.  The
-    # whole-simulation memos are skipped while telemetry is enabled so
-    # `netsparse profile` always sees every stage span/counter.
-    fastpath = batchmode.batch_enabled()
-    pt = tt = None
-    if fastpath:
-        pt = _obj_token(part)
-        tt = _obj_token(topo)
-        fastpath = pt is not None and tt is not None
+    # Identity tokens key the logical memos; a stage whose key is None
+    # (an input without a token) runs the same code unmemoized.  A
+    # whole-simulation hit records no stage spans: `netsparse profile`
+    # resets the memos first so it profiles a cold run.
+    pt = _obj_token(part)
+    tt = _obj_token(topo)
+    if pt is None or tt is None:
+        pt = tt = None
+    mt = _obj_token(matrix)
+    ct = _obj_token(config)
     sim_key = tmpl_base = tmpl_key = None
-    if fastpath and not telemetry.enabled():
-        mt = _obj_token(matrix)
-        ct = _obj_token(config)
-        if mt is not None and ct is not None:
-            sim_key = ("sim", mt, pt, tt, ct, knobs, k, rig_batch,
-                       repr(float(scale)))
-            blob = _SIMS.get(sim_key)
-            if blob is not None:
-                return pickle.loads(blob)
-            # Template key: ``rig_batch`` is deliberately absent.  Two
-            # probes whose *clamped per-node* batches (bkeys, appended
-            # after stage 1) coincide share all traffic stages; only
-            # the PR-generation makespan sees the raw batch, and that
-            # is overlaid per probe.
-            tmpl_base = ("sim2", mt, pt, tt, ct, knobs, k,
-                         repr(float(scale)))
+    if pt is not None and mt is not None and ct is not None:
+        sim_key = ("sim", mt, pt, tt, ct, knobs, k, rig_batch,
+                   repr(float(scale)))
+        blob = _SIMS.get(sim_key)
+        if blob is not None:
+            return pickle.loads(blob)
+        # Template key: ``rig_batch`` is deliberately absent.  Two
+        # probes whose *clamped per-node* batches (bkeys, appended
+        # after stage 1) coincide share all traffic stages; only the
+        # PR-generation makespan sees the raw batch, and that is
+        # overlaid per probe.
+        tmpl_base = ("sim2", mt, pt, tt, ct, knobs, k, repr(float(scale)))
     traces = part.node_traces()
 
     # ---- stage 1: per-node filtering/coalescing ----------------------
@@ -497,72 +399,43 @@ def simulate_netsparse(
                 # Batches >= the stream put every idx in unit 0, so the
                 # clamped value is this node's canonical batch identity.
                 bkey = min(batch_remote, int(remote_idx.size))
-                mask_key = (
-                    ("mask", pt, node, config.n_client_units,
-                     feats.filtering, feats.coalescing,
-                     knobs.inflight_frac, bkey)
-                    if fastpath else None
-                )
-                cached = _MASKS.get(mask_key) if mask_key else None
-                if cached is None and fastpath:
-                    # Only coalescing depends on the batch size (via
-                    # the issuing unit); the filter drops and the
-                    # coalesce-eligible positions are batch-invariant
-                    # per node, so a batch sweep recomputes two
-                    # vectorized compares instead of the whole filter.
+                mask_key = base_key = anchor_key = None
+                if pt is not None:
+                    mask_key = ("mask", pt, node, config.n_client_units,
+                                feats.filtering, feats.coalescing,
+                                knobs.inflight_frac, bkey)
                     base_key = ("fbase", pt, node, knobs.inflight_frac,
                                 feats.filtering, feats.coalescing)
-                    base = _FBASE.get(base_key)
-                    if base is None:
-                        anchor_key = ("fp", pt, node)
+                    anchor_key = ("fp", pt, node)
+                cached = _MASKS.get(mask_key)
+                if cached is None:
+                    # The batch-invariant drop masks are memoized per
+                    # node, so a batch sweep recomputes two vectorized
+                    # compares instead of the whole filter.
+                    entry = _FBASE.get(base_key)
+                    if entry is None:
                         fp = _ANCHORS.get(anchor_key)
                         if fp is None:
                             fp = first_occurrence_positions(remote_idx)
                             _ANCHORS.put(anchor_key, fp, fp.nbytes)
-                        pos = np.arange(remote_idx.size, dtype=np.int64)
-                        is_dup = pos != fp
-                        completed = fp <= pos - window
-                        drop_filter = (
-                            is_dup & completed if feats.filtering
-                            else np.zeros(remote_idx.size, bool)
-                        )
-                        eligible = (
-                            is_dup & ~completed if feats.coalescing
-                            else np.zeros(remote_idx.size, bool)
-                        )
-                        base = (drop_filter, eligible, fp)
-                        _FBASE.put(base_key, base,
+                        base = None
+                    else:
+                        fp, base = entry
+                    drop_filter, drop_coalesce, base = anchored_drops(
+                        fp, config.n_client_units, batch_remote, window,
+                        feats.filtering, feats.coalescing, base=base,
+                    )
+                    if entry is None:
+                        _FBASE.put(base_key, (fp, base),
                                    drop_filter.nbytes * 2 + fp.nbytes)
-                    drop_filter, eligible, fp = base
-                    pos = np.arange(remote_idx.size, dtype=np.int64)
-                    unit_of = (pos // batch_remote) % config.n_client_units
-                    drop_coalesce = eligible & (unit_of == unit_of[fp])
                     mask = ~(drop_filter | drop_coalesce)
                     cached = (
                         remote_pos[mask], remote_idx[mask],
                         remote_owner[mask], int(drop_filter.sum()),
                         int(drop_coalesce.sum()), int(mask.sum()),
                     )
-                    if mask_key:
-                        _MASKS.put(
-                            mask_key, cached,
-                            sum(a.nbytes for a in cached[:3]) + 24,
-                        )
-                elif cached is None:
-                    fr = filter_and_coalesce(
-                        remote_idx,
-                        n_units=config.n_client_units,
-                        batch_size=batch_remote,
-                        inflight_window=window,
-                        enable_filtering=feats.filtering,
-                        enable_coalescing=feats.coalescing,
-                    )
-                    mask = fr.issued_mask
-                    cached = (
-                        remote_pos[mask], remote_idx[mask],
-                        remote_owner[mask], fr.n_filtered, fr.n_coalesced,
-                        fr.n_issued,
-                    )
+                    _MASKS.put(mask_key, cached,
+                               sum(a.nbytes for a in cached[:3]) + 24)
                 stream = cached[:3]
                 n_filtered += cached[3]
                 n_coalesced += cached[4]
@@ -574,33 +447,23 @@ def simulate_netsparse(
                 n_issued += int(remote_idx.size)
             bkeys.append(bkey)
             node_streams.append(stream)
-            if fastpath:
-                # The rig makespan is a pure scalar function of these
-                # five numbers — nodes with equal nonzero counts (and
-                # every sweep point that leaves the batch alone) share
-                # one evaluation of the max-plus scan.
-                rg_key = ("rg", tr.n_nonzeros, config.n_client_units,
-                          rig_batch, repr(config.snic_freq),
-                          repr(cmd_overhead))
-                rg = _RIGGEN.get(rg_key)
-                if rg is None:
-                    rg = rig_generation_time(
-                        tr.n_nonzeros,
-                        config.n_client_units,
-                        rig_batch,
-                        freq=config.snic_freq,
-                        cmd_overhead=cmd_overhead,
-                    )
-                    _RIGGEN.put(rg_key, rg, 64)
-                pr_gen_time[node] = rg
-            else:
-                pr_gen_time[node] = rig_generation_time(
+            # The rig makespan is a pure scalar function of these five
+            # numbers — nodes with equal nonzero counts (and every sweep
+            # point that leaves the batch alone) share one evaluation
+            # of the max-plus scan.
+            rg_key = ("rg", tr.n_nonzeros, config.n_client_units,
+                      rig_batch, repr(config.snic_freq), repr(cmd_overhead))
+            rg = _RIGGEN.get(rg_key)
+            if rg is None:
+                rg = rig_generation_time(
                     tr.n_nonzeros,
                     config.n_client_units,
                     rig_batch,
                     freq=config.snic_freq,
                     cmd_overhead=cmd_overhead,
                 )
+                _RIGGEN.put(rg_key, rg, 64)
+            pr_gen_time[node] = rg
             # Windowed (sharded) traces drop their materialized windows
             # once their selections are copied out, keeping the resident
             # set bounded by one node's trace.
@@ -685,78 +548,62 @@ def simulate_netsparse(
                 ("merge", pt, tt, rack, config.n_client_units,
                  feats.rig_offload, feats.filtering, feats.coalescing,
                  knobs.inflight_frac, tuple(bkeys[m] for m in members))
-                if fastpath else None
+                if pt is not None else None
             )
-            merged = _MERGES.get(merge_key) if merge_key else None
+            merged = _MERGES.get(merge_key)
             if merged is None:
                 merged = _merge_rack_streams(
                     [node_streams[m] for m in members], members
                 )
-                if merge_key:
-                    _MERGES.put(merge_key, merged,
-                                sum(a.nbytes for a in merged.values()))
+                _MERGES.put(merge_key, merged,
+                            sum(a.nbytes for a in merged.values()))
             merge_keys.append(merge_key)
             merged_list.append(merged)
-        # Property Cache at the ToR middle pipes — all racks' replays
-        # are independent, so they dispatch as one batch (the ``pool``
-        # backend fans them across worker processes).  In batch mode
-        # each merged stream's reuse-distance profile scores the
-        # geometry instead (bit-identical; golden-tested), and both the
-        # profile and the scored hit mask are memoized so a knob sweep
-        # replays nothing.
+        # Property Cache at the ToR middle pipes.  From the second
+        # geometry asked of a merged stream on, its reuse-distance
+        # profile scores the geometry (bit-identical; golden-tested),
+        # and both the profile and the scored hit mask are memoized so
+        # a knob sweep replays nothing.
         if feats.property_cache:
-            if fastpath and kernels.is_fast() and not kernels.is_pool():
-                n_sets = n_sets_for(
-                    pcache_bytes, config.pcache_ways, max(payload, 1),
-                    config.pcache_segments, config.pcache_min_line,
+            n_sets = n_sets_for(
+                pcache_bytes, config.pcache_ways, max(payload, 1),
+                config.pcache_segments, config.pcache_min_line,
+            )
+            rack_hits = []
+            for merge_key, merged in zip(merge_keys, merged_list):
+                m_idx = merged["idx"]
+                if m_idx.size == 0:
+                    rack_hits.append(np.zeros(0, dtype=bool))
+                    continue
+                delay = max(int(knobs.cache_inflight_frac * m_idx.size), 1)
+                hits_key = (
+                    ("hits", merge_key, n_sets, config.pcache_ways, delay)
+                    if merge_key else None
                 )
-                rack_hits = []
-                for merge_key, merged in zip(merge_keys, merged_list):
-                    m_idx = merged["idx"]
-                    if m_idx.size == 0:
-                        rack_hits.append(np.zeros(0, dtype=bool))
-                        continue
-                    delay = max(
-                        int(knobs.cache_inflight_frac * m_idx.size), 1
-                    )
-                    hits_key = (
-                        ("hits", merge_key, n_sets, config.pcache_ways,
-                         delay)
-                        if merge_key else None
-                    )
-                    hits = _HITS.get(hits_key) if hits_key else None
-                    if hits is None:
-                        prof = (
-                            _PROFILES.get(merge_key) if merge_key else None
-                        )
-                        if prof is None and merge_key:
-                            with _MEMO_LOCK:
-                                reqs = _PROFILE_REQS.get(merge_key, 0) + 1
-                                _PROFILE_REQS[merge_key] = reqs
-                            if reqs >= 2:
-                                prof = reusedist.build_profile(m_idx)
-                                _PROFILES.put(merge_key, prof,
-                                              m_idx.nbytes * 4)
-                        if prof is not None:
-                            hits = prof.score(n_sets, config.pcache_ways,
-                                              delay, "lru")
-                        else:
-                            # First (and possibly only) geometry asked
-                            # of this stream: the pinned replay kernel
-                            # is cheaper than profiling for a single
-                            # point, and the masks agree bit-for-bit.
-                            hits = delayed_cache_hits(
-                                m_idx, n_sets, config.pcache_ways, delay,
-                                policy="lru",
-                            )[0]
-                        if hits_key:
-                            _HITS.put(hits_key, hits, hits.nbytes)
-                    rack_hits.append(hits)
-            else:
-                rack_hits = _rack_cache_hits(
-                    [m["idx"] for m in merged_list], config, pcache_bytes,
-                    payload, knobs,
-                )
+                hits = _HITS.get(hits_key)
+                if hits is None:
+                    prof = _PROFILES.get(merge_key)
+                    if prof is None and merge_key:
+                        with _MEMO_LOCK:
+                            reqs = _PROFILE_REQS.get(merge_key, 0) + 1
+                            _PROFILE_REQS[merge_key] = reqs
+                        if reqs >= 2:
+                            prof = reusedist.build_profile(m_idx)
+                            _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
+                    if prof is not None:
+                        hits = prof.score(n_sets, config.pcache_ways,
+                                          delay, "lru")
+                    else:
+                        # First (and possibly only) geometry asked of
+                        # this stream: the pinned replay kernel is
+                        # cheaper than profiling for a single point,
+                        # and the masks agree bit-for-bit.
+                        hits = delayed_cache_hits(
+                            m_idx, n_sets, config.pcache_ways, delay,
+                            policy="lru",
+                        )[0]
+                    _HITS.put(hits_key, hits, hits.nbytes)
+                rack_hits.append(hits)
         else:
             rack_hits = [
                 np.zeros(m["idx"].size, dtype=bool) for m in merged_list
@@ -777,21 +624,12 @@ def simulate_netsparse(
                      feats.rig_offload, feats.filtering, feats.coalescing,
                      knobs.inflight_frac, bkeys[node], w_nic, nic_maxp,
                      nic_headers)
-                    if fastpath else None
+                    if pt is not None else None
                 )
-                nic_val = _NIC_CONCAT.get(nic_key) if nic_key else None
+                nic_val = _NIC_CONCAT.get(nic_key)
                 if nic_val is None:
-                    if fastpath:
-                        nic_val = _concat_stage_totals(
-                            owner, 0, config, w_nic
-                        )
-                    else:
-                        byte_map, stats = _concat_stage_bytes(
-                            owner, 0, config, w_nic
-                        )
-                        nic_val = (sum(byte_map.values()), stats.n_packets)
-                    if nic_key:
-                        _NIC_CONCAT.put(nic_key, nic_val, 64)
+                    nic_val = _concat_stage_totals(owner, 0, config, w_nic)
+                    _NIC_CONCAT.put(nic_key, nic_val, 64)
                 up_bytes[node] += nic_val[0]
                 if not feats.concat_switch:
                     n_packets_total += nic_val[1]
@@ -851,15 +689,10 @@ def simulate_netsparse(
     served_per_node = np.zeros(n, dtype=np.int64)
     resp_window_sw = w_sw if feats.concat_switch else 1
     with telemetry.span("cluster.stage.respond", matrix=matrix.name, k=k):
-        owner_rack = (
-            rack_of[all_owner] if fastpath and all_owner.size else None
-        )
+        owner_rack = rack_of[all_owner]
         for rack, members in sorted(racks.items()):
             # Responses produced by owners in this rack, merged at its ToR.
-            if owner_rack is not None:
-                sel = owner_rack == rack
-            else:
-                sel = np.isin(all_owner, members)
+            sel = owner_rack == rack
             if not sel.any():
                 continue
             r_src, r_pos, r_owner = all_src[sel], all_pos[sel], all_owner[sel]
@@ -868,39 +701,24 @@ def simulate_netsparse(
                 r_src[order], r_pos[order], r_owner[order]
             )
 
-            # NIC-stage response bytes per owner.
-            if fastpath:
-                # One stable owner sort replaces the per-owner mask
-                # scans; within each owner the stream order (and hence
-                # every byte count) is unchanged.
-                oorder = np.argsort(r_owner, kind="stable")
-                ro = r_owner[oorder]
-                rs = r_src[oorder]
-                lo_b = np.searchsorted(ro, members, side="left")
-                hi_b = np.searchsorted(ro, members, side="right")
-                for owner, lo, hi in zip(members, lo_b.tolist(),
-                                         hi_b.tolist()):
-                    if hi <= lo:
-                        continue
-                    served_per_node[owner] += hi - lo
-                    nbytes, npkts = _concat_stage_totals(
-                        rs[lo:hi], payload, config, w_nic
-                    )
-                    up_bytes[owner] += nbytes
-                    if not feats.concat_switch:
-                        n_packets_total += npkts
-            else:
-                for owner in members:
-                    osel = r_owner == owner
-                    if not osel.any():
-                        continue
-                    served_per_node[owner] += int(osel.sum())
-                    byte_map, stats = _concat_stage_bytes(
-                        r_src[osel], payload, config, w_nic
-                    )
-                    up_bytes[owner] += sum(byte_map.values())
-                    if not feats.concat_switch:
-                        n_packets_total += stats.n_packets
+            # NIC-stage response bytes per owner.  A stable owner sort
+            # makes each owner's responses one slice that keeps their
+            # stream order (and hence every byte count).
+            oorder = np.argsort(r_owner, kind="stable")
+            ro = r_owner[oorder]
+            rs = r_src[oorder]
+            lo_b = np.searchsorted(ro, members, side="left")
+            hi_b = np.searchsorted(ro, members, side="right")
+            for owner, lo, hi in zip(members, lo_b.tolist(), hi_b.tolist()):
+                if hi <= lo:
+                    continue
+                served_per_node[owner] += hi - lo
+                nbytes, npkts = _concat_stage_totals(
+                    rs[lo:hi], payload, config, w_nic
+                )
+                up_bytes[owner] += nbytes
+                if not feats.concat_switch:
+                    n_packets_total += npkts
 
             # Switch-stage response bytes toward each requester.
             byte_map, stats = _concat_stage_bytes(

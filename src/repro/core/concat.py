@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.sim import Simulator
 
 __all__ = [
@@ -103,56 +102,18 @@ def window_concat(
     if n == 0:
         return ConcatStats(0, 0, 0, {}, {}, {})
     window_prs = max(int(window_prs), 1)
-    if kernels.is_fast():
-        return _window_concat_fast(dests, max_prs_per_packet, window_prs)
-    return _window_concat_reference(dests, max_prs_per_packet, window_prs)
-
-
-def _window_concat_reference(
-    dests: np.ndarray, max_prs_per_packet: int, window_prs: int
-) -> ConcatStats:
-    """Original window model with the per-destination reduction loop."""
-    n = dests.size
-    window_id = np.arange(n, dtype=np.int64) // window_prs
-    key = window_id * (dests.max() + 1) + dests
-    uniq_keys, counts = np.unique(key, return_counts=True)
-    group_dest = uniq_keys % (dests.max() + 1)
-
-    full, rem = np.divmod(counts, max_prs_per_packet)
-    packets_per_group = full + (rem > 0)
-    if max_prs_per_packet == 1:
-        solo_per_group = counts
-    else:
-        solo_per_group = (rem == 1).astype(np.int64)
-
-    per_dest_prs: Dict[int, int] = {}
-    per_dest_packets: Dict[int, int] = {}
-    per_dest_solo: Dict[int, int] = {}
-    for d in np.unique(group_dest):
-        sel = group_dest == d
-        per_dest_prs[int(d)] = int(counts[sel].sum())
-        per_dest_packets[int(d)] = int(packets_per_group[sel].sum())
-        per_dest_solo[int(d)] = int(solo_per_group[sel].sum())
-
-    return ConcatStats(
-        n_prs=n,
-        n_packets=int(packets_per_group.sum()),
-        n_solo_packets=int(solo_per_group.sum()),
-        per_dest_prs=per_dest_prs,
-        per_dest_packets=per_dest_packets,
-        per_dest_solo=per_dest_solo,
-    )
+    return _window_concat_fast(dests, max_prs_per_packet, window_prs)
 
 
 def _window_concat_fast(
     dests: np.ndarray, max_prs_per_packet: int, window_prs: int
 ) -> ConcatStats:
-    """Pure-integer vectorized form of :func:`_window_concat_reference`.
+    """Pure-integer vectorized window model.
 
-    Replaces both its sort-based ``np.unique`` over the (window, dest)
-    key and the per-destination boolean-mask loop with ``bincount``
-    histograms.  All quantities are integer counts, so the two
-    implementations agree exactly (golden-tested).
+    ``bincount`` histograms stand in for a sort-based ``np.unique`` over
+    the (window, dest) key and a per-destination boolean-mask loop.
+    All quantities are integer counts, so it agrees exactly with that
+    loop form (the oracle in ``tests/oracles.py``; golden-tested).
     """
     n = dests.size
     window_id = np.arange(n, dtype=np.int64) // window_prs

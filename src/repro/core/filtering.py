@@ -26,11 +26,11 @@ to the client units, which fixes each idx's issuing unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FilterResult", "filter_and_coalesce",
+__all__ = ["FilterResult", "anchored_drops", "filter_and_coalesce",
            "first_occurrence_positions"]
 
 
@@ -144,3 +144,41 @@ def filter_and_coalesce(
         n_filtered=int(drop_filter.sum()),
         n_coalesced=int(drop_coalesce.sum()),
     )
+
+
+def anchored_drops(
+    first_pos: np.ndarray,
+    n_units: int,
+    batch_size: int,
+    inflight_window: int,
+    enable_filtering: bool = True,
+    enable_coalescing: bool = True,
+    base: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """``(drop_filter, drop_coalesce, base)`` from a filter anchor.
+
+    The drop masks of :func:`filter_and_coalesce` for the stream whose
+    :func:`first_occurrence_positions` is ``first_pos``:
+    ``~(drop_filter | drop_coalesce)`` is its ``issued_mask``.  Only
+    coalescing depends on the batch size (via the issuing unit); the
+    filter drops and the coalesce-eligible positions are batch-invariant
+    and come back as ``base``.  Passing ``base`` to a call that differs
+    only in ``batch_size`` skips them, so a batch sweep costs two
+    vectorized compares per point instead of the whole filter.
+    """
+    n = first_pos.size
+    pos = np.arange(n, dtype=np.int64)
+    if base is None:
+        is_dup = pos != first_pos
+        completed = first_pos <= pos - inflight_window
+        drop_filter = (
+            is_dup & completed if enable_filtering else np.zeros(n, bool)
+        )
+        eligible = (
+            is_dup & ~completed if enable_coalescing else np.zeros(n, bool)
+        )
+        base = (drop_filter, eligible)
+    drop_filter, eligible = base
+    unit_of = (pos // batch_size) % n_units
+    drop_coalesce = eligible & (unit_of == unit_of[first_pos])
+    return drop_filter, drop_coalesce, base

@@ -5,7 +5,8 @@
 set-associative cache with delayed insertion and returns the exact
 hit/miss sequence — bit-for-bit the behaviour of
 :class:`repro.core.pcache.PropertyCache` driven by
-:class:`repro.cluster.model.DelayedInsertCache`, for every replacement
+the per-element delayed-insert front-end (``DelayedInsertCache``, the
+test oracle in ``tests/oracles.py``), for every replacement
 policy, including the §6.2.1 corner cases (duplicate in-flight misses
 both travel; an insert finding its property already present is a
 no-op; a hit promotes to MRU under LRU only).
@@ -17,7 +18,7 @@ queue is two parallel position/idx arrays with an implicit due time
 (``enqueue position + delay``, monotone by construction, so the head
 comparison is a single integer test), hit positions are batched into
 one vectorized store, and statistics are counted in locals.  Golden
-equivalence against the reference backend is enforced across seeds,
+equivalence against that oracle is enforced across seeds,
 geometries and delays by ``tests/test_fast_kernels.py``.
 """
 
@@ -185,7 +186,7 @@ def delayed_cache_hits(
 ) -> Tuple[np.ndarray, CacheStats]:
     """Exact hit mask + stats for one idx stream.
 
-    Semantics (the executable specification is the reference backend):
+    Semantics (the executable specification is the test oracle):
     at stream position ``i`` every pending insert whose miss happened
     at position ``<= i - delay`` is applied first (in miss order), then
     ``idxs[i]`` is looked up.  A miss enqueues an insert due ``delay``

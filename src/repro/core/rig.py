@@ -21,7 +21,6 @@ from typing import Dict, List, Set
 
 import numpy as np
 
-from repro.core import kernels
 from repro.sim import Simulator, Store
 
 __all__ = [
@@ -223,38 +222,9 @@ def rig_generation_time(
         raise ValueError("n_units and batch_size must be positive")
     if policy not in ("least_loaded", "round_robin"):
         raise ValueError(f"unknown scheduling policy {policy!r}")
-    if kernels.is_fast():
-        return _rig_generation_time_fast(
-            n_idxs, n_units, batch_size, freq, cmd_overhead
-        )
-    return _rig_generation_time_reference(
-        n_idxs, n_units, batch_size, freq, cmd_overhead, policy
+    return _rig_generation_time_fast(
+        n_idxs, n_units, batch_size, freq, cmd_overhead
     )
-
-
-def _rig_generation_time_reference(
-    n_idxs: int,
-    n_units: int,
-    batch_size: int,
-    freq: float,
-    cmd_overhead: float,
-    policy: str,
-) -> float:
-    """The original per-batch scheduling loop — reference backend."""
-    n_batches = -(-n_idxs // batch_size)
-    sizes = np.full(n_batches, batch_size, dtype=np.int64)
-    sizes[-1] = n_idxs - batch_size * (n_batches - 1)
-    unit_free = np.zeros(n_units)
-    for b in range(n_batches):
-        issue_time = (b + 1) * cmd_overhead
-        u = (
-            int(np.argmin(unit_free))
-            if policy == "least_loaded"
-            else b % n_units
-        )
-        start = max(issue_time, unit_free[u])
-        unit_free[u] = start + sizes[b] / freq
-    return float(unit_free.max())
 
 
 def _rig_generation_time_fast(
@@ -264,7 +234,8 @@ def _rig_generation_time_fast(
     freq: float,
     cmd_overhead: float,
 ) -> float:
-    """Per-round vectorized makespan scan, bit-identical to the loop.
+    """Per-round vectorized makespan scan, bit-identical to the
+    per-batch scheduling loop (the oracle in ``tests/oracles.py``).
 
     Batches are all ``batch_size`` idxs except the last, so
     ``least_loaded`` dispatch coincides with round-robin: the units'

@@ -21,7 +21,7 @@ configures the process-global default engine; library callers that do
 nothing get the historical behavior (serial, uncached).
 """
 
-from repro.parallel.batch import BatchPlan, batch_enabled, plan_batches
+from repro.parallel.batch import BatchPlan, plan_batches
 from repro.parallel.cache import (
     ENV_STORE_DSN,
     ResultCache,
@@ -49,7 +49,6 @@ __all__ = [
     "JobHandle",
     "ResultCache",
     "SimJob",
-    "batch_enabled",
     "configure_engine",
     "default_cache_dir",
     "engine_scope",

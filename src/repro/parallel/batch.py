@@ -4,7 +4,7 @@ A sweep submits dozens of :class:`~repro.parallel.jobs.SimJob` records
 that differ only along *profile-compatible* knob axes — Property-Cache
 geometry (capacity / ways / line geometry / cache on-off), the RIG
 batch size, and the kernel width ``k``.  Jobs in such a group share
-their partition trace and every batch-mode memo the cluster model keeps
+their partition trace and every logical memo the cluster model keeps
 (:mod:`repro.cluster.model`): filter anchors, merged rack streams,
 reuse-distance profiles (:mod:`repro.core.reusedist`), scored hit
 masks and whole-simulation templates.  Evaluating the group's members
@@ -23,8 +23,8 @@ every job still executes through :func:`timed_execute`, and the
 memos it may hit are bit-exact by construction (golden-tested in
 ``tests/test_reusedist.py`` / ``tests/test_batch_planner.py``).
 
-The engine (:meth:`ExecutionEngine._execute`) consults the planner
-whenever ``REPRO_BATCH`` is enabled: groups become the unit of fan-out
+The engine (:meth:`ExecutionEngine._execute`) executes every batch of
+pending jobs through the planner: groups become the unit of fan-out
 (one worker evaluates a whole group so its members share the worker's
 memos), folded jobs are attributed ``source="batched"`` in the run
 ledger, and ``perf.batch.*`` telemetry reports groups formed, jobs
@@ -37,11 +37,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.batchmode import batch_enabled
 from repro.parallel.jobs import SimJob, timed_execute
 
-__all__ = ["BatchPlan", "batch_enabled", "execute_group", "group_key",
-           "plan_batches"]
+__all__ = ["BatchPlan", "execute_group", "group_key", "plan_batches"]
 
 #: Top-level ``key_dict`` axes a group may vary along.
 _JOB_AXES = ("k", "rig_batch")

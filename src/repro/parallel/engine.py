@@ -5,8 +5,9 @@ Three layers answer a :class:`~repro.parallel.jobs.SimJob`:
 1. an in-process memo (duplicate jobs inside one run — the historical
    ``lru_cache`` in the headline experiments, generalized),
 2. the content-addressed on-disk :class:`ResultCache` (repeat runs),
-3. real execution — serial, or mapped over a ``ProcessPoolExecutor``
-   when the engine was configured with ``jobs > 1``.
+3. real execution of the batch planner's groups — serial, or mapped
+   over a ``ProcessPoolExecutor`` when the engine was configured with
+   ``jobs > 1``.
 
 Parallel and serial execution are bit-identical: every simulator is
 deterministic, and results are reassembled by content digest in the
@@ -25,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.config import NetSparseConfig
 from repro.core import reusedist
-from repro.core.batchmode import batch_enabled
 from repro.parallel.batch import execute_group, plan_batches
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import SimJob, timed_execute
@@ -51,7 +51,7 @@ class EngineStats:
     memo_hits: int = 0       # answered from the in-process memo
     cache_hits: int = 0      # answered from the on-disk cache
     executed: int = 0        # actually simulated (cache misses)
-    batched: int = 0         # executed as a fused-group rider (REPRO_BATCH)
+    batched: int = 0         # executed as a fused-group rider
     sim_seconds: float = 0.0    # compute spent executing jobs
     saved_seconds: float = 0.0  # recorded compute answered from cache
 
@@ -304,36 +304,15 @@ class ExecutionEngine:
         return self.run_jobs([job])[0]
 
     def _execute(self, pending: Dict[str, SimJob]) -> None:
-        if batch_enabled() and len(pending) > 1:
-            self._execute_batched(pending)
-            return
-        items = list(pending.items())
-        if self.jobs > 1 and len(items) > 1:
-            # Dispatch in trace order so one worker's chunk reuses the
-            # trace its previous job just built instead of every worker
-            # racing to build the same partition (the submission order
-            # is restored by digest when results are memoized).
-            items.sort(key=lambda kv: self._trace_key(kv[1]))
-            if self._pool is None:
-                self._prewarm_traces([job for _, job in items])
-            # Worker processes carry their own (disabled) telemetry —
-            # `netsparse profile` therefore always runs serial.
-            pool = self._ensure_pool()
-            outcomes = pool.map(timed_execute, [job for _, job in items],
-                                chunksize=1)
-        else:
-            outcomes = (self._timed_instrumented(job) for _, job in items)
-        for (digest, job), (result, elapsed) in zip(items, outcomes):
-            self._note_executed(digest, job, result, elapsed)
-
-    def _execute_batched(self, pending: Dict[str, SimJob]) -> None:
-        """Planner path: evaluate fused groups (``REPRO_BATCH=1``).
+        """Evaluate the planner's fused groups.
 
         Each group's members run back-to-back — in one pool worker, or
-        consecutively on the serial path — so the cluster model's batch
-        memos fold their shared stages.  Results are identical to the
-        per-job path; only attribution (``source="batched"`` for group
-        riders) and wall time differ.
+        consecutively on the serial path — so the cluster model's
+        logical memos fold their shared stages.  Results are identical
+        to evaluating each job alone; only attribution
+        (``source="batched"`` for group riders) and wall time differ.
+        Worker processes carry their own (disabled) telemetry —
+        `netsparse profile` therefore always runs serial.
         """
         digest_of = {job: digest for digest, job in pending.items()}
         plan = plan_batches(list(pending.values()))

@@ -18,7 +18,7 @@ Tables (schema v1):
     One row per :class:`~repro.parallel.jobs.SimJob` digest — the
     shared tier behind :class:`~repro.parallel.cache.ResultCache`.
     Every write carries full provenance: the job digest, ``CODE_SALT``,
-    the faults-plan digest, the active ``REPRO_KERNELS`` tier, the git
+    the faults-plan digest, the kernel tier, the git
     sha, the store schema version, and creation timestamps.
 
 ``artifacts``

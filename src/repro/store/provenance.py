@@ -7,9 +7,9 @@ produced a row before trusting it.  Every write therefore stamps:
 - ``code_salt`` — the simulator-semantics version
   (:data:`repro.parallel.jobs.CODE_SALT`), the same salt already folded
   into every job digest;
-- ``kernel_tier`` — the active ``REPRO_KERNELS`` backend (``fast`` /
-  ``reference`` / ``pool``; bit-identical by the golden suite, recorded
-  anyway so an equivalence regression is attributable);
+- ``kernel_tier`` — the constant ``fast`` (older rows may name the
+  since-removed ``reference`` / ``pool`` tiers, which were
+  bit-identical to it);
 - ``git_sha`` — the commit of the working tree, resolved once per
   process (``$REPRO_GIT_SHA`` overrides for detached deployments);
 - ``schema_version`` — the store schema the row was written under;
@@ -50,10 +50,11 @@ def git_sha() -> str:
 
 
 def kernel_tier() -> str:
-    """The active ``REPRO_KERNELS`` backend name."""
-    from repro.core.kernels import get_backend
+    """The kernel tier: always ``"fast"``, the only one there is.
 
-    return get_backend()
+    Kept so the v1 ``kernel_tier`` column stays filled; rows written
+    when ``reference`` and ``pool`` tiers existed remain valid."""
+    return "fast"
 
 
 @lru_cache(maxsize=1)

@@ -1,9 +1,10 @@
 """Experiment profiling: run one experiment under full telemetry.
 
 ``netsparse profile <experiment>`` lands here.  Profiling runs the
-experiment on a **fresh serial, uncached** execution engine — cached or
-pooled jobs would skip (or hide, in worker processes) the instrumented
-code paths — with a :class:`MetricsRegistry` active, then writes three
+experiment on a **fresh serial, uncached** execution engine, with the
+cluster model's memos reset — cached, memoized or pooled jobs would
+skip (or hide, in worker processes) the instrumented code paths — and
+a :class:`MetricsRegistry` active, then writes three
 artifacts next to each other::
 
     profile_<exp>_<scale>.json         metrics dump (counters/histograms/spans)
@@ -72,6 +73,7 @@ def profile_experiment(
     """Run ``exp_id`` instrumented and write the three artifacts."""
     # Imported lazily: profile is reachable from the CLI before the
     # (heavier) experiment registry is needed.
+    from repro.cluster import reset_batch_state
     from repro.experiments import EXPERIMENTS, list_experiments
     from repro.parallel import ExecutionEngine, engine_scope
 
@@ -81,6 +83,9 @@ def profile_experiment(
             f"unknown experiment {exp_id!r}; available: {list_experiments()}"
         )
     reg = registry if registry is not None else MetricsRegistry()
+    # Cold cluster-model memos, like the uncached engine: a memo hit
+    # would skip the stage spans this run exists to record.
+    reset_batch_state()
     with engine_scope(ExecutionEngine(jobs=1, cache=None)):
         with telemetry_scope(reg):
             with reg.span(f"profile.{exp_id}", scale=scale):

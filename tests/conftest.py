@@ -1,0 +1,32 @@
+"""Shared fixtures for the tier-1 suite."""
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.cluster import model
+
+
+@pytest.fixture
+def cold_memos():
+    """A context manager under which the cluster model runs cold.
+
+    Every memo in :data:`repro.cluster.model._ALL_MEMOS` gets a zero
+    byte budget, so ``put`` stores nothing and every stage (filter,
+    merge, cache scoring, concat totals, rig makespan, whole
+    simulation) is recomputed on every call.  The memos are emptied on
+    entry and on exit, so a warm run afterwards starts from scratch.
+    """
+
+    @contextmanager
+    def cold():
+        model.reset_batch_state()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                for memo in model._ALL_MEMOS.values():
+                    mp.setattr(memo, "budget", 0)
+                yield
+        finally:
+            model.reset_batch_state()
+
+    return cold

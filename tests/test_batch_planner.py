@@ -3,9 +3,9 @@
 The planner (:mod:`repro.parallel.batch`) may only ever change *how
 fast* a sweep evaluates, never *what* it evaluates: grouping decisions
 are pinned here, and the paper tables the ISSUE names (fig15-18,
-autotune, table8) are asserted bit-identical between ``REPRO_BATCH=1``
-(planner + fused memos) and ``REPRO_BATCH=0`` (the legacy
-every-job-from-scratch path).
+autotune, table8) are asserted bit-identical between cold cluster-model memos (every
+job evaluated from scratch, every stage recomputed) and warm ones
+(planner groups folding their shared stages).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.cluster import reset_batch_state
 from repro.config import NetSparseConfig
 from repro.core.autotune import tune_rig_batch
-from repro.core.batchmode import use_batch
 from repro.experiments import run_experiment
 from repro.parallel import (
     ExecutionEngine,
@@ -27,7 +26,7 @@ from repro.parallel import (
     simulate_many,
 )
 from repro.parallel.batch import execute_group, group_key, plan_batches
-from repro.parallel.jobs import timed_execute
+from repro.parallel.jobs import execute_job, timed_execute
 
 MAT = "queen"  # smallest tiny-scale benchmark in the suite
 K = 16
@@ -147,43 +146,42 @@ class TestEngineIntegration:
         return [_job(matrix=m, k=k)
                 for m in ("queen", "europe") for k in (16, 64, 128)]
 
-    def _run(self, mode, jobs=None):
+    def _run(self, jobs=None):
         reset_batch_state()
-        with use_batch(mode):
-            with engine_scope(ExecutionEngine()) as eng:
-                results = simulate_many(jobs or self._grid())
-                stats = eng.stats
+        with engine_scope(ExecutionEngine()) as eng:
+            results = simulate_many(jobs or self._grid())
+            stats = eng.stats
         return results, stats
 
-    def test_batched_results_match_legacy_bitwise(self):
-        fast, fast_stats = self._run(True)
-        slow, slow_stats = self._run(False)
+    def test_batched_results_match_legacy_bitwise(self, cold_memos):
+        fast, fast_stats = self._run()
+        # Legacy semantics: every job alone, every stage from scratch.
+        with cold_memos():
+            slow = [execute_job(job) for job in self._grid()]
         for a, b in zip(fast, slow):
             _assert_identical(a, b)
-        # The planner really ran: group riders carry batched
-        # attribution; the legacy leg never does.
+        # The planner really ran: group riders carry batched attribution.
         assert fast_stats.batched == 4   # 2 groups of 3 -> 2x2 riders
-        assert slow_stats.batched == 0
-        assert fast_stats.executed == slow_stats.executed == 6
+        assert fast_stats.executed == 6
 
-    def test_single_job_skips_planner(self):
-        results, stats = self._run(True, jobs=[_job()])
+    def test_single_job_is_a_group_of_one(self):
+        results, stats = self._run(jobs=[_job()])
         assert len(results) == 1
+        assert stats.executed == 1
         assert stats.batched == 0
 
     def test_batched_counter_in_summary(self):
-        _, stats = self._run(True)
+        _, stats = self._run()
         assert "batched=4" in stats.summary()
         assert stats.as_dict()["batched"] == 4
 
     def test_parallel_groups_match_serial(self, tmp_path):
         jobs = self._grid()
         reset_batch_state()
-        with use_batch(True), engine_scope(ExecutionEngine()) as eng:
+        with engine_scope(ExecutionEngine()) as eng:
             serial = simulate_many(jobs)
         reset_batch_state()
-        with use_batch(True), \
-                engine_scope(ExecutionEngine(jobs=2)) as eng:
+        with engine_scope(ExecutionEngine(jobs=2)) as eng:
             parallel = simulate_many(jobs)
             assert eng.stats.batched > 0
         for a, b in zip(serial, parallel):
@@ -253,13 +251,13 @@ class TestTraceCacheContention:
 @pytest.mark.parametrize(
     "exp_id", ["fig15", "fig16", "fig17", "fig18", "autotune", "table8"]
 )
-def test_experiment_bit_identical_across_modes(exp_id):
-    """The ISSUE's acceptance bar: each sweep's full table is
-    bit-identical with the planner on and off."""
-    tables = {}
-    for mode in (True, False):
-        reset_batch_state()
-        with use_batch(mode), engine_scope(ExecutionEngine()):
-            tables[mode] = run_experiment(exp_id, scale="tiny")
-    assert tables[True].columns == tables[False].columns
-    assert tables[True].rows == tables[False].rows
+def test_experiment_bit_identical_across_modes(exp_id, cold_memos):
+    """Each sweep's full table is bit-identical with the cluster-model
+    memos cold (every stage recomputed) and warm (shared stages folded
+    across the sweep points)."""
+    with cold_memos(), engine_scope(ExecutionEngine()):
+        cold = run_experiment(exp_id, scale="tiny")
+    with engine_scope(ExecutionEngine()):
+        warm = run_experiment(exp_id, scale="tiny")
+    assert warm.columns == cold.columns
+    assert warm.rows == cold.rows

@@ -5,9 +5,9 @@ import pytest
 
 from repro.config import FeatureFlags, NetSparseConfig
 from repro.cluster import build_cluster_topology, simulate_netsparse
-from repro.cluster.model import _DelayedInsertCache
 from repro.core.pcache import PropertyCache
 from repro.sparse.suite import load_benchmark
+from tests.oracles import _DelayedInsertCache
 
 
 CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)

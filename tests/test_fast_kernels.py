@@ -1,29 +1,26 @@
-"""Golden-equivalence suite: fast kernels vs their reference backends.
+"""Golden-equivalence suite: fast kernels vs their test oracles.
 
 The fast kernels (`repro.core.pcache_fast`, the vectorized paths in
 `repro.core.rig` / `repro.core.concat`) claim *bit-identical* results
-to the original per-element Python implementations, which remain
-selectable via ``REPRO_KERNELS=reference``.  This suite is the claim's
-enforcement: sweeps over seeds, cache geometries (ways / segments /
-delay), concat windows and RIG shapes, plus whole-model runs, assert
-exact equality — never approximate.
+to the original per-element Python implementations, kept as oracles in
+``tests/oracles.py``.  This suite is the claim's enforcement: sweeps
+over seeds, cache geometries (ways / segments / delay), concat windows
+and RIG shapes assert exact equality — never approximate.  Whole-model
+runs are pinned cold (every memo disabled) against warm (memoized).
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
-from repro.cluster import build_cluster_topology, simulate_netsparse
-from repro.cluster.model import DelayedInsertCache
-from repro.config import NetSparseConfig
-from repro.core import kernels
-from repro.core.concat import (
-    _window_concat_fast,
-    _window_concat_reference,
-    window_concat,
+from repro.cluster import (
+    batch_stats,
+    build_cluster_topology,
+    simulate_netsparse,
 )
+from repro.config import NetSparseConfig
+from repro.core.concat import _window_concat_fast, window_concat
 from repro.core.pcache import PropertyCache, n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
 from repro.core.rig import rig_generation_time
@@ -38,58 +35,11 @@ from repro.partition.oned import OneDPartition
 from repro.sim import Simulator
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.suite import load_benchmark
-
-
-# ---------------------------------------------------------------------
-# backend switch
-# ---------------------------------------------------------------------
-
-
-# The suite must pass under either backend (the CI matrix runs a
-# REPRO_KERNELS=reference leg), so the expected default is whatever the
-# environment selected — "fast" when unset.
-_ENV_BACKEND = os.environ.get("REPRO_KERNELS", "fast")
-
-
-class TestBackendSwitch:
-    def test_default_tracks_environment(self):
-        assert kernels.get_backend() in kernels.BACKENDS
-        assert kernels.get_backend() == _ENV_BACKEND
-        # "pool" still runs the fast kernels — only fanned out.
-        assert kernels.is_fast() == (_ENV_BACKEND != "reference")
-        assert kernels.is_pool() == (_ENV_BACKEND == "pool")
-
-    def test_set_backend_returns_previous(self):
-        other = "reference" if _ENV_BACKEND == "fast" else "fast"
-        prev = kernels.set_backend(other)
-        try:
-            assert prev == _ENV_BACKEND
-            assert kernels.get_backend() == other
-            assert kernels.is_fast() == (other == "fast")
-        finally:
-            kernels.set_backend(prev)
-        assert kernels.get_backend() == _ENV_BACKEND
-
-    def test_pool_backend_is_fast(self):
-        with kernels.use_backend("pool"):
-            assert kernels.is_fast()
-            assert kernels.is_pool()
-        assert kernels.get_backend() == _ENV_BACKEND
-
-    def test_use_backend_restores_on_error(self):
-        other = "reference" if _ENV_BACKEND == "fast" else "fast"
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend(other):
-                assert kernels.get_backend() == other
-                raise RuntimeError("boom")
-        assert kernels.get_backend() == _ENV_BACKEND
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-        with pytest.raises(ValueError):
-            with kernels.use_backend(""):
-                pass  # pragma: no cover
+from tests.oracles import (
+    DelayedInsertCache,
+    _rig_generation_time_reference,
+    _window_concat_reference,
+)
 
 
 # ---------------------------------------------------------------------
@@ -234,12 +184,10 @@ class TestConcatGolden:
         ref = _window_concat_reference(dests, 5, 8)
         assert fast == ref
 
-    def test_window_concat_dispatches_on_backend(self):
+    def test_window_concat_matches_reference(self):
         dests = np.tile(np.arange(4), 25)
         fast = window_concat(dests, 8, 10)
-        with kernels.use_backend("reference"):
-            ref = window_concat(dests, 8, 10)
-        assert fast == ref
+        assert fast == _window_concat_reference(dests, 8, 10)
         assert fast.n_prs == 100
 
     def test_empty_stream_short_circuits(self):
@@ -274,27 +222,22 @@ class TestRigGolden:
             fast = rig_generation_time(
                 n_idxs, n_units, batch, freq, ovh, policy=policy
             )
-            with kernels.use_backend("reference"):
-                ref = rig_generation_time(
-                    n_idxs, n_units, batch, freq, ovh, policy=policy
-                )
+            ref = _rig_generation_time_reference(
+                n_idxs, n_units, batch, freq, ovh, policy
+            )
             assert fast == ref  # exact float equality, not approx
 
     def test_zero_and_negative_idxs(self):
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                assert rig_generation_time(0, 4, 32) == 0.0
-                assert rig_generation_time(-3, 4, 32) == 0.0
+        assert rig_generation_time(0, 4, 32) == 0.0
+        assert rig_generation_time(-3, 4, 32) == 0.0
 
-    def test_validation_identical_across_backends(self):
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                with pytest.raises(ValueError):
-                    rig_generation_time(10, 0, 32)
-                with pytest.raises(ValueError):
-                    rig_generation_time(10, 4, 0)
-                with pytest.raises(ValueError):
-                    rig_generation_time(10, 4, 32, policy="fastest_first")
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            rig_generation_time(10, 0, 32)
+        with pytest.raises(ValueError):
+            rig_generation_time(10, 4, 0)
+        with pytest.raises(ValueError):
+            rig_generation_time(10, 4, 32, policy="fastest_first")
 
 
 # ---------------------------------------------------------------------
@@ -328,18 +271,38 @@ CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 
 class TestModelGolden:
+    """Cold runs (every memo disabled, each stage recomputed) against
+    warm runs served by stage memos, profile scoring, the traffic
+    template and the whole-simulation memo."""
+
     @pytest.mark.parametrize("name", ["queen", "stokes"])
-    def test_commresult_bit_identical(self, name):
+    def test_commresult_bit_identical(self, name, cold_memos):
         mat = load_benchmark(name, "tiny")
         topo = build_cluster_topology(CFG16)
-        fast = simulate_netsparse(mat, 8, CFG16, topo)
-        with kernels.use_backend("reference"):
-            ref = simulate_netsparse(mat, 8, CFG16, topo)
-        assert_results_equal(fast, ref)
+        sibling = dataclasses.replace(
+            CFG16, pcache_bytes=CFG16.pcache_bytes // 4
+        )
+        points = [(CFG16, None), (CFG16, 1024)]
+        with cold_memos():
+            cold = [simulate_netsparse(mat, 8, cfg, topo, rig_batch=rb)
+                    for cfg, rb in points]
+        # A sibling geometry fills the stage memos, so the warm points
+        # reuse its filter and merge stages and score a reuse profile.
+        simulate_netsparse(mat, 8, sibling, topo)
+        warm = [simulate_netsparse(mat, 8, cfg, topo, rig_batch=rb)
+                for cfg, rb in points]
+        replay = simulate_netsparse(mat, 8, CFG16, topo)
+        stats = batch_stats()
+        assert stats["merges"]["hits"] > 0
+        assert stats["profile"]["profiles_built"] > 0
+        assert stats["sims"]["hits"] >= 1
+        for c, w in zip(cold, warm):
+            assert_results_equal(c, w)
+        assert_results_equal(cold[0], replay)
 
-    def test_faulted_run_bit_identical(self):
-        # faults= perturbs the *result* analytically; the kernels under
-        # it must still agree, and the shared TraceCache entry is safe.
+    def test_faulted_run_bit_identical(self, cold_memos):
+        # faults= perturbs the *result* analytically; a memoized result
+        # must come back unperturbed by the previous call's faults.
         from repro.faults import FaultPlan
         from repro.parallel.jobs import SimJob, execute_job
 
@@ -352,10 +315,12 @@ class TestModelGolden:
             scale_name="tiny",
             faults=plan.canonical_json(),
         )
-        fast = execute_job(job)
-        with kernels.use_backend("reference"):
-            ref = execute_job(job)
-        assert_results_equal(fast, ref)
+        with cold_memos():
+            cold = execute_job(job)
+        warm = execute_job(job)
+        replay = execute_job(job)
+        assert_results_equal(cold, warm)
+        assert_results_equal(cold, replay)
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.filtering import filter_and_coalesce
+from repro.core.filtering import (
+    anchored_drops,
+    filter_and_coalesce,
+    first_occurrence_positions,
+)
 
 
 def test_no_duplicates_nothing_dropped():
@@ -140,3 +144,35 @@ def test_property_disabling_both_issues_everything(idxs):
     res = filter_and_coalesce(arr, enable_filtering=False,
                               enable_coalescing=False)
     assert res.n_issued == len(idxs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    idxs=st.lists(st.integers(0, 40), max_size=300),
+    n_units=st.integers(1, 8),
+    batch=st.integers(1, 64),
+    window=st.integers(0, 200),
+    filt=st.booleans(),
+    coal=st.booleans(),
+    batch2=st.integers(1, 64),
+)
+def test_property_anchored_drops_match_filter_and_coalesce(
+        idxs, n_units, batch, window, filt, coal, batch2):
+    """The cluster model's anchor-reusing filter issues exactly the PRs
+    :func:`filter_and_coalesce` issues — also when the batch-invariant
+    ``base`` of one batch size is reused for another."""
+    arr = np.array(idxs, dtype=np.int64)
+    fp = first_occurrence_positions(arr)
+    base = None
+    for b in (batch, batch2):
+        drop_filter, drop_coalesce, base = anchored_drops(
+            fp, n_units, b, window, filt, coal, base=base,
+        )
+        ref = filter_and_coalesce(
+            arr, n_units=n_units, batch_size=b, inflight_window=window,
+            enable_filtering=filt, enable_coalescing=coal,
+        )
+        np.testing.assert_array_equal(~(drop_filter | drop_coalesce),
+                                      ref.issued_mask)
+        assert int(drop_filter.sum()) == ref.n_filtered
+        assert int(drop_coalesce.sum()) == ref.n_coalesced

@@ -7,15 +7,14 @@ full-replay delegation are three routes to one answer.  These tests
 pin all three against :func:`repro.core.pcache_fast.delayed_cache_hits`
 (itself golden-tested against the :class:`PropertyCache` executable
 spec in ``tests/test_fast_kernels.py``) and, end to end, against a
-:class:`PropertyCache` driven through
-:class:`repro.cluster.model.DelayedInsertCache` with the geometry a
+:class:`PropertyCache` driven through the
+:class:`~tests.oracles.DelayedInsertCache` oracle with the geometry a
 real capacity / line-size sweep point derives.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster.model import DelayedInsertCache
 from repro.core.pcache import PropertyCache, n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
 from repro.core.reusedist import (
@@ -25,6 +24,7 @@ from repro.core.reusedist import (
     reset_profile_stats,
     score_many,
 )
+from tests.oracles import DelayedInsertCache
 
 POLICIES = PropertyCache.POLICIES
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cluster import batch_stats, reset_batch_state
 from repro.config import NetSparseConfig
 from repro.sparse.suite import load_benchmark, scale_factor
 from repro.telemetry import (
@@ -174,6 +175,8 @@ class TestBitIdentical:
         cfg = NetSparseConfig()
 
         baseline = simulate_netsparse(mat, 16, cfg, scale=sc)
+        # Cold memos, as `netsparse profile` runs: every stage executes.
+        reset_batch_state()
         with telemetry_scope() as reg:
             instrumented = simulate_netsparse(mat, 16, cfg, scale=sc)
         rerun = simulate_netsparse(mat, 16, cfg, scale=sc)
@@ -193,6 +196,34 @@ class TestBitIdentical:
         assert {"cluster.stage.filter", "cluster.stage.cache",
                 "cluster.stage.respond",
                 "cluster.stage.timing"} <= stage_spans
+
+    def test_warm_instrumented_call_takes_the_memo_path(self):
+        """Telemetry does not change which code runs: on warm memos an
+        instrumented call is a whole-simulation memo hit, like a plain
+        one, and returns the identical result."""
+        from repro.cluster import build_cluster_topology, simulate_netsparse
+
+        mat = load_benchmark("queen", "tiny")
+        cfg = NetSparseConfig()
+        topo = build_cluster_topology(cfg)
+        reset_batch_state()
+        baseline = simulate_netsparse(mat, 16, cfg, topo)
+        sims = batch_stats()["sims"]
+        with telemetry_scope() as reg:
+            instrumented = simulate_netsparse(mat, 16, cfg, topo)
+        after = batch_stats()["sims"]
+        assert after["hits"] == sims["hits"] + 1
+        assert after["misses"] == sims["misses"]
+        assert not any(s.name.startswith("cluster.stage.")
+                       for s in reg.spans)
+        assert instrumented is not baseline
+        assert instrumented.total_time == baseline.total_time
+        assert np.array_equal(instrumented.per_node_time,
+                              baseline.per_node_time)
+        assert np.array_equal(instrumented.recv_wire_bytes,
+                              baseline.recv_wire_bytes)
+        assert instrumented.cache_hits == baseline.cache_hits
+        assert instrumented.n_packets == baseline.n_packets
 
     def test_des_gather_identical_with_and_without_telemetry(self):
         from repro.dessim import run_des_gather
