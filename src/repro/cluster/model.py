@@ -27,7 +27,6 @@ downscaling documented in DESIGN.md.
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import weakref
 from collections import OrderedDict
@@ -59,17 +58,21 @@ __all__ = [
 
 # -- logical memos -------------------------------------------------------
 #
-# Sweep evaluation is single-pass: every stage output that is a pure
-# function of *logical* inputs (which partition, which per-node clamped
-# batch size, which cache geometry) is memoized under that logical key,
-# so the planner's fused groups — and sequential probe loops like the
-# autotune ladder — stop replaying identical stages.  Keys never hash
-# array content: object identity tokens stand in for the heavyweight
-# inputs (matrix, partition, topology, config), which the
-# suite/trace/topology caches already share across a sweep.  A key is
-# ``None`` when an input has no token; the stage then runs the same
-# code unmemoized.  Everything here is bit-exact: a memo hit returns
-# the same arrays (or a pickled copy) the miss path computed.
+# Sweep evaluation is single-pass: the stage outputs a knob sweep
+# would otherwise rebuild per point — filter masks, merged rack
+# streams, their reuse-distance profiles and the rig makespan — are
+# memoized under logical keys (which partition, which per-node clamped
+# batch size), so the planner's fused groups and sequential probe
+# loops like the autotune ladder stop replaying identical stages.
+# Repeated whole jobs are answered upstream by the engine's digest
+# memo and the ResultCache.  Keys never hash array content: object
+# identity tokens stand in for the heavyweight inputs (partition,
+# topology), which the trace/topology caches already share across a
+# sweep.  A key is ``None`` when an input has no token; the stage then
+# runs the same code unmemoized.  Everything here is bit-exact: a memo
+# hit returns the same arrays the miss path computed.  Apart from the
+# weakly held identity tokens, all state lives in the byte-bounded
+# memos, so nothing grows with the call count.
 
 _MEMO_LOCK = threading.RLock()
 _MISS = object()
@@ -124,32 +127,15 @@ class _BoundedMemo:
 
 
 _B = 256 * (1 << 20) // 8           # budget unit: an eighth of 256 MiB
-_ANCHORS = _BoundedMemo(_B)       # (part, node) -> first-occurrence anchor
-_FBASE = _BoundedMemo(_B)         # + window -> batch-invariant drop masks
+_FBASE = _BoundedMemo(_B)         # (part, node, window) -> anchor + drops
 _MASKS = _BoundedMemo(_B)         # + clamped batch -> issued node stream
-_NIC_CONCAT = _BoundedMemo(_B // 4)   # + window -> (bytes, packets)
 _MERGES = _BoundedMemo(2 * _B)    # rack merge of member streams
 _PROFILES = _BoundedMemo(2 * _B)  # reuse-distance profile per merge
-_HITS = _BoundedMemo(_B)          # + geometry -> cache hit mask
-_SIMS = _BoundedMemo(_B // 2)     # whole-simulation result templates
 _RIGGEN = _BoundedMemo(_B // 8)   # scalar rig makespan per (nnz, params)
 _ALL_MEMOS = {
-    "anchors": _ANCHORS, "fbase": _FBASE, "masks": _MASKS,
-    "nic_concat": _NIC_CONCAT, "merges": _MERGES, "profiles": _PROFILES,
-    "hits": _HITS, "sims": _SIMS, "riggen": _RIGGEN,
+    "fbase": _FBASE, "masks": _MASKS, "merges": _MERGES,
+    "profiles": _PROFILES, "riggen": _RIGGEN,
 }
-
-#: merge_key -> how many distinct-geometry hit masks were requested for
-#: that stream.  A profile is only built on the second request: a
-#: geometry *sweep* amortizes the unique-sort, while a single-geometry
-#: workload (e.g. the autotune ladder, where every probe's stream is
-#: new) goes straight to the pinned replay kernel with zero overhead.
-_PROFILE_REQS: Dict[tuple, int] = {}
-
-#: (topology token, src, dst) -> route, since routes are static per
-#: topology and the fabric share loops look the same pairs up for
-#: every sweep point.
-_ROUTES: Dict[tuple, list] = {}
 
 _token_counter = itertools.count(1)
 _token_by_id: Dict[int, tuple] = {}
@@ -179,9 +165,6 @@ def reset_batch_state() -> None:
     """Drop every logical memo (tests, benchmarks and profiling)."""
     for memo in _ALL_MEMOS.values():
         memo.clear()
-    with _MEMO_LOCK:
-        _PROFILE_REQS.clear()
-        _ROUTES.clear()
     reusedist.reset_profile_stats()
 
 
@@ -355,28 +338,12 @@ def simulate_netsparse(
     pcache_bytes = int(config.pcache_bytes * scale)
 
     # Identity tokens key the logical memos; a stage whose key is None
-    # (an input without a token) runs the same code unmemoized.  A
-    # whole-simulation hit records no stage spans: `netsparse profile`
-    # resets the memos first so it profiles a cold run.
+    # (an input without a token) runs the same code unmemoized.  Every
+    # call runs all four stages and records their spans.
     pt = _obj_token(part)
     tt = _obj_token(topo)
     if pt is None or tt is None:
         pt = tt = None
-    mt = _obj_token(matrix)
-    ct = _obj_token(config)
-    sim_key = tmpl_base = tmpl_key = None
-    if pt is not None and mt is not None and ct is not None:
-        sim_key = ("sim", mt, pt, tt, ct, knobs, k, rig_batch,
-                   repr(float(scale)))
-        blob = _SIMS.get(sim_key)
-        if blob is not None:
-            return pickle.loads(blob)
-        # Template key: ``rig_batch`` is deliberately absent.  Two
-        # probes whose *clamped per-node* batches (bkeys, appended
-        # after stage 1) coincide share all traffic stages; only the
-        # PR-generation makespan sees the raw batch, and that is
-        # overlaid per probe.
-        tmpl_base = ("sim2", mt, pt, tt, ct, knobs, k, repr(float(scale)))
     traces = part.node_traces()
 
     # ---- stage 1: per-node filtering/coalescing ----------------------
@@ -399,25 +366,21 @@ def simulate_netsparse(
                 # Batches >= the stream put every idx in unit 0, so the
                 # clamped value is this node's canonical batch identity.
                 bkey = min(batch_remote, int(remote_idx.size))
-                mask_key = base_key = anchor_key = None
+                mask_key = base_key = None
                 if pt is not None:
                     mask_key = ("mask", pt, node, config.n_client_units,
                                 feats.filtering, feats.coalescing,
                                 knobs.inflight_frac, bkey)
                     base_key = ("fbase", pt, node, knobs.inflight_frac,
                                 feats.filtering, feats.coalescing)
-                    anchor_key = ("fp", pt, node)
                 cached = _MASKS.get(mask_key)
                 if cached is None:
-                    # The batch-invariant drop masks are memoized per
-                    # node, so a batch sweep recomputes two vectorized
-                    # compares instead of the whole filter.
+                    # The anchor and the batch-invariant drop masks are
+                    # memoized per node, so a batch sweep recomputes two
+                    # vectorized compares instead of the whole filter.
                     entry = _FBASE.get(base_key)
                     if entry is None:
-                        fp = _ANCHORS.get(anchor_key)
-                        if fp is None:
-                            fp = first_occurrence_positions(remote_idx)
-                            _ANCHORS.put(anchor_key, fp, fp.nbytes)
+                        fp = first_occurrence_positions(remote_idx)
                         base = None
                     else:
                         fp, base = entry
@@ -477,36 +440,6 @@ def simulate_netsparse(
                     matrix=matrix.name)
     telemetry.count("cluster.filter.issued", n_issued, matrix=matrix.name)
 
-    if tmpl_base is not None:
-        tmpl_key = tmpl_base + (tuple(bkeys),)
-        blob = _SIMS.get(tmpl_key)
-        if blob is not None:
-            # Identical traffic under a different raw batch: overlay
-            # the freshly computed PR-generation makespan on the
-            # template and rebuild the stage-4 maxima with the exact
-            # expressions of the timing stage.
-            result = pickle.loads(blob)
-            st = result.extras["stage_times"]
-            per_node_time = np.maximum.reduce(
-                [pr_gen_time, st["up"], st["down"], st["pcie"],
-                 st["server"], st["concat"]]
-            )
-            fabric_time = result.extras["fabric_time"]
-            if feats.concat_nic:
-                drain = config.concat_delay_cycles_nic / config.snic_freq
-            else:
-                drain = 0.0
-            rtt = topo.rtt(0, n - 1) * scale
-            result.pr_gen_time = pr_gen_time
-            st["pr_gen"] = pr_gen_time
-            result.per_node_time = per_node_time
-            result.total_time = (
-                max(float(per_node_time.max()), fabric_time)
-                + rtt + drain * scale
-            )
-            result.extras["rig_batch"] = rig_batch
-            return result
-
     issue_frac = n_issued / max(n_candidates, 1)
     w_nic, w_sw = _concat_windows(config, payload, issue_frac)
     if not feats.concat_nic:
@@ -528,21 +461,15 @@ def simulate_netsparse(
     miss_records = []            # surviving reads, to be served by owners
 
     def _route_fabric(src: int, dst: int, nbytes: float) -> None:
-        if tt is not None:
-            rk = (tt, src, dst)
-            hop = _ROUTES.get(rk)
-            if hop is None:
-                hop = topo.route(src, dst)[1:-1]
-                _ROUTES[rk] = hop
-        else:
-            hop = topo.route(src, dst)[1:-1]
-        for lid in hop:
+        # Topology.route caches per instance; the slice drops the two
+        # host links, which the per-node port terms already charge.
+        for lid in topo.route(src, dst)[1:-1]:
             fabric_loads[lid] += nbytes
 
     with telemetry.span("cluster.stage.cache", matrix=matrix.name, k=k):
         rack_list = sorted(racks.items())
         merge_keys = []
-        merged_list = []
+        merge_entries = []
         for rack, members in rack_list:
             merge_key = (
                 ("merge", pt, tt, rack, config.n_client_units,
@@ -550,67 +477,53 @@ def simulate_netsparse(
                  knobs.inflight_frac, tuple(bkeys[m] for m in members))
                 if pt is not None else None
             )
-            merged = _MERGES.get(merge_key)
-            if merged is None:
+            entry = _MERGES.get(merge_key)
+            if entry is None:
                 merged = _merge_rack_streams(
                     [node_streams[m] for m in members], members
                 )
-                _MERGES.put(merge_key, merged,
+                # The entry also counts the hit masks asked of this
+                # stream, so the count is dropped with the stream.
+                entry = (merged, itertools.count(1))
+                _MERGES.put(merge_key, entry,
                             sum(a.nbytes for a in merged.values()))
             merge_keys.append(merge_key)
-            merged_list.append(merged)
-        # Property Cache at the ToR middle pipes.  From the second
-        # geometry asked of a merged stream on, its reuse-distance
-        # profile scores the geometry (bit-identical; golden-tested),
-        # and both the profile and the scored hit mask are memoized so
-        # a knob sweep replays nothing.
+            merge_entries.append(entry)
+        merged_list = [merged for merged, _ in merge_entries]
+        # Property Cache at the ToR middle pipes.  A profile is only
+        # built on the second hit mask asked of a memoized stream: a
+        # geometry *sweep* amortizes the unique-sort, while a
+        # single-geometry workload (e.g. the autotune ladder, where every
+        # probe's stream is new) goes straight to the pinned replay
+        # kernel.  Both routes are bit-identical (golden-tested).
         if feats.property_cache:
             n_sets = n_sets_for(
                 pcache_bytes, config.pcache_ways, max(payload, 1),
                 config.pcache_segments, config.pcache_min_line,
             )
             rack_hits = []
-            for merge_key, merged in zip(merge_keys, merged_list):
+            for merge_key, (merged, reqs) in zip(merge_keys, merge_entries):
                 m_idx = merged["idx"]
                 if m_idx.size == 0:
                     rack_hits.append(np.zeros(0, dtype=bool))
                     continue
                 delay = max(int(knobs.cache_inflight_frac * m_idx.size), 1)
-                hits_key = (
-                    ("hits", merge_key, n_sets, config.pcache_ways, delay)
-                    if merge_key else None
-                )
-                hits = _HITS.get(hits_key)
-                if hits is None:
-                    prof = _PROFILES.get(merge_key)
-                    if prof is None and merge_key:
-                        with _MEMO_LOCK:
-                            reqs = _PROFILE_REQS.get(merge_key, 0) + 1
-                            _PROFILE_REQS[merge_key] = reqs
-                        if reqs >= 2:
-                            prof = reusedist.build_profile(m_idx)
-                            _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
-                    if prof is not None:
-                        hits = prof.score(n_sets, config.pcache_ways,
-                                          delay, "lru")
-                    else:
-                        # First (and possibly only) geometry asked of
-                        # this stream: the pinned replay kernel is
-                        # cheaper than profiling for a single point,
-                        # and the masks agree bit-for-bit.
-                        hits = delayed_cache_hits(
-                            m_idx, n_sets, config.pcache_ways, delay,
-                            policy="lru",
-                        )[0]
-                    _HITS.put(hits_key, hits, hits.nbytes)
+                prof = _PROFILES.get(merge_key)
+                if prof is None and next(reqs) >= 2:
+                    prof = reusedist.build_profile(m_idx)
+                    _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
+                if prof is not None:
+                    hits = prof.score(n_sets, config.pcache_ways, delay, "lru")
+                else:
+                    hits = delayed_cache_hits(
+                        m_idx, n_sets, config.pcache_ways, delay,
+                        policy="lru",
+                    )[0]
                 rack_hits.append(hits)
         else:
             rack_hits = [
                 np.zeros(m["idx"].size, dtype=bool) for m in merged_list
             ]
-        nic_maxp = config.max_prs_per_packet(0)
-        nic_headers = (config.header_upper, config.header_concat,
-                       config.header_concat_solo, config.header_pr)
         for (rack, members), merged, hits in zip(rack_list, merged_list,
                                                  rack_hits):
             m_src, m_pos = merged["src"], merged["pos"]
@@ -618,21 +531,12 @@ def simulate_netsparse(
 
             # NIC-stage read bytes (host -> ToR) per member node.
             for node in members:
-                pos, idx, owner = node_streams[node]
-                nic_key = (
-                    ("nic", pt, node, config.n_client_units,
-                     feats.rig_offload, feats.filtering, feats.coalescing,
-                     knobs.inflight_frac, bkeys[node], w_nic, nic_maxp,
-                     nic_headers)
-                    if pt is not None else None
+                nbytes, npkts = _concat_stage_totals(
+                    node_streams[node][2], 0, config, w_nic
                 )
-                nic_val = _NIC_CONCAT.get(nic_key)
-                if nic_val is None:
-                    nic_val = _concat_stage_totals(owner, 0, config, w_nic)
-                    _NIC_CONCAT.put(nic_key, nic_val, 64)
-                up_bytes[node] += nic_val[0]
+                up_bytes[node] += nbytes
                 if not feats.concat_switch:
-                    n_packets_total += nic_val[1]
+                    n_packets_total += npkts
 
             if feats.property_cache and m_idx.size:
                 cache_lookups += int(m_idx.size)
@@ -775,7 +679,7 @@ def simulate_netsparse(
         telemetry.observe("concat.prs_per_packet",
                           n_issued / n_packets_total, matrix=matrix.name)
 
-    result = CommResult(
+    return CommResult(
         scheme="netsparse",
         matrix_name=matrix.name,
         k=k,
@@ -811,12 +715,3 @@ def simulate_netsparse(
             },
         },
     )
-    if sim_key is not None:
-        # Stored as pickled bytes: a memo hit deserializes a *fresh*
-        # result, so callers (fault injection, report post-processing)
-        # can mutate theirs without corrupting the template.
-        blob = pickle.dumps(result)
-        _SIMS.put(sim_key, blob, len(blob))
-        if tmpl_key is not None:
-            _SIMS.put(tmpl_key, blob, len(blob))
-    return result

@@ -5,9 +5,9 @@ that differ only along *profile-compatible* knob axes — Property-Cache
 geometry (capacity / ways / line geometry / cache on-off), the RIG
 batch size, and the kernel width ``k``.  Jobs in such a group share
 their partition trace and every logical memo the cluster model keeps
-(:mod:`repro.cluster.model`): filter anchors, merged rack streams,
-reuse-distance profiles (:mod:`repro.core.reusedist`), scored hit
-masks and whole-simulation templates.  Evaluating the group's members
+(:mod:`repro.cluster.model`): filter anchors and masks, merged rack
+streams and their reuse-distance profiles
+(:mod:`repro.core.reusedist`).  Evaluating the group's members
 *consecutively in one process* is therefore a single pass over the
 trace plus one cheap scoring step per knob point — the planner's whole
 job is to guarantee that adjacency.

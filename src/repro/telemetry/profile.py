@@ -83,8 +83,8 @@ def profile_experiment(
             f"unknown experiment {exp_id!r}; available: {list_experiments()}"
         )
     reg = registry if registry is not None else MetricsRegistry()
-    # Cold cluster-model memos, like the uncached engine: a memo hit
-    # would skip the stage spans this run exists to record.
+    # Cold cluster-model memos, like the uncached engine, so the stage
+    # spans time a cold run rather than one warmed by earlier calls.
     reset_batch_state()
     with engine_scope(ExecutionEngine(jobs=1, cache=None)):
         with telemetry_scope(reg):

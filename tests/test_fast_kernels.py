@@ -272,8 +272,8 @@ CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 class TestModelGolden:
     """Cold runs (every memo disabled, each stage recomputed) against
-    warm runs served by stage memos, profile scoring, the traffic
-    template and the whole-simulation memo."""
+    warm runs served by the filter-mask, rack-merge and profile memos,
+    with hit masks scored from a reuse-distance profile."""
 
     @pytest.mark.parametrize("name", ["queen", "stokes"])
     def test_commresult_bit_identical(self, name, cold_memos):
@@ -293,9 +293,10 @@ class TestModelGolden:
                 for cfg, rb in points]
         replay = simulate_netsparse(mat, 8, CFG16, topo)
         stats = batch_stats()
+        assert stats["masks"]["hits"] > 0
         assert stats["merges"]["hits"] > 0
+        assert stats["profiles"]["hits"] > 0
         assert stats["profile"]["profiles_built"] > 0
-        assert stats["sims"]["hits"] >= 1
         for c, w in zip(cold, warm):
             assert_results_equal(c, w)
         assert_results_equal(cold[0], replay)
@@ -321,6 +322,27 @@ class TestModelGolden:
         replay = execute_job(job)
         assert_results_equal(cold, warm)
         assert_results_equal(cold, replay)
+
+
+def test_module_state_stays_bounded():
+    """A call without a ``topology`` builds a fresh one, hence a fresh
+    identity token; no module-level table may grow with such calls."""
+    import gc
+
+    from repro.cluster import model
+
+    def sizes():
+        gc.collect()
+        return {name: len(obj) for name, obj in vars(model).items()
+                if isinstance(obj, (dict, list, set))
+                and not name.startswith("__") and name != "_token_by_id"}
+
+    mat = load_benchmark("queen", "tiny")
+    simulate_netsparse(mat, 8, CFG16)
+    after_one = sizes()
+    for _ in range(5):
+        simulate_netsparse(mat, 8, CFG16)
+    assert sizes() == after_one
 
 
 # ---------------------------------------------------------------------
