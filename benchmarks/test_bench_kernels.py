@@ -6,7 +6,8 @@ visible in ``scripts/bench_compare.py`` even when the end-to-end walls
 hide it behind caching.  Workloads are sized by ``REPRO_BENCH_SCALE``
 and exercise the shapes the 128-node cluster model actually feeds the
 kernels (skewed PR streams, rack-merged destination streams, batched
-RIG dispatch).
+RIG dispatch) and the per-node compute model behind the end-to-end
+figures.
 """
 
 from types import SimpleNamespace
@@ -15,9 +16,13 @@ import numpy as np
 
 from conftest import run_once
 
+from repro.cluster.endtoend import per_node_compute_times
 from repro.core.concat import window_concat
 from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.rig import rig_generation_time
+from repro.partition import TraceCache, cached_partition, set_trace_cache
+from repro.sparse.matrix import COOMatrix
+from repro.sparse.suite import load_benchmark
 
 #: Stream lengths per REPRO_BENCH_SCALE.
 _SIZES = {"tiny": 100_000, "small": 1_000_000, "medium": 4_000_000}
@@ -46,6 +51,52 @@ def _rig_workload(sizes):
     for n_idxs in sizes:
         total += rig_generation_time(int(n_idxs), n_units=4, batch_size=32)
     return SimpleNamespace(exp_id="kernel.rig", total=total)
+
+
+#: Node count of the end-to-end compute rows (the paper's cluster).
+_E2E_NODES = 128
+
+
+def _e2e_compute_workload(mat, exp_id):
+    times = per_node_compute_times(mat, 16, _E2E_NODES)
+    return SimpleNamespace(exp_id=exp_id, times=times)
+
+
+def _fresh_matrix(scale):
+    """A copy of ``arabic`` at ``scale`` with no cached counts."""
+    mat = load_benchmark("arabic", scale)
+    return COOMatrix(mat.n_rows, mat.n_cols, mat.rows, mat.cols,
+                     name=mat.name)
+
+
+def test_kernel_e2e_compute(benchmark, scale):
+    """Per-node compute times on a freshly built partition: one
+    distinct-column count per node trace (the trace build is not
+    timed)."""
+    mat = _fresh_matrix(scale)
+    prev = set_trace_cache(TraceCache())
+    try:
+        cached_partition(mat, _E2E_NODES)
+        result = run_once(benchmark, _e2e_compute_workload, mat,
+                          "kernel.e2e_compute")
+    finally:
+        set_trace_cache(prev)
+    assert result.times.shape == (_E2E_NODES,)
+    assert result.times.max() > 0
+
+
+def test_kernel_e2e_compute_repeat(benchmark, scale):
+    """The same call again, as fig13 makes it for every scheme and K:
+    every count is read from its trace."""
+    mat = _fresh_matrix(scale)
+    prev = set_trace_cache(TraceCache())
+    try:
+        first = per_node_compute_times(mat, 16, _E2E_NODES)
+        result = run_once(benchmark, _e2e_compute_workload, mat,
+                          "kernel.e2e_compute.repeat")
+    finally:
+        set_trace_cache(prev)
+    assert (result.times == first).all()
 
 
 def test_kernel_pcache(benchmark, scale):

@@ -50,14 +50,19 @@ class EndToEndResult:
 def per_node_compute_times(
     matrix, k: int, n_nodes: int, accel: SpadeConfig = SpadeConfig()
 ) -> np.ndarray:
-    """Compute time of each node's partition on the accelerator model."""
+    """Compute time of each node's partition on the accelerator model.
+
+    Each node's distinct-column count is computed once and cached on
+    its trace, which the :class:`~repro.partition.TraceCache` keeps
+    across schemes and K.
+    """
     part = cached_partition(matrix, n_nodes)
     times = np.zeros(n_nodes)
     for node, tr in enumerate(part.node_traces()):
-        unique_cols = int(np.unique(tr.idxs).size) if tr.idxs.size else 0
-        rows = len(part.rows_of(node))
-        times[node] = spmm_compute_time(tr.n_nonzeros, rows, unique_cols, k,
-                                        accel)
+        times[node] = spmm_compute_time(
+            tr.n_nonzeros, len(part.rows_of(node)),
+            tr.unique_count(matrix.n_cols), k, accel,
+        )
     return times
 
 
@@ -65,12 +70,8 @@ def single_node_time(
     matrix, k: int, accel: SpadeConfig = SpadeConfig()
 ) -> float:
     """The whole kernel on one node (no communication)."""
-    counter = getattr(matrix, "unique_col_count", None)
-    if counter is not None:     # sharded: one shard resident at a time
-        unique_cols = int(counter())
-    else:
-        unique_cols = int(np.unique(matrix.cols).size)
-    return spmm_compute_time(matrix.nnz, matrix.n_rows, unique_cols, k, accel)
+    return spmm_compute_time(matrix.nnz, matrix.n_rows,
+                             matrix.unique_col_count(), k, accel)
 
 
 def end_to_end_time(

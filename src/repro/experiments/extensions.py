@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.accel.spade import spmm_compute_time
 from repro.analysis import rack_sharing_fraction, working_set_sizes
 from repro.cluster import build_cluster_topology
 from repro.cluster.iterative import run_iterations
@@ -517,13 +518,11 @@ def run_partitioning(scale: str = "small", k: int = 16) -> ExpTable:
             )
             results[label] = comm
             # End to end: per-node compute on this partition + comm.
-            from repro.accel.spade import spmm_compute_time
-
             compute = max(
                 spmm_compute_time(
                     tr.n_nonzeros,
                     len(part.rows_of(node)),
-                    int(np.unique(tr.idxs).size) if tr.idxs.size else 0,
+                    tr.unique_count(mat.n_cols),
                     k,
                 )
                 for node, tr in enumerate(part.node_traces())

@@ -11,13 +11,13 @@ are the Property Requests the entire paper is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from repro.sparse.matrix import COOMatrix
+from repro.sparse.matrix import COOMatrix, distinct_count
 
 __all__ = ["OneDPartition", "NodeTrace"]
 
@@ -75,6 +75,9 @@ class NodeTrace:
     idxs: np.ndarray
     owner: np.ndarray
     remote: np.ndarray
+    _unique_count: Optional[int] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_nonzeros(self) -> int:
@@ -102,6 +105,13 @@ class NodeTrace:
         if not self.remote.any():
             return 0
         return int(self.remote_unique.size)
+
+    def unique_count(self, n_cols: int) -> int:
+        """Distinct idxs in the scan (the node's compute working set),
+        counted once with a presence bitmap over ``[0, n_cols)``."""
+        if self._unique_count is None:
+            self._unique_count = distinct_count((self.idxs,), n_cols)
+        return self._unique_count
 
 
 class OneDPartition:

@@ -32,6 +32,7 @@ from repro.partition.oned import (
     _balanced_row_starts,
     _block_starts,
 )
+from repro.sparse.matrix import distinct_count
 from repro.sparse.shards import ShardedCOOMatrix, is_sharded
 
 __all__ = [
@@ -64,7 +65,8 @@ class WindowedNodeTrace:
     :class:`~repro.sparse.shards.ShardedCOOMatrix` or a spill file.
     """
 
-    __slots__ = ("node", "_source", "_k0", "_k1", "_col_starts", "_cache")
+    __slots__ = ("node", "_source", "_k0", "_k1", "_col_starts", "_cache",
+                 "_unique_count")
 
     def __init__(self, node: int, source, k0: int, k1: int,
                  col_starts: np.ndarray):
@@ -74,6 +76,7 @@ class WindowedNodeTrace:
         self._k1 = int(k1)
         self._col_starts = col_starts
         self._cache: dict = {}
+        self._unique_count: Optional[int] = None
 
     @property
     def n_nonzeros(self) -> int:
@@ -141,6 +144,20 @@ class WindowedNodeTrace:
         if not self.remote.any():
             return 0
         return int(self.remote_unique.size)
+
+    def unique_count(self, n_cols: int) -> int:
+        """Distinct idxs in the window, counted once.
+
+        The count lives outside ``_cache`` so :meth:`release` keeps it.
+        A window that is not resident is read transiently and not
+        pinned, keeping the partition's resident set unchanged.
+        """
+        if self._unique_count is None:
+            idxs = self._cache.get("idxs")
+            if idxs is None:
+                idxs = self._source.cols_slice(self._k0, self._k1)
+            self._unique_count = distinct_count((idxs,), n_cols)
+        return self._unique_count
 
     def resident_nnz(self) -> int:
         """Total elements currently materialized for this trace."""

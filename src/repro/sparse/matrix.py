@@ -16,11 +16,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-__all__ = ["COOMatrix", "CSRMatrix"]
+__all__ = ["COOMatrix", "CSRMatrix", "distinct_count"]
+
+
+def distinct_count(idx_chunks: Iterable[np.ndarray], n: int) -> int:
+    """Number of distinct values across ``idx_chunks`` (all in ``[0, n)``).
+
+    A presence bitmap costs one byte per possible value and no sort, so
+    it beats ``np.unique(...).size`` and lets callers stream the chunks
+    (one shard or window resident at a time).
+    """
+    seen = np.zeros(n, dtype=bool)
+    for idxs in idx_chunks:
+        seen[idxs] = True
+    return int(np.count_nonzero(seen))
 
 
 @dataclass
@@ -41,6 +54,10 @@ class COOMatrix:
     #: Lazily computed by :meth:`structural_digest`; excluded from
     #: comparisons so digested and fresh instances still compare equal.
     _structural_digest: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
+    #: Lazily computed by :meth:`unique_col_count`; excluded likewise.
+    _unique_col_count: Optional[int] = field(
         default=None, repr=False, compare=False
     )
 
@@ -81,6 +98,16 @@ class COOMatrix:
             h.update(np.ascontiguousarray(self.cols).tobytes())
             self._structural_digest = h.hexdigest()
         return self._structural_digest
+
+    def unique_col_count(self) -> int:
+        """Number of distinct columns (the single-node working set).
+
+        Computed once with a presence bitmap and cached on the
+        instance, like :meth:`structural_digest`.
+        """
+        if self._unique_col_count is None:
+            self._unique_col_count = distinct_count((self.cols,), self.n_cols)
+        return self._unique_col_count
 
     def canonicalize(self) -> "COOMatrix":
         """Return a copy sorted by (row, col) with duplicates removed."""

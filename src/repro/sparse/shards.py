@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.sparse.matrix import COOMatrix
+from repro.sparse.matrix import COOMatrix, distinct_count
 
 __all__ = [
     "DEFAULT_SHARD_NNZ",
@@ -243,6 +243,7 @@ class ShardedCOOMatrix:
         self.n_cols: int = int(manifest["n_cols"])
         self._nnz: int = int(manifest["nnz"])
         self._digest: str = manifest["digest"]
+        self._unique_col_count: Optional[int] = None
         self._shard_meta: List[dict] = manifest["shards"]
         #: Global nnz offset of each shard boundary (len n_shards + 1).
         self.shard_offsets = np.concatenate([
@@ -352,12 +353,18 @@ class ShardedCOOMatrix:
 
         A presence bitmap over ``n_cols`` costs one byte per column —
         cheap even at paper scale — versus concatenating every shard.
+        Cached on the instance: the count is a function of structure.
         """
-        seen = np.zeros(self.n_cols, dtype=bool)
+        if self._unique_col_count is None:
+            self._unique_col_count = distinct_count(self._iter_cols(),
+                                                    self.n_cols)
+        return self._unique_col_count
+
+    def _iter_cols(self) -> Iterator[np.ndarray]:
+        """Each shard's column memmap, its pages dropped once consumed."""
         for _, cols in self.iter_chunks():
-            seen[cols] = True
+            yield cols
             drop_pages(cols)
-        return int(np.count_nonzero(seen))
 
     def to_coo(self) -> COOMatrix:
         """Materialize the whole matrix in RAM (tests, small stores)."""

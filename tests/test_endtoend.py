@@ -13,8 +13,14 @@ from repro.cluster.endtoend import (
 )
 from repro.config import NetSparseConfig
 from repro.core.filtering import filter_and_coalesce
-from repro.partition import OneDPartition
+from repro.partition import (
+    OneDPartition,
+    TraceCache,
+    balanced_by_nnz,
+    set_trace_cache,
+)
 from repro.sparse import spmm
+from repro.sparse.matrix import COOMatrix
 from repro.sparse.suite import load_benchmark
 
 CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
@@ -89,6 +95,93 @@ def test_netsparse_scales_better_than_baselines(matrix):
     su = end_to_end_time(matrix, k, simulate_suopt(matrix, k, CFG16))
     assert ns.speedup_over_single_node > sa.speedup_over_single_node
     assert ns.speedup_over_single_node > su.speedup_over_single_node
+
+
+def _gappy_matrix():
+    """8x8 matrix whose rows 4-7 are empty: nodes 2 and 3 of a 4-node
+    equal-rows partition get empty traces."""
+    rows = np.array([0, 0, 1, 2, 2, 3, 3])
+    cols = np.array([0, 5, 5, 1, 7, 2, 7])
+    return COOMatrix(8, 8, rows, cols).canonicalize()
+
+
+def _reference_count(idxs):
+    return int(np.unique(idxs).size)
+
+
+class TestDistinctColumnCounts:
+    """The bitmap counts behind the compute model equal the
+    ``np.unique`` sizes they replace, on every partition flavour."""
+
+    @pytest.mark.parametrize("build", [
+        lambda m, n: OneDPartition(m, n),
+        lambda m, n: balanced_by_nnz(m, n),
+    ], ids=["rows", "nnz"])
+    @pytest.mark.parametrize("which", ["arabic", "gappy"])
+    def test_trace_counts_match_reference(self, matrix, build, which):
+        mat = matrix if which == "arabic" else _gappy_matrix()
+        n = 16 if which == "arabic" else 4
+        part = build(mat, n)
+        counts = [tr.unique_count(mat.n_cols) for tr in part.node_traces()]
+        assert counts == [_reference_count(tr.idxs)
+                          for tr in part.node_traces()]
+        if which == "gappy":
+            assert part.node_traces()[-1].n_nonzeros == 0
+            assert counts[-1] == 0
+
+    def test_spilled_then_reloaded_counts(self, tmp_path):
+        mat = _gappy_matrix()
+        part = OneDPartition(mat, 4)
+        expected = [_reference_count(tr.idxs) for tr in part.node_traces()]
+        assert part.spill(str(tmp_path / "spill.npy")) == mat.nnz
+        reloaded = part.node_traces()
+        assert [tr.unique_count(mat.n_cols) for tr in reloaded] == expected
+        # Counting a spilled window does not pin it in RAM.
+        assert part.resident_trace_nnz() == 0
+
+    def test_matrix_count_matches_reference(self, matrix):
+        assert matrix.unique_col_count() == _reference_count(matrix.cols)
+        empty = COOMatrix(4, 4, np.zeros(0), np.zeros(0))
+        assert empty.unique_col_count() == 0
+
+    def test_cached_count_keeps_equality_and_digest(self, matrix):
+        fresh = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
+                          matrix.cols, name=matrix.name)
+        counted = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
+                            matrix.cols, name=matrix.name)
+        digest = counted.structural_digest()
+        counted.unique_col_count()
+        assert counted._unique_col_count is not None
+        assert counted == fresh
+        assert counted.structural_digest() == digest
+        assert fresh.structural_digest() == digest
+        assert "_unique_col_count" not in repr(counted)
+
+    def test_repeated_end_to_end_counts_once(self, matrix, comm,
+                                             monkeypatch):
+        from repro.partition import oned, windowed
+        from repro.sparse import matrix as matrix_mod, shards
+
+        real = matrix_mod.distinct_count
+        calls = []
+
+        def counting(chunks, n):
+            calls.append(n)
+            return real(chunks, n)
+
+        for mod in (matrix_mod, oned, windowed, shards):
+            monkeypatch.setattr(mod, "distinct_count", counting)
+        mat = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
+                        matrix.cols, name=matrix.name)
+        prev = set_trace_cache(TraceCache())
+        try:
+            results = [end_to_end_time(mat, k, comm) for k in (16, 128, 16)]
+        finally:
+            set_trace_cache(prev)
+        # One count per node trace plus one for the whole matrix.
+        assert len(calls) == comm.n_nodes + 1
+        assert results[0].compute_time == results[2].compute_time
+        assert results[0].single_node_time == results[2].single_node_time
 
 
 class TestDistributedCorrectness:
