@@ -6,8 +6,9 @@ visible in ``scripts/bench_compare.py`` even when the end-to-end walls
 hide it behind caching.  Workloads are sized by ``REPRO_BENCH_SCALE``
 and exercise the shapes the 128-node cluster model actually feeds the
 kernels (skewed PR streams, rack-merged destination streams, batched
-RIG dispatch) and the per-node compute model behind the end-to-end
-figures.
+RIG dispatch), the per-node compute model behind the end-to-end
+figures, and the inputs every experiment builds first: the five
+benchmark matrices and SAOpt's per-rank PR counts.
 """
 
 from types import SimpleNamespace
@@ -16,13 +17,15 @@ import numpy as np
 
 from conftest import run_once
 
+from repro.baselines.saopt import saopt_pr_counts
 from repro.cluster.endtoend import per_node_compute_times
+from repro.config import NetSparseConfig
 from repro.core.concat import window_concat
 from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.rig import rig_generation_time
 from repro.partition import TraceCache, cached_partition, set_trace_cache
 from repro.sparse.matrix import COOMatrix
-from repro.sparse.suite import load_benchmark
+from repro.sparse.suite import BENCHMARKS, MATRIX_NAMES, load_benchmark
 
 #: Stream lengths per REPRO_BENCH_SCALE.
 _SIZES = {"tiny": 100_000, "small": 1_000_000, "medium": 4_000_000}
@@ -97,6 +100,41 @@ def test_kernel_e2e_compute_repeat(benchmark, scale):
     finally:
         set_trace_cache(prev)
     assert (result.times == first).all()
+
+
+def _generate_workload(scale):
+    nnz = {name: BENCHMARKS[name].generate(scale=scale).nnz
+           for name in MATRIX_NAMES}
+    return SimpleNamespace(exp_id="kernel.generate", nnz=nnz)
+
+
+def _saopt_counts_workload(mat):
+    sent, served, _ = saopt_pr_counts(mat, NetSparseConfig())
+    return SimpleNamespace(exp_id="kernel.saopt_counts", sent=sent,
+                           served=served)
+
+
+def test_kernel_generate(benchmark, scale):
+    """The five benchmark matrices, generated past the suite memo (as
+    every fresh CLI process does)."""
+    result = run_once(benchmark, _generate_workload, scale)
+    assert set(result.nnz) == set(MATRIX_NAMES)
+    assert min(result.nnz.values()) > 0
+
+
+def test_kernel_saopt_counts(benchmark, scale):
+    """SAOpt's per-rank dedup over the 128-node cluster (the trace
+    build is not timed)."""
+    mat = _fresh_matrix(scale)
+    prev = set_trace_cache(TraceCache())
+    try:
+        cached_partition(mat, _E2E_NODES)
+        result = run_once(benchmark, _saopt_counts_workload, mat)
+    finally:
+        set_trace_cache(prev)
+    assert result.sent.shape == (_E2E_NODES, NetSparseConfig().host_cores)
+    # Every sent PR is served by some rank of its owner.
+    assert result.sent.sum() == result.served.sum() > 0
 
 
 def test_kernel_pcache(benchmark, scale):

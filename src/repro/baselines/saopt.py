@@ -25,6 +25,7 @@ import numpy as np
 from repro.config import NetSparseConfig
 from repro.results import CommResult
 from repro.partition import cached_partition
+from repro.sparse.matrix import canonical_coords
 
 __all__ = ["simulate_saopt", "saopt_pr_counts"]
 
@@ -51,31 +52,28 @@ def saopt_pr_counts(
     n, cores = config.n_nodes, config.host_cores
     part = cached_partition(matrix, n)
     sent = np.zeros((n, cores), dtype=np.int64)
-    served = np.zeros((n, cores), dtype=np.int64)
+    served = np.zeros(n * cores, dtype=np.int64)
     own_cols = np.diff(part.col_starts)
     for node, tr in enumerate(part.node_traces()):
         idxs = tr.remote_idxs
-        owners = tr.remote_owners
         if exclude_cols is not None and idxs.size:
-            keep = ~exclude_cols[idxs]
-            idxs, owners = idxs[keep], owners[keep]
+            idxs = idxs[~exclude_cols[idxs]]
         if idxs.size == 0:
             continue
-        chunk_edges = np.linspace(0, idxs.size, cores + 1, dtype=np.int64)
-        for c in range(cores):
-            lo, hi = chunk_edges[c], chunk_edges[c + 1]
-            if hi <= lo:
-                continue
-            # Dedup within the rank: unique idx implies unique owner.
-            uniq_idx, first = np.unique(idxs[lo:hi], return_index=True)
-            sent[node, c] = uniq_idx.size
-            owners_u = owners[lo:hi][first]
-            # The serving rank is the one owning the idx's column slice.
-            offset = uniq_idx - part.col_starts[owners_u]
-            rank_span = np.maximum(own_cols[owners_u] // cores, 1)
-            serve_rank = np.minimum(offset // rank_span, cores - 1)
-            np.add.at(served, (owners_u, serve_rank), 1)
-    return sent, served, part
+        edges = np.linspace(0, idxs.size, cores + 1, dtype=np.int64)
+        rank = np.repeat(np.arange(cores, dtype=np.int64), np.diff(edges))
+        # Dedup within each rank: one sort over (rank, idx) keys.
+        rank_u, idx_u = canonical_coords(matrix.n_cols, rank, idxs)
+        sent[node] = np.bincount(rank_u, minlength=cores)
+        # The serving rank is the one owning the idx's column slice.
+        owners = np.searchsorted(part.col_starts, idx_u, side="right") - 1
+        rank_span = np.maximum(own_cols[owners] // cores, 1)
+        serve_rank = np.minimum(
+            (idx_u - part.col_starts[owners]) // rank_span, cores - 1
+        )
+        served += np.bincount(owners * cores + serve_rank,
+                              minlength=n * cores)
+    return sent, served.reshape(n, cores), part
 
 
 def simulate_saopt(

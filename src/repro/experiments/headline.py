@@ -6,13 +6,7 @@ import numpy as np
 
 from repro.cluster.endtoend import end_to_end_time
 from repro.experiments.runner import ExpTable, experiment, run_schemes
-from repro.sparse.suite import MATRIX_NAMES
-
-
-def _schemes(name: str, k: int, scale_name: str):
-    # No lru_cache here any more: the execution engine's memo layer
-    # dedupes repeats across *all* experiments, not just this module.
-    return run_schemes(name, k, scale_name=scale_name)
+from repro.sparse.suite import MATRIX_NAMES, load_benchmark
 
 
 PAPER_FIG12_GMEAN = {"netsparse": 33.0, "saopt": 33.0 / 15.0}
@@ -39,7 +33,7 @@ def run_fig12(scale: str = "small", ks=(1, 16, 128)) -> ExpTable:
     ns_speedups, sa_speedups = [], []
     for name in MATRIX_NAMES:
         for k in ks:
-            r = _schemes(name, k, scale)
+            r = run_schemes(name, k, scale_name=scale)
             ns = r["suopt"].total_time / r["netsparse"].total_time
             sa = r["suopt"].total_time / r["saopt"].total_time
             ns_speedups.append(ns)
@@ -62,7 +56,7 @@ def run_table7(scale: str = "small", k: int = 16) -> ExpTable:
     """Table 7: tail-node statistics for NetSparse (K=16)."""
     rows = []
     for name in MATRIX_NAMES:
-        r = _schemes(name, k, scale)
+        r = run_schemes(name, k, scale_name=scale)
         ns, sa, su = r["netsparse"], r["saopt"], r["suopt"]
         tail = ns.tail_node
         trfc = su.recv_wire_bytes[tail] / max(ns.tail_traffic_bytes(), 1)
@@ -97,9 +91,9 @@ def run_fig13(scale: str = "small", ks=(16, 128), overlap: float = 0.0) -> ExpTa
     rows = []
     agg = {"suopt": [], "saopt": [], "netsparse": [], "ideal": []}
     for name in MATRIX_NAMES:
+        mat = load_benchmark(name, scale)
         for k in ks:
-            r = _schemes(name, k, scale)
-            mat = r["matrix"]
+            r = run_schemes(name, k, scale_name=scale)
             row = [name, k]
             for scheme in ("suopt", "saopt", "netsparse"):
                 e2e = end_to_end_time(mat, k, r[scheme], overlap=overlap)
@@ -132,8 +126,8 @@ def run_fig14(scale: str = "small", k: int = 16) -> ExpTable:
     """Figure 14: communication-to-computation time ratio per matrix."""
     rows = []
     for name in MATRIX_NAMES:
-        r = _schemes(name, k, scale)
-        mat = r["matrix"]
+        r = run_schemes(name, k, scale_name=scale)
+        mat = load_benchmark(name, scale)
         sa = end_to_end_time(mat, k, r["saopt"])
         ns = end_to_end_time(mat, k, r["netsparse"])
         rows.append([
@@ -158,7 +152,7 @@ def run_fig19(scale: str = "small", k: int = 16, n_points: int = 11) -> ExpTable
     """Figure 19: active (still-communicating) nodes vs normalized time."""
     rows = []
     for name in MATRIX_NAMES:
-        r = _schemes(name, k, scale)
+        r = run_schemes(name, k, scale_name=scale)
         ns = r["netsparse"]
         t, active = ns.active_nodes_over_time(n_points)
         t_norm = t / t[-1] if t[-1] else t

@@ -112,15 +112,15 @@ def run_schemes(
 ):
     """Run the requested communication schemes for one (matrix, K).
 
-    The work decomposes into one independent job per scheme and runs
-    through the process-global execution engine (parallel fan-out and
-    result memoization, see :mod:`repro.parallel`).  Passing an
-    explicit ``topology`` object bypasses the engine: arbitrary
-    fabrics are not content-addressable.
+    Returns ``{scheme: CommResult}`` only: callers that need the matrix
+    load it themselves, so a fully cached run generates none.  The work
+    decomposes into one independent job per scheme and runs through
+    the process-global execution engine (parallel fan-out and result
+    memoization, see :mod:`repro.parallel`).  Passing an explicit
+    ``topology`` object bypasses the engine (arbitrary fabrics are not
+    content-addressable) and loads the matrix in this process.
     """
     config = config or NetSparseConfig()
-    mat = load_benchmark(name, scale_name, seed=seed)
-    sc = scale_factor(name, mat)
     if rig_batch is None:
         if name.startswith("wl:"):
             from repro.workloads import WORKLOADS, parse_trace_name
@@ -130,6 +130,8 @@ def run_schemes(
             rig_batch = BENCHMARKS[name].default_rig_batch
     out = {}
     if topology is not None:
+        mat = load_benchmark(name, scale_name, seed=seed)
+        sc = scale_factor(name, mat)
         if "netsparse" in schemes:
             out["netsparse"] = simulate_netsparse(
                 mat, k, config, topology, rig_batch=rig_batch, scale=sc
@@ -146,6 +148,4 @@ def run_schemes(
             for s in schemes
         ]
         out.update(zip(schemes, get_engine().run_jobs(jobs)))
-    out["matrix"] = mat
-    out["scale"] = sc
     return out

@@ -2,8 +2,8 @@
 
 Three layers answer a :class:`~repro.parallel.jobs.SimJob`:
 
-1. an in-process memo (duplicate jobs inside one run — the historical
-   ``lru_cache`` in the headline experiments, generalized),
+1. an in-process memo (duplicate jobs inside one run, across every
+   experiment),
 2. the content-addressed on-disk :class:`ResultCache` (repeat runs),
 3. real execution of the batch planner's groups — serial, or mapped
    over a ``ProcessPoolExecutor`` when the engine was configured with

@@ -171,8 +171,8 @@ def execute_job(job: SimJob):
     """Run one job to its :class:`~repro.results.CommResult`.
 
     Module-level (and import-light) so it is picklable as a process
-    pool's task function; each worker regenerates and memoizes the
-    benchmark matrices it needs via ``load_benchmark``'s ``lru_cache``.
+    pool's task function; each worker regenerates the matrices it needs
+    and keeps them in ``load_benchmark``'s weight-aware ``MatrixMemo``.
     """
     from repro import telemetry
     from repro.baselines.hybrid import simulate_hybrid

@@ -16,11 +16,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["COOMatrix", "CSRMatrix", "distinct_count"]
+__all__ = ["COOMatrix", "CSRMatrix", "canonical_coords", "distinct_count"]
+
+
+def canonical_coords(
+    n_cols: int, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` sorted by (row, col), duplicates dropped: one sort
+    of the int64 ``row * n_cols + col`` keys, split back by ``divmod``
+    (structure only, so no stable argsort and no gathers)."""
+    keys = np.sort(rows * n_cols + cols)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return np.divmod(keys[keep], n_cols)
 
 
 def distinct_count(idx_chunks: Iterable[np.ndarray], n: int) -> int:
@@ -110,17 +122,16 @@ class COOMatrix:
         return self._unique_col_count
 
     def canonicalize(self) -> "COOMatrix":
-        """Return a copy sorted by (row, col) with duplicates removed."""
-        keys = self.rows * self.n_cols + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        keep = np.ones(keys.size, dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        sel = order[keep]
-        vals = self.vals[sel] if self.vals is not None else None
-        return COOMatrix(
-            self.n_rows, self.n_cols, self.rows[sel], self.cols[sel], vals, self.name
-        )
+        """Return a copy sorted by (row, col), duplicates removed (the
+        first occurrence's value wins)."""
+        if self.vals is None:
+            rows, cols = canonical_coords(self.n_cols, self.rows, self.cols)
+            return COOMatrix(self.n_rows, self.n_cols, rows, cols, None,
+                             self.name)
+        _, sel = np.unique(self.rows * self.n_cols + self.cols,
+                           return_index=True)
+        return COOMatrix(self.n_rows, self.n_cols, self.rows[sel],
+                         self.cols[sel], self.vals[sel], self.name)
 
     def with_random_values(self, seed: int = 0) -> "COOMatrix":
         """Attach uniform(0.1, 1.0) values (for numeric kernel tests)."""

@@ -54,7 +54,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.sparse.matrix import COOMatrix
+from repro.sparse.matrix import COOMatrix, canonical_coords
 
 __all__ = [
     "web_crawl",
@@ -165,24 +165,50 @@ def web_crawl(
     rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
     nnz = rows.size
     local_mask = rng.random(nnz) < locality
-
-    # Local links: uniform within the row's host block.
-    block_starts = (rows // block_size) * block_size
-    block_lens = np.minimum(block_size, n - block_starts)
-    cols_local = block_starts + (rng.random(nnz) * block_lens).astype(np.int64)
-
-    # Hub links: pick a hub host (block), then a Zipf-popular page in it.
+    u_cols_local = rng.random(nnz)
     hub_block_base = rng.permutation(n - hub_block_size)[:n_hub_blocks]
     n_src_blocks = (n + block_size - 1) // block_size
     primary_of_block = zipf_sample(rng, n_hub_blocks, n_src_blocks, hub_alpha)
-    per_link = zipf_sample(rng, n_hub_blocks, nnz, hub_alpha)
+    u_per_link = rng.random(nnz)
     use_per_link = rng.random(nnz) < escape_frac
-    chosen = np.where(use_per_link, per_link, primary_of_block[rows // block_size])
-    page_in_block = zipf_sample(rng, hub_block_size, nnz, page_alpha)
-    cols_hub = hub_block_base[chosen] + page_in_block
-
-    cols = np.where(local_mask, cols_local, cols_hub)
+    u_page = rng.random(nnz)
+    cols = _web_crawl_cols(
+        n, block_size, rows, local_mask, u_cols_local, use_per_link,
+        u_per_link, u_page, hub_block_base, primary_of_block,
+        _zipf_cdf(n_hub_blocks, hub_alpha),
+        _zipf_cdf(hub_block_size, page_alpha),
+    )
     return COOMatrix(n, n, rows, cols, None, name).canonicalize()
+
+
+def _web_crawl_cols(
+    n, block_size, rows, local_mask, u_cols_local, use_per_link,
+    u_per_link, u_page, hub_block_base, primary_of_block, cdf_hub, cdf_page,
+) -> np.ndarray:
+    """Combine :func:`web_crawl`'s uniform draws into column ids.
+
+    Every draw covers all nonzeros (that keeps the rng stream fixed),
+    but each lookup runs only on the nonzeros that keep its result: a
+    local link's column is uniform within the row's host block; a hub
+    link's is a Zipf-popular page of its source block's primary hub
+    host, or of an independently Zipf-drawn host where it escapes.
+    """
+    cols = np.empty(rows.size, dtype=np.int64)
+    local = np.flatnonzero(local_mask)
+    block_starts = (rows[local] // block_size) * block_size
+    block_lens = np.minimum(block_size, n - block_starts)
+    cols[local] = block_starts + (
+        u_cols_local[local] * block_lens
+    ).astype(np.int64)
+    hub = np.flatnonzero(~local_mask)
+    chosen = primary_of_block[rows[hub] // block_size]
+    escape = np.flatnonzero(use_per_link[hub])
+    chosen[escape] = np.searchsorted(
+        cdf_hub, u_per_link[hub[escape]], side="left"
+    )
+    page_in_block = np.searchsorted(cdf_page, u_page[hub], side="left")
+    cols[hub] = hub_block_base[chosen] + page_in_block
+    return cols
 
 
 def road_network(
@@ -337,20 +363,6 @@ def _row_chunk_plan(degrees: np.ndarray, chunk_nnz: int):
         r0 = r1
 
 
-def _canonical_chunk(
-    n_cols: int, rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-chunk mirror of :meth:`COOMatrix.canonicalize` (same sort
-    key, same stable order, same first-occurrence dedup)."""
-    keys = rows * n_cols + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    sel = order[keep]
-    return rows[sel], cols[sel]
-
-
 def _rows_of_window(r0: int, r1: int, degrees: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(r0, r1, dtype=np.int64), degrees[r0:r1])
 
@@ -398,25 +410,13 @@ def web_crawl_chunks(
 
         for r0, r1, k0, k1 in _row_chunk_plan(degrees, chunk_nnz):
             rows = _rows_of_window(r0, r1, degrees)
-            local_mask = u_local[k0:k1] < locality
-            block_starts = (rows // block_size) * block_size
-            block_lens = np.minimum(block_size, n - block_starts)
-            cols_local = block_starts + (
-                u_cols_local[k0:k1] * block_lens
-            ).astype(np.int64)
-            per_link = np.searchsorted(
-                cdf_hub, u_per_link[k0:k1], side="left"
-            ).astype(np.int64)
-            use_per_link = u_escape[k0:k1] < escape_frac
-            chosen = np.where(
-                use_per_link, per_link, primary_of_block[rows // block_size]
+            cols = _web_crawl_cols(
+                n, block_size, rows, u_local[k0:k1] < locality,
+                u_cols_local[k0:k1], u_escape[k0:k1] < escape_frac,
+                u_per_link[k0:k1], u_page[k0:k1], hub_block_base,
+                primary_of_block, cdf_hub, cdf_page,
             )
-            page_in_block = np.searchsorted(
-                cdf_page, u_page[k0:k1], side="left"
-            ).astype(np.int64)
-            cols_hub = hub_block_base[chosen] + page_in_block
-            cols = np.where(local_mask, cols_local, cols_hub)
-            yield _canonical_chunk(n, rows, cols)
+            yield canonical_coords(n, rows, cols)
 
 
 def road_network_chunks(
@@ -458,7 +458,7 @@ def road_network_chunks(
             use_long = u_long[k0:k1] < long_range_frac
             offsets = np.where(use_long, long, short)
             cols = np.clip(rows + offsets, 0, n - 1)
-            yield _canonical_chunk(n, rows, cols)
+            yield canonical_coords(n, rows, cols)
 
 
 def banded_fem_chunks(
@@ -484,7 +484,7 @@ def banded_fem_chunks(
         rows = _rows_of_window(r0, r1, degrees)
         offsets = rng.integers(-band, band + 1, size=k1 - k0)
         cols = np.clip(rows + offsets, 0, n - 1)
-        yield _canonical_chunk(n, rows, cols)
+        yield canonical_coords(n, rows, cols)
 
 
 def coupled_flow_chunks(
@@ -529,7 +529,7 @@ def coupled_flow_chunks(
             use_coupling = rng.random(k1 - k0) < coupling_frac
             offsets = np.where(use_coupling, coupled, in_band[k0:k1])
             cols = np.clip(rows + offsets, 0, n - 1)
-            yield _canonical_chunk(n, rows, cols)
+            yield canonical_coords(n, rows, cols)
 
 
 #: One-shot generator -> streamed twin.

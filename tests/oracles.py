@@ -10,7 +10,9 @@ pin the library kernels against them bit for bit:
   :func:`repro.core.rig.rig_generation_time`;
 - :class:`DelayedInsertCache` (driving a :class:`PropertyCache`) —
   :func:`repro.core.pcache_fast.delayed_cache_hits` and the
-  reuse-distance profiles of :mod:`repro.core.reusedist`.
+  reuse-distance profiles of :mod:`repro.core.reusedist`;
+- :func:`_saopt_pr_counts_reference` —
+  :func:`repro.baselines.saopt.saopt_pr_counts`.
 """
 
 from collections import deque
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.core.concat import ConcatStats
 from repro.core.pcache import PropertyCache
+from repro.partition import cached_partition
 
 
 def _window_concat_reference(
@@ -82,6 +85,36 @@ def _rig_generation_time_reference(
         start = max(issue_time, unit_free[u])
         unit_free[u] = start + sizes[b] / freq
     return float(unit_free.max())
+
+
+def _saopt_pr_counts_reference(matrix, config, exclude_cols=None):
+    """The original per-rank loop: one ``np.unique`` per rank chunk."""
+    n, cores = config.n_nodes, config.host_cores
+    part = cached_partition(matrix, n)
+    sent = np.zeros((n, cores), dtype=np.int64)
+    served = np.zeros((n, cores), dtype=np.int64)
+    own_cols = np.diff(part.col_starts)
+    for node, tr in enumerate(part.node_traces()):
+        idxs = tr.remote_idxs
+        owners = tr.remote_owners
+        if exclude_cols is not None and idxs.size:
+            keep = ~exclude_cols[idxs]
+            idxs, owners = idxs[keep], owners[keep]
+        if idxs.size == 0:
+            continue
+        chunk_edges = np.linspace(0, idxs.size, cores + 1, dtype=np.int64)
+        for c in range(cores):
+            lo, hi = chunk_edges[c], chunk_edges[c + 1]
+            if hi <= lo:
+                continue
+            uniq_idx, first = np.unique(idxs[lo:hi], return_index=True)
+            sent[node, c] = uniq_idx.size
+            owners_u = owners[lo:hi][first]
+            offset = uniq_idx - part.col_starts[owners_u]
+            rank_span = np.maximum(own_cols[owners_u] // cores, 1)
+            serve_rank = np.minimum(offset // rank_span, cores - 1)
+            np.add.at(served, (owners_u, serve_rank), 1)
+    return sent, served
 
 
 class DelayedInsertCache:

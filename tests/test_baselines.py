@@ -1,5 +1,6 @@
 """Tests for the SUOpt / SAOpt / vanilla-SA baselines."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -8,10 +9,14 @@ from repro.baselines import (
     simulate_suopt,
     vanilla_sa_transfer,
 )
+from repro.baselines.hybrid import _column_fanout
 from repro.baselines.saopt import saopt_pr_counts
 from repro.baselines.software import per_core_payload_rate
 from repro.config import NetSparseConfig
+from repro.partition import cached_partition
+from repro.sparse.matrix import COOMatrix
 from repro.sparse.suite import load_benchmark
+from tests.oracles import _saopt_pr_counts_reference
 
 CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
@@ -88,6 +93,48 @@ class TestSaopt:
         res = simulate_saopt(europe, 16, CFG16)
         # Nearly no reuse: sent PRs ~ candidates.
         assert res.n_prs_issued >= 0.9 * res.n_pr_candidates
+
+
+class TestSaoptOracle:
+    """``saopt_pr_counts`` (one sort per node) equals the per-rank
+    ``np.unique`` loop it replaced, bit for bit."""
+
+    @staticmethod
+    def _assert_matches(mat, cfg, exclude_cols=None):
+        sent, served, _ = saopt_pr_counts(mat, cfg, exclude_cols=exclude_cols)
+        ref_sent, ref_served = _saopt_pr_counts_reference(
+            mat, cfg, exclude_cols
+        )
+        np.testing.assert_array_equal(sent, ref_sent)
+        np.testing.assert_array_equal(served, ref_served)
+        return sent
+
+    @pytest.mark.parametrize("name", ["arabic", "europe", "queen"])
+    @pytest.mark.parametrize("cfg", [CFG16, NetSparseConfig()],
+                             ids=["16n", "128n"])
+    def test_matches_per_rank_loop(self, name, cfg):
+        self._assert_matches(load_benchmark(name, "tiny"), cfg)
+
+    @pytest.mark.parametrize("threshold", [2, 8])
+    def test_matches_with_hybrid_broadcast_set(self, arabic, threshold):
+        fanout = _column_fanout(cached_partition(arabic, CFG16.n_nodes))
+        su_cols = fanout > threshold
+        assert su_cols.any() and not su_cols.all()
+        self._assert_matches(arabic, CFG16, exclude_cols=su_cols)
+
+    def test_short_streams_leave_ranks_empty(self):
+        """Nodes with fewer remote idxs than ``host_cores`` (and one
+        with none) leave some ranks without a request."""
+        rng = np.random.default_rng(4)
+        n = 64
+        rows = np.repeat(np.arange(n), 3)
+        cols = rng.integers(0, n, size=rows.size)
+        cols[rows < 4] = rows[rows < 4]     # node 0 stays all-local
+        mat = COOMatrix(n, n, rows, cols).canonicalize()
+        sent = self._assert_matches(mat, CFG16)
+        assert sent[0].sum() == 0
+        assert 0 < sent[1].sum() < CFG16.host_cores
+        assert (sent[1] == 0).any()
 
 
 class TestVanillaSa:

@@ -236,6 +236,28 @@ class TestCli:
             get_engine().close()
             set_engine(previous)
 
+    def test_warm_fig12_generates_no_matrix(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.sparse import suite
+
+        args = ["--scale", "tiny", "--cache-dir", str(tmp_path)]
+        previous = set_engine(None)
+        try:
+            assert main(["run", "fig12", *args]) == 0
+            monkeypatch.setattr(suite, "_memo", suite.MatrixMemo())
+            assert main(["run", "fig12", *args]) == 0
+            assert "hit-rate=100%" in capsys.readouterr().out
+            assert suite.suite_cache_stats()["misses"] == 0
+            # fig13's jobs are all cached too, but its end-to-end model
+            # still reads every matrix.
+            assert main(["run", "fig13", *args]) == 0
+            assert "hit-rate=100%" in capsys.readouterr().out
+            assert (suite.suite_cache_stats()["misses"]
+                    == len(suite.MATRIX_NAMES))
+        finally:
+            get_engine().close()
+            set_engine(previous)
+
     def test_no_cache_flag(self, tmp_path, capsys):
         previous = set_engine(None)
         try:
