@@ -53,6 +53,16 @@ def scale():
     return SCALE
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_shard_dir(tmp_path_factory):
+    """Store benchmark matrices in a session tmp dir, not the user's
+    home: the first benchmark to load a matrix writes it, later ones
+    memory-map it, as later ``netsparse run`` processes do."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SHARD_DIR", str(tmp_path_factory.mktemp("shards")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _isolate_from_ambient_store(monkeypatch):
     """Benchmarks assert cold-path behavior against their own tmp

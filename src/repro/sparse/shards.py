@@ -37,6 +37,7 @@ import json
 import mmap
 import os
 import shutil
+import tempfile
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -87,16 +88,19 @@ def drop_pages(arr: np.ndarray) -> None:
 
 
 def shard_root() -> str:
-    """Directory benchmark shard stores are generated under.
+    """Directory every benchmark matrix is stored under.
 
-    ``$REPRO_SHARD_DIR`` wins; the default lives next to the result
-    cache in the user's home so repeat runs (and forked engine workers)
-    reuse generated shards instead of regenerating them.
+    ``$REPRO_SHARD_DIR`` wins, then ``$XDG_CACHE_HOME/repro/shards``,
+    then ``~/.cache/repro/shards`` — the result cache's lookup order —
+    so repeat runs (and forked engine workers) open stored matrices
+    instead of regenerating them.
     """
     env = os.environ.get("REPRO_SHARD_DIR")
     if env:
         return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "shards")
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return os.path.join(base, "repro", "shards")
 
 
 class ShardWriter:
@@ -108,20 +112,26 @@ class ShardWriter:
     hashed incrementally as chunks arrive; columns are hashed from disk
     at :meth:`finalize` (the digest byte order is all rows then all
     cols, matching ``COOMatrix.structural_digest``), so no O(nnz)
-    buffer ever exists in memory.
+    buffer ever exists in memory.  A caller writing a matrix it already
+    holds in memory passes its ``structural_digest()`` as ``digest``
+    and nothing is hashed or re-read.
     """
 
-    def __init__(self, path: str, n_rows: int, n_cols: int, name: str = ""):
+    def __init__(self, path: str, n_rows: int, n_cols: int, name: str = "",
+                 digest: Optional[str] = None):
         self.path = path
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.name = name
         self.nnz = 0
         self._shards: List[dict] = []
-        self._rows_hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        self._rows_hash.update(
-            np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes()
-        )
+        self._digest = digest
+        self._rows_hash = None
+        if digest is None:
+            self._rows_hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+            self._rows_hash.update(
+                np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes()
+            )
         self._last_row = -1
         self._finalized = False
         os.makedirs(path, exist_ok=True)
@@ -146,7 +156,8 @@ class ShardWriter:
         col_path = os.path.join(self.path, f"shard-{i:05d}.cols.npy")
         np.save(row_path, rows)
         np.save(col_path, cols)
-        self._rows_hash.update(rows.tobytes())
+        if self._rows_hash is not None:
+            self._rows_hash.update(rows.tobytes())
         self._shards.append({
             "nnz": int(rows.size),
             "row_min": int(rows[0]),
@@ -156,24 +167,27 @@ class ShardWriter:
         self._last_row = int(rows[-1])
 
     def finalize(self) -> "ShardedCOOMatrix":
-        """Hash columns from disk, write the manifest, open the store."""
+        """Hash columns from disk (unless the digest was given), write
+        the manifest, open the store."""
         if self._finalized:
             raise RuntimeError("writer already finalized")
-        h = self._rows_hash
-        for i in range(len(self._shards)):
-            cols = np.load(
-                os.path.join(self.path, f"shard-{i:05d}.cols.npy"),
-                mmap_mode="r",
-            )
-            h.update(np.ascontiguousarray(cols).tobytes())
-            drop_pages(cols)
+        if self._digest is None:
+            h = self._rows_hash
+            for i in range(len(self._shards)):
+                cols = np.load(
+                    os.path.join(self.path, f"shard-{i:05d}.cols.npy"),
+                    mmap_mode="r",
+                )
+                h.update(np.ascontiguousarray(cols).tobytes())
+                drop_pages(cols)
+            self._digest = h.hexdigest()
         manifest = {
             "schema": _SCHEMA,
             "name": self.name,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
             "nnz": self.nnz,
-            "digest": h.hexdigest(),
+            "digest": self._digest,
             "shards": self._shards,
         }
         tmp = os.path.join(self.path, _MANIFEST + ".tmp")
@@ -191,19 +205,24 @@ def write_sharded(
     n_cols: int,
     chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
     name: str = "",
+    digest: Optional[str] = None,
 ) -> "ShardedCOOMatrix":
     """Drain a canonical chunk iterator into a new shard store.
 
-    Written to a sibling temp directory and atomically renamed into
-    place, so concurrent writers (forked engine workers racing to
-    generate the same benchmark) cannot observe a half-written store.
+    Written to a fresh sibling temp directory and atomically renamed
+    into place, so concurrent writers (engine workers or CLI processes
+    racing to generate the same benchmark) and a writer killed midway
+    never leave a half-written store at ``path``.  ``digest``, when
+    given, must be the ``structural_digest()`` of the concatenated
+    chunks (see :class:`ShardWriter`).
     """
     if os.path.exists(os.path.join(path, _MANIFEST)):
         return ShardedCOOMatrix(path)
-    tmp = path + f".tmp-{os.getpid()}"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    writer = ShardWriter(tmp, n_rows, n_cols, name=name)
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(path) + ".tmp-",
+                           dir=parent)
+    writer = ShardWriter(tmp, n_rows, n_cols, name=name, digest=digest)
     try:
         for rows, cols in chunks:
             writer.append(rows, cols)
@@ -367,13 +386,19 @@ class ShardedCOOMatrix:
             drop_pages(cols)
 
     def to_coo(self) -> COOMatrix:
-        """Materialize the whole matrix in RAM (tests, small stores)."""
-        rows = np.concatenate(
-            [np.asarray(r) for r, _ in self.iter_chunks()]
-        ) if self.n_shards else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(
-            [np.asarray(c) for _, c in self.iter_chunks()]
-        ) if self.n_shards else np.zeros(0, dtype=np.int64)
+        """The whole matrix as a :class:`COOMatrix`, digest preset.
+
+        A one-shard store comes back as a view over its read-only
+        memmaps (no copy, nothing hashed); a multi-shard store is
+        concatenated into RAM.
+        """
+        if self.n_shards == 1:
+            rows, cols = self.shard_rows(0), self.shard_cols(0)
+        elif self.n_shards:
+            rows = np.concatenate([r for r, _ in self.iter_chunks()])
+            cols = np.concatenate([c for _, c in self.iter_chunks()])
+        else:
+            rows, cols = np.zeros((2, 0), dtype=np.int64)
         mat = COOMatrix(self.n_rows, self.n_cols, rows, cols, None, self.name)
         mat._structural_digest = self._digest
         return mat
@@ -421,4 +446,4 @@ def from_coo(
             start = stop
 
     return write_sharded(path, matrix.n_rows, matrix.n_cols, chunks(),
-                         name=matrix.name)
+                         name=matrix.name, digest=matrix.structural_digest())

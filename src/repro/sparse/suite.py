@@ -18,15 +18,20 @@ Scales
             generation and trace extraction are expected to fit, and
             only out-of-core.
 
+Every matrix is stored once per shard directory
+(:func:`repro.sparse.shards.shard_root`) by :func:`stored_set`: the
+first load generates and writes it, every later load memory-maps it.
 Matrices at sharded scales are generated chunk-by-chunk
-(:func:`repro.sparse.synthetic.stream_chunks`) straight into an on-disk
-shard store (:mod:`repro.sparse.shards`) and come back as
-:class:`~repro.sparse.shards.ShardedCOOMatrix` — same
+(:func:`repro.sparse.synthetic.stream_chunks`) into many shards and
+come back as :class:`~repro.sparse.shards.ShardedCOOMatrix` — same
 ``structural_digest`` as the in-memory twin, bounded resident set.
+The other scales are one-shard sets and come back as a
+:class:`COOMatrix` over the read-only memmaps.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -45,6 +50,7 @@ __all__ = [
     "MatrixMemo",
     "load_benchmark",
     "sharded_scales",
+    "stored_set",
     "suite_cache_stats",
 ]
 
@@ -96,11 +102,13 @@ _SHARDED_SCALES = ("large", "paper")
 
 
 def sharded_scales() -> Set[str]:
-    """Scales that default to sharded loading.
+    """Scales whose sets are streamed into many shards and that default
+    to the sharded reader.
 
     ``REPRO_SHARDED_SCALES`` (comma-separated) adds scales — e.g.
-    ``REPRO_SHARDED_SCALES=tiny`` forces the out-of-core path in unit
-    tests without paying large-scale generation time.
+    ``REPRO_SHARDED_SCALES=tiny`` forces the streamed writer and the
+    out-of-core path in unit tests without paying large-scale
+    generation time.
     """
     extra = os.environ.get("REPRO_SHARDED_SCALES", "")
     out = set(_SHARDED_SCALES)
@@ -281,28 +289,50 @@ def suite_cache_stats() -> Dict[str, int]:
     return _memo.stats()
 
 
-def _load_sharded(name: str, scale: str, seed: int):
-    """Load (or stream-generate) the on-disk sharded twin of a matrix.
+def _set_name(spec: BenchmarkSpec, scale: str, seed: int) -> str:
+    """Directory name of a stored matrix: ``{name}-{scale}-s{seed}-{tag}``.
 
-    Shard directories are content-addressed by (name, scale, seed)
-    under :func:`repro.sparse.shards.shard_root`, so repeated loads —
-    including from engine worker processes — reuse one generation pass.
+    ``tag`` hashes what generates the matrix (generator, sorted
+    ``gen_kwargs``, row count), so editing a spec or ``_SCALE_ROWS``
+    misses the old set instead of serving it.
+    """
+    ident = repr((spec.generator.__qualname__,
+                  sorted(spec.gen_kwargs.items()),
+                  spec.rows_for_scale(scale)))
+    tag = hashlib.blake2b(ident.encode(), digest_size=4).hexdigest()
+    return f"{spec.name}-{scale}-s{seed}-{tag}"
+
+
+def stored_set(name: str, scale: str = "small", seed: int = 7):
+    """Open a benchmark matrix's stored set, generating it on first use.
+
+    Every scale is stored under :func:`repro.sparse.shards.shard_root`,
+    one directory per matrix, so only the first process to ask for a
+    matrix generates it; every later one (a second ``netsparse run``,
+    an engine worker) memory-maps it.  Scales in :func:`sharded_scales`
+    stream their chunked twin into many shards; every other scale is
+    generated in one shot, hashed in memory and written as one shard.
+    Returns the :class:`~repro.sparse.shards.ShardedCOOMatrix`.
     """
     from repro.sparse import shards
 
     spec = BENCHMARKS[name]
-    n = spec.rows_for_scale(scale)
-    path = os.path.join(shards.shard_root(), f"{name}-{scale}-s{seed}")
+    path = os.path.join(shards.shard_root(), _set_name(spec, scale, seed))
     if os.path.exists(os.path.join(path, "manifest.json")):
         return shards.ShardedCOOMatrix(path)
-    return shards.write_sharded(
-        path, n, n, spec.stream(scale=scale, seed=seed), name=name
-    )
+    n = spec.rows_for_scale(scale)
+    if scale in sharded_scales():
+        return shards.write_sharded(
+            path, n, n, spec.stream(scale=scale, seed=seed), name=name
+        )
+    mat = spec.generate(scale=scale, seed=seed)
+    return shards.write_sharded(path, n, n, [(mat.rows, mat.cols)],
+                                name=name, digest=mat.structural_digest())
 
 
 def load_benchmark(name: str, scale: str = "small", seed: int = 7,
                    sharded: Optional[bool] = None):
-    """Generate (and memoize) a benchmark matrix or workload trace.
+    """Load (and memoize) a benchmark matrix or workload trace.
 
     Names beginning with ``wl:`` are workload round traces
     (``wl:<family>:r<round>``) and dispatch to
@@ -310,11 +340,13 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7,
     either kind of matrix resolve through this one front door — the
     execution engine's worker processes rely on that.
 
-    ``sharded`` picks the storage tier: ``True`` returns an on-disk
-    :class:`~repro.sparse.shards.ShardedCOOMatrix`, ``False`` the
-    in-memory :class:`COOMatrix`, and ``None`` (default) shards exactly
-    the scales in :func:`sharded_scales`.  Both tiers share one
-    ``structural_digest``, so partition-trace cache keys are identical.
+    Benchmark matrices come from their :func:`stored_set`.  ``sharded``
+    only picks the reader over it: ``True`` returns the on-disk
+    :class:`~repro.sparse.shards.ShardedCOOMatrix`, ``False`` a
+    :class:`COOMatrix` (a view over the memmaps of a one-shard set),
+    and ``None`` (default) shards exactly the scales in
+    :func:`sharded_scales`.  Both readers share one
+    ``structural_digest``, read from the set's manifest.
 
     Raises ``KeyError`` with the available names for typos.
     """
@@ -327,14 +359,10 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7,
     if sharded is None:
         sharded = scale in sharded_scales()
     if sharded:
-        return _memo.get_or_load(
-            (name, scale, seed, "sharded"),
-            lambda: _load_sharded(name, scale, seed),
-        )
-    return _memo.get_or_load(
-        (name, scale, seed, "dense"),
-        lambda: BENCHMARKS[name].generate(scale=scale, seed=seed),
-    )
+        return _memo.get_or_load((name, scale, seed, "sharded"),
+                                 lambda: stored_set(name, scale, seed))
+    return _memo.get_or_load((name, scale, seed, "dense"),
+                             lambda: stored_set(name, scale, seed).to_coo())
 
 
 def scale_factor(name: str, matrix: COOMatrix) -> float:

@@ -7,6 +7,16 @@ import pytest
 from repro.cluster import model
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_shard_dir(tmp_path_factory):
+    """Store benchmark matrices in a session tmp dir, not the user's
+    home.  Tests that need their own store still set
+    ``REPRO_SHARD_DIR`` themselves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SHARD_DIR", str(tmp_path_factory.mktemp("shards")))
+        yield
+
+
 @pytest.fixture
 def cold_memos():
     """A context manager under which the cluster model runs cold.

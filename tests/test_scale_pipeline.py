@@ -30,7 +30,7 @@ from repro.core.pcache_fast import DelayedCacheReplayer, delayed_cache_hits
 from repro.partition import TraceCache, set_trace_cache
 from repro.parallel import ExecutionEngine, SimJob
 from repro.parallel.jobs import execute_job
-from repro.sparse.suite import MatrixMemo, load_benchmark
+from repro.sparse.suite import BENCHMARKS, MatrixMemo, load_benchmark
 
 
 def _assert_equal(x, y, path):
@@ -60,9 +60,11 @@ CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 @pytest.fixture()
 def shard_env(tmp_path, monkeypatch):
+    """Isolated shard root whose tiny sets the streamed writer builds."""
     from repro.sparse import suite
 
     monkeypatch.setenv("REPRO_SHARD_DIR", str(tmp_path / "shards"))
+    monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")
     suite._memo.clear()
     yield tmp_path
     suite._memo.clear()
@@ -207,11 +209,12 @@ class TestModelTierParity:
     @pytest.mark.parametrize("name", ["arabic", "stokes"])
     def test_commresult_invariant(self, shard_env, name, cold_memos):
         topo = build_cluster_topology(CFG16)
-        dense = load_benchmark(name, "tiny")
+        one_shot = BENCHMARKS[name].generate(scale="tiny", seed=7)
+        dense = load_benchmark(name, "tiny", sharded=False)
         sharded = load_benchmark(name, "tiny", sharded=True)
         with cold_memos():
-            ref = self._run(dense, topo)
-        for mat in (dense, sharded):
+            ref = self._run(one_shot, topo)
+        for mat in (one_shot, dense, sharded):
             assert_results_equal(self._run(mat, topo), ref)
 
 

@@ -46,13 +46,21 @@ GENERATOR_CASES = [
 
 @pytest.fixture()
 def shard_env(tmp_path, monkeypatch):
-    """Isolated shard root + a cleared suite memo for every test."""
+    """Isolated shard root, tiny sets written by the streamed writer,
+    and a cleared suite memo for every test."""
     from repro.sparse import suite
 
     monkeypatch.setenv("REPRO_SHARD_DIR", str(tmp_path / "shards"))
+    monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")
     suite._memo.clear()
     yield tmp_path
     suite._memo.clear()
+
+
+def _one_shot(name):
+    """The in-memory one-shot generator's output, bypassing the store
+    (the reference the streamed writer must match)."""
+    return BENCHMARKS[name].generate(scale="tiny", seed=7)
 
 
 class TestStreamedGeneration:
@@ -165,7 +173,7 @@ class TestShardStore:
 class TestShardedPartition:
     @pytest.mark.parametrize("kind", ["rows", "nnz"])
     def test_traces_match_dense(self, shard_env, kind):
-        mat = load_benchmark("stokes", "tiny")
+        mat = _one_shot("stokes")
         smat = load_benchmark("stokes", "tiny", sharded=True)
         dense = build_partition(mat, 16, kind=kind)
         sharded = build_partition(smat, 16, kind=kind)
@@ -201,7 +209,7 @@ class TestShardedPartition:
         )
 
     def test_balanced_helper_matches_dense(self, shard_env):
-        mat = load_benchmark("uk", "tiny")
+        mat = _one_shot("uk")
         smat = load_benchmark("uk", "tiny", sharded=True)
         dense = balanced_by_nnz(mat, 8)
         sharded = sharded_balanced_by_nnz(smat, 8)
@@ -241,7 +249,7 @@ class TestShardedDistinctCounts:
         assert part.resident_trace_nnz() == 0        # not re-read
 
     def test_matrix_count_cached_on_instance(self, shard_env, monkeypatch):
-        mat = load_benchmark("arabic", "tiny")
+        mat = _one_shot("arabic")
         smat = load_benchmark("arabic", "tiny", sharded=True)
         assert smat.unique_col_count() == np.unique(mat.cols).size
         monkeypatch.setattr(smat, "iter_chunks", None)   # no shard reads
@@ -282,7 +290,7 @@ class TestShardedDistinctCounts:
 
 class TestSuiteShardedLoading:
     def test_digest_matches_dense_twin(self, shard_env):
-        dense = load_benchmark("arabic", "tiny")
+        dense = _one_shot("arabic")
         sharded = load_benchmark("arabic", "tiny", sharded=True)
         assert is_sharded(sharded)
         assert sharded.structural_digest() == dense.structural_digest()
