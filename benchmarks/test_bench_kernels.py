@@ -7,8 +7,9 @@ hide it behind caching.  Workloads are sized by ``REPRO_BENCH_SCALE``
 and exercise the shapes the 128-node cluster model actually feeds the
 kernels (skewed PR streams, rack-merged destination streams, batched
 RIG dispatch), the per-node compute model behind the end-to-end
-figures, and the inputs every experiment builds first: the five
-benchmark matrices and SAOpt's per-rank PR counts.
+figures, the inputs every experiment builds first (the five
+benchmark matrices and SAOpt's per-rank PR counts), and whole
+cluster-model calls, cold and on a repeated cache geometry.
 """
 
 from types import SimpleNamespace
@@ -18,6 +19,11 @@ import numpy as np
 from conftest import run_once
 
 from repro.baselines.saopt import saopt_pr_counts
+from repro.cluster import (
+    build_cluster_topology,
+    reset_batch_state,
+    simulate_netsparse,
+)
 from repro.cluster.endtoend import per_node_compute_times
 from repro.config import NetSparseConfig
 from repro.core.concat import window_concat
@@ -29,6 +35,7 @@ from repro.sparse.suite import (
     BENCHMARKS,
     MATRIX_NAMES,
     load_benchmark,
+    scale_factor,
     stored_set,
 )
 
@@ -157,6 +164,55 @@ def test_kernel_saopt_counts(benchmark, scale):
     assert result.sent.shape == (_E2E_NODES, NetSparseConfig().host_cores)
     # Every sent PR is served by some rank of its owner.
     assert result.sent.sum() == result.served.sum() > 0
+
+
+def _model_workload(mat, topo, exp_id):
+    result = simulate_netsparse(mat, 16, NetSparseConfig(), topo,
+                                scale=scale_factor(mat.name, mat))
+    return SimpleNamespace(exp_id=exp_id, result=result)
+
+
+def _model_setup(scale):
+    """queen at ``scale`` with its 128-node traces built before any
+    timing, and a fresh fabric."""
+    mat = load_benchmark("queen", scale)
+    cached_partition(mat, _E2E_NODES).node_traces()
+    return mat, build_cluster_topology(NetSparseConfig())
+
+
+def test_kernel_model_cold(benchmark, scale):
+    """One cluster-model call on cold memos and a fresh fabric: every
+    stage runs, each rack's hit mask comes from the replay kernel, and
+    every route the traffic uses is computed."""
+    prev = set_trace_cache(TraceCache())
+    try:
+        mat, topo = _model_setup(scale)
+        reset_batch_state()
+        result = run_once(benchmark, _model_workload, mat, topo,
+                          "kernel.model_cold")
+    finally:
+        set_trace_cache(prev)
+        reset_batch_state()
+    assert result.result.total_time > 0
+    assert result.result.cache_lookups > 0
+
+
+def test_kernel_model_repeat_geometry(benchmark, scale):
+    """The same call again: the memos hold every stream, and each
+    rack's hit mask for this geometry, so no cache scoring runs."""
+    prev = set_trace_cache(TraceCache())
+    try:
+        mat, topo = _model_setup(scale)
+        reset_batch_state()
+        first = simulate_netsparse(mat, 16, NetSparseConfig(), topo,
+                                   scale=scale_factor(mat.name, mat))
+        result = run_once(benchmark, _model_workload, mat, topo,
+                          "kernel.model_repeat_geometry")
+    finally:
+        set_trace_cache(prev)
+        reset_batch_state()
+    assert result.result.total_time == first.total_time
+    assert result.result.cache_hits == first.cache_hits
 
 
 def test_kernel_pcache(benchmark, scale):

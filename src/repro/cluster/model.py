@@ -7,12 +7,13 @@ For one kernel iteration on an N-node cluster this model:
    (:func:`repro.core.filtering.anchored_drops`, the anchor-reusing
    form of :func:`~repro.core.filtering.filter_and_coalesce`) to decide
    which remote idxs become wire PRs.
-3. Concatenates PR streams with the window model
-   (:func:`repro.core.concat.window_concat`) at the NIC and again at
-   the ToR switch (cross-node), producing per-flow wire bytes.
-4. Runs each rack's merged PR stream through an exact LRU Property
+3. Runs each rack's merged PR stream through an exact LRU Property
    Cache with delayed insertion (a missing property only becomes
    cacheable after its response returns).
+4. Concatenates PR streams with the window model
+   (:mod:`repro.core.concat`) at the NIC and again at the ToR switch
+   (cross-node), producing per-flow wire bytes for reads and
+   responses.
 5. Derives time from the interacting rate limits: RIG command
    dispatch/pipelining, concatenation-SRAM occupancy, host injection
    and ejection ports, and fabric link drains — the same
@@ -38,7 +39,7 @@ import numpy as np
 from repro import telemetry
 from repro.config import NetSparseConfig
 from repro.core import reusedist
-from repro.core.concat import ConcatStats, window_concat, window_concat_totals
+from repro.core.concat import window_concat_dest_bytes, window_concat_totals
 from repro.core.filtering import anchored_drops, first_occurrence_positions
 from repro.core.pcache import n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits
@@ -60,10 +61,11 @@ __all__ = [
 #
 # Sweep evaluation is single-pass: the stage outputs a knob sweep
 # would otherwise rebuild per point — filter masks, merged rack
-# streams, their reuse-distance profiles and the rig makespan — are
-# memoized under logical keys (which partition, which per-node clamped
-# batch size), so the planner's fused groups and sequential probe
-# loops like the autotune ladder stop replaying identical stages.
+# streams with their hit mask per cache geometry, their reuse-distance
+# profiles and the rig makespan — are memoized under logical keys
+# (which partition, which per-node clamped batch size), so the
+# planner's fused groups and sequential probe loops like the autotune
+# ladder stop replaying identical stages.
 # Repeated whole jobs are answered upstream by the engine's digest
 # memo and the ResultCache.  Keys never hash array content: object
 # identity tokens stand in for the heavyweight inputs (partition,
@@ -114,6 +116,22 @@ class _BoundedMemo:
             self.data[key] = (value, nbytes)
             self.bytes += nbytes
 
+    def charge(self, key, value, nbytes: int) -> None:
+        """Add ``nbytes`` to the stored entry ``value``, which grew in
+        place, evicting the oldest entries (possibly this one) while
+        over budget.  Ignored unless ``key`` holds ``value`` itself."""
+        if key is None:
+            return
+        with _MEMO_LOCK:
+            entry = self.data.get(key)
+            if entry is None or entry[0] is not value:
+                return
+            self.data[key] = (entry[0], entry[1] + int(nbytes))
+            self.bytes += int(nbytes)
+            while self.bytes > self.budget and self.data:
+                _, (_, old_bytes) = self.data.popitem(last=False)
+                self.bytes -= old_bytes
+
     def clear(self) -> None:
         with _MEMO_LOCK:
             self.data.clear()
@@ -129,7 +147,7 @@ class _BoundedMemo:
 _B = 256 * (1 << 20) // 8           # budget unit: an eighth of 256 MiB
 _FBASE = _BoundedMemo(_B)         # (part, node, window) -> anchor + drops
 _MASKS = _BoundedMemo(_B)         # + clamped batch -> issued node stream
-_MERGES = _BoundedMemo(2 * _B)    # rack merge of member streams
+_MERGES = _BoundedMemo(2 * _B)    # rack merge + its hit mask per geometry
 _PROFILES = _BoundedMemo(2 * _B)  # reuse-distance profile per merge
 _RIGGEN = _BoundedMemo(_B // 8)   # scalar rig makespan per (nnz, params)
 _ALL_MEMOS = {
@@ -227,45 +245,6 @@ def _merge_rack_streams(
             "idx": idx[order], "owner": owner[order]}
 
 
-def _concat_stage_bytes(
-    dests: np.ndarray,
-    payload: int,
-    config: NetSparseConfig,
-    window_prs: int,
-) -> Tuple[Dict[int, int], ConcatStats]:
-    """Per-destination wire bytes after one concatenation stage."""
-    maxp = config.max_prs_per_packet(payload)
-    stats = window_concat(dests, max_prs_per_packet=maxp, window_prs=window_prs)
-    byte_map = stats.wire_bytes_per_dest(
-        pr_payload=payload,
-        header_upper=config.header_upper,
-        header_concat=config.header_concat,
-        header_concat_solo=config.header_concat_solo,
-        header_pr=config.header_pr,
-    )
-    return byte_map, stats
-
-
-def _concat_stage_totals(
-    dests: np.ndarray,
-    payload: int,
-    config: NetSparseConfig,
-    window_prs: int,
-) -> Tuple[int, int]:
-    """``(wire bytes, packets)`` of one concatenation stage — the lean
-    form for consumers that never look at individual destinations
-    (integer-exact; see
-    :func:`repro.core.concat.window_concat_totals`)."""
-    maxp = config.max_prs_per_packet(payload)
-    return window_concat_totals(
-        dests, maxp, window_prs, payload,
-        header_upper=config.header_upper,
-        header_concat=config.header_concat,
-        header_concat_solo=config.header_concat_solo,
-        header_pr=config.header_pr,
-    )
-
-
 def _pr_rate(config: NetSparseConfig, payload: int, issue_frac: float) -> float:
     """Aggregate PR rate through one node's concatenation point."""
     scan = config.n_client_units * config.snic_freq * max(issue_frac, 1e-3)
@@ -296,6 +275,167 @@ def _concat_sram_rate_cap(
         return float("inf")
     per_pr = config.header_pr + payload
     return config.concat_sram_bytes / (delay_s * per_pr)
+
+
+@dataclass
+class _Traffic:
+    """Wire accounting of one call's reads and responses."""
+
+    up_bytes: np.ndarray          # host -> ToR wire bytes per node
+    down_bytes: np.ndarray        # ToR -> host wire bytes per node
+    fabric_loads: np.ndarray      # wire bytes per link, host links excluded
+    served_per_node: np.ndarray   # reads each owner answers
+    n_packets: int
+
+
+def _traffic(
+    topo: Topology,
+    config: NetSparseConfig,
+    payload: int,
+    rack_of: np.ndarray,
+    racks: List[Tuple[int, List[int]]],
+    node_streams: List[Tuple[np.ndarray, ...]],
+    merged_list: List[Dict[str, np.ndarray]],
+    rack_hits: List[np.ndarray],
+    w_nic: int,
+    w_sw: int,
+) -> _Traffic:
+    """Bytes and packets of the read and response stages.
+
+    Reads leave each node through its NIC's concatenation point; at the
+    ToR, cache hits are answered in-rack and misses go on to their
+    owners (switch-stage concat).  Responses come back the same way
+    from each owner rack.  Each rack makes a fixed handful of array
+    calls: one segmented NIC-stage ``window_concat_totals`` over its
+    nodes, one switch-stage concat per direction and one histogram of
+    its (src, dst) flows, whose byte shares become arrays.
+
+    Flow bytes reach ``down_bytes`` and the fabric links in the order a
+    per-flow loop adds them (racks in order, flows by pair key, links
+    in route order), so one ``bincount`` each reproduces that loop's
+    float sums bit for bit (the loop is kept in ``tests/oracles.py``).
+    """
+    n = rack_of.size
+    n_hosts = topo.n_nodes
+    if n_hosts < n:
+        raise ValueError("topology has fewer hosts than the config's nodes")
+    feats = config.features
+    switch_window = w_sw if feats.concat_switch else 1
+    headers = dict(
+        header_upper=config.header_upper,
+        header_concat=config.header_concat,
+        header_concat_solo=config.header_concat_solo,
+        header_pr=config.header_pr,
+    )
+    read_maxp = config.max_prs_per_packet(0)
+    resp_maxp = config.max_prs_per_packet(payload)
+
+    up_bytes = np.zeros(n)
+    served = np.zeros(n, dtype=np.int64)
+    n_packets = 0
+    down_parts = []               # (node ids, bytes), in loop order
+    flow_parts = []               # (src * n_hosts + dst, bytes), ditto
+
+    def nic_stage(dests, lengths, maxp, pr_payload, members):
+        """Each member's NIC-stage bytes: one segment per member."""
+        nonlocal n_packets
+        nbytes, npkts = window_concat_totals(
+            dests, maxp, w_nic, pr_payload, lengths=lengths, **headers
+        )
+        up_bytes[members] += nbytes
+        if not feats.concat_switch:
+            n_packets += int(npkts.sum())
+
+    def flows(src, dst, dst_bytes):
+        """Split each destination's switch-stage bytes over its
+        ``src -> dst`` flows by PR share."""
+        counts = np.bincount(src * n_hosts + dst, minlength=n_hosts ** 2)
+        pairs = np.flatnonzero(counts)
+        counts = counts[pairs]
+        ends = pairs % n_hosts
+        share = dst_bytes[ends] * counts / np.bincount(dst, minlength=n)[ends]
+        flow_parts.append((pairs, share))
+        down_parts.append((ends, share))
+
+    # Misses grouped by owner rack: per owner rack, (src, pos, owner)
+    # runs in request-rack order, each in stream order.
+    rack_ids = np.array([rack for rack, _ in racks])
+    rack_key = np.min_scalar_type(rack_ids.max())
+    responses = {rack: [] for rack, _ in racks}
+    for (_, members), merged, hits in zip(racks, merged_list, rack_hits):
+        streams = [node_streams[m][2] for m in members]
+        nic_stage(np.concatenate(streams), [s.size for s in streams],
+                  read_maxp, 0, members)
+        m_src = merged["src"]
+        if hits.any():
+            dest_bytes, npkts = window_concat_dest_bytes(
+                m_src[hits], resp_maxp, switch_window, payload, **headers
+            )
+            n_packets += npkts
+            dest = np.flatnonzero(dest_bytes)
+            down_parts.append((dest, dest_bytes[dest]))
+        miss = ~hits
+        if miss.any():
+            ms, mo = m_src[miss], merged["owner"][miss]
+            owner_bytes, npkts = window_concat_dest_bytes(
+                mo, read_maxp, switch_window, 0, **headers
+            )
+            n_packets += npkts
+            flows(ms, mo, owner_bytes)
+            # A stable sort by owner rack (a radix sort on 8- or 16-bit
+            # keys) keeps each owner rack's misses in stream order.
+            owner_rack = rack_of[mo]
+            order = np.argsort(owner_rack.astype(rack_key), kind="stable")
+            run = (ms[order], merged["pos"][miss][order], mo[order])
+            ends = np.searchsorted(owner_rack[order], rack_ids, side="right")
+            starts = np.concatenate(([0], ends[:-1]))
+            for rack, lo, hi in zip(rack_ids.tolist(), starts.tolist(),
+                                    ends.tolist()):
+                if hi > lo:
+                    responses[rack].append(tuple(a[lo:hi] for a in run))
+
+    for rack, members in racks:
+        # Responses produced by owners in this rack, merged at its ToR.
+        if not responses[rack]:
+            continue
+        r_src, r_pos, r_owner = (
+            np.concatenate(a) for a in zip(*responses.pop(rack))
+        )
+        # Stream order: by position, then owner (a stable sort on one
+        # combined key).
+        order = np.argsort(r_pos * n + r_owner, kind="stable")
+        r_src, r_owner = r_src[order], r_owner[order]
+        # A stable owner sort makes each owner's responses one segment
+        # that keeps their stream order (and hence every byte count);
+        # on 8- or 16-bit keys numpy's stable sort is a radix sort.
+        by_owner = np.argsort(r_owner.astype(np.min_scalar_type(n)),
+                              kind="stable")
+        served_here = np.bincount(r_owner, minlength=n)[members]
+        served[members] += served_here
+        nic_stage(r_src[by_owner], served_here, resp_maxp, payload, members)
+        src_bytes, npkts = window_concat_dest_bytes(
+            r_src, resp_maxp, switch_window, payload, **headers
+        )
+        n_packets += npkts
+        flows(r_owner, r_src, src_bytes)
+
+    def joined(parts):
+        if not parts:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        ids, nbytes = zip(*parts)
+        return np.concatenate(ids), np.concatenate(nbytes)
+
+    down_ids, down_w = joined(down_parts)
+    pairs, shares = joined(flow_parts)
+    return _Traffic(
+        up_bytes=up_bytes,
+        down_bytes=np.bincount(down_ids, weights=down_w,
+                               minlength=n).astype(float, copy=False),
+        # The per-node port terms charge the two host links.
+        fabric_loads=topo.flow_loads(pairs, shares, fabric_only=True),
+        served_per_node=served,
+        n_packets=n_packets,
+    )
 
 
 def simulate_netsparse(
@@ -444,30 +584,16 @@ def simulate_netsparse(
     w_nic, w_sw = _concat_windows(config, payload, issue_frac)
     if not feats.concat_nic:
         w_nic = 1
-    read_window_sw = w_sw if feats.concat_switch else 1
 
-    # ---- stage 2: per-rack cache + read traffic -----------------------
+    # ---- stage 2: per-rack merge + Property Cache ---------------------
     rack_of = np.array([topo.rack_of(i) for i in range(n)])
     racks: Dict[int, List[int]] = {}
     for node in range(n):
         racks.setdefault(int(rack_of[node]), []).append(node)
+    rack_list = sorted(racks.items())
 
-    up_bytes = np.zeros(n)
-    down_bytes = np.zeros(n)
-    fabric_loads = np.zeros(topo.n_links)
-    link_bw = np.array([ln.bandwidth for ln in topo.links])
-    n_packets_total = 0
     cache_lookups = cache_hits = 0
-    miss_records = []            # surviving reads, to be served by owners
-
-    def _route_fabric(src: int, dst: int, nbytes: float) -> None:
-        # Topology.route caches per instance; the slice drops the two
-        # host links, which the per-node port terms already charge.
-        for lid in topo.route(src, dst)[1:-1]:
-            fabric_loads[lid] += nbytes
-
     with telemetry.span("cluster.stage.cache", matrix=matrix.name, k=k):
-        rack_list = sorted(racks.items())
         merge_keys = []
         merge_entries = []
         for rack, members in rack_list:
@@ -482,171 +608,77 @@ def simulate_netsparse(
                 merged = _merge_rack_streams(
                     [node_streams[m] for m in members], members
                 )
-                # The entry also counts the hit masks asked of this
-                # stream, so the count is dropped with the stream.
-                entry = (merged, itertools.count(1))
+                # The entry also holds the stream's hit mask per cache
+                # geometry, charged to the memo as each is added, so
+                # the masks are dropped with the stream.
+                entry = (merged, {})
                 _MERGES.put(merge_key, entry,
                             sum(a.nbytes for a in merged.values()))
             merge_keys.append(merge_key)
             merge_entries.append(entry)
         merged_list = [merged for merged, _ in merge_entries]
-        # Property Cache at the ToR middle pipes.  A profile is only
-        # built on the second hit mask asked of a memoized stream: a
-        # geometry *sweep* amortizes the unique-sort, while a
-        # single-geometry workload (e.g. the autotune ladder, where every
-        # probe's stream is new) goes straight to the pinned replay
-        # kernel.  Both routes are bit-identical (golden-tested).
+        # Property Cache at the ToR middle pipes.  A geometry (sets,
+        # ways, delay) already scored on a memoized stream reuses its
+        # held mask.  A profile is only built on the second *distinct*
+        # geometry asked of a memoized stream: a geometry sweep
+        # amortizes the unique-sort, while a single-geometry workload
+        # (e.g. the autotune ladder, where every probe's stream is new)
+        # goes straight to the pinned replay kernel.  Both routes are
+        # bit-identical (golden-tested).
         if feats.property_cache:
             n_sets = n_sets_for(
                 pcache_bytes, config.pcache_ways, max(payload, 1),
                 config.pcache_segments, config.pcache_min_line,
             )
             rack_hits = []
-            for merge_key, (merged, reqs) in zip(merge_keys, merge_entries):
+            for merge_key, entry in zip(merge_keys, merge_entries):
+                merged, masks = entry
                 m_idx = merged["idx"]
                 if m_idx.size == 0:
                     rack_hits.append(np.zeros(0, dtype=bool))
                     continue
-                delay = max(int(knobs.cache_inflight_frac * m_idx.size), 1)
-                prof = _PROFILES.get(merge_key)
-                if prof is None and next(reqs) >= 2:
-                    prof = reusedist.build_profile(m_idx)
-                    _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
-                if prof is not None:
-                    hits = prof.score(n_sets, config.pcache_ways, delay, "lru")
-                else:
-                    hits = delayed_cache_hits(
-                        m_idx, n_sets, config.pcache_ways, delay,
-                        policy="lru",
-                    )[0]
+                geometry = (n_sets, config.pcache_ways,
+                            max(int(knobs.cache_inflight_frac * m_idx.size),
+                                1))
+                hits = masks.get(geometry)
+                if hits is None:
+                    prof = _PROFILES.get(merge_key)
+                    if prof is None and masks:
+                        prof = reusedist.build_profile(m_idx)
+                        _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
+                    if prof is not None:
+                        hits = prof.score(*geometry, "lru")
+                    else:
+                        hits = delayed_cache_hits(
+                            m_idx, *geometry, policy="lru"
+                        )[0]
+                    # Only the first mask stored for a geometry (a
+                    # racing thread may have stored it too) is charged.
+                    if masks.setdefault(geometry, hits) is hits:
+                        _MERGES.charge(merge_key, entry, hits.nbytes)
+                cache_lookups += int(m_idx.size)
+                cache_hits += int(hits.sum())
                 rack_hits.append(hits)
         else:
             rack_hits = [
                 np.zeros(m["idx"].size, dtype=bool) for m in merged_list
             ]
-        for (rack, members), merged, hits in zip(rack_list, merged_list,
-                                                 rack_hits):
-            m_src, m_pos = merged["src"], merged["pos"]
-            m_idx, m_owner = merged["idx"], merged["owner"]
-
-            # NIC-stage read bytes (host -> ToR) per member node.
-            for node in members:
-                nbytes, npkts = _concat_stage_totals(
-                    node_streams[node][2], 0, config, w_nic
-                )
-                up_bytes[node] += nbytes
-                if not feats.concat_switch:
-                    n_packets_total += npkts
-
-            if feats.property_cache and m_idx.size:
-                cache_lookups += int(m_idx.size)
-                cache_hits += int(hits.sum())
-
-            # Cache-hit responses: generated at the ToR, delivered in-rack.
-            if hits.any():
-                hit_src = m_src[hits]
-                byte_map, stats = _concat_stage_bytes(
-                    hit_src, payload, config, read_window_sw
-                )
-                for node_id, b in byte_map.items():
-                    down_bytes[node_id] += b
-                n_packets_total += stats.n_packets
-
-            # Misses continue toward their owners (switch-stage concat).
-            miss = ~hits
-            if miss.any():
-                ms, mp = m_src[miss], m_pos[miss]
-                mi, mo = m_idx[miss], m_owner[miss]
-                byte_map, stats = _concat_stage_bytes(
-                    mo, 0, config, read_window_sw
-                )
-                n_packets_total += stats.n_packets
-                # Distribute rack-stage bytes over (src, owner) flows by
-                # PR share.
-                pair_keys = ms * n + mo
-                uniq_pairs, pair_counts = np.unique(
-                    pair_keys, return_counts=True
-                )
-                owner_totals = {
-                    int(d): cnt
-                    for d, cnt in zip(*np.unique(mo, return_counts=True))
-                }
-                for key, cnt in zip(uniq_pairs.tolist(), pair_counts.tolist()):
-                    s, d = divmod(key, n)
-                    share = byte_map[d] * cnt / owner_totals[d]
-                    _route_fabric(s, d, share)
-                    down_bytes[d] += share
-                miss_records.append(
-                    {"src": ms, "pos": mp, "idx": mi, "owner": mo}
-                )
     telemetry.count("pcache.lookups", cache_lookups, matrix=matrix.name)
     telemetry.count("pcache.hits", cache_hits, matrix=matrix.name)
 
-    # ---- stage 3: responses from owners -------------------------------
-    if miss_records:
-        all_src = np.concatenate([r["src"] for r in miss_records])
-        all_pos = np.concatenate([r["pos"] for r in miss_records])
-        all_owner = np.concatenate([r["owner"] for r in miss_records])
-    else:
-        all_src = all_pos = all_owner = np.zeros(0, dtype=np.int64)
-
-    served_per_node = np.zeros(n, dtype=np.int64)
-    resp_window_sw = w_sw if feats.concat_switch else 1
+    # ---- stage 3: read and response wire traffic -----------------------
     with telemetry.span("cluster.stage.respond", matrix=matrix.name, k=k):
-        owner_rack = rack_of[all_owner]
-        for rack, members in sorted(racks.items()):
-            # Responses produced by owners in this rack, merged at its ToR.
-            sel = owner_rack == rack
-            if not sel.any():
-                continue
-            r_src, r_pos, r_owner = all_src[sel], all_pos[sel], all_owner[sel]
-            order = np.lexsort((r_owner, r_pos))
-            r_src, r_pos, r_owner = (
-                r_src[order], r_pos[order], r_owner[order]
-            )
-
-            # NIC-stage response bytes per owner.  A stable owner sort
-            # makes each owner's responses one slice that keeps their
-            # stream order (and hence every byte count).
-            oorder = np.argsort(r_owner, kind="stable")
-            ro = r_owner[oorder]
-            rs = r_src[oorder]
-            lo_b = np.searchsorted(ro, members, side="left")
-            hi_b = np.searchsorted(ro, members, side="right")
-            for owner, lo, hi in zip(members, lo_b.tolist(), hi_b.tolist()):
-                if hi <= lo:
-                    continue
-                served_per_node[owner] += hi - lo
-                nbytes, npkts = _concat_stage_totals(
-                    rs[lo:hi], payload, config, w_nic
-                )
-                up_bytes[owner] += nbytes
-                if not feats.concat_switch:
-                    n_packets_total += npkts
-
-            # Switch-stage response bytes toward each requester.
-            byte_map, stats = _concat_stage_bytes(
-                r_src, payload, config, resp_window_sw
-            )
-            n_packets_total += stats.n_packets
-            pair_keys = r_owner * n + r_src
-            uniq_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
-            dest_totals = {
-                int(d): cnt
-                for d, cnt in zip(*np.unique(r_src, return_counts=True))
-            }
-            for key, cnt in zip(uniq_pairs.tolist(), pair_counts.tolist()):
-                o, s = divmod(key, n)
-                share = byte_map[s] * cnt / dest_totals[s]
-                _route_fabric(o, s, share)
-                down_bytes[s] += share
+        traffic = _traffic(topo, config, payload, rack_of, rack_list,
+                           node_streams, merged_list, rack_hits, w_nic, w_sw)
+    up_bytes, down_bytes = traffic.up_bytes, traffic.down_bytes
+    n_packets_total = traffic.n_packets
 
     # ---- stage 4: timing ----------------------------------------------
     with telemetry.span("cluster.stage.timing", matrix=matrix.name, k=k):
         t_up = up_bytes / config.link_bandwidth
         t_down = down_bytes / config.link_bandwidth
         t_pcie = down_bytes / config.pcie_bandwidth
-        t_server = served_per_node / (
+        t_server = traffic.served_per_node / (
             (config.n_rig_units - config.n_client_units) * config.snic_freq
         )
         per_node_prs = np.array(
@@ -662,8 +694,10 @@ def simulate_netsparse(
         per_node_time = np.maximum.reduce(
             [pr_gen_time, t_up, t_down, t_pcie, t_server, t_concat]
         )
+        link_bw = np.array([ln.bandwidth for ln in topo.links])
         fabric_time = (
-            float((fabric_loads / link_bw).max()) if topo.n_links else 0.0
+            float((traffic.fabric_loads / link_bw).max())
+            if topo.n_links else 0.0
         )
         # Fixed latencies scale with the matrix downscaling like every
         # other absolute time constant (DESIGN.md §5) — at paper scale

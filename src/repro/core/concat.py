@@ -31,6 +31,7 @@ __all__ = [
     "DelayQueueConcatenator",
     "merge_concat_stats",
     "window_concat",
+    "window_concat_dest_bytes",
     "window_concat_stream",
     "window_concat_totals",
 ]
@@ -40,8 +41,9 @@ __all__ = [
 class ConcatStats:
     """Aggregate outcome of concatenating one PR stream.
 
-    ``per_dest_*`` map destination node → counts, which the cluster
-    model turns into per-flow wire bytes.
+    ``per_dest_*`` map destination node → counts.  The cluster model
+    reads the same per-destination bytes as one array from
+    :func:`window_concat_dest_bytes`.
     """
 
     n_prs: int
@@ -105,6 +107,73 @@ def window_concat(
     return _window_concat_fast(dests, max_prs_per_packet, window_prs)
 
 
+def _group_counts(
+    window_id: np.ndarray, dests: np.ndarray, n_windows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PR count, window and destination of every nonempty (window,
+    destination) group, in key order.
+
+    A ``bincount`` over the dense key space stands in for a sort-based
+    ``np.unique``; a sparse destination space (e.g. raw row ids) falls
+    back to the sort.  Both give the same groups in the same order.
+    """
+    if n_windows == dests.size:
+        # One PR per window (no concatenation): every PR is its group.
+        return np.ones(dests.size, dtype=np.int64), window_id, dests
+    d_span = int(dests.max()) + 1
+    keyspace = n_windows * d_span
+    key = window_id * d_span + dests
+    if keyspace <= max(4 * dests.size, 1 << 16):
+        all_counts = np.bincount(key, minlength=keyspace)
+        keys = np.flatnonzero(all_counts)
+        counts = all_counts[keys]
+    else:
+        keys, counts = np.unique(key, return_counts=True)
+    return counts, keys // d_span, keys % d_span
+
+
+def _packets_and_solo(
+    counts: np.ndarray, max_prs_per_packet: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Packets per group (full CQs plus one partial) and packets that
+    carry exactly one PR."""
+    full, rem = np.divmod(counts, max_prs_per_packet)
+    packets = full + (rem > 0)
+    if max_prs_per_packet == 1:
+        return packets, counts
+    return packets, (rem == 1).astype(np.int64)
+
+
+def _dest_sums(
+    dests: np.ndarray, max_prs_per_packet: int, window_prs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-destination ``(PRs, packets, solo packets)`` histograms of a
+    nonempty stream, indexed by destination id."""
+    n = dests.size
+    window_id = np.arange(n, dtype=np.int64) // window_prs
+    counts, _, group_dest = _group_counts(
+        window_id, dests, int(window_id[-1]) + 1
+    )
+    packets, solo = _packets_and_solo(counts, max_prs_per_packet)
+    # Integer-weight histograms are exact (float64 holds counts < 2**53).
+    d_span = int(dests.max()) + 1
+    return tuple(
+        np.bincount(group_dest, w, minlength=d_span).astype(np.int64)
+        for w in (counts, packets, solo)
+    )
+
+
+def _wire_bytes(n_packets, n_solo, n_prs, pr_payload, header_upper,
+                header_concat, header_concat_solo, header_pr):
+    """Wire bytes of ``n_prs`` PRs sent in ``n_packets`` packets, of
+    which ``n_solo`` carry one PR (scalars or equal-shape arrays)."""
+    return (
+        (n_packets - n_solo) * (header_upper + header_concat)
+        + n_solo * (header_upper + header_concat_solo)
+        + n_prs * (header_pr + pr_payload)
+    )
+
+
 def _window_concat_fast(
     dests: np.ndarray, max_prs_per_packet: int, window_prs: int
 ) -> ConcatStats:
@@ -115,48 +184,48 @@ def _window_concat_fast(
     All quantities are integer counts, so it agrees exactly with that
     loop form (the oracle in ``tests/oracles.py``; golden-tested).
     """
-    n = dests.size
-    window_id = np.arange(n, dtype=np.int64) // window_prs
-    d_span = int(dests.max()) + 1
-    n_windows = int(window_id[-1]) + 1
-    keyspace = n_windows * d_span
-    key = window_id * d_span + dests
-    if keyspace <= max(4 * n, 1 << 16):
-        all_counts = np.bincount(key, minlength=keyspace)
-        nz = np.flatnonzero(all_counts)
-        counts = all_counts[nz]
-        group_dest = nz % d_span
-    else:
-        # Sparse destination space (e.g. raw row ids): fall back to the
-        # sort, still aggregating per destination without a loop below.
-        uniq_keys, counts = np.unique(key, return_counts=True)
-        group_dest = uniq_keys % d_span
-
-    full, rem = np.divmod(counts, max_prs_per_packet)
-    packets_per_group = full + (rem > 0)
-    if max_prs_per_packet == 1:
-        solo_per_group = counts
-    else:
-        solo_per_group = (rem == 1).astype(np.int64)
-
-    # Integer-weight histograms are exact (float64 holds counts < 2**53).
-    prs_sum = np.bincount(group_dest, counts, minlength=d_span).astype(np.int64)
-    pkt_sum = np.bincount(
-        group_dest, packets_per_group, minlength=d_span
-    ).astype(np.int64)
-    solo_sum = np.bincount(
-        group_dest, solo_per_group, minlength=d_span
-    ).astype(np.int64)
+    prs_sum, pkt_sum, solo_sum = _dest_sums(
+        dests, max_prs_per_packet, window_prs
+    )
     dest_ids = np.flatnonzero(prs_sum)  # every group holds >= 1 PR
-
     return ConcatStats(
-        n_prs=n,
-        n_packets=int(packets_per_group.sum()),
-        n_solo_packets=int(solo_per_group.sum()),
+        n_prs=dests.size,
+        n_packets=int(pkt_sum.sum()),
+        n_solo_packets=int(solo_sum.sum()),
         per_dest_prs={int(d): int(prs_sum[d]) for d in dest_ids},
         per_dest_packets={int(d): int(pkt_sum[d]) for d in dest_ids},
         per_dest_solo={int(d): int(solo_sum[d]) for d in dest_ids},
     )
+
+
+def window_concat_dest_bytes(
+    dests: np.ndarray,
+    max_prs_per_packet: int,
+    window_prs: int,
+    pr_payload: int,
+    header_upper: int = 50,
+    header_concat: int = 14,
+    header_concat_solo: int = 10,
+    header_pr: int = 18,
+) -> Tuple[np.ndarray, int]:
+    """``(wire bytes per destination, n_packets)`` of one stage.
+
+    The byte array is indexed by destination id (``max(dests) + 1``
+    long, zero where no PR goes) and equals
+    ``window_concat(...).wire_bytes_per_dest(...)`` entry by entry.
+    """
+    dests = np.asarray(dests, dtype=np.int64)
+    if max_prs_per_packet < 1:
+        raise ValueError("max_prs_per_packet must be >= 1")
+    if dests.size == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    prs_sum, pkt_sum, solo_sum = _dest_sums(
+        dests, max_prs_per_packet, max(int(window_prs), 1)
+    )
+    nbytes = _wire_bytes(pkt_sum, solo_sum, prs_sum, pr_payload,
+                         header_upper, header_concat, header_concat_solo,
+                         header_pr)
+    return nbytes, int(pkt_sum.sum())
 
 
 def window_concat_totals(
@@ -168,7 +237,8 @@ def window_concat_totals(
     header_concat: int = 14,
     header_concat_solo: int = 10,
     header_pr: int = 18,
-) -> Tuple[int, int]:
+    lengths=None,
+):
     """``(total wire bytes, n_packets)`` of one concatenation stage.
 
     Equals ``sum(window_concat(...).wire_bytes_per_dest(...).values())``
@@ -177,35 +247,49 @@ def window_concat_totals(
     packet/solo/PR counts, so summing it over destinations only needs
     the stream totals.  All quantities are integer counts, making the
     collapse an exact identity (golden-tested against the full path).
+
+    With ``lengths``, ``dests`` is the concatenation of independent
+    streams (segments) of those lengths, each with its own windows —
+    e.g. one segment per NIC of a rack — and the result is two int64
+    arrays, one entry per segment, each equal to a separate call on
+    that segment.  Without it the whole stream is one segment and the
+    result is two ints.
     """
     dests = np.asarray(dests, dtype=np.int64)
-    n = dests.size
     if max_prs_per_packet < 1:
         raise ValueError("max_prs_per_packet must be >= 1")
-    if n == 0:
-        return 0, 0
     window_prs = max(int(window_prs), 1)
-    window_id = np.arange(n, dtype=np.int64) // window_prs
-    d_span = int(dests.max()) + 1
-    n_windows = int(window_id[-1]) + 1
-    keyspace = n_windows * d_span
-    key = window_id * d_span + dests
-    if keyspace <= max(4 * n, 1 << 16):
-        counts = np.bincount(key, minlength=keyspace)
-        counts = counts[counts > 0]
-    else:
-        _, counts = np.unique(key, return_counts=True)
-    full, rem = np.divmod(counts, max_prs_per_packet)
-    n_packets = int(full.sum()) + int((rem > 0).sum())
-    if max_prs_per_packet == 1:
-        n_solo = n
-    else:
-        n_solo = int((rem == 1).sum())
-    total = (
-        (n_packets - n_solo) * (header_upper + header_concat)
-        + n_solo * (header_upper + header_concat_solo)
-        + n * (header_pr + pr_payload)
+    seg_len = np.asarray(
+        [dests.size] if lengths is None else lengths, dtype=np.int64
     )
+    if seg_len.sum() != dests.size:
+        raise ValueError("segment lengths must sum to the stream length")
+    n_segs = seg_len.size
+    n_packets = n_solo = np.zeros(n_segs, dtype=np.int64)
+    if dests.size:
+        # Window ids restart at each segment start and are numbered
+        # consecutively across segments, so no group spans two.
+        seg_windows = -(-seg_len // window_prs)
+        first_window = np.cumsum(seg_windows) - seg_windows
+        seg_start = np.cumsum(seg_len) - seg_len
+        pos = np.arange(dests.size, dtype=np.int64)
+        window_id = (
+            (pos - np.repeat(seg_start, seg_len)) // window_prs
+            + np.repeat(first_window, seg_len)
+        )
+        n_windows = int(seg_windows.sum())
+        counts, group_window, _ = _group_counts(window_id, dests, n_windows)
+        packets, solo = _packets_and_solo(counts, max_prs_per_packet)
+        group_seg = np.repeat(np.arange(n_segs), seg_windows)[group_window]
+        n_packets, n_solo = (
+            np.bincount(group_seg, w, minlength=n_segs).astype(np.int64)
+            for w in (packets, solo)
+        )
+    total = _wire_bytes(n_packets, n_solo, seg_len, pr_payload,
+                        header_upper, header_concat, header_concat_solo,
+                        header_pr)
+    if lengths is None:
+        return int(total[0]), int(n_packets[0])
     return total, n_packets
 
 

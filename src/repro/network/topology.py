@@ -12,7 +12,8 @@ All topologies expose the same interface:
   packet traverses between two *hosts*.
 - ``rack_of``           — the ToR/group a host hangs off (the property
   cache domain).
-- ``link_loads(tm)``    — per-link byte loads for a traffic matrix.
+- ``link_loads(tm)``    — per-link byte loads for a traffic matrix;
+  ``flow_loads`` does the same for a list of (pair, bytes) flows.
 - ``one_way_latency``   — zero-load latency along a route, from the
   paper's 450 ns/link + 300 ns/switch model (giving the quoted
   2.4 µs intra-rack and 5.4 µs inter-rack RTTs on leaf-spine).
@@ -56,6 +57,7 @@ class Topology:
         self.links: List[Link] = []
         self._link_index: Dict[Tuple[str, str], int] = {}
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._pair_link_cache: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction helpers -----------------------------------------
 
@@ -122,6 +124,58 @@ class Topology:
     def rtt(self, src: int, dst: int) -> float:
         return self.one_way_latency(src, dst) + self.one_way_latency(dst, src)
 
+    def pair_links(self, pairs: np.ndarray,
+                   fabric_only: bool = False) -> np.ndarray:
+        """The links of each host pair ``src * n_nodes + dst`` in
+        ``pairs``: one row per pair, in route order, padded with -1.
+
+        ``fabric_only`` drops each route's first and last link, the two
+        host links.  Like the route cache, the per-instance table behind
+        this fills a pair's row on first use, so a fabric pays only for
+        the pairs its traffic uses.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        table, known = self._pair_link_cache.get(fabric_only, (None, None))
+        if table is None:
+            # The narrowest signed type that holds every link id and -1.
+            dtype = np.min_scalar_type(-self.n_links)
+            table = np.full((self.n_nodes ** 2, 0), -1, dtype=dtype)
+            known = np.zeros(self.n_nodes ** 2, dtype=bool)
+        new = np.unique(pairs[~known[pairs]])
+        if new.size:
+            routes = [self.route(*divmod(p, self.n_nodes))
+                      for p in new.tolist()]
+            if fabric_only:
+                routes = [r[1:-1] for r in routes]
+            # Fill a copy and publish it whole, so a concurrent reader
+            # never sees a row marked known before it is written.
+            width = max(table.shape[1], *map(len, routes))
+            grown = np.full((known.size, width), -1, dtype=table.dtype)
+            grown[:, :table.shape[1]] = table
+            for p, route in zip(new.tolist(), routes):
+                grown[p, :len(route)] = route
+            known = known.copy()
+            known[new] = True
+            table = grown
+            self._pair_link_cache[fabric_only] = (table, known)
+        return table[pairs]
+
+    def flow_loads(self, pairs: np.ndarray, nbytes: np.ndarray,
+                   fabric_only: bool = False) -> np.ndarray:
+        """Per-link byte loads of flows ``pairs`` (``src * n_nodes +
+        dst``) carrying ``nbytes`` each.
+
+        Each link's load is summed in flow order, then route order —
+        the order of a loop that adds every flow onto its route's links
+        — so the float sums match that loop bit for bit.
+        """
+        rows = self.pair_links(pairs, fabric_only)
+        on_route = rows >= 0
+        nbytes = np.broadcast_to(np.asarray(nbytes)[:, None], rows.shape)
+        # (bincount returns ints for no input, weights or not.)
+        return np.bincount(rows[on_route], weights=nbytes[on_route],
+                           minlength=self.n_links).astype(float, copy=False)
+
     def link_loads(self, traffic: np.ndarray) -> np.ndarray:
         """Accumulate a (N, N) byte traffic matrix onto the links."""
         traffic = np.asarray(traffic)
@@ -129,14 +183,9 @@ class Topology:
             raise ValueError(
                 f"traffic matrix must be ({self.n_nodes}, {self.n_nodes})"
             )
-        loads = np.zeros(self.n_links)
         src_ids, dst_ids = np.nonzero(traffic)
-        for s, d in zip(src_ids, dst_ids):
-            if s == d:
-                continue
-            for lid in self.route(int(s), int(d)):
-                loads[lid] += traffic[s, d]
-        return loads
+        return self.flow_loads(src_ids * self.n_nodes + dst_ids,
+                               traffic[src_ids, dst_ids])
 
     def diameter_hops(self) -> int:
         """Maximum host-to-host hop count (sampled exactly: all pairs)."""

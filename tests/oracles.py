@@ -12,7 +12,12 @@ pin the library kernels against them bit for bit:
   :func:`repro.core.pcache_fast.delayed_cache_hits` and the
   reuse-distance profiles of :mod:`repro.core.reusedist`;
 - :func:`_saopt_pr_counts_reference` —
-  :func:`repro.baselines.saopt.saopt_pr_counts`.
+  :func:`repro.baselines.saopt.saopt_pr_counts`;
+- :func:`_link_loads_reference` —
+  :meth:`repro.network.topology.Topology.link_loads`;
+- :func:`_traffic_reference` — the read and response stages of
+  :func:`repro.cluster.model.simulate_netsparse` (``model._traffic``),
+  with a loop over nodes and over (src, dst) flows.
 """
 
 from collections import deque
@@ -20,7 +25,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.concat import ConcatStats
+from repro.cluster import model
+from repro.core.concat import ConcatStats, window_concat, window_concat_totals
 from repro.core.pcache import PropertyCache
 from repro.partition import cached_partition
 
@@ -148,3 +154,157 @@ class DelayedInsertCache:
 
 #: Backwards-compatible alias (pre-rename private name).
 _DelayedInsertCache = DelayedInsertCache
+
+
+def _link_loads_reference(topo, traffic: np.ndarray) -> np.ndarray:
+    """The original loop: every nonzero off-diagonal entry of the
+    traffic matrix added onto each link of its route."""
+    traffic = np.asarray(traffic)
+    loads = np.zeros(topo.n_links)
+    src_ids, dst_ids = np.nonzero(traffic)
+    for s, d in zip(src_ids, dst_ids):
+        if s == d:
+            continue
+        for lid in topo.route(int(s), int(d)):
+            loads[lid] += traffic[s, d]
+    return loads
+
+
+def _concat_stage_bytes(dests, payload, config, window_prs):
+    """Per-destination wire bytes after one concatenation stage."""
+    maxp = config.max_prs_per_packet(payload)
+    stats = window_concat(dests, max_prs_per_packet=maxp,
+                          window_prs=window_prs)
+    byte_map = stats.wire_bytes_per_dest(
+        pr_payload=payload,
+        header_upper=config.header_upper,
+        header_concat=config.header_concat,
+        header_concat_solo=config.header_concat_solo,
+        header_pr=config.header_pr,
+    )
+    return byte_map, stats
+
+
+def _concat_stage_totals(dests, payload, config, window_prs):
+    """``(wire bytes, packets)`` of one concatenation stage."""
+    maxp = config.max_prs_per_packet(payload)
+    return window_concat_totals(
+        dests, maxp, window_prs, payload,
+        header_upper=config.header_upper,
+        header_concat=config.header_concat,
+        header_concat_solo=config.header_concat_solo,
+        header_pr=config.header_pr,
+    )
+
+
+def _traffic_reference(topo, config, payload, rack_of, racks, node_streams,
+                       merged_list, rack_hits, w_nic, w_sw):
+    """The read and response stages as per-node and per-flow loops, in
+    ``model._traffic``'s signature."""
+    n = rack_of.size
+    feats = config.features
+    up_bytes = np.zeros(n)
+    down_bytes = np.zeros(n)
+    fabric_loads = np.zeros(topo.n_links)
+    served_per_node = np.zeros(n, dtype=np.int64)
+    n_packets_total = 0
+    miss_records = []
+    read_window_sw = w_sw if feats.concat_switch else 1
+
+    def _route_fabric(src, dst, nbytes):
+        # The slice drops the two host links, which the per-node port
+        # terms already charge.
+        for lid in topo.route(src, dst)[1:-1]:
+            fabric_loads[lid] += nbytes
+
+    for (rack, members), merged, hits in zip(racks, merged_list, rack_hits):
+        m_src, m_pos = merged["src"], merged["pos"]
+        m_idx, m_owner = merged["idx"], merged["owner"]
+        for node in members:
+            nbytes, npkts = _concat_stage_totals(
+                node_streams[node][2], 0, config, w_nic
+            )
+            up_bytes[node] += nbytes
+            if not feats.concat_switch:
+                n_packets_total += npkts
+        if hits.any():
+            byte_map, stats = _concat_stage_bytes(
+                m_src[hits], payload, config, read_window_sw
+            )
+            for node_id, b in byte_map.items():
+                down_bytes[node_id] += b
+            n_packets_total += stats.n_packets
+        miss = ~hits
+        if miss.any():
+            ms, mp = m_src[miss], m_pos[miss]
+            mi, mo = m_idx[miss], m_owner[miss]
+            byte_map, stats = _concat_stage_bytes(
+                mo, 0, config, read_window_sw
+            )
+            n_packets_total += stats.n_packets
+            pair_keys = ms * n + mo
+            uniq_pairs, pair_counts = np.unique(pair_keys,
+                                                return_counts=True)
+            owner_totals = {
+                int(d): cnt
+                for d, cnt in zip(*np.unique(mo, return_counts=True))
+            }
+            for key, cnt in zip(uniq_pairs.tolist(), pair_counts.tolist()):
+                s, d = divmod(key, n)
+                share = byte_map[d] * cnt / owner_totals[d]
+                _route_fabric(s, d, share)
+                down_bytes[d] += share
+            miss_records.append({"src": ms, "pos": mp, "idx": mi,
+                                 "owner": mo})
+
+    if miss_records:
+        all_src = np.concatenate([r["src"] for r in miss_records])
+        all_pos = np.concatenate([r["pos"] for r in miss_records])
+        all_owner = np.concatenate([r["owner"] for r in miss_records])
+    else:
+        all_src = all_pos = all_owner = np.zeros(0, dtype=np.int64)
+    resp_window_sw = w_sw if feats.concat_switch else 1
+    owner_rack = rack_of[all_owner]
+    for rack, members in racks:
+        sel = owner_rack == rack
+        if not sel.any():
+            continue
+        r_src, r_pos, r_owner = all_src[sel], all_pos[sel], all_owner[sel]
+        order = np.lexsort((r_owner, r_pos))
+        r_src, r_pos, r_owner = r_src[order], r_pos[order], r_owner[order]
+        oorder = np.argsort(r_owner, kind="stable")
+        ro = r_owner[oorder]
+        rs = r_src[oorder]
+        lo_b = np.searchsorted(ro, members, side="left")
+        hi_b = np.searchsorted(ro, members, side="right")
+        for owner, lo, hi in zip(members, lo_b.tolist(), hi_b.tolist()):
+            if hi <= lo:
+                continue
+            served_per_node[owner] += hi - lo
+            nbytes, npkts = _concat_stage_totals(rs[lo:hi], payload, config,
+                                                 w_nic)
+            up_bytes[owner] += nbytes
+            if not feats.concat_switch:
+                n_packets_total += npkts
+        byte_map, stats = _concat_stage_bytes(r_src, payload, config,
+                                              resp_window_sw)
+        n_packets_total += stats.n_packets
+        pair_keys = r_owner * n + r_src
+        uniq_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
+        dest_totals = {
+            int(d): cnt
+            for d, cnt in zip(*np.unique(r_src, return_counts=True))
+        }
+        for key, cnt in zip(uniq_pairs.tolist(), pair_counts.tolist()):
+            o, s = divmod(key, n)
+            share = byte_map[s] * cnt / dest_totals[s]
+            _route_fabric(o, s, share)
+            down_bytes[s] += share
+
+    return model._Traffic(
+        up_bytes=up_bytes,
+        down_bytes=down_bytes,
+        fabric_loads=fabric_loads,
+        served_per_node=served_per_node,
+        n_packets=n_packets_total,
+    )

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.concat import (
     DelayQueueConcatenator,
     window_concat,
+    window_concat_dest_bytes,
     window_concat_totals,
 )
 from repro.sim import Simulator
@@ -145,6 +146,89 @@ class TestWindowConcatTotals:
         with pytest.raises(ValueError):
             window_concat_totals(np.array([0]), max_prs_per_packet=0,
                                  window_prs=5, pr_payload=8)
+
+
+#: Destination ids this far apart leave the (window, destination) key
+#: space sparse, so the kernels group with ``np.unique``, not bincount.
+SPARSE_STRIDE = 100_003
+
+
+class TestWindowConcatSegments:
+    """The segmented ``window_concat_totals`` is one call over many
+    independent streams: each entry must equal a scalar call on its
+    own segment."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segments=st.lists(st.lists(st.integers(0, 12), max_size=60),
+                          max_size=8),
+        maxp=st.integers(1, 12),
+        window=st.integers(-1, 40),
+        payload=st.integers(0, 256),
+        sparse=st.booleans(),
+    )
+    @example(segments=[[], [3, 3], [], [1]], maxp=4, window=8, payload=8,
+             sparse=False)
+    @example(segments=[[0, 0, 1], [2, 2]], maxp=3, window=1, payload=8,
+             sparse=False)
+    @example(segments=[[0, 0, 1], [2, 2]], maxp=3, window=0, payload=8,
+             sparse=False)
+    @example(segments=[[5, 5, 5], [5]], maxp=1, window=16, payload=4,
+             sparse=False)
+    @example(segments=[[7, 0, 7, 12], [], [12, 12]], maxp=2, window=3,
+             payload=0, sparse=True)
+    @example(segments=[], maxp=2, window=3, payload=0, sparse=False)
+    def test_property_matches_per_segment_calls(self, segments, maxp,
+                                                window, payload, sparse):
+        if sparse:
+            segments = [[d * SPARSE_STRIDE for d in seg] for seg in segments]
+        dests = np.array([d for seg in segments for d in seg],
+                         dtype=np.int64)
+        total, n_packets = window_concat_totals(
+            dests, max_prs_per_packet=maxp, window_prs=window,
+            pr_payload=payload, lengths=[len(seg) for seg in segments])
+        assert total.dtype == n_packets.dtype == np.int64
+        got = list(zip(total.tolist(), n_packets.tolist()))
+        want = [
+            window_concat_totals(np.array(seg, dtype=np.int64),
+                                 max_prs_per_packet=maxp, window_prs=window,
+                                 pr_payload=payload)
+            for seg in segments
+        ]
+        assert got == want
+
+    def test_lengths_must_cover_the_stream(self):
+        with pytest.raises(ValueError):
+            window_concat_totals(np.array([0, 1, 2]), max_prs_per_packet=2,
+                                 window_prs=4, pr_payload=8, lengths=[1, 1])
+
+
+class TestWindowConcatDestBytes:
+    """Per-destination bytes as an array: the entries of
+    ``window_concat(...).wire_bytes_per_dest(...)``, zero elsewhere."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dests=st.lists(st.integers(0, 12), max_size=400),
+        maxp=st.integers(1, 40),
+        window=st.integers(0, 100),
+        payload=st.integers(0, 256),
+        sparse=st.booleans(),
+    )
+    def test_property_matches_per_dest_map(self, dests, maxp, window,
+                                           payload, sparse):
+        arr = np.array(dests, dtype=np.int64) * (SPARSE_STRIDE if sparse
+                                                 else 1)
+        stats = window_concat(arr, max_prs_per_packet=maxp,
+                              window_prs=window)
+        want = stats.wire_bytes_per_dest(pr_payload=payload)
+        nbytes, n_packets = window_concat_dest_bytes(
+            arr, max_prs_per_packet=maxp, window_prs=window,
+            pr_payload=payload)
+        assert n_packets == stats.n_packets
+        assert nbytes.size == (int(arr.max()) + 1 if arr.size else 0)
+        got = {int(d): int(nbytes[d]) for d in np.flatnonzero(nbytes)}
+        assert got == {d: b for d, b in want.items() if b}
 
 
 class TestDelayQueueConcatenator:

@@ -17,9 +17,11 @@ import pytest
 from repro.cluster import (
     batch_stats,
     build_cluster_topology,
+    model,
     simulate_netsparse,
 )
 from repro.config import NetSparseConfig
+from repro.core import reusedist
 from repro.core.concat import _window_concat_fast, window_concat
 from repro.core.pcache import PropertyCache, n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
@@ -276,22 +278,24 @@ class TestModelGolden:
     with hit masks scored from a reuse-distance profile."""
 
     @pytest.mark.parametrize("name", ["queen", "stokes"])
-    def test_commresult_bit_identical(self, name, cold_memos):
+    def test_commresult_bit_identical(self, name, cold_memos, monkeypatch):
         mat = load_benchmark(name, "tiny")
         topo = build_cluster_topology(CFG16)
-        sibling = dataclasses.replace(
-            CFG16, pcache_bytes=CFG16.pcache_bytes // 4
+        sibling, half, eighth = (
+            dataclasses.replace(CFG16, pcache_bytes=CFG16.pcache_bytes // d)
+            for d in (4, 2, 8)
         )
-        points = [(CFG16, None), (CFG16, 1024)]
+        points = [(CFG16, None), (CFG16, 1024), (half, None)]
         with cold_memos():
             cold = [simulate_netsparse(mat, 8, cfg, topo, rig_batch=rb)
                     for cfg, rb in points]
         # A sibling geometry fills the stage memos, so the warm points
-        # reuse its filter and merge stages and score a reuse profile.
+        # reuse its filter and merge stages.  The first warm point is
+        # the merged streams' second distinct geometry and builds their
+        # reuse profiles; the last scores a third geometry from them.
         simulate_netsparse(mat, 8, sibling, topo)
         warm = [simulate_netsparse(mat, 8, cfg, topo, rig_batch=rb)
                 for cfg, rb in points]
-        replay = simulate_netsparse(mat, 8, CFG16, topo)
         stats = batch_stats()
         assert stats["masks"]["hits"] > 0
         assert stats["merges"]["hits"] > 0
@@ -299,7 +303,56 @@ class TestModelGolden:
         assert stats["profile"]["profiles_built"] > 0
         for c, w in zip(cold, warm):
             assert_results_equal(c, w)
+
+        # A repeated geometry is answered by the stream's held hit mask:
+        # neither the replay kernel nor a profile scores it again.
+        calls = {"replay": 0, "score": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "delayed_cache_hits",
+                            counted("replay", model.delayed_cache_hits))
+        monkeypatch.setattr(reusedist.StreamProfile, "score",
+                            counted("score", reusedist.StreamProfile.score))
+        replay = simulate_netsparse(mat, 8, CFG16, topo)
+        assert calls == {"replay": 0, "score": 0}
         assert_results_equal(cold[0], replay)
+        # ...while a new geometry on the same streams is scored.
+        simulate_netsparse(mat, 8, eighth, topo)
+        assert calls["score"] > 0
+
+    def test_held_masks_stay_within_the_merge_budget(self, monkeypatch):
+        """Each hit mask a rack stream holds is charged to the merge
+        memo, which evicts whole entries to stay within its budget
+        however many geometries a sweep scores."""
+        model.reset_batch_state()
+        mat = load_benchmark("queen", "tiny")
+        topo = build_cluster_topology(CFG16)
+        simulate_netsparse(mat, 8, CFG16, topo)
+        memo = model._MERGES
+        streams = sum(
+            sum(a.nbytes for a in merged.values())
+            for (merged, _), _ in memo.data.values()
+        )
+        assert memo.bytes > streams       # one mask per stream is held
+        monkeypatch.setattr(memo, "budget", streams * 3 // 2)
+        misses = memo.misses
+        for divisor in range(2, 26):
+            cfg = dataclasses.replace(
+                CFG16, pcache_bytes=CFG16.pcache_bytes // divisor
+            )
+            simulate_netsparse(mat, 8, cfg, topo)
+            assert memo.bytes <= memo.budget
+        assert memo.misses > misses       # whole entries were evicted
+        for (merged, masks), nbytes in memo.data.values():
+            assert nbytes == (sum(a.nbytes for a in merged.values())
+                              + sum(m.nbytes for m in masks.values()))
+        assert memo.bytes == sum(nb for _, nb in memo.data.values())
+        model.reset_batch_state()
 
     def test_faulted_run_bit_identical(self, cold_memos):
         # faults= perturbs the *result* analytically; a memoized result

@@ -201,7 +201,11 @@ class TestBitIdentical:
         """Telemetry does not change which code runs: on warm memos an
         instrumented call hits and misses each memo exactly as a plain
         call does, records every stage, and returns the identical
-        result."""
+        result.  Both warm routes are covered: a new cache geometry
+        scored from the reuse profiles, and a repeated one answered by
+        its held hit mask."""
+        import dataclasses
+
         from repro.cluster import build_cluster_topology, simulate_netsparse
 
         def memo_counts():
@@ -215,17 +219,22 @@ class TestBitIdentical:
 
         mat = load_benchmark("queen", "tiny")
         cfg = NetSparseConfig()
+        half, quarter, eighth = (
+            dataclasses.replace(cfg, pcache_bytes=cfg.pcache_bytes // d)
+            for d in (2, 4, 8)
+        )
         topo = build_cluster_topology(cfg)
         reset_batch_state()
-        # Two warm-up calls: the second builds the reuse profiles, so
-        # the two measured calls below take the same route.
+        # Two warm-up calls: the second distinct geometry builds the
+        # reuse profiles, so the two measured calls below, each on a
+        # geometry of its own, take the same route.
         simulate_netsparse(mat, 16, cfg, topo)
-        simulate_netsparse(mat, 16, cfg, topo)
+        simulate_netsparse(mat, 16, half, topo)
         c0 = memo_counts()
-        baseline = simulate_netsparse(mat, 16, cfg, topo)
+        baseline = simulate_netsparse(mat, 16, quarter, topo)
         c1 = memo_counts()
         with telemetry_scope() as reg:
-            instrumented = simulate_netsparse(mat, 16, cfg, topo)
+            instrumented = simulate_netsparse(mat, 16, eighth, topo)
         c2 = memo_counts()
         plain = delta(c0, c1)
         assert plain == delta(c1, c2)
@@ -233,14 +242,25 @@ class TestBitIdentical:
         assert {"cluster.stage.filter", "cluster.stage.cache",
                 "cluster.stage.respond",
                 "cluster.stage.timing"} <= {s.name for s in reg.spans}
-        assert instrumented is not baseline
-        assert instrumented.total_time == baseline.total_time
-        assert np.array_equal(instrumented.per_node_time,
-                              baseline.per_node_time)
-        assert np.array_equal(instrumented.recv_wire_bytes,
-                              baseline.recv_wire_bytes)
-        assert instrumented.cache_hits == baseline.cache_hits
-        assert instrumented.n_packets == baseline.n_packets
+        # The same geometries again: their held masks answer both calls,
+        # so neither consults the profiles.
+        with telemetry_scope():
+            instrumented_repeat = simulate_netsparse(mat, 16, quarter, topo)
+        c3 = memo_counts()
+        plain_repeat = simulate_netsparse(mat, 16, eighth, topo)
+        c4 = memo_counts()
+        assert delta(c2, c3) == delta(c3, c4)
+        assert delta(c2, c3)["profiles"] == (0, 0)
+        for plain_run, instrumented_run in ((baseline, instrumented_repeat),
+                                            (plain_repeat, instrumented)):
+            assert instrumented_run is not plain_run
+            assert instrumented_run.total_time == plain_run.total_time
+            assert np.array_equal(instrumented_run.per_node_time,
+                                  plain_run.per_node_time)
+            assert np.array_equal(instrumented_run.recv_wire_bytes,
+                                  plain_run.recv_wire_bytes)
+            assert instrumented_run.cache_hits == plain_run.cache_hits
+            assert instrumented_run.n_packets == plain_run.n_packets
 
     def test_des_gather_identical_with_and_without_telemetry(self):
         from repro.dessim import run_des_gather
