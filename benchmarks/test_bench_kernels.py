@@ -114,10 +114,20 @@ def test_kernel_e2e_compute_repeat(benchmark, scale):
     assert (result.times == first).all()
 
 
+#: ``structural_digest()`` of each benchmark at ``small`` (seed 7).
+SMALL_DIGESTS = {
+    "arabic": "011485ae3f8e3674de807c3de2951f4c",
+    "europe": "f1501055e92c0bfad90a3ac7f1a979e8",
+    "queen": "bba4b86b872664997880c9b128846a69",
+    "stokes": "bcb6849f86e030053d9fa44eeb67fe19",
+    "uk": "c38242c18bd6c4de720e33a869a20208",
+}
+
+
 def _generate_workload(scale):
-    nnz = {name: BENCHMARKS[name].generate(scale=scale).nnz
-           for name in MATRIX_NAMES}
-    return SimpleNamespace(exp_id="kernel.generate", nnz=nnz)
+    mats = {name: BENCHMARKS[name].generate(scale=scale)
+            for name in MATRIX_NAMES}
+    return SimpleNamespace(exp_id="kernel.generate", mats=mats)
 
 
 def _load_stored_workload(scale):
@@ -136,8 +146,12 @@ def test_kernel_generate(benchmark, scale):
     """The five benchmark matrices, generated past the suite memo (as
     every fresh CLI process does)."""
     result = run_once(benchmark, _generate_workload, scale)
-    assert set(result.nnz) == set(MATRIX_NAMES)
-    assert min(result.nnz.values()) > 0
+    assert set(result.mats) == set(MATRIX_NAMES)
+    assert min(m.nnz for m in result.mats.values()) > 0
+    if scale == "small":
+        # Hashed after the timed region.
+        assert {name: m.structural_digest()
+                for name, m in result.mats.items()} == SMALL_DIGESTS
 
 
 def test_kernel_load_stored(benchmark, scale):

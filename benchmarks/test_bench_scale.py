@@ -26,7 +26,7 @@ from repro.cluster import build_cluster_topology, simulate_netsparse
 from repro.config import NetSparseConfig
 from repro.partition import TraceCache, build_partition, set_trace_cache
 from repro.sparse.shards import is_sharded
-from repro.sparse.suite import load_benchmark
+from repro.sparse.suite import stored_set
 
 from conftest import peak_rss_mb, run_once
 
@@ -52,14 +52,32 @@ BUDGETS = {
 #: Resident-trace budget for the sweep's TraceCache (idx elements).
 SPILL_NNZ = 32 * 1024 * 1024
 
+#: ``structural_digest()`` of each benchmark at ``large`` (seed 7); the
+#: sweep asserts the ones it generates.
+LARGE_DIGESTS = {
+    "arabic": "f0e39203522ec55ca3eaeb0ecf192102",
+    "europe": "4463795119499f9edc1d7c1c73e4150b",
+    "queen": "33de8452366b80b25d039e6f9a2fff1a",
+    "stokes": "4f1a564ab1738efe18531595114b56ab",
+    "uk": "aabc4137104477d2510e450dbdb4e1c1",
+}
+
+
+def _open(name: str, scale: str):
+    """The stored set, read sharded at every scale; pinned at large."""
+    mat = stored_set(name, scale)
+    assert is_sharded(mat)
+    if scale == "large":
+        assert mat.structural_digest() == LARGE_DIGESTS[name], name
+    return mat
+
 
 def _sweep(scale: str):
     cfg = NetSparseConfig()
     topo = build_cluster_topology(cfg)
     out = {}
     for name in SWEEP:
-        mat = load_benchmark(name, scale, sharded=True)
-        assert is_sharded(mat)
+        mat = _open(name, scale)
         out[name] = (mat.nnz, simulate_netsparse(mat, K, cfg, topo))
     return out
 
@@ -106,8 +124,7 @@ def _extract_traces(scale: str, matrices):
     """Generation + windowed trace walk only — no kernel dispatch."""
     out = {}
     for name in matrices:
-        mat = load_benchmark(name, scale, sharded=True)
-        assert is_sharded(mat)
+        mat = _open(name, scale)
         part = build_partition(mat, N_NODES)
         total = remote = 0
         for tr in part.node_traces():

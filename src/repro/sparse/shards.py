@@ -65,6 +65,9 @@ _SCHEMA = "repro.shards/v1"
 #: Digest header layout shared with COOMatrix.structural_digest.
 _DIGEST_SIZE = 16
 
+#: Bytes per read when hashing a written column file.
+_HASH_BLOCK = 1 << 20
+
 
 def drop_pages(arr: np.ndarray) -> None:
     """Advise the kernel that a memmapped array's pages can be freed.
@@ -107,31 +110,25 @@ class ShardWriter:
     """Stream canonical COO chunks into a shard directory.
 
     ``append`` takes chunks that are already canonical (sorted,
-    deduplicated) and row-aligned — the contract
-    :func:`repro.sparse.synthetic.stream_chunks` provides.  Rows are
-    hashed incrementally as chunks arrive; columns are hashed from disk
-    at :meth:`finalize` (the digest byte order is all rows then all
-    cols, matching ``COOMatrix.structural_digest``), so no O(nnz)
-    buffer ever exists in memory.  A caller writing a matrix it already
-    holds in memory passes its ``structural_digest()`` as ``digest``
-    and nothing is hashed or re-read.
+    deduplicated) and row-aligned — the contract the family streamers
+    in :mod:`repro.sparse.synthetic` provide.  Rows are hashed
+    incrementally as chunks arrive; columns are hashed from disk at
+    :meth:`finalize` (the digest byte order is all rows then all cols,
+    matching ``COOMatrix.structural_digest``), so no O(nnz) buffer
+    ever exists in memory.
     """
 
-    def __init__(self, path: str, n_rows: int, n_cols: int, name: str = "",
-                 digest: Optional[str] = None):
+    def __init__(self, path: str, n_rows: int, n_cols: int, name: str = ""):
         self.path = path
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.name = name
         self.nnz = 0
         self._shards: List[dict] = []
-        self._digest = digest
-        self._rows_hash = None
-        if digest is None:
-            self._rows_hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-            self._rows_hash.update(
-                np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes()
-            )
+        self._hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+        self._hash.update(
+            np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes()
+        )
         self._last_row = -1
         self._finalized = False
         os.makedirs(path, exist_ok=True)
@@ -156,8 +153,7 @@ class ShardWriter:
         col_path = os.path.join(self.path, f"shard-{i:05d}.cols.npy")
         np.save(row_path, rows)
         np.save(col_path, cols)
-        if self._rows_hash is not None:
-            self._rows_hash.update(rows.tobytes())
+        self._hash.update(rows)
         self._shards.append({
             "nnz": int(rows.size),
             "row_min": int(rows[0]),
@@ -167,27 +163,20 @@ class ShardWriter:
         self._last_row = int(rows[-1])
 
     def finalize(self) -> "ShardedCOOMatrix":
-        """Hash columns from disk (unless the digest was given), write
-        the manifest, open the store."""
+        """Hash columns from disk, write the manifest, open the store."""
         if self._finalized:
             raise RuntimeError("writer already finalized")
-        if self._digest is None:
-            h = self._rows_hash
-            for i in range(len(self._shards)):
-                cols = np.load(
-                    os.path.join(self.path, f"shard-{i:05d}.cols.npy"),
-                    mmap_mode="r",
-                )
-                h.update(np.ascontiguousarray(cols).tobytes())
-                drop_pages(cols)
-            self._digest = h.hexdigest()
+        for i in range(len(self._shards)):
+            _hash_npy_data(
+                self._hash, os.path.join(self.path, f"shard-{i:05d}.cols.npy")
+            )
         manifest = {
             "schema": _SCHEMA,
             "name": self.name,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
             "nnz": self.nnz,
-            "digest": self._digest,
+            "digest": self._hash.hexdigest(),
             "shards": self._shards,
         }
         tmp = os.path.join(self.path, _MANIFEST + ".tmp")
@@ -199,22 +188,35 @@ class ShardWriter:
         return ShardedCOOMatrix(self.path)
 
 
+def _hash_npy_data(h, path: str) -> None:
+    """Feed the data bytes of the ``.npy`` file at ``path`` to ``h``.
+
+    Reads past the magic and header, then in ``_HASH_BLOCK`` blocks: a
+    memmap plus ``tobytes()`` would map every page into the resident
+    set and then copy it.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        major, _ = fmt.read_magic(fh)
+        (fmt.read_array_header_1_0 if major == 1
+         else fmt.read_array_header_2_0)(fh)
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            h.update(block)
+
+
 def write_sharded(
     path: str,
     n_rows: int,
     n_cols: int,
     chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
     name: str = "",
-    digest: Optional[str] = None,
 ) -> "ShardedCOOMatrix":
     """Drain a canonical chunk iterator into a new shard store.
 
     Written to a fresh sibling temp directory and atomically renamed
     into place, so concurrent writers (engine workers or CLI processes
     racing to generate the same benchmark) and a writer killed midway
-    never leave a half-written store at ``path``.  ``digest``, when
-    given, must be the ``structural_digest()`` of the concatenated
-    chunks (see :class:`ShardWriter`).
+    never leave a half-written store at ``path``.
     """
     if os.path.exists(os.path.join(path, _MANIFEST)):
         return ShardedCOOMatrix(path)
@@ -222,7 +224,7 @@ def write_sharded(
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=os.path.basename(path) + ".tmp-",
                            dir=parent)
-    writer = ShardWriter(tmp, n_rows, n_cols, name=name, digest=digest)
+    writer = ShardWriter(tmp, n_rows, n_cols, name=name)
     try:
         for rows, cols in chunks:
             writer.append(rows, cols)
@@ -446,4 +448,4 @@ def from_coo(
             start = stop
 
     return write_sharded(path, matrix.n_rows, matrix.n_cols, chunks(),
-                         name=matrix.name, digest=matrix.structural_digest())
+                         name=matrix.name)

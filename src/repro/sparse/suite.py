@@ -20,12 +20,12 @@ Scales
 
 Every matrix is stored once per shard directory
 (:func:`repro.sparse.shards.shard_root`) by :func:`stored_set`: the
-first load generates and writes it, every later load memory-maps it.
-Matrices at sharded scales are generated chunk-by-chunk
-(:func:`repro.sparse.synthetic.stream_chunks`) into many shards and
-come back as :class:`~repro.sparse.shards.ShardedCOOMatrix` — same
-``structural_digest`` as the in-memory twin, bounded resident set.
-The other scales are one-shard sets and come back as a
+first load streams its family's generator into the store, every later
+load memory-maps it.  Matrices at sharded scales are written in many
+chunk-sized shards and come back as
+:class:`~repro.sparse.shards.ShardedCOOMatrix` — same
+``structural_digest`` as the whole matrix, bounded resident set.  The
+other scales are written as one chunk, one shard, and come back as a
 :class:`COOMatrix` over the read-only memmaps.
 """
 
@@ -102,11 +102,11 @@ _SHARDED_SCALES = ("large", "paper")
 
 
 def sharded_scales() -> Set[str]:
-    """Scales whose sets are streamed into many shards and that default
-    to the sharded reader.
+    """Scales whose sets are streamed into many shards and read back
+    as :class:`~repro.sparse.shards.ShardedCOOMatrix`.
 
     ``REPRO_SHARDED_SCALES`` (comma-separated) adds scales — e.g.
-    ``REPRO_SHARDED_SCALES=tiny`` forces the streamed writer and the
+    ``REPRO_SHARDED_SCALES=tiny`` forces the chunked writer and the
     out-of-core path in unit tests without paying large-scale
     generation time.
     """
@@ -123,11 +123,12 @@ class BenchmarkSpec:
     ``paper_rows_m`` / ``paper_nnz_m`` record the original SuiteSparse
     sizes (in millions) from Table 6; ``default_rig_batch`` is the RIG
     batch size the paper uses for this matrix (§8.2), scaled in the
-    cluster model by the matrix scale factor.
+    cluster model by the matrix scale factor.  ``generator`` is the
+    family's streamer in :mod:`repro.sparse.synthetic`.
     """
 
     name: str
-    generator: Callable[..., COOMatrix]
+    generator: Callable[..., Iterator[Tuple[np.ndarray, np.ndarray]]]
     gen_kwargs: Dict
     paper_rows_m: float
     paper_nnz_m: float
@@ -143,26 +144,26 @@ class BenchmarkSpec:
             ) from None
 
     def generate(self, scale: str = "small", seed: int = 7) -> COOMatrix:
-        n = self.rows_for_scale(scale)
-        mat = self.generator(n=n, seed=seed, name=self.name, **self.gen_kwargs)
-        return mat
+        """The whole matrix in memory: :meth:`stream` as one chunk."""
+        return synthetic.materialize(
+            self.generator, self.rows_for_scale(scale), self.name,
+            seed=seed, **self.gen_kwargs,
+        )
 
     def stream(
         self, scale: str = "small", seed: int = 7,
         chunk_nnz: Optional[int] = None,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Canonical chunk stream, bit-identical to :meth:`generate`."""
-        n = self.rows_for_scale(scale)
-        return synthetic.stream_chunks(
-            self.generator, n=n, seed=seed, chunk_nnz=chunk_nnz,
-            name=self.name, **self.gen_kwargs,
-        )
+        """Canonical ``(rows, cols)`` chunks of about ``chunk_nnz``
+        nonzeros; every chunk size yields the same matrix."""
+        return self.generator(self.rows_for_scale(scale), seed=seed,
+                              chunk_nnz=chunk_nnz, **self.gen_kwargs)
 
 
 BENCHMARKS: Dict[str, BenchmarkSpec] = {
     "arabic": BenchmarkSpec(
         name="arabic",
-        generator=synthetic.web_crawl,
+        generator=synthetic.web_crawl_chunks,
         gen_kwargs=dict(mean_degree=26.0, locality=0.72, hub_alpha=1.2,
                         page_alpha=1.3, block_size=512, escape_frac=0.03),
         paper_rows_m=23.0,
@@ -172,7 +173,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "europe": BenchmarkSpec(
         name="europe",
-        generator=synthetic.road_network,
+        generator=synthetic.road_network_chunks,
         gen_kwargs=dict(mean_degree=2.2, long_range_frac=0.25),
         paper_rows_m=51.0,
         paper_nnz_m=108.0,
@@ -181,7 +182,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "queen": BenchmarkSpec(
         name="queen",
-        generator=synthetic.banded_fem,
+        generator=synthetic.banded_fem_chunks,
         gen_kwargs=dict(mean_degree=56.0, band=160),
         paper_rows_m=4.0,
         paper_nnz_m=317.0,
@@ -190,7 +191,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "stokes": BenchmarkSpec(
         name="stokes",
-        generator=synthetic.coupled_flow,
+        generator=synthetic.coupled_flow_chunks,
         gen_kwargs=dict(mean_degree=26.0, band=48, coupling_frac=0.3),
         paper_rows_m=11.0,
         paper_nnz_m=350.0,
@@ -199,7 +200,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "uk": BenchmarkSpec(
         name="uk",
-        generator=synthetic.web_crawl,
+        generator=synthetic.web_crawl_chunks,
         gen_kwargs=dict(mean_degree=16.0, locality=0.55, hub_alpha=1.15,
                         page_alpha=1.1, block_size=256, escape_frac=0.10),
         paper_rows_m=19.0,
@@ -309,10 +310,10 @@ def stored_set(name: str, scale: str = "small", seed: int = 7):
     Every scale is stored under :func:`repro.sparse.shards.shard_root`,
     one directory per matrix, so only the first process to ask for a
     matrix generates it; every later one (a second ``netsparse run``,
-    an engine worker) memory-maps it.  Scales in :func:`sharded_scales`
-    stream their chunked twin into many shards; every other scale is
-    generated in one shot, hashed in memory and written as one shard.
-    Returns the :class:`~repro.sparse.shards.ShardedCOOMatrix`.
+    an engine worker) memory-maps it.  The family's streamer writes
+    every set: scales in :func:`sharded_scales` in chunk-sized shards,
+    every other scale as one chunk, one shard.  Returns the
+    :class:`~repro.sparse.shards.ShardedCOOMatrix`.
     """
     from repro.sparse import shards
 
@@ -321,17 +322,13 @@ def stored_set(name: str, scale: str = "small", seed: int = 7):
     if os.path.exists(os.path.join(path, "manifest.json")):
         return shards.ShardedCOOMatrix(path)
     n = spec.rows_for_scale(scale)
-    if scale in sharded_scales():
-        return shards.write_sharded(
-            path, n, n, spec.stream(scale=scale, seed=seed), name=name
-        )
-    mat = spec.generate(scale=scale, seed=seed)
-    return shards.write_sharded(path, n, n, [(mat.rows, mat.cols)],
-                                name=name, digest=mat.structural_digest())
+    chunk_nnz = None if scale in sharded_scales() else synthetic.ONE_CHUNK
+    return shards.write_sharded(path, n, n,
+                                spec.stream(scale, seed, chunk_nnz),
+                                name=name)
 
 
-def load_benchmark(name: str, scale: str = "small", seed: int = 7,
-                   sharded: Optional[bool] = None):
+def load_benchmark(name: str, scale: str = "small", seed: int = 7):
     """Load (and memoize) a benchmark matrix or workload trace.
 
     Names beginning with ``wl:`` are workload round traces
@@ -340,13 +337,13 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7,
     either kind of matrix resolve through this one front door — the
     execution engine's worker processes rely on that.
 
-    Benchmark matrices come from their :func:`stored_set`.  ``sharded``
-    only picks the reader over it: ``True`` returns the on-disk
-    :class:`~repro.sparse.shards.ShardedCOOMatrix`, ``False`` a
-    :class:`COOMatrix` (a view over the memmaps of a one-shard set),
-    and ``None`` (default) shards exactly the scales in
-    :func:`sharded_scales`.  Both readers share one
-    ``structural_digest``, read from the set's manifest.
+    Benchmark matrices come from their :func:`stored_set`, read as the
+    scale says: scales in :func:`sharded_scales` return the on-disk
+    :class:`~repro.sparse.shards.ShardedCOOMatrix`, every other scale a
+    :class:`COOMatrix` (a view over the memmaps of its one-shard set).
+    Both readers share one ``structural_digest``, read from the set's
+    manifest.  A caller that wants the sharded reader at another scale
+    calls :func:`stored_set` itself.
 
     Raises ``KeyError`` with the available names for typos.
     """
@@ -356,9 +353,7 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7,
         return load_workload_trace(name, scale=scale, seed=seed)
     if name not in BENCHMARKS:
         raise KeyError(f"unknown benchmark {name!r}; available: {MATRIX_NAMES}")
-    if sharded is None:
-        sharded = scale in sharded_scales()
-    if sharded:
+    if scale in sharded_scales():
         return _memo.get_or_load((name, scale, seed, "sharded"),
                                  lambda: stored_set(name, scale, seed))
     return _memo.get_or_load((name, scale, seed, "dense"),

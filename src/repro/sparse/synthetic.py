@@ -28,29 +28,32 @@ Matrix                Structure reproduced
 
 All generators are deterministic given a seed and fully vectorized.
 
-Chunk-streamed twins
---------------------
-Every generator also has a ``*_chunks`` twin
+Streamed generation
+-------------------
+Each family has one implementation, a streamer
 (:func:`web_crawl_chunks` …) that yields canonical ``(rows, cols)``
-chunks whose concatenation is **bit-identical** to
-``generator(...).canonicalize()`` — same seed, same draws, same digest
-— while never holding an O(nnz) array in RAM.  The trick: numpy
+chunks of about ``chunk_nnz`` nonzeros; the family's plain name
+(:func:`web_crawl` …) runs it as one chunk covering the whole matrix
+and returns a :class:`COOMatrix`.  Every chunk size yields the same
+nonzeros — same seed, same draws, same digest.  The trick: numpy
 ``Generator`` draws consume the bit stream sequentially per value, so
-a full-array draw equals the concatenation of chunked draws.  The
-one-shot implementations draw several full nnz-length arrays in a
-fixed order before combining them, so the streamed twins replay each
-draw chunk-by-chunk into a disk-backed scratch memmap (preserving the
-exact consumption order) and then combine aligned windows.  Chunk
-boundaries always fall on row boundaries, which makes per-chunk
-canonicalization equal to global canonicalization (duplicates of a
-``(row, col)`` key can only live inside one row).
+a full-array draw equals the concatenation of chunked draws.  A family
+draws several nnz-length arrays in a fixed order before combining
+them; when one chunk covers the matrix they stay in memory, otherwise
+each draw is replayed chunk-by-chunk into a disk-backed scratch memmap
+(preserving the exact consumption order) and aligned windows are
+combined, so no O(nnz) array is ever resident.  Chunk boundaries
+always fall on row boundaries, which makes per-chunk canonicalization
+equal to global canonicalization (duplicates of a ``(row, col)`` key
+can only live inside one row).
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,13 +68,16 @@ __all__ = [
     "road_network_chunks",
     "banded_fem_chunks",
     "coupled_flow_chunks",
-    "stream_chunks",
+    "materialize",
     "power_law_degrees",
     "zipf_sample",
 ]
 
 #: Default nonzeros per streamed chunk (~32 MB of rows+cols at int64).
 DEFAULT_CHUNK_NNZ = int(os.environ.get("REPRO_CHUNK_NNZ", str(1 << 21)))
+
+#: ``chunk_nnz`` that covers any matrix in one chunk.
+ONE_CHUNK = sys.maxsize
 
 
 def power_law_degrees(
@@ -111,7 +117,8 @@ def zipf_sample(
 
 
 def _zipf_cdf(n_values: int, alpha: float) -> np.ndarray:
-    """Exact finite-Zipf CDF shared by one-shot and streamed samplers."""
+    """Exact finite-Zipf CDF (for :func:`zipf_sample` and the per-chunk
+    lookups of :func:`web_crawl_chunks`)."""
     if n_values <= 0:
         raise ValueError("n_values must be positive")
     ranks = np.arange(1, n_values + 1, dtype=np.float64)
@@ -125,67 +132,11 @@ def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
 
 
-def web_crawl(
-    n: int,
-    mean_degree: float = 24.0,
-    locality: float = 0.75,
-    block_size: int = 512,
-    hub_alpha: float = 1.5,
-    page_alpha: float = 1.3,
-    hub_block_size: int = 32,
-    escape_frac: float = 0.05,
-    seed: int = 0,
-    name: str = "web",
-) -> COOMatrix:
-    """Synthetic web-crawl adjacency matrix (arabic-2005 / uk-2002 style).
-
-    Each page links mostly within its own host block (``locality``
-    fraction, near-diagonal).  The remaining links target *hub hosts*:
-    small blocks of popular pages scattered over the id space.  All
-    pages of one source host share a primary hub host (pages of a site
-    link into the same community), and individual links escape to an
-    independently Zipf-drawn host with probability ``escape_frac``.
-
-    Small ``escape_frac`` + steep ``hub_alpha`` (arabic) gives tight
-    temporal destination locality and heavy idx reuse; larger escape
-    and flatter Zipf (uk) spreads destinations and dilutes reuse.
-    """
-    rng = np.random.default_rng(seed)
-    n_hub_blocks = max(n // (hub_block_size * 8), 8)
-    degrees = power_law_degrees(rng, n, mean_degree)
-    # Degree is host-correlated in real crawls (dense hub sites versus
-    # leaf sites), which is what creates per-partition nonzero imbalance
-    # under contiguous 1D partitioning (Figure 19 / the sub-linear
-    # no-communication 'ideal' scaling of Figure 13).
-    n_blocks = (n + block_size - 1) // block_size
-    block_boost = rng.lognormal(mean=0.0, sigma=0.8, size=n_blocks)
-    degrees = np.maximum(
-        (degrees * block_boost[np.arange(n) // block_size]).astype(np.int64), 1
-    )
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    nnz = rows.size
-    local_mask = rng.random(nnz) < locality
-    u_cols_local = rng.random(nnz)
-    hub_block_base = rng.permutation(n - hub_block_size)[:n_hub_blocks]
-    n_src_blocks = (n + block_size - 1) // block_size
-    primary_of_block = zipf_sample(rng, n_hub_blocks, n_src_blocks, hub_alpha)
-    u_per_link = rng.random(nnz)
-    use_per_link = rng.random(nnz) < escape_frac
-    u_page = rng.random(nnz)
-    cols = _web_crawl_cols(
-        n, block_size, rows, local_mask, u_cols_local, use_per_link,
-        u_per_link, u_page, hub_block_base, primary_of_block,
-        _zipf_cdf(n_hub_blocks, hub_alpha),
-        _zipf_cdf(hub_block_size, page_alpha),
-    )
-    return COOMatrix(n, n, rows, cols, None, name).canonicalize()
-
-
 def _web_crawl_cols(
     n, block_size, rows, local_mask, u_cols_local, use_per_link,
     u_per_link, u_page, hub_block_base, primary_of_block, cdf_hub, cdf_page,
 ) -> np.ndarray:
-    """Combine :func:`web_crawl`'s uniform draws into column ids.
+    """Combine :func:`web_crawl_chunks`'s uniform draws into column ids.
 
     Every draw covers all nonzeros (that keeps the rng stream fixed),
     but each lookup runs only on the nonzeros that keep its result: a
@@ -211,130 +162,48 @@ def _web_crawl_cols(
     return cols
 
 
-def road_network(
-    n: int,
-    mean_degree: float = 2.2,
-    long_range_frac: float = 0.12,
-    min_long: int = 64,
-    max_long_frac: float = 1 / 32,
-    seed: int = 0,
-    name: str = "road",
-) -> COOMatrix:
-    """Synthetic road network (europe_osm style).
-
-    Nearly constant degree ~2; neighbors are tiny diagonal offsets
-    (road segments under a spatial vertex ordering) plus a fraction of
-    log-uniform multi-scale offsets standing in for the 2D adjacency a
-    1D ordering cannot keep local.  Column reuse is negligible by
-    design: every column is referenced by ~2 rows, usually in the same
-    partition.
-    """
-    rng = np.random.default_rng(seed)
-    degrees = rng.poisson(mean_degree, size=n).astype(np.int64)
-    degrees[degrees < 1] = 1
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    nnz = rows.size
-
-    short = rng.integers(1, 4, size=nnz) * _signs(rng, nnz)
-    max_long = max(int(n * max_long_frac), min_long * 2)
-    log_mag = rng.uniform(np.log(min_long), np.log(max_long), size=nnz)
-    long = np.exp(log_mag).astype(np.int64) * _signs(rng, nnz)
-    use_long = rng.random(nnz) < long_range_frac
-    offsets = np.where(use_long, long, short)
-    cols = np.clip(rows + offsets, 0, n - 1)
-    return COOMatrix(n, n, rows, cols, None, name).canonicalize()
-
-
-def banded_fem(
-    n: int,
-    mean_degree: float = 48.0,
-    band: int = 160,
-    seed: int = 0,
-    name: str = "fem",
-) -> COOMatrix:
-    """Banded 3D-FEM matrix (queen_4147 style).
-
-    Nonzeros concentrate in a narrow band around the diagonal, so a
-    node's remote requests all target immediately adjacent partitions:
-    temporal destination locality is essentially perfect (Table 4 gives
-    1.00 for queen) and boundary columns are re-requested by every row
-    within band reach, giving heavy filter/coalesce gains.
-    """
-    rng = np.random.default_rng(seed)
-    degrees = np.maximum(
-        rng.normal(mean_degree, mean_degree / 8, size=n).astype(np.int64), 4
-    )
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    nnz = rows.size
-    offsets = rng.integers(-band, band + 1, size=nnz)
-    cols = np.clip(rows + offsets, 0, n - 1)
-    return COOMatrix(n, n, rows, cols, None, name).canonicalize()
-
-
-def coupled_flow(
-    n: int,
-    mean_degree: float = 26.0,
-    band: int = 48,
-    n_fields: int = 3,
-    coupling_frac: float = 0.3,
-    seed: int = 0,
-    name: str = "flow",
-) -> COOMatrix:
-    """Coupled flow matrix (stokes style).
-
-    A Stokes discretization orders the velocity/pressure fields as
-    consecutive segments; each row couples within its own segment band
-    and to the matching location in the *next* field segment (the
-    B / Bᵀ off-diagonal blocks).  That yields a band plus one coupling
-    stripe per row: about two remote destinations per request window
-    and moderate reuse.
-    """
-    rng = np.random.default_rng(seed)
-    if n_fields < 2:
-        raise ValueError("need at least two fields for coupling")
-    degrees = np.maximum(
-        rng.normal(mean_degree, mean_degree / 6, size=n).astype(np.int64), 3
-    )
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    nnz = rows.size
-    seg = n // n_fields
-
-    in_band = rng.integers(-band, band + 1, size=nnz)
-    # Field f couples to field f+1; the last field wraps to field 0.
-    field_of_row = np.minimum(rows // seg, n_fields - 1)
-    shift = np.where(field_of_row < n_fields - 1, seg, -(n_fields - 1) * seg)
-    jitter = rng.integers(-band, band + 1, size=nnz)
-    coupled = shift + jitter
-    use_coupling = rng.random(nnz) < coupling_frac
-    offsets = np.where(use_coupling, coupled, in_band)
-    cols = np.clip(rows + offsets, 0, n - 1)
-    return COOMatrix(n, n, rows, cols, None, name).canonicalize()
-
-
 # ---------------------------------------------------------------------
-# chunk-streamed generation
+# streamed generation
 # ---------------------------------------------------------------------
 
 
 class _Scratch:
-    """Disk-backed replay buffer for full-length rng draws.
+    """Replay buffer for nnz-length rng draws.
 
-    ``draw(fn)`` fills an nnz-length memmap chunk-by-chunk — consuming
-    the generator's bit stream exactly as one ``fn(nnz)`` call would —
-    and returns it reopened read-only, so the combining pass below can
-    window into it without an O(nnz) resident array.
+    ``draw(fn)`` returns what one ``fn(total)`` call would, consuming
+    the generator's bit stream identically.  When one chunk covers all
+    ``total`` values it *is* that call, in memory.  Otherwise the draw
+    is filled chunk-by-chunk into a disk-backed memmap and reopened
+    read-only, so the combining pass can window into it without an
+    O(nnz) resident array.  Used as a context manager: the scratch
+    directory (made on the first disk-backed draw) goes on exit.
     """
 
-    def __init__(self, directory: str, total: int, chunk: int):
-        self.dir = directory
+    def __init__(self, total: int, chunk: int,
+                 directory: Optional[str] = None):
         self.total = int(total)
         self.chunk = max(int(chunk), 1)
+        self.in_memory = self.total <= self.chunk
+        self._dir = directory
+        self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._n = 0
 
+    def __enter__(self) -> "_Scratch":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._tmp is not None:
+            self._tmp.cleanup()
+
     def draw(self, fn, dtype=np.float64) -> np.ndarray:
+        if self.in_memory:
+            return fn(self.total)
         from repro.sparse.shards import drop_pages
 
-        path = os.path.join(self.dir, f"scratch-{self._n}.npy")
+        if self._tmp is None:
+            self._tmp = tempfile.TemporaryDirectory(prefix="repro-gen-",
+                                                    dir=self._dir)
+        path = os.path.join(self._tmp.name, f"scratch-{self._n}.npy")
         self._n += 1
         out = np.lib.format.open_memmap(
             path, mode="w+", dtype=dtype, shape=(self.total,)
@@ -348,19 +217,41 @@ class _Scratch:
         del out
         return np.load(path, mmap_mode="r")
 
+    def fold(self, fn, *draws):
+        """``fn`` over aligned draws: applied now when they are in
+        memory (so the operands can be freed), else per window."""
+        return fn(*draws) if self.in_memory else _Fold(fn, draws)
 
-def _row_chunk_plan(degrees: np.ndarray, chunk_nnz: int):
+
+class _Fold:
+    """``fn`` over aligned disk-backed draws, evaluated per slice."""
+
+    def __init__(self, fn, draws):
+        self.fn = fn
+        self.draws = draws
+
+    def __getitem__(self, window: slice) -> np.ndarray:
+        return self.fn(*(d[window] for d in self.draws))
+
+
+def _row_chunk_plan(degrees: np.ndarray,
+                    chunk_nnz: int) -> List[Tuple[int, int, int, int]]:
     """Row-aligned chunk windows ``(r0, r1, k0, k1)`` of ~chunk_nnz
-    nonzeros (a single row larger than the budget gets its own chunk)."""
+    nonzeros (a single row larger than the budget gets its own chunk).
+
+    Planned up front, so the row prefix sums are freed before the
+    nnz-length draws are made.
+    """
     n = degrees.size
     prefix = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
-    r0 = 0
+    plan, r0 = [], 0
     while r0 < n:
         target = prefix[r0] + max(int(chunk_nnz), 1)
         r1 = int(np.searchsorted(prefix, target, side="right")) - 1
         r1 = min(max(r1, r0 + 1), n)
-        yield r0, r1, int(prefix[r0]), int(prefix[r1])
+        plan.append((r0, r1, int(prefix[r0]), int(prefix[r1])))
         r0 = r1
+    return plan
 
 
 def _rows_of_window(r0: int, r1: int, degrees: np.ndarray) -> np.ndarray:
@@ -377,42 +268,55 @@ def web_crawl_chunks(
     hub_block_size: int = 32,
     escape_frac: float = 0.05,
     seed: int = 0,
-    name: str = "web",
     chunk_nnz: Optional[int] = None,
     scratch_dir: Optional[str] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Streamed twin of :func:`web_crawl` (bit-identical chunks)."""
+    """Synthetic web-crawl adjacency matrix (arabic-2005 / uk-2002 style).
+
+    Each page links mostly within its own host block (``locality``
+    fraction, near-diagonal).  The remaining links target *hub hosts*:
+    small blocks of popular pages scattered over the id space.  All
+    pages of one source host share a primary hub host (pages of a site
+    link into the same community), and individual links escape to an
+    independently Zipf-drawn host with probability ``escape_frac``.
+
+    Small ``escape_frac`` + steep ``hub_alpha`` (arabic) gives tight
+    temporal destination locality and heavy idx reuse; larger escape
+    and flatter Zipf (uk) spreads destinations and dilutes reuse.
+    """
     chunk_nnz = chunk_nnz or DEFAULT_CHUNK_NNZ
     rng = np.random.default_rng(seed)
     n_hub_blocks = max(n // (hub_block_size * 8), 8)
     degrees = power_law_degrees(rng, n, mean_degree)
+    # Degree is host-correlated in real crawls (dense hub sites versus
+    # leaf sites), which is what creates per-partition nonzero imbalance
+    # under contiguous 1D partitioning (Figure 19 / the sub-linear
+    # no-communication 'ideal' scaling of Figure 13).
     n_blocks = (n + block_size - 1) // block_size
     block_boost = rng.lognormal(mean=0.0, sigma=0.8, size=n_blocks)
     degrees = np.maximum(
         (degrees * block_boost[np.arange(n) // block_size]).astype(np.int64), 1
     )
-    nnz = int(degrees.sum())
-    with tempfile.TemporaryDirectory(
-        prefix="repro-gen-", dir=scratch_dir
-    ) as tmp:
-        scratch = _Scratch(tmp, nnz, chunk_nnz)
-        u_local = scratch.draw(rng.random)
+    plan = _row_chunk_plan(degrees, chunk_nnz)
+    with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
+        local_mask = scratch.draw(lambda m: rng.random(m) < locality,
+                                  dtype=bool)
         u_cols_local = scratch.draw(rng.random)
         hub_block_base = rng.permutation(n - hub_block_size)[:n_hub_blocks]
-        n_src_blocks = (n + block_size - 1) // block_size
-        primary_of_block = zipf_sample(rng, n_hub_blocks, n_src_blocks,
+        primary_of_block = zipf_sample(rng, n_hub_blocks, n_blocks,
                                        hub_alpha)
         u_per_link = scratch.draw(rng.random)
-        u_escape = scratch.draw(rng.random)
+        use_per_link = scratch.draw(lambda m: rng.random(m) < escape_frac,
+                                    dtype=bool)
         u_page = scratch.draw(rng.random)
         cdf_hub = _zipf_cdf(n_hub_blocks, hub_alpha)
         cdf_page = _zipf_cdf(hub_block_size, page_alpha)
 
-        for r0, r1, k0, k1 in _row_chunk_plan(degrees, chunk_nnz):
+        for r0, r1, k0, k1 in plan:
             rows = _rows_of_window(r0, r1, degrees)
             cols = _web_crawl_cols(
-                n, block_size, rows, u_local[k0:k1] < locality,
-                u_cols_local[k0:k1], u_escape[k0:k1] < escape_frac,
+                n, block_size, rows, local_mask[k0:k1],
+                u_cols_local[k0:k1], use_per_link[k0:k1],
                 u_per_link[k0:k1], u_page[k0:k1], hub_block_base,
                 primary_of_block, cdf_hub, cdf_page,
             )
@@ -426,37 +330,43 @@ def road_network_chunks(
     min_long: int = 64,
     max_long_frac: float = 1 / 32,
     seed: int = 0,
-    name: str = "road",
     chunk_nnz: Optional[int] = None,
     scratch_dir: Optional[str] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Streamed twin of :func:`road_network` (bit-identical chunks)."""
+    """Synthetic road network (europe_osm style).
+
+    Nearly constant degree ~2; neighbors are tiny diagonal offsets
+    (road segments under a spatial vertex ordering) plus a fraction of
+    log-uniform multi-scale offsets standing in for the 2D adjacency a
+    1D ordering cannot keep local.  Column reuse is negligible by
+    design: every column is referenced by ~2 rows, usually in the same
+    partition.
+    """
     chunk_nnz = chunk_nnz or DEFAULT_CHUNK_NNZ
     rng = np.random.default_rng(seed)
     degrees = rng.poisson(mean_degree, size=n).astype(np.int64)
     degrees[degrees < 1] = 1
-    nnz = int(degrees.sum())
-    with tempfile.TemporaryDirectory(
-        prefix="repro-gen-", dir=scratch_dir
-    ) as tmp:
-        scratch = _Scratch(tmp, nnz, chunk_nnz)
-        short_mag = scratch.draw(
-            lambda m: rng.integers(1, 4, size=m), dtype=np.int64
+    max_long = max(int(n * max_long_frac), min_long * 2)
+    plan = _row_chunk_plan(degrees, chunk_nnz)
+    with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
+        short = scratch.fold(
+            np.multiply,
+            scratch.draw(lambda m: rng.integers(1, 4, size=m),
+                         dtype=np.int64),
+            scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
         )
-        short_sign = scratch.draw(lambda m: _signs(rng, m), dtype=np.int64)
-        max_long = max(int(n * max_long_frac), min_long * 2)
-        log_mag = scratch.draw(
-            lambda m: rng.uniform(np.log(min_long), np.log(max_long), size=m)
+        long = scratch.fold(
+            lambda log_mag, sign: np.exp(log_mag).astype(np.int64) * sign,
+            scratch.draw(lambda m: rng.uniform(np.log(min_long),
+                                               np.log(max_long), size=m)),
+            scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
         )
-        long_sign = scratch.draw(lambda m: _signs(rng, m), dtype=np.int64)
-        u_long = scratch.draw(rng.random)
+        use_long = scratch.draw(lambda m: rng.random(m) < long_range_frac,
+                                dtype=bool)
 
-        for r0, r1, k0, k1 in _row_chunk_plan(degrees, chunk_nnz):
+        for r0, r1, k0, k1 in plan:
             rows = _rows_of_window(r0, r1, degrees)
-            short = short_mag[k0:k1] * short_sign[k0:k1]
-            long = np.exp(log_mag[k0:k1]).astype(np.int64) * long_sign[k0:k1]
-            use_long = u_long[k0:k1] < long_range_frac
-            offsets = np.where(use_long, long, short)
+            offsets = np.where(use_long[k0:k1], long[k0:k1], short[k0:k1])
             cols = np.clip(rows + offsets, 0, n - 1)
             yield canonical_coords(n, rows, cols)
 
@@ -466,14 +376,19 @@ def banded_fem_chunks(
     mean_degree: float = 48.0,
     band: int = 160,
     seed: int = 0,
-    name: str = "fem",
     chunk_nnz: Optional[int] = None,
     scratch_dir: Optional[str] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Streamed twin of :func:`banded_fem` (bit-identical chunks).
+    """Banded 3D-FEM matrix (queen_4147 style).
 
-    The one-shot generator makes a single nnz-length draw, so this
-    twin streams it directly — no scratch files at all.
+    Nonzeros concentrate in a narrow band around the diagonal, so a
+    node's remote requests all target immediately adjacent partitions:
+    temporal destination locality is essentially perfect (Table 4 gives
+    1.00 for queen) and boundary columns are re-requested by every row
+    within band reach, giving heavy filter/coalesce gains.
+
+    Its one nnz-length draw is the last, so it streams per chunk with
+    no scratch at all.
     """
     chunk_nnz = chunk_nnz or DEFAULT_CHUNK_NNZ
     rng = np.random.default_rng(seed)
@@ -494,11 +409,18 @@ def coupled_flow_chunks(
     n_fields: int = 3,
     coupling_frac: float = 0.3,
     seed: int = 0,
-    name: str = "flow",
     chunk_nnz: Optional[int] = None,
     scratch_dir: Optional[str] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Streamed twin of :func:`coupled_flow` (bit-identical chunks)."""
+    """Coupled flow matrix (stokes style).
+
+    A Stokes discretization orders the velocity/pressure fields as
+    consecutive segments; each row couples within its own segment band
+    and to the matching location in the *next* field segment (the
+    B / Bᵀ off-diagonal blocks).  That yields a band plus one coupling
+    stripe per row: about two remote destinations per request window
+    and moderate reuse.
+    """
     chunk_nnz = chunk_nnz or DEFAULT_CHUNK_NNZ
     rng = np.random.default_rng(seed)
     if n_fields < 2:
@@ -506,12 +428,9 @@ def coupled_flow_chunks(
     degrees = np.maximum(
         rng.normal(mean_degree, mean_degree / 6, size=n).astype(np.int64), 3
     )
-    nnz = int(degrees.sum())
     seg = n // n_fields
-    with tempfile.TemporaryDirectory(
-        prefix="repro-gen-", dir=scratch_dir
-    ) as tmp:
-        scratch = _Scratch(tmp, nnz, chunk_nnz)
+    plan = _row_chunk_plan(degrees, chunk_nnz)
+    with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
         in_band = scratch.draw(
             lambda m: rng.integers(-band, band + 1, size=m), dtype=np.int64
         )
@@ -519,8 +438,9 @@ def coupled_flow_chunks(
             lambda m: rng.integers(-band, band + 1, size=m), dtype=np.int64
         )
         # use_coupling is the last draw: stream it inline per chunk.
-        for r0, r1, k0, k1 in _row_chunk_plan(degrees, chunk_nnz):
+        for r0, r1, k0, k1 in plan:
             rows = _rows_of_window(r0, r1, degrees)
+            # Field f couples to field f+1; the last field wraps to 0.
             field_of_row = np.minimum(rows // seg, n_fields - 1)
             shift = np.where(
                 field_of_row < n_fields - 1, seg, -(n_fields - 1) * seg
@@ -532,23 +452,32 @@ def coupled_flow_chunks(
             yield canonical_coords(n, rows, cols)
 
 
-#: One-shot generator -> streamed twin.
-CHUNK_GENERATORS = {
-    web_crawl: web_crawl_chunks,
-    road_network: road_network_chunks,
-    banded_fem: banded_fem_chunks,
-    coupled_flow: coupled_flow_chunks,
-}
+# ---------------------------------------------------------------------
+# whole matrices
+# ---------------------------------------------------------------------
 
 
-def stream_chunks(generator, n: int, seed: int = 0,
-                  chunk_nnz: Optional[int] = None,
-                  **gen_kwargs) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Canonical chunk stream for any registered one-shot generator."""
-    try:
-        streamer = CHUNK_GENERATORS[generator]
-    except KeyError:
-        raise ValueError(
-            f"no streamed twin registered for {generator!r}"
-        ) from None
-    return streamer(n=n, seed=seed, chunk_nnz=chunk_nnz, **gen_kwargs)
+def materialize(streamer, n: int, name: str = "", **kwargs) -> COOMatrix:
+    """Run ``streamer`` as one chunk covering the whole ``n x n`` matrix."""
+    (rows, cols), = streamer(n, chunk_nnz=ONE_CHUNK, **kwargs)
+    return COOMatrix(n, n, rows, cols, None, name)
+
+
+def web_crawl(n: int, name: str = "web", **kwargs) -> COOMatrix:
+    """:func:`web_crawl_chunks` as one :class:`COOMatrix`."""
+    return materialize(web_crawl_chunks, n, name, **kwargs)
+
+
+def road_network(n: int, name: str = "road", **kwargs) -> COOMatrix:
+    """:func:`road_network_chunks` as one :class:`COOMatrix`."""
+    return materialize(road_network_chunks, n, name, **kwargs)
+
+
+def banded_fem(n: int, name: str = "fem", **kwargs) -> COOMatrix:
+    """:func:`banded_fem_chunks` as one :class:`COOMatrix`."""
+    return materialize(banded_fem_chunks, n, name, **kwargs)
+
+
+def coupled_flow(n: int, name: str = "flow", **kwargs) -> COOMatrix:
+    """:func:`coupled_flow_chunks` as one :class:`COOMatrix`."""
+    return materialize(coupled_flow_chunks, n, name, **kwargs)

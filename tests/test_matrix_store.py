@@ -62,30 +62,30 @@ def _run(script: str, root, **extra) -> subprocess.CompletedProcess:
 
 @pytest.fixture()
 def generations(monkeypatch):
-    """Names passed to ``BenchmarkSpec.generate``, in call order."""
+    """Names passed to ``BenchmarkSpec.stream``, in call order."""
     calls = []
-    generate = suite.BenchmarkSpec.generate
+    stream = suite.BenchmarkSpec.stream
 
     def counting(self, *args, **kwargs):
         calls.append(self.name)
-        return generate(self, *args, **kwargs)
+        return stream(self, *args, **kwargs)
 
-    monkeypatch.setattr(suite.BenchmarkSpec, "generate", counting)
+    monkeypatch.setattr(suite.BenchmarkSpec, "stream", counting)
     return calls
 
 
-#: Loads the five tiny matrices, counting one-shot generations.
+#: Loads the five tiny matrices, counting generations.
 _LOAD_FIVE = """
 import json
 import numpy as np
 from repro.sparse import suite
 
 calls = []
-generate = suite.BenchmarkSpec.generate
+stream = suite.BenchmarkSpec.stream
 def counting(self, *a, **kw):
     calls.append(self.name)
-    return generate(self, *a, **kw)
-suite.BenchmarkSpec.generate = counting
+    return stream(self, *a, **kw)
+suite.BenchmarkSpec.stream = counting
 
 out = {}
 for name in suite.MATRIX_NAMES:
@@ -162,8 +162,8 @@ class TestStoredSets:
         assert mat._structural_digest == TINY_DIGESTS["queen"]
 
     def test_both_readers_open_one_set(self, store):
-        dense = load_benchmark("uk", "tiny", sharded=False)
-        sharded = load_benchmark("uk", "tiny", sharded=True)
+        dense = load_benchmark("uk", "tiny")
+        sharded = stored_set("uk", "tiny")
         assert len(_entries(store)) == 1
         assert dense.rows.base.filename.startswith(sharded.path)
         assert dense.structural_digest() == sharded.structural_digest()
@@ -218,7 +218,7 @@ suite.load_benchmark("arabic", "tiny")
 
 class TestTornAndRacingWrites:
     @pytest.mark.parametrize("streamed", [False, True],
-                             ids=["one-shot", "streamed"])
+                             ids=["one-shard", "streamed"])
     def test_killed_writer_leaves_no_set(self, store, monkeypatch,
                                          streamed):
         env = {"REPRO_SHARDED_SCALES": "tiny",
@@ -232,7 +232,7 @@ class TestTornAndRacingWrites:
 
         if streamed:
             monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")
-        mat = load_benchmark("arabic", "tiny", sharded=False)
+        mat = stored_set("arabic", "tiny").to_coo()
         ref = BENCHMARKS["arabic"].generate(scale="tiny", seed=7)
         assert mat.structural_digest() == TINY_DIGESTS["arabic"]
         np.testing.assert_array_equal(mat.rows, ref.rows)

@@ -30,7 +30,12 @@ from repro.core.pcache_fast import DelayedCacheReplayer, delayed_cache_hits
 from repro.partition import TraceCache, set_trace_cache
 from repro.parallel import ExecutionEngine, SimJob
 from repro.parallel.jobs import execute_job
-from repro.sparse.suite import BENCHMARKS, MatrixMemo, load_benchmark
+from repro.sparse.suite import (
+    BENCHMARKS,
+    MatrixMemo,
+    load_benchmark,
+    stored_set,
+)
 
 
 def _assert_equal(x, y, path):
@@ -60,7 +65,7 @@ CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 @pytest.fixture()
 def shard_env(tmp_path, monkeypatch):
-    """Isolated shard root whose tiny sets the streamed writer builds."""
+    """Isolated shard root whose tiny sets are read sharded."""
     from repro.sparse import suite
 
     monkeypatch.setenv("REPRO_SHARD_DIR", str(tmp_path / "shards"))
@@ -179,7 +184,7 @@ class TestTraceSpill:
         assert TraceCache().max_resident_nnz == 12345
 
     def test_sharded_entries_release_instead_of_spilling(self, shard_env):
-        smat = load_benchmark("stokes", "tiny", sharded=True)
+        smat = load_benchmark("stokes", "tiny")
         tc = TraceCache(max_resident_nnz=1)
         part = tc.get_partition(smat, 8)
         _ = part.node_traces()[0].idxs      # materialize one window
@@ -210,8 +215,8 @@ class TestModelTierParity:
     def test_commresult_invariant(self, shard_env, name, cold_memos):
         topo = build_cluster_topology(CFG16)
         one_shot = BENCHMARKS[name].generate(scale="tiny", seed=7)
-        dense = load_benchmark(name, "tiny", sharded=False)
-        sharded = load_benchmark(name, "tiny", sharded=True)
+        dense = stored_set(name, "tiny").to_coo()
+        sharded = load_benchmark(name, "tiny")
         with cold_memos():
             ref = self._run(one_shot, topo)
         for mat in (one_shot, dense, sharded):
@@ -287,7 +292,7 @@ class TestMatrixMemo:
         assert memo.get_or_load(("a",), lambda: _FakeMatrix(99)).nnz == 40
 
     def test_sharded_weight_uses_resident_nnz(self, shard_env):
-        smat = load_benchmark("queen", "tiny", sharded=True)
+        smat = load_benchmark("queen", "tiny")
         memo = MatrixMemo(max_resident_nnz=10)
         memo.get_or_load(("s",), lambda: smat)
         # mmap-backed matrices weigh ~nothing, so they never evict.

@@ -3,8 +3,9 @@ out-of-core trace pipeline's storage layer).
 
 The load-bearing invariant: a matrix generated chunk-by-chunk into the
 shard store is **bit-identical** — same canonical nonzero stream, same
-``structural_digest`` — to the one-shot in-memory generator, so every
-existing partition-trace cache key stays valid across storage tiers.
+``structural_digest`` — to the same generator run as one in-memory
+chunk, so every partition-trace cache key stays valid across storage
+tiers.
 """
 
 from __future__ import annotations
@@ -43,6 +44,22 @@ GENERATOR_CASES = [
                                   n_fields=3, coupling_frac=0.3, seed=9)),
 ]
 
+#: ``structural_digest()`` of each ``GENERATOR_CASES`` matrix, measured
+#: on the generators before they were folded onto their streamers.
+CASE_DIGESTS = {
+    "web_crawl": "8b04b6fad43442c603678fb2bfc05df3",
+    "road_network": "41cba6112ed1c10368c5abd5ba5d37c3",
+    "banded_fem": "709be0a3467bfd4fed8e3c3f622217ca",
+    "coupled_flow": "5c3a497c971c35ddd63faa829fb22d37",
+}
+_CASE_IDS = [g.__name__ for g, _ in GENERATOR_CASES]
+
+
+def _stream(gen, chunk_nnz, **kw):
+    """Chunks of the streamer behind the family materializer ``gen``."""
+    streamer = getattr(synthetic, gen.__name__ + "_chunks")
+    return streamer(chunk_nnz=chunk_nnz, **kw)
+
 
 @pytest.fixture()
 def shard_env(tmp_path, monkeypatch):
@@ -58,17 +75,17 @@ def shard_env(tmp_path, monkeypatch):
 
 
 def _one_shot(name):
-    """The in-memory one-shot generator's output, bypassing the store
-    (the reference the streamed writer must match)."""
+    """The whole matrix generated in memory, bypassing the store (the
+    reference the chunked writer must match)."""
     return BENCHMARKS[name].generate(scale="tiny", seed=7)
 
 
 class TestStreamedGeneration:
-    @pytest.mark.parametrize("gen,kw", GENERATOR_CASES,
-                             ids=[g.__name__ for g, _ in GENERATOR_CASES])
+    @pytest.mark.parametrize("gen,kw", GENERATOR_CASES, ids=_CASE_IDS)
     def test_chunks_bit_identical_to_one_shot(self, gen, kw):
         ref = gen(**kw)
-        chunks = list(synthetic.stream_chunks(gen, chunk_nnz=4096, **kw))
+        assert ref.structural_digest() == CASE_DIGESTS[gen.__name__]
+        chunks = list(_stream(gen, 4096, **kw))
         assert len(chunks) > 1          # actually exercised chunking
         rows = np.concatenate([r for r, c in chunks])
         cols = np.concatenate([c for r, c in chunks])
@@ -77,21 +94,19 @@ class TestStreamedGeneration:
         built = COOMatrix(kw["n"], kw["n"], rows, cols, None, "t")
         assert built.structural_digest() == ref.structural_digest()
 
-    def test_chunk_size_invariance(self):
-        gen, kw = GENERATOR_CASES[0]
-        digests = set()
-        for chunk_nnz in (1000, 4096, 10**9):
-            chunks = list(synthetic.stream_chunks(gen, chunk_nnz=chunk_nnz,
-                                                  **kw))
+    @pytest.mark.parametrize("gen,kw", GENERATOR_CASES, ids=_CASE_IDS)
+    def test_chunk_size_invariance(self, gen, kw):
+        """Disk-scratch draws (many chunks) and in-memory draws (one
+        chunk covering the matrix) give the same pinned matrix."""
+        n_chunks = []
+        for chunk_nnz in (1000, 4096, synthetic.ONE_CHUNK):
+            chunks = list(_stream(gen, chunk_nnz, **kw))
+            n_chunks.append(len(chunks))
             rows = np.concatenate([r for r, _ in chunks])
             cols = np.concatenate([c for _, c in chunks])
             m = COOMatrix(kw["n"], kw["n"], rows, cols, None, "t")
-            digests.add(m.structural_digest())
-        assert len(digests) == 1
-
-    def test_unregistered_generator_rejected(self):
-        with pytest.raises(ValueError, match="streamed twin"):
-            synthetic.stream_chunks(synthetic.zipf_sample, n=10)
+            assert m.structural_digest() == CASE_DIGESTS[gen.__name__]
+        assert n_chunks[0] > n_chunks[1] > n_chunks[2] == 1
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_benchmark_stream_matches_generate(self, name):
@@ -109,8 +124,7 @@ class TestShardStore:
         ref = gen(**kw)
         sm = write_sharded(
             str(tmp_path / "m"), kw["n"], kw["n"],
-            synthetic.stream_chunks(gen, chunk_nnz=chunk_nnz, **kw),
-            name="t",
+            _stream(gen, chunk_nnz, **kw), name="t",
         )
         return ref, sm
 
@@ -174,7 +188,7 @@ class TestShardedPartition:
     @pytest.mark.parametrize("kind", ["rows", "nnz"])
     def test_traces_match_dense(self, shard_env, kind):
         mat = _one_shot("stokes")
-        smat = load_benchmark("stokes", "tiny", sharded=True)
+        smat = load_benchmark("stokes", "tiny")
         dense = build_partition(mat, 16, kind=kind)
         sharded = build_partition(smat, 16, kind=kind)
         assert isinstance(sharded, ShardedOneDPartition)
@@ -194,7 +208,7 @@ class TestShardedPartition:
                     == np.unique(dt.idxs).size)
 
     def test_release_bounds_residency(self, shard_env):
-        smat = load_benchmark("queen", "tiny", sharded=True)
+        smat = load_benchmark("queen", "tiny")
         part = ShardedOneDPartition(smat, 8)
         assert part.resident_trace_nnz() == 0
         traces = part.node_traces()
@@ -210,13 +224,13 @@ class TestShardedPartition:
 
     def test_balanced_helper_matches_dense(self, shard_env):
         mat = _one_shot("uk")
-        smat = load_benchmark("uk", "tiny", sharded=True)
+        smat = load_benchmark("uk", "tiny")
         dense = balanced_by_nnz(mat, 8)
         sharded = sharded_balanced_by_nnz(smat, 8)
         np.testing.assert_array_equal(dense.row_starts, sharded.row_starts)
 
     def test_validation(self, shard_env):
-        smat = load_benchmark("queen", "tiny", sharded=True)
+        smat = load_benchmark("queen", "tiny")
         with pytest.raises(ValueError):
             ShardedOneDPartition(smat, 0)
         with pytest.raises(ValueError):
@@ -238,7 +252,7 @@ class TestShardedDistinctCounts:
         assert counts == [2, 2, 0, 0]
 
     def test_count_survives_release(self, shard_env):
-        smat = load_benchmark("queen", "tiny", sharded=True)
+        smat = load_benchmark("queen", "tiny")
         part = ShardedOneDPartition(smat, 8)
         tr = part.node_traces()[0]
         expected = int(np.unique(tr.idxs).size)     # window now resident
@@ -250,7 +264,7 @@ class TestShardedDistinctCounts:
 
     def test_matrix_count_cached_on_instance(self, shard_env, monkeypatch):
         mat = _one_shot("arabic")
-        smat = load_benchmark("arabic", "tiny", sharded=True)
+        smat = load_benchmark("arabic", "tiny")
         assert smat.unique_col_count() == np.unique(mat.cols).size
         monkeypatch.setattr(smat, "iter_chunks", None)   # no shard reads
         assert smat.unique_col_count() == np.unique(mat.cols).size
@@ -291,7 +305,7 @@ class TestShardedDistinctCounts:
 class TestSuiteShardedLoading:
     def test_digest_matches_dense_twin(self, shard_env):
         dense = _one_shot("arabic")
-        sharded = load_benchmark("arabic", "tiny", sharded=True)
+        sharded = load_benchmark("arabic", "tiny")
         assert is_sharded(sharded)
         assert sharded.structural_digest() == dense.structural_digest()
         assert sharded.nnz == dense.nnz
@@ -299,11 +313,11 @@ class TestSuiteShardedLoading:
     def test_memoized_and_reused_from_disk(self, shard_env):
         from repro.sparse import suite
 
-        a = load_benchmark("queen", "tiny", sharded=True)
-        b = load_benchmark("queen", "tiny", sharded=True)
+        a = load_benchmark("queen", "tiny")
+        b = load_benchmark("queen", "tiny")
         assert a is b                       # memo hit
         suite._memo.clear()
-        c = load_benchmark("queen", "tiny", sharded=True)
+        c = load_benchmark("queen", "tiny")
         assert c is not a                   # reloaded ...
         assert c.path == a.path             # ... from the same store
         assert c.structural_digest() == a.structural_digest()

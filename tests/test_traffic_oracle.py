@@ -121,12 +121,12 @@ def matrices(tmp_path_factory):
     sharded (windowed traces read from the shard store)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_SHARD_DIR", str(tmp_path_factory.mktemp("shards")))
-        mp.setenv("REPRO_SHARDED_SCALES", "tiny")
+        mp.delenv("REPRO_SHARDED_SCALES", raising=False)
         suite._memo.clear()
         try:
             yield {
-                "dense": load_benchmark("europe", "tiny", sharded=False),
-                "sharded": load_benchmark("europe", "tiny", sharded=True),
+                "dense": load_benchmark("europe", "tiny"),
+                "sharded": suite.stored_set("europe", "tiny"),
             }
         finally:
             suite._memo.clear()
