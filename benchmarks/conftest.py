@@ -152,18 +152,3 @@ def pytest_sessionfinish(session, exitstatus):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"\n[bench] wrote {path} ({len(_BENCH_RECORDS)} results)")
-    if os.environ.get("REPRO_STORE_DSN"):
-        # Mirror the snapshot into the result store's artifact table so
-        # `bench_compare.py --from-store` can diff runs that never share
-        # a filesystem (two CI machines, laptop vs. devbox).
-        try:
-            from repro.store import store_from_env
-
-            store = store_from_env()
-            sha = store.put_artifact(
-                json.dumps(payload, indent=2).encode("utf-8"),
-                kind="bench", name=os.path.basename(path),
-                meta={"scale": SCALE})
-            print(f"[bench] stored snapshot as artifact {sha[:12]}")
-        except Exception as exc:
-            print(f"[bench] store upload skipped: {exc}")

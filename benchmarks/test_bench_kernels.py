@@ -2,8 +2,8 @@
 
 These publish kernel-level wall times into the same ``BENCH_<date>.json``
 artifact as the table benchmarks, so a regression in one kernel is
-visible in ``scripts/bench_compare.py`` even when the end-to-end walls
-hide it behind caching.  Workloads are sized by ``REPRO_BENCH_SCALE``
+visible in that artifact even when the end-to-end walls hide it behind
+caching.  Workloads are sized by ``REPRO_BENCH_SCALE``
 and exercise the shapes the 128-node cluster model actually feeds the
 kernels (skewed PR streams, rack-merged destination streams, batched
 RIG dispatch), the per-node compute model behind the end-to-end

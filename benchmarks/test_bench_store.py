@@ -1,8 +1,7 @@
 """Result-store benchmark: put/get/ledger micro-throughput.
 
-The store sits on the hot path of every cache miss once
-``REPRO_STORE_DSN`` is set, so its per-operation overhead is part of
-the perf trajectory: this benchmark pushes a batch of array-bearing
+The store is the result cache, so every cache read and write pays its
+per-operation overhead: this benchmark pushes a batch of array-bearing
 :class:`~repro.cluster.model.CommResult` payloads through
 ``put_result``/``get_result`` and a matching stream of ledger rows
 through ``record_run``/``history``, recording ops/sec per surface into

@@ -27,10 +27,11 @@ Usage::
 ``run`` and ``report`` route every simulation through the execution
 engine (:mod:`repro.parallel`): ``--jobs N`` fans independent jobs out
 over N worker processes, and results are memoized in a
-content-addressed on-disk cache (``--cache-dir``, default
-``$NETSPARSE_CACHE_DIR`` or ``~/.cache/netsparse``) so repeated runs
-replay instead of recompute.  Simulations are deterministic, so cached
-and parallel runs are bit-identical to serial ones.
+content-addressed SQLite store (``DIR/store.sqlite3`` with
+``--cache-dir DIR``, else ``$REPRO_STORE_DSN``, else
+``~/.cache/netsparse/store.sqlite3``) so repeated runs replay instead
+of recompute.  Simulations are deterministic, so cached and parallel
+runs are bit-identical to serial ones.
 
 ``profile`` runs one experiment under full telemetry
 (:mod:`repro.telemetry`) — serial and uncached so every instrumented
@@ -52,16 +53,15 @@ the result cache, and per-job progress streams over WebSocket.
 to ``submit`` expand into a sweep.  Ctrl-C on a running server drains
 in-flight jobs before exiting.
 
-``store`` inspects the shared result/artifact store
-(:mod:`repro.store`): ``info`` prints backend/schema/row counts,
+``store`` inspects the result/artifact store (:mod:`repro.store`):
+``info`` prints backend/schema/row counts,
 ``migrate`` applies pending schema migrations (idempotent — a second
 run is a no-op), ``history`` queries the append-only run ledger
 (filter by experiment, scheme, matrix, scale, source, ``--since 7d``),
 and ``gc`` reclaims old result rows and artifacts (the ledger is kept
-unless ``--ledger`` is given).  The DSN comes from ``--dsn`` or
-``$REPRO_STORE_DSN``; with the env var set, ``run``/``report``/
-``serve`` transparently share results through the store and
-``cache info`` reports both tiers.
+unless ``--ledger`` is given).  The DSN comes from ``--dsn``, else it
+is the result cache's own store; ``run``/``report``/``serve`` append a
+ledger row per engine answer to it.
 
 ``collectives`` runs the sparse ML workload families
 (:mod:`repro.workloads`: sparse allreduce + iterative SpMV) on both
@@ -108,12 +108,13 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="simulation result cache directory (default: "
-             "$NETSPARSE_CACHE_DIR or ~/.cache/netsparse)",
+        help="keep the simulation result cache in DIR/store.sqlite3 "
+             "(default: $REPRO_STORE_DSN or "
+             "~/.cache/netsparse/store.sqlite3)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the on-disk simulation result cache",
+        help="disable the simulation result cache",
     )
 
 
@@ -263,8 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     clear = cache_sub.add_parser("clear", help="delete every cached result")
     for p in (info, clear):
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache directory (default: $NETSPARSE_CACHE_DIR "
-                            "or ~/.cache/netsparse)")
+                       help="cache directory holding store.sqlite3 "
+                            "(default: $REPRO_STORE_DSN or "
+                            "~/.cache/netsparse/store.sqlite3)")
     store = sub.add_parser(
         "store", help="inspect, migrate, query, or garbage-collect the "
                       "shared result/artifact store"
@@ -307,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report what would be removed, remove nothing")
     for p in (st_info, st_migrate, st_history, st_gc):
         p.add_argument("--dsn", default=None, metavar="DSN",
-                       help="store DSN (default: $REPRO_STORE_DSN), e.g. "
+                       help="store DSN (default: the result cache's "
+                            "store), e.g. "
                             "sqlite:////var/lib/netsparse/store.sqlite3")
     return parser
 
@@ -324,17 +327,18 @@ def _print_engine_summary(engine) -> None:
     )
 
 
-def _store_report_artifact(text: str, args) -> None:
-    """Mirror the markdown report into the store's artifact table when
-    ``REPRO_STORE_DSN`` is set, and append a ledger row carrying its
-    sha so ``netsparse store history`` points at the report a run
-    produced.  Best-effort: a broken store never fails the report."""
-    from repro.store import store_from_env
+def _store_report_artifact(text: str, args, engine) -> None:
+    """Mirror the markdown report into the artifact table of the
+    engine's store (with ``--no-cache``, the store the cache would
+    use), and append a ledger row carrying its sha so
+    ``netsparse store history`` points at the report a run produced.
+    Best-effort: a broken store never fails the report."""
+    from repro.parallel import ResultCache
 
     try:
-        store = store_from_env()
+        store = (engine.cache or ResultCache(args.cache_dir)).store
         if store is None:
-            return
+            raise RuntimeError("store unavailable")
         sha = store.put_artifact(
             text.encode("utf-8"), kind="report",
             name=os.path.basename(args.output),
@@ -355,17 +359,8 @@ def _cache_main(args) -> int:
         print(cache.info().format())
     else:
         removed = cache.clear()
-        print(f"removed {removed} cached files from {cache.root}")
+        print(f"removed {removed} cached results from {cache.dsn}")
     return 0
-
-
-def _store_dsn(args) -> str:
-    dsn = args.dsn or os.environ.get("REPRO_STORE_DSN")
-    if not dsn:
-        raise SystemExit(
-            "no store configured: pass --dsn or set $REPRO_STORE_DSN "
-            "(e.g. sqlite:////var/lib/netsparse/store.sqlite3)")
-    return dsn
 
 
 def _parse_since(text):
@@ -396,10 +391,11 @@ def _parse_since(text):
 def _store_main(args) -> int:
     import json as _json
 
+    from repro.parallel import ResultCache
     from repro.store import SCHEMA_VERSION, StoreError, open_store
 
     try:
-        store = open_store(_store_dsn(args),
+        store = open_store(args.dsn or ResultCache().dsn,
                            migrate=args.store_command != "migrate")
     except StoreError as exc:
         print(f"cannot open store: {exc}", file=sys.stderr)
@@ -786,7 +782,7 @@ def _main(argv=None) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
         print(f"wrote {args.output}")
-        _store_report_artifact(text, args)
+        _store_report_artifact(text, args, engine)
         _print_engine_summary(engine)
         return 0
 

@@ -5,9 +5,10 @@ The experiment harness decomposes its work into independent
 ``(matrix, K, scheme, config)`` communication simulation each — and
 runs them through an :class:`~repro.parallel.engine.ExecutionEngine`
 that fans jobs out across worker processes and memoizes every result
-in a content-addressed on-disk cache.  Because the simulators are
-fully deterministic (ties broken by explicit priority and sequence
-number), a cache hit is bit-identical to recomputation.
+in a content-addressed cache (a SQLite :mod:`repro.store`).  Because
+the simulators are fully deterministic (ties broken by explicit
+priority and sequence number), a cache hit is bit-identical to
+recomputation.
 
 Typical use::
 
@@ -22,11 +23,7 @@ nothing get the historical behavior (serial, uncached).
 """
 
 from repro.parallel.batch import BatchPlan, plan_batches
-from repro.parallel.cache import (
-    ENV_STORE_DSN,
-    ResultCache,
-    default_cache_dir,
-)
+from repro.parallel.cache import ResultCache, default_cache_dir
 from repro.parallel.engine import (
     EngineStats,
     ExecutionEngine,
@@ -43,7 +40,6 @@ from repro.parallel.jobs import CODE_SALT, SimJob, execute_job
 __all__ = [
     "BatchPlan",
     "CODE_SALT",
-    "ENV_STORE_DSN",
     "EngineStats",
     "ExecutionEngine",
     "JobHandle",

@@ -1,56 +1,45 @@
-"""Content-addressed result cache: filesystem tier + optional store tier.
+"""Content-addressed result cache: the ``results`` table of one store.
 
-Entries are pickled :class:`~repro.results.CommResult` records stored
-under ``<root>/<digest[:2]>/<digest>.pkl``, keyed by the owning
-:class:`~repro.parallel.jobs.SimJob`'s content digest (which already
-folds in a code-version salt).  Each entry carries the wall-clock
-seconds the original computation took, so ``netsparse cache info`` can
-report how much simulation time the cache is holding.
+Entries are :class:`~repro.results.CommResult` records keyed by the
+owning :class:`~repro.parallel.jobs.SimJob`'s content digest (which
+already folds in a code-version salt), kept as rows of a SQLite
+:class:`~repro.store.Store`.  Each row carries the wall-clock seconds
+the original computation took, so ``netsparse cache info`` can report
+how much simulation time the cache is holding.
 
-When ``REPRO_STORE_DSN`` is set (or a :class:`~repro.store.Store` is
-passed explicitly) the cache grows a second, shared tier: misses fall
-through to the store, hits are backfilled into the local filesystem,
-and every ``put`` also writes a provenance-stamped row to the store —
-so several processes (or service replicas on different machines)
-pointed at one store share one cache.  The store payload travels
-through the service's bit-exact ``__nd__`` codec, so a store hit is
-bitwise identical to a filesystem hit and to recomputation.  Store
-failures degrade to the filesystem tier (counted under
-``store.errors``), never break a simulation.
+The store is chosen in this order:
+
+1. the ``store=`` argument;
+2. ``sqlite:///<root>/store.sqlite3`` when a root (``--cache-dir``)
+   is given;
+3. ``$REPRO_STORE_DSN``;
+4. ``<default_cache_dir()>/store.sqlite3``.
+
+Several processes (CLI runs, service replicas) pointed at one store
+share one cache: writes are first-writer-wins, and SQLite's WAL mode
+lets readers and writers of one file run side by side.  The store
+opens on first use, so importing this module never imports
+:mod:`repro.store` or :mod:`sqlite3`.  Store failures never break a
+simulation: a store that cannot be opened turns the cache off for the
+rest of the process, a failing ``get`` reads as a miss and a failing
+``put`` is skipped, each counted under ``store.errors``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-import time
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro import telemetry
 
-__all__ = ["CacheEntry", "CacheInfo", "ResultCache", "default_cache_dir",
-           "ENV_CACHE_DIR", "ENV_STORE_DSN"]
-
-#: Environment override for the default cache location.
-ENV_CACHE_DIR = "NETSPARSE_CACHE_DIR"
-
-#: Environment opt-in for the shared store tier.  The literal is
-#: duplicated from :mod:`repro.store.backend` so the common case (no
-#: store) never imports the store package; a test pins them equal.
-ENV_STORE_DSN = "REPRO_STORE_DSN"
-
-_ENTRY_FORMAT = 1
+__all__ = ["CacheEntry", "CacheInfo", "ResultCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
-    """``$NETSPARSE_CACHE_DIR``, else ``$XDG_CACHE_HOME/netsparse``,
-    else ``~/.cache/netsparse``."""
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env).expanduser()
+    """``$XDG_CACHE_HOME/netsparse``, else ``~/.cache/netsparse``."""
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "netsparse"
@@ -71,84 +60,72 @@ class CacheEntry:
 class CacheInfo:
     """Aggregate cache statistics (the ``netsparse cache info`` payload)."""
 
-    root: Path
+    #: The store's DSN.
+    location: str
     n_entries: int = 0
     total_bytes: int = 0
     sim_seconds: float = 0.0
     by_scheme: Dict[str, int] = field(default_factory=dict)
-    #: Orphaned ``*.tmp`` staging files stranded by crashed writers
-    #: (``clear`` reclaims them).
-    tmp_files: int = 0
-    tmp_bytes: int = 0
-    #: ``Store.describe()`` of the active store tier, or ``None``.
+    #: ``Store.describe()``, or ``None`` when the store is unusable.
     store: Optional[dict] = None
 
     def format(self) -> str:
         lines = [
-            f"cache dir    : {self.root}",
+            f"cache store  : {self.location}",
             f"entries      : {self.n_entries}",
             f"size         : {self.total_bytes / 1e6:.2f} MB",
             f"sim time held: {self.sim_seconds:.1f}s of simulation",
         ]
-        if self.tmp_files:
-            lines.append(
-                f"stranded tmp : {self.tmp_files} files "
-                f"({self.tmp_bytes / 1e6:.2f} MB; `cache clear` reclaims)")
         for scheme in sorted(self.by_scheme):
             lines.append(f"  {scheme:<10} {self.by_scheme[scheme]} entries")
-        if self.store is not None:
-            lines.append(
-                f"store        : {self.store.get('backend', '?')} "
-                f"({self.store.get('dsn', '?')})")
+        if self.store is None:
+            lines.append("store        : unavailable (cache off)")
+        else:
             lines.append(
                 f"  schema v{self.store.get('schema_version', '?')}  "
-                f"results={self.store.get('results', 0)}  "
                 f"artifacts={self.store.get('artifacts', 0)}  "
                 f"ledger={self.store.get('ledger', 0)} rows")
         return "\n".join(lines)
 
 
 class ResultCache:
-    """Content-addressed pickle store; corrupt entries read as misses.
-
-    ``store`` adds the shared database tier explicitly; by default it
-    is resolved lazily from ``$REPRO_STORE_DSN`` on first use (``None``
-    when unset — the zero-config path stays pure-filesystem and never
-    imports :mod:`repro.store`).
-    """
+    """Digest-keyed results in one store; corrupt rows read as misses."""
 
     def __init__(self, root=None, store=None):
-        self.root = Path(root).expanduser() if root else default_cache_dir()
+        self.root = Path(root).expanduser() if root else None
         self._store = store
         self._store_resolved = store is not None
+        self._open_lock = threading.Lock()
 
-    # -- store tier ----------------------------------------------------
+    @property
+    def dsn(self) -> str:
+        """The DSN of the store this cache keeps its results in."""
+        if self._store is not None:
+            return self._store.dsn
+        if self.root is not None:
+            return f"sqlite:///{self.root}/store.sqlite3"
+        from repro.store import ENV_STORE_DSN
+
+        return os.environ.get(ENV_STORE_DSN) or (
+            f"sqlite:///{default_cache_dir()}/store.sqlite3")
 
     @property
     def store(self):
-        """The shared store tier, or ``None``.  A store that fails to
-        open is disabled for the cache's lifetime (one failure, not one
-        per job) and counted under ``store.errors``."""
+        """The store, opened (and migrated) on first use; ``None`` once
+        it has failed to open (one failure, not one per job)."""
         if not self._store_resolved:
-            self._store_resolved = True
-            dsn = os.environ.get(ENV_STORE_DSN)
-            if dsn:
-                try:
-                    from repro.store import open_store
+            with self._open_lock:
+                if not self._store_resolved:
+                    try:
+                        from repro.store import open_store
 
-                    self._store = open_store(dsn)
-                except Exception:
-                    telemetry.count("store.errors", op="open")
-                    self._store = None
+                        self._store = open_store(self.dsn)
+                    except Exception:
+                        telemetry.count("store.errors", op="open")
+                    self._store_resolved = True
         return self._store
 
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.pkl"
-
     def get(self, digest: str) -> Optional[CacheEntry]:
-        entry = self._get_local(digest)
-        if entry is not None:
-            return entry
         store = self.store
         if store is None:
             return None
@@ -159,169 +136,43 @@ class ResultCache:
             return None
         if rec is None:
             return None
-        entry = CacheEntry(digest=digest, meta=rec.meta, elapsed=rec.elapsed,
-                           created=rec.created, result=rec.result)
-        # Backfill the filesystem tier so the next hit is file-speed.
-        try:
-            self._put_local(digest, rec.result, meta=rec.meta,
-                            elapsed=rec.elapsed, created=rec.created)
-            telemetry.count("store.cache.backfills")
-        except Exception:
-            telemetry.count("store.errors", op="backfill")
-        return entry
-
-    def _get_local(self, digest: str) -> Optional[CacheEntry]:
-        path = self._path(digest)
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("format") != _ENTRY_FORMAT:
-                raise ValueError("stale cache entry format")
-            return CacheEntry(
-                digest=digest,
-                meta=payload.get("meta", {}),
-                elapsed=payload.get("elapsed", 0.0),
-                created=payload.get("created", 0.0),
-                result=payload["result"],
-            )
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Unreadable/corrupt entry: drop it and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return CacheEntry(digest=digest, meta=rec.meta, elapsed=rec.elapsed,
+                          created=rec.created, result=rec.result)
 
     def put(self, digest: str, result, *, meta: dict, elapsed: float) -> None:
-        self._put_local(digest, result, meta=meta, elapsed=elapsed)
         store = self.store
-        if store is not None:
-            try:
-                store.put_result(digest, result, meta=meta, elapsed=elapsed)
-            except Exception:
-                # The shared tier must never fail a computed job.
-                telemetry.count("store.errors", op="put")
-
-    def _put_local(self, digest: str, result, *, meta: dict, elapsed: float,
-                   created: Optional[float] = None) -> None:
-        path = self._path(digest)
-        payload = {
-            "format": _ENTRY_FORMAT,
-            "digest": digest,
-            "meta": meta,
-            "elapsed": float(elapsed),
-            "created": time.time() if created is None else float(created),
-            "result": result,
-        }
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        # Atomic publish: the full entry is staged in a temp file in
-        # the destination directory and renamed into place, so readers
-        # only ever see complete entries.  Concurrent writers of the
-        # same digest race benignly (identical deterministic content
-        # either way), and a concurrent `clear()` (or an external
-        # rmtree) sweeping the shard directory away between mkdir and
-        # rename just costs one retry.
-        for attempt in range(2):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            except FileNotFoundError:
-                if attempt:
-                    raise
-                continue
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-                return
-            except FileNotFoundError:
-                self._unlink_quiet(tmp)
-                if attempt:
-                    raise
-            except BaseException:
-                self._unlink_quiet(tmp)
-                raise
-
-    @staticmethod
-    def _unlink_quiet(tmp) -> None:
+        if store is None:
+            return
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+            store.put_result(digest, result, meta=meta, elapsed=elapsed)
+        except Exception:
+            # A full disk or a locked database must not fail a job.
+            telemetry.count("store.errors", op="put")
 
     # -- maintenance ---------------------------------------------------
 
-    def _entry_files(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.glob("*/*.pkl"))
-
-    def _tmp_files(self) -> Iterator[Path]:
-        """Staging files a crashed ``put`` can strand (the process died
-        between ``mkstemp`` and ``os.replace``, or ``_unlink_quiet``
-        itself lost a race) — dead bytes until ``clear`` reclaims them."""
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.glob("*/*.tmp"))
-
-    def iter_entries(self) -> Iterator[CacheEntry]:
-        """Entry metadata (results included) for every readable file."""
-        for path in self._entry_files():
-            entry = self._get_local(path.stem)
-            if entry is not None:
-                yield entry
-
     def info(self) -> CacheInfo:
-        info = CacheInfo(root=self.root)
-        for path in self._entry_files():
-            entry = self._get_local(path.stem)
-            if entry is None:
-                continue
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue  # entry cleared between glob and stat
-            info.n_entries += 1
-            info.total_bytes += size
-            info.sim_seconds += entry.elapsed
-            scheme = entry.meta.get("scheme", "?")
-            info.by_scheme[scheme] = info.by_scheme.get(scheme, 0) + 1
-        for tmp in self._tmp_files():
-            try:
-                size = tmp.stat().st_size
-            except OSError:
-                continue
-            info.tmp_files += 1
-            info.tmp_bytes += size
+        info = CacheInfo(location=self.dsn)
         store = self.store
-        if store is not None:
-            try:
-                info.store = store.describe()
-            except Exception:
-                telemetry.count("store.errors", op="describe")
+        if store is None:
+            return info
+        try:
+            summary = store.result_summary()
+            info.store = store.describe()
+        except Exception:
+            telemetry.count("store.errors", op="describe")
+            return info
+        info.n_entries = summary["results"]
+        info.total_bytes = summary["bytes"]
+        info.sim_seconds = summary["sim_seconds"]
+        info.by_scheme = summary["by_scheme"]
         return info
 
     def clear(self) -> int:
-        """Delete every entry; returns how many files were removed.
+        """Delete every cached result; returns how many were removed.
 
-        Orphaned ``*.tmp`` staging files (crashed writers) are swept
-        and counted too.  Safe to run while other processes are reading
-        and writing: their in-progress ``put`` calls retry, their
-        ``get`` calls miss.  The shared store tier is *not* touched —
-        that is ``netsparse store gc``'s explicit job."""
-        removed = 0
-        for path in self._entry_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for tmp in self._tmp_files():
-            try:
-                tmp.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        Only ``results`` rows go: the run ledger and the artifacts stay
+        (``netsparse store gc`` prunes those).  In a store other
+        processes share, this clears their cache too."""
+        store = self.store
+        return 0 if store is None else store.clear_results()

@@ -4,7 +4,7 @@ Three layers answer a :class:`~repro.parallel.jobs.SimJob`:
 
 1. an in-process memo (duplicate jobs inside one run, across every
    experiment),
-2. the content-addressed on-disk :class:`ResultCache` (repeat runs),
+2. the content-addressed :class:`ResultCache` (repeat runs),
 3. real execution of the batch planner's groups — serial, or mapped
    over a ``ProcessPoolExecutor`` when the engine was configured with
    ``jobs > 1``.
@@ -175,7 +175,7 @@ class ExecutionEngine:
     # -- run ledger ----------------------------------------------------
 
     def _store(self):
-        """The cache's shared store tier, or ``None``."""
+        """The cache's store, or ``None`` (uncached, or unusable)."""
         return self.cache.store if self.cache is not None else None
 
     def _record_run(self, job: SimJob, digest: str, source: str,
@@ -273,12 +273,8 @@ class ExecutionEngine:
                 telemetry.observe("engine.job.seconds", elapsed,
                                   scheme=job.scheme)
                 if self.cache is not None:
-                    try:
-                        self.cache.put(digest, result, meta=job.describe(),
-                                       elapsed=elapsed)
-                    except Exception:
-                        # A full disk must not fail a computed job.
-                        telemetry.count("engine.cache_put_errors")
+                    self.cache.put(digest, result, meta=job.describe(),
+                                   elapsed=elapsed)
                 self._record_run(job, digest, "executed", elapsed=elapsed)
                 outer.set_result(result)
 
@@ -293,7 +289,6 @@ class ExecutionEngine:
             store = self._store()
             return {
                 "workers": self.jobs,
-                "cache_dir": str(self.cache.root) if self.cache else None,
                 "store_dsn": store.dsn if store is not None else None,
                 "inflight": len(self._inflight),
                 "closed": self._closed,

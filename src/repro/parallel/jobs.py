@@ -117,7 +117,7 @@ class SimJob:
         """Small human-readable metadata stored next to cached results.
 
         ``faults_digest`` carries the fault plan's content hash so the
-        store tier can stamp it into every result row's provenance
+        result store can stamp it into every result row's provenance
         without re-parsing the plan JSON."""
         return {
             "scheme": self.scheme,

@@ -1,21 +1,21 @@
-"""Pluggable result/artifact store with provenance and a run ledger.
+"""The result/artifact store with provenance and a run ledger.
 
-The filesystem :class:`~repro.parallel.cache.ResultCache` answers one
-process on one machine; this package is the shared tier behind it —
-a database-backed store (SQLite by default, DSN-selectable and
-Postgres-ready) holding:
+:class:`~repro.parallel.cache.ResultCache` keeps every result here: a
+SQLite database (WAL mode, so several processes share one file)
+holding:
 
 - **results**: one provenance-stamped row per ``SimJob`` digest (job
   digest, ``CODE_SALT``, faults-plan digest, kernel tier, git sha,
-  schema version, timestamps), with bit-identical ``CommResult``
-  round-trips through the service ``__nd__`` codec;
-- **artifacts**: content-addressed blobs (bench snapshots, reports)
-  deduped by SHA-256;
+  schema version, timestamps), with bit-identical pickled
+  ``CommResult`` payloads;
+- **artifacts**: content-addressed blobs (reports) deduped by SHA-256;
 - **ledger**: an append-only record of every engine answer with
   source attribution — the queryable history behind
   ``netsparse store history``.
 
-Opt in by setting ``REPRO_STORE_DSN``::
+The database is ``<cache-dir>/store.sqlite3`` for a ``--cache-dir``;
+otherwise ``REPRO_STORE_DSN`` names it, else it is
+``~/.cache/netsparse/store.sqlite3``::
 
     REPRO_STORE_DSN=sqlite:////var/lib/netsparse/store.sqlite3 \\
         netsparse serve --jobs 4
@@ -30,27 +30,23 @@ on open.
 from repro.store.backend import (
     ENV_STORE_DSN,
     ParsedDSN,
-    PostgresBackend,
     SQLiteBackend,
     StoreError,
-    StoreUnavailableError,
     backend_for_dsn,
     parse_dsn,
 )
 from repro.store.migrations import MIGRATIONS, SCHEMA_VERSION, run_migrations
 from repro.store.provenance import git_sha, kernel_tier, provenance, worker_id
-from repro.store.store import Store, StoredResult, open_store, store_from_env
+from repro.store.store import Store, StoredResult, open_store
 
 __all__ = [
     "ENV_STORE_DSN",
     "MIGRATIONS",
     "SCHEMA_VERSION",
     "ParsedDSN",
-    "PostgresBackend",
     "SQLiteBackend",
     "Store",
     "StoreError",
-    "StoreUnavailableError",
     "StoredResult",
     "backend_for_dsn",
     "git_sha",
@@ -59,6 +55,5 @@ __all__ = [
     "parse_dsn",
     "provenance",
     "run_migrations",
-    "store_from_env",
     "worker_id",
 ]

@@ -1,26 +1,15 @@
-"""Storage backends: DSN parsing + per-backend connection factories.
+"""The store's backend: DSN parsing and a WAL-mode SQLite connection
+factory.
 
-The store speaks to exactly one of two backends, selected by DSN:
+``sqlite:///path/to.db`` (or a bare filesystem path) opens a WAL-mode
+database with a busy timeout, so several processes — service replicas,
+CLI runs, CI jobs — can share one store file safely.
+``sqlite:///:memory:`` keeps everything on a single shared connection
+(tests).  Any other DSN scheme is rejected.
 
-- ``SQLiteBackend`` — the zero-config default.  ``sqlite:///path/to.db``
-  (or a bare filesystem path) opens a WAL-mode database with a busy
-  timeout, so several processes — service replicas, CLI tools, CI jobs
-  — can share one store file safely.  ``sqlite:///:memory:`` keeps
-  everything on a single shared connection (tests).
-- ``PostgresBackend`` — DSN ``postgres://`` / ``postgresql://``.  The
-  SQL templates the migration runner and :class:`~repro.store.Store`
-  emit are written against a dialect shim (``{AUTOPK}``, ``{BLOB}``,
-  ``{OR_IGNORE}``/``{ON_CONFLICT}``, placeholder style), so the same
-  schema and queries render for either backend.  Connecting requires a
-  ``psycopg`` module; the container does not ship one, so the backend
-  *parses* and *renders* everywhere but raises
-  :class:`StoreUnavailableError` at connect time when the driver is
-  absent — the Postgres surface is an interface contract, not a baked
-  dependency.
-
-Both backends expose the same tiny surface: ``connect()`` (a DB-API
-connection appropriate to the calling thread), ``sql()`` (dialect
-rendering), and ``transaction()``.
+The backend exposes a tiny surface: ``connect()`` (a DB-API connection
+appropriate to the calling thread), ``transaction()`` and
+``reading()``.  Every statement the store runs is plain SQLite SQL.
 """
 
 from __future__ import annotations
@@ -35,16 +24,14 @@ from pathlib import Path
 __all__ = [
     "ENV_STORE_DSN",
     "StoreError",
-    "StoreUnavailableError",
     "ParsedDSN",
     "parse_dsn",
     "SQLiteBackend",
-    "PostgresBackend",
     "backend_for_dsn",
 ]
 
-#: Environment opt-in: set to a DSN to route the result cache, the run
-#: ledger, and bench artifacts through a shared store.
+#: Names the store the result cache, the run ledger and report
+#: artifacts live in (see :class:`~repro.parallel.cache.ResultCache`).
 ENV_STORE_DSN = "REPRO_STORE_DSN"
 
 #: How long a writer waits on a locked SQLite database before erroring.
@@ -55,21 +42,17 @@ class StoreError(RuntimeError):
     """Any store-layer failure the caller may want to degrade around."""
 
 
-class StoreUnavailableError(StoreError):
-    """The DSN names a backend whose driver is not installed."""
-
-
 @dataclass(frozen=True)
 class ParsedDSN:
-    """A DSN broken into backend kind + backend-specific locator."""
+    """A DSN broken into backend kind + database location."""
 
-    backend: str        # "sqlite" | "postgres"
-    location: str       # filesystem path, ":memory:", or pg DSN
+    backend: str        # always "sqlite"
+    location: str       # filesystem path or ":memory:"
     raw: str
 
     @property
     def memory(self) -> bool:
-        return self.backend == "sqlite" and self.location == ":memory:"
+        return self.location == ":memory:"
 
 
 def parse_dsn(dsn: str) -> ParsedDSN:
@@ -80,15 +63,11 @@ def parse_dsn(dsn: str) -> ParsedDSN:
         sqlite:////abs/path.db      sqlite:///rel/path.db
         sqlite:///:memory:          :memory:
         /abs/path.db                rel/path.db      (bare paths)
-        postgres://user@host/db     postgresql://...
     """
     if not dsn or not str(dsn).strip():
         raise StoreError("empty store DSN")
     dsn = str(dsn).strip()
-    lowered = dsn.lower()
-    if lowered.startswith(("postgres://", "postgresql://")):
-        return ParsedDSN(backend="postgres", location=dsn, raw=dsn)
-    if lowered.startswith("sqlite:"):
+    if dsn.lower().startswith("sqlite:"):
         rest = dsn.split(":", 1)[1].lstrip("/")
         # sqlite:////abs/x -> /abs/x ; sqlite:///x -> x (relative)
         if dsn.lower().startswith("sqlite:////"):
@@ -117,14 +96,6 @@ class SQLiteBackend:
     """
 
     name = "sqlite"
-    placeholder = "?"
-
-    _DIALECT = {
-        "{AUTOPK}": "INTEGER PRIMARY KEY AUTOINCREMENT",
-        "{BLOB}": "BLOB",
-        "{OR_IGNORE}": "OR IGNORE",
-        "{ON_CONFLICT}": "",
-    }
 
     def __init__(self, location: str):
         self.location = location
@@ -193,13 +164,7 @@ class SQLiteBackend:
             finally:
                 cur.close()
 
-    # -- dialect -------------------------------------------------------
-
-    def sql(self, template: str) -> str:
-        out = template
-        for token, concrete in self._DIALECT.items():
-            out = out.replace(token, concrete)
-        return out
+    # -- introspection -------------------------------------------------
 
     def describe(self) -> dict:
         info = {"backend": self.name, "location": self.location}
@@ -230,99 +195,6 @@ def _null_lock():
     yield
 
 
-class PostgresBackend:
-    """Postgres rendering + (driver-gated) connections.
-
-    The dialect shim renders every template the store and the
-    migration runner use, so the schema is provably expressible on
-    Postgres; actually connecting needs a ``psycopg`` (v3) or
-    ``psycopg2`` module at runtime, which this environment does not
-    ship — :meth:`connect` degrades to a clear
-    :class:`StoreUnavailableError` instead of an import crash.
-    """
-
-    name = "postgres"
-    placeholder = "%s"
-
-    _DIALECT = {
-        "{AUTOPK}": "BIGSERIAL PRIMARY KEY",
-        "{BLOB}": "BYTEA",
-        "{OR_IGNORE}": "",
-        "{ON_CONFLICT}": "ON CONFLICT DO NOTHING",
-    }
-
-    def __init__(self, location: str):
-        self.location = location
-        self._lock = threading.RLock()
-        self._local = threading.local()
-
-    @staticmethod
-    def _driver():
-        for mod in ("psycopg", "psycopg2"):
-            try:
-                return __import__(mod)
-            except ImportError:
-                continue
-        return None
-
-    def connect(self):
-        driver = self._driver()
-        if driver is None:
-            raise StoreUnavailableError(
-                "postgres DSN given but neither psycopg nor psycopg2 is "
-                "installed; install one or use a sqlite:// DSN")
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = driver.connect(self.location)
-            self._local.conn = conn
-        return conn
-
-    @contextmanager
-    def transaction(self):
-        conn = self.connect()
-        cur = conn.cursor()
-        try:
-            yield cur
-            conn.commit()
-        except BaseException:
-            conn.rollback()
-            raise
-        finally:
-            cur.close()
-
-    @contextmanager
-    def reading(self):
-        cur = self.connect().cursor()
-        try:
-            yield cur
-        finally:
-            cur.close()
-
-    def sql(self, template: str) -> str:
-        out = template
-        for token, concrete in self._DIALECT.items():
-            out = out.replace(token, concrete)
-        out = out.replace("?", self.placeholder)
-        # Collapse doubled spaces left by empty token substitutions.
-        return " ".join(out.split())
-
-    def describe(self) -> dict:
-        return {"backend": self.name, "location": self.location}
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
-
-    def vacuum(self) -> None:  # pragma: no cover - needs a live server
-        pass
-
-
 def backend_for_dsn(dsn: str):
-    """The connection factory for a DSN (connecting may still be gated
-    on the backend's driver — see :class:`PostgresBackend`)."""
-    parsed = parse_dsn(dsn)
-    if parsed.backend == "postgres":
-        return PostgresBackend(parsed.location)
-    return SQLiteBackend(parsed.location)
+    """The connection factory for a DSN."""
+    return SQLiteBackend(parse_dsn(dsn).location)

@@ -1,9 +1,7 @@
-"""Idempotent, backend-aware schema migrations.
+"""Idempotent schema migrations.
 
 Every schema change is one :class:`Migration` — an ordered version
-number plus the DDL statements written against the dialect shim
-(``{AUTOPK}``, ``{BLOB}``; see :mod:`repro.store.backend`).  The
-runner records applied versions in ``schema_migrations`` and applies
+number plus its SQLite DDL statements.  The runner records applied versions in ``schema_migrations`` and applies
 each missing migration inside a transaction, so:
 
 - running ``migrate`` twice is a provable no-op (the second call
@@ -16,7 +14,7 @@ Tables (schema v1):
 
 ``results``
     One row per :class:`~repro.parallel.jobs.SimJob` digest — the
-    shared tier behind :class:`~repro.parallel.cache.ResultCache`.
+    storage of :class:`~repro.parallel.cache.ResultCache`.
     Every write carries full provenance: the job digest, ``CODE_SALT``,
     the faults-plan digest, the kernel tier, the git
     sha, the store schema version, and creation timestamps.
@@ -56,7 +54,7 @@ MIGRATIONS: List[Migration] = [
         CREATE TABLE IF NOT EXISTS results (
             digest          TEXT PRIMARY KEY,
             fmt             TEXT NOT NULL,
-            payload         {BLOB} NOT NULL,
+            payload         BLOB NOT NULL,
             meta_json       TEXT NOT NULL,
             elapsed         REAL NOT NULL,
             created         REAL NOT NULL,
@@ -72,7 +70,7 @@ MIGRATIONS: List[Migration] = [
             sha256          TEXT PRIMARY KEY,
             kind            TEXT NOT NULL,
             name            TEXT NOT NULL,
-            content         {BLOB} NOT NULL,
+            content         BLOB NOT NULL,
             nbytes          INTEGER NOT NULL,
             created         REAL NOT NULL,
             meta_json       TEXT NOT NULL,
@@ -84,7 +82,7 @@ MIGRATIONS: List[Migration] = [
         " ON artifacts (kind, created)",
         """
         CREATE TABLE IF NOT EXISTS ledger (
-            id              {AUTOPK},
+            id              INTEGER PRIMARY KEY AUTOINCREMENT,
             ts              REAL NOT NULL,
             digest          TEXT NOT NULL,
             source          TEXT NOT NULL,
@@ -122,7 +120,7 @@ CREATE TABLE IF NOT EXISTS schema_migrations (
 def applied_versions(backend) -> List[int]:
     """Versions already recorded in ``schema_migrations`` (sorted)."""
     with backend.transaction() as cur:
-        cur.execute(backend.sql(_MIGRATIONS_TABLE))
+        cur.execute(_MIGRATIONS_TABLE)
     with backend.reading() as cur:
         cur.execute("SELECT version FROM schema_migrations ORDER BY version")
         return [row[0] for row in cur.fetchall()]
@@ -142,17 +140,14 @@ def run_migrations(backend) -> List[int]:
         with backend.transaction() as cur:
             # Re-check inside the write transaction: another process
             # may have applied this version between our read and now.
-            cur.execute(
-                backend.sql("SELECT 1 FROM schema_migrations"
-                            " WHERE version = ?"),
-                (mig.version,))
+            cur.execute("SELECT 1 FROM schema_migrations WHERE version = ?",
+                        (mig.version,))
             if cur.fetchone() is not None:
                 continue
             for stmt in mig.statements:
-                cur.execute(backend.sql(stmt))
-            cur.execute(
-                backend.sql("INSERT INTO schema_migrations"
-                            " (version, name, applied_at) VALUES (?, ?, ?)"),
-                (mig.version, mig.name, time.time()))
+                cur.execute(stmt)
+            cur.execute("INSERT INTO schema_migrations"
+                        " (version, name, applied_at) VALUES (?, ?, ?)",
+                        (mig.version, mig.name, time.time()))
         applied.append(mig.version)
     return applied

@@ -1,20 +1,19 @@
-"""The result/artifact store: provenance-stamped rows over a backend.
+"""The result/artifact store: provenance-stamped rows over SQLite.
 
 One :class:`Store` wraps one backend connection factory
 (:mod:`repro.store.backend`) and exposes the three tables the
 migrations define:
 
-- ``put_result``/``get_result`` — the shared cache tier behind
-  :class:`~repro.parallel.cache.ResultCache`.  ``CommResult`` payloads
-  travel through the service's bit-exact ``__nd__`` JSON codec
-  (:func:`repro.service.protocol.encode_result`), so a result read
-  back from the store compares bitwise equal to the filesystem tier
-  and to direct simulation; anything else falls back to pickle.
-  Writes are first-writer-wins (``INSERT OR IGNORE``), so two
-  processes racing the same digest converge to a single provenance
-  row.
+- ``put_result``/``get_result`` — the storage of
+  :class:`~repro.parallel.cache.ResultCache`.  Payloads are pickled
+  (format ``pickle-v1``), so a result read back compares bitwise equal
+  to direct simulation.  Writes are first-writer-wins
+  (``INSERT OR IGNORE``), so two processes racing the same digest
+  converge to a single provenance row.  A row that does not decode
+  (corrupt bytes, or a format this code does not write) reads as a
+  miss and is deleted, so the next ``put_result`` replaces it.
 - ``put_artifact``/``get_artifact``/``latest_artifacts`` —
-  content-addressed blobs (bench snapshots, reports) deduped by
+  content-addressed blobs (``netsparse report`` output) deduped by
   SHA-256.
 - ``record_run``/``history`` — the append-only run ledger: one row per
   engine answer with source attribution, queryable by experiment /
@@ -33,23 +32,17 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro import telemetry
-from repro.store.backend import (
-    ENV_STORE_DSN,
-    StoreError,
-    backend_for_dsn,
-    parse_dsn,
-)
+from repro.store.backend import StoreError, backend_for_dsn, parse_dsn
 from repro.store.migrations import (
     SCHEMA_VERSION,
     applied_versions,
     run_migrations,
 )
 
-__all__ = ["Store", "StoredResult", "open_store", "store_from_env"]
+__all__ = ["Store", "StoredResult", "open_store"]
 
-#: Result payload formats.
-_FMT_COMM = "comm-json-v1"     # CommResult via the service __nd__ codec
-_FMT_PICKLE = "pickle-v1"      # anything else
+#: The one result payload format this code writes and reads.
+_FMT_PICKLE = "pickle-v1"
 
 
 class StoredResult:
@@ -67,43 +60,23 @@ class StoredResult:
         self.provenance = provenance
 
 
-def _encode_payload(result: Any):
-    """``(fmt, bytes)`` for a result object.
-
-    The import is deliberately lazy: the store package stays importable
-    without numpy for pure-ledger uses (CLI ``store history`` against a
-    copied database, for instance).
-    """
-    from repro.results import CommResult
-    from repro.service import protocol as proto
-
-    if isinstance(result, CommResult):
-        return _FMT_COMM, proto.dumps(proto.encode_result(result))
-    return _FMT_PICKLE, pickle.dumps(result,
-                                     protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def _decode_payload(fmt: str, blob: bytes) -> Any:
-    if fmt == _FMT_COMM:
-        from repro.service import protocol as proto
-
-        return proto.decode_result(proto.loads(bytes(blob)))
-    if fmt == _FMT_PICKLE:
-        return pickle.loads(bytes(blob))
-    raise StoreError(f"unknown result payload format {fmt!r}")
+    if fmt != _FMT_PICKLE:
+        raise StoreError(f"unknown result payload format {fmt!r}")
+    return pickle.loads(bytes(blob))
 
 
 def _meta_json(meta: Optional[dict]) -> str:
     """Canonical JSON for a meta dict (numpy scalars degrade cleanly)."""
-    from repro.service import protocol as proto
+    from repro.results import dumps, encode_value
 
-    return proto.dumps(proto.encode_value(dict(meta or {}))).decode("utf-8")
+    return dumps(encode_value(dict(meta or {}))).decode("utf-8")
 
 
 def _meta_load(raw: str) -> dict:
-    from repro.service import protocol as proto
+    from repro.results import decode_value
 
-    return proto.decode_value(json.loads(raw))
+    return decode_value(json.loads(raw))
 
 
 class Store:
@@ -154,19 +127,18 @@ class Store:
         from repro.store.provenance import provenance
 
         prov = provenance()
-        fmt, payload = _encode_payload(result)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         meta = dict(meta or {})
         with self.backend.transaction() as cur:
             cur.execute(
-                self.backend.sql(
-                    "INSERT {OR_IGNORE} INTO results"
-                    " (digest, fmt, payload, meta_json, elapsed, created,"
-                    "  code_salt, faults_digest, kernel_tier, git_sha,"
-                    "  schema_version)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                    " {ON_CONFLICT}"),
-                (digest, fmt, payload, _meta_json(meta), float(elapsed),
-                 time.time(), prov["code_salt"], meta.get("faults_digest"),
+                "INSERT OR IGNORE INTO results"
+                " (digest, fmt, payload, meta_json, elapsed, created,"
+                "  code_salt, faults_digest, kernel_tier, git_sha,"
+                "  schema_version)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (digest, _FMT_PICKLE, payload, _meta_json(meta),
+                 float(elapsed), time.time(), prov["code_salt"],
+                 meta.get("faults_digest"),
                  prov["kernel_tier"], prov["git_sha"],
                  prov["schema_version"]))
             inserted = cur.rowcount > 0
@@ -176,31 +148,66 @@ class Store:
         return inserted
 
     def get_result(self, digest: str) -> Optional[StoredResult]:
+        """The stored row, or ``None``.  A row that fails to decode
+        reads as a miss and is deleted: ``INSERT OR IGNORE`` would
+        otherwise keep it, and every later reader would recompute."""
         with self.backend.reading() as cur:
             cur.execute(
-                self.backend.sql(
-                    "SELECT fmt, payload, meta_json, elapsed, created,"
-                    " code_salt, faults_digest, kernel_tier, git_sha,"
-                    " schema_version FROM results WHERE digest = ?"),
+                "SELECT fmt, payload, meta_json, elapsed, created,"
+                " code_salt, faults_digest, kernel_tier, git_sha,"
+                " schema_version FROM results WHERE digest = ?",
                 (digest,))
             row = cur.fetchone()
         telemetry.count("store.results.gets")
-        if row is None:
-            telemetry.count("store.results.misses")
-            return None
-        telemetry.count("store.results.hits")
-        return StoredResult(
-            digest=digest,
-            result=_decode_payload(row[0], row[1]),
-            meta=_meta_load(row[2]),
-            elapsed=row[3],
-            created=row[4],
-            provenance={
-                "code_salt": row[5], "faults_digest": row[6],
-                "kernel_tier": row[7], "git_sha": row[8],
-                "schema_version": row[9],
-            },
-        )
+        rec = None
+        if row is not None:
+            try:
+                rec = StoredResult(
+                    digest=digest,
+                    result=_decode_payload(row[0], row[1]),
+                    meta=_meta_load(row[2]),
+                    elapsed=row[3],
+                    created=row[4],
+                    provenance={
+                        "code_salt": row[5], "faults_digest": row[6],
+                        "kernel_tier": row[7], "git_sha": row[8],
+                        "schema_version": row[9],
+                    },
+                )
+            except Exception:
+                with self.backend.transaction() as cur:
+                    cur.execute("DELETE FROM results WHERE digest = ?",
+                                (digest,))
+                telemetry.count("store.results.dropped")
+        telemetry.count("store.results.hits" if rec is not None
+                        else "store.results.misses")
+        return rec
+
+    def result_summary(self) -> Dict[str, Any]:
+        """Row count, payload bytes, held simulation seconds and rows
+        per ``meta["scheme"]`` over the ``results`` table."""
+        with self.backend.reading() as cur:
+            cur.execute("SELECT meta_json, elapsed, length(payload)"
+                        " FROM results")
+            rows = cur.fetchall()
+        by_scheme: Dict[str, int] = {}
+        for meta_json, _, _ in rows:
+            try:
+                scheme = str(json.loads(meta_json).get("scheme", "?"))
+            except (ValueError, AttributeError):
+                scheme = "?"
+            by_scheme[scheme] = by_scheme.get(scheme, 0) + 1
+        return {"results": len(rows),
+                "bytes": sum(r[2] or 0 for r in rows),
+                "sim_seconds": sum(r[1] or 0.0 for r in rows),
+                "by_scheme": by_scheme}
+
+    def clear_results(self) -> int:
+        """Delete every ``results`` row (the ledger and artifacts stay);
+        returns how many were removed."""
+        with self.backend.transaction() as cur:
+            cur.execute("DELETE FROM results")
+            return cur.rowcount
 
     # -- artifacts -----------------------------------------------------
 
@@ -216,12 +223,10 @@ class Store:
         prov = provenance()
         with self.backend.transaction() as cur:
             cur.execute(
-                self.backend.sql(
-                    "INSERT {OR_IGNORE} INTO artifacts"
-                    " (sha256, kind, name, content, nbytes, created,"
-                    "  meta_json, git_sha, code_salt)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                    " {ON_CONFLICT}"),
+                "INSERT OR IGNORE INTO artifacts"
+                " (sha256, kind, name, content, nbytes, created,"
+                "  meta_json, git_sha, code_salt)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (sha, kind, name, content, len(content), time.time(),
                  _meta_json(meta), prov["git_sha"], prov["code_salt"]))
             inserted = cur.rowcount > 0
@@ -233,10 +238,9 @@ class Store:
     def get_artifact(self, sha256: str) -> Optional[Dict[str, Any]]:
         with self.backend.reading() as cur:
             cur.execute(
-                self.backend.sql(
-                    "SELECT sha256, kind, name, content, nbytes, created,"
-                    " meta_json, git_sha, code_salt FROM artifacts"
-                    " WHERE sha256 = ?"),
+                "SELECT sha256, kind, name, content, nbytes, created,"
+                " meta_json, git_sha, code_salt FROM artifacts"
+                " WHERE sha256 = ?",
                 (sha256,))
             row = cur.fetchone()
         return None if row is None else self._artifact_row(row)
@@ -246,11 +250,10 @@ class Store:
         """Newest-first artifacts of one kind (content included)."""
         with self.backend.reading() as cur:
             cur.execute(
-                self.backend.sql(
-                    "SELECT sha256, kind, name, content, nbytes, created,"
-                    " meta_json, git_sha, code_salt FROM artifacts"
-                    " WHERE kind = ? ORDER BY created DESC, sha256"
-                    " LIMIT ?"),
+                "SELECT sha256, kind, name, content, nbytes, created,"
+                " meta_json, git_sha, code_salt FROM artifacts"
+                " WHERE kind = ? ORDER BY created DESC, sha256"
+                " LIMIT ?",
                 (kind, int(limit)))
             rows = cur.fetchall()
         return [self._artifact_row(r) for r in rows]
@@ -277,11 +280,10 @@ class Store:
         meta = dict(meta or {})
         with self.backend.transaction() as cur:
             cur.execute(
-                self.backend.sql(
-                    "INSERT INTO ledger"
-                    " (ts, digest, source, elapsed, worker, experiment,"
-                    "  scheme, matrix, k, scale, seed, git_sha, code_salt)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"),
+                "INSERT INTO ledger"
+                " (ts, digest, source, elapsed, worker, experiment,"
+                "  scheme, matrix, k, scale, seed, git_sha, code_salt)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (time.time(), digest, source, float(elapsed),
                  worker or prov["worker"], experiment,
                  meta.get("scheme"), meta.get("matrix"),
@@ -320,7 +322,7 @@ class Store:
             sql += " LIMIT ?"
             params.append(int(limit))
         with self.backend.reading() as cur:
-            cur.execute(self.backend.sql(sql), tuple(params))
+            cur.execute(sql, tuple(params))
             rows = cur.fetchall()
         return [dict(zip(self._LEDGER_COLS, row)) for row in rows]
 
@@ -362,17 +364,13 @@ class Store:
         for table in tables:
             col = "ts" if table == "ledger" else "created"
             with self.backend.reading() as cur:
-                cur.execute(
-                    self.backend.sql(
-                        f"SELECT COUNT(*) FROM {table} WHERE {col} < ?"),
-                    (cutoff,))
+                cur.execute(f"SELECT COUNT(*) FROM {table} WHERE {col} < ?",
+                            (cutoff,))
                 removed[table] = cur.fetchone()[0]
             if not dry_run and removed[table]:
                 with self.backend.transaction() as cur:
-                    cur.execute(
-                        self.backend.sql(
-                            f"DELETE FROM {table} WHERE {col} < ?"),
-                        (cutoff,))
+                    cur.execute(f"DELETE FROM {table} WHERE {col} < ?",
+                                (cutoff,))
         if not dry_run and any(removed.values()):
             self.backend.vacuum()
             telemetry.count("store.gc.removed", n=sum(removed.values()))
@@ -383,13 +381,3 @@ def open_store(dsn: str, *, migrate: bool = True) -> Store:
     """Open the store a DSN names (module-level convenience)."""
     return Store.open(dsn, migrate=migrate)
 
-
-def store_from_env(env: Optional[dict] = None) -> Optional[Store]:
-    """The env-configured store, or ``None`` when ``REPRO_STORE_DSN``
-    is unset — the zero-config default stays pure-filesystem."""
-    import os
-
-    dsn = (env or os.environ).get(ENV_STORE_DSN)
-    if not dsn:
-        return None
-    return open_store(dsn)

@@ -29,8 +29,8 @@ def _job(k=8, matrix="arabic"):
 
 
 def test_cache_put_get_clear_stress(tmp_path):
-    """Many writers, readers, and clearers on one cache root: no
-    exceptions, no torn reads, no leftover temp files."""
+    """Many writers, readers, and clearers on one cache store: no
+    exceptions, no torn reads, no rows left after a final clear."""
     cache = ResultCache(tmp_path)
     digests = [f"{i:02x}" + "ab" * 31 for i in range(16)]
     stop = threading.Event()
@@ -78,34 +78,7 @@ def test_cache_put_get_clear_stress(tmp_path):
         assert not t.is_alive()
     assert errors == []
     cache.clear()
-    assert list(tmp_path.glob("*/*.tmp")) == []
-    assert list(tmp_path.glob("*/*.pkl")) == []
-
-
-def test_cache_put_survives_concurrent_rmtree(tmp_path, monkeypatch):
-    """A clear() sweeping the shard directory between mkdir and rename
-    costs the writer one retry, not an exception."""
-    import shutil
-
-    cache = ResultCache(tmp_path)
-    digest = "cd" * 32
-    shard = tmp_path / digest[:2]
-    real_mkstemp = engine_mod.ResultCache  # keep linters quiet
-    del real_mkstemp
-
-    original_replace = engine_mod.ResultCache.put.__globals__["os"].replace
-    calls = {"n": 0}
-
-    def racing_replace(src, dst):
-        if calls["n"] == 0:
-            calls["n"] += 1
-            shutil.rmtree(shard)           # an external `cache clear`
-        return original_replace(src, dst)
-
-    monkeypatch.setattr("repro.parallel.cache.os.replace", racing_replace)
-    cache.put(digest, {"ok": 1}, meta={}, elapsed=0.0)
-    assert cache.get(digest).result == {"ok": 1}
-    assert calls["n"] == 1                 # the race really happened
+    assert cache.info().n_entries == 0
 
 
 def test_cache_info_tolerates_disappearing_entries(tmp_path):

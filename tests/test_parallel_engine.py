@@ -124,13 +124,16 @@ class TestCacheCorrectness:
         job = _job()
         with ExecutionEngine(cache=cache) as eng:
             eng.run_job(job)
-        path = cache._path(job.digest())
-        path.write_bytes(b"not a pickle")
+        with cache.store.backend.transaction() as cur:
+            cur.execute("UPDATE results SET payload = ? WHERE digest = ?",
+                        (b"not a pickle", job.digest()))
         assert cache.get(job.digest()) is None
-        assert not path.exists()  # dropped, not retried forever
+        # Dropped, so the re-run's put lands instead of being ignored.
+        assert cache.info().n_entries == 0
         with ExecutionEngine(cache=cache) as eng:
             eng.run_job(job)
             assert eng.stats.executed == 1
+        assert cache.get(job.digest()) is not None
 
     def test_info_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -276,7 +279,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "entries      : 1" in out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 1 cached files" in capsys.readouterr().out
+        assert "removed 1 cached results" in capsys.readouterr().out
         assert ResultCache(tmp_path).info().n_entries == 0
 
     def test_unknown_experiment_fails(self, tmp_path, capsys):

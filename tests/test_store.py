@@ -8,9 +8,10 @@ ledger attribution, cross-process races, service replicas) lives in
 
 import hashlib
 import importlib
-import importlib.util
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -20,19 +21,23 @@ from repro.results import CommResult
 from repro.store import (
     MIGRATIONS,
     SCHEMA_VERSION,
-    PostgresBackend,
     SQLiteBackend,
     StoreError,
-    StoreUnavailableError,
     backend_for_dsn,
     open_store,
     parse_dsn,
     run_migrations,
-    store_from_env,
 )
 
 DIGEST_A = "a" * 64
 DIGEST_B = "b" * 64
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _run_python(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def make_result(seed=0, **kw):
@@ -70,6 +75,12 @@ def store(tmp_path):
     ("postgresql://u@h/db", "postgres", "postgresql://u@h/db"),
 ])
 def test_parse_dsn_variants(dsn, backend, location):
+    if backend == "postgres":
+        # SQLite is the only store backend: a Postgres DSN is refused by
+        # its scheme instead of being parsed.
+        with pytest.raises(StoreError, match="unsupported store DSN scheme"):
+            parse_dsn(dsn)
+        return
     parsed = parse_dsn(dsn)
     assert parsed.backend == backend
     assert parsed.location == location
@@ -79,7 +90,7 @@ def test_parse_dsn_variants(dsn, backend, location):
 def test_parse_dsn_rejects_garbage():
     with pytest.raises(StoreError):
         parse_dsn("")
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError, match="unsupported store DSN scheme"):
         parse_dsn("mysql://nope")
 
 
@@ -90,19 +101,9 @@ def test_memory_dsn_flag():
 
 def test_backend_for_dsn_kinds():
     assert isinstance(backend_for_dsn(":memory:"), SQLiteBackend)
-    assert isinstance(backend_for_dsn("postgres://u@h/db"), PostgresBackend)
-
-
-# -- env literal pinning -------------------------------------------------
-
-
-def test_env_var_names_pinned():
-    # cache.py duplicates the literal so the zero-config path never
-    # imports the store package; this is the promised pinning test.
-    from repro.parallel.cache import ENV_STORE_DSN as cache_name
-    from repro.store import ENV_STORE_DSN as store_name
-
-    assert cache_name == store_name == "REPRO_STORE_DSN"
+    assert isinstance(backend_for_dsn("/tmp/x.db"), SQLiteBackend)
+    with pytest.raises(StoreError):
+        backend_for_dsn("postgres://u@h/db")
 
 
 # -- migrations ----------------------------------------------------------
@@ -125,27 +126,6 @@ def test_run_migrations_direct():
     backend = SQLiteBackend(":memory:")
     assert run_migrations(backend) == [m.version for m in MIGRATIONS]
     assert run_migrations(backend) == []
-
-
-def test_postgres_dialect_renders_all_migrations():
-    # The schema must be *expressible* on Postgres even though the
-    # driver is absent here: every DDL statement renders with no shim
-    # token left behind.
-    backend = PostgresBackend("postgres://u@h/db")
-    for mig in MIGRATIONS:
-        for stmt in mig.statements:
-            rendered = backend.sql(stmt)
-            assert "{" not in rendered and "}" not in rendered
-            assert "?" not in rendered
-    assert "BIGSERIAL" in backend.sql("{AUTOPK}")
-
-
-def test_postgres_connect_gated_without_driver():
-    backend = PostgresBackend("postgres://u@h/db")
-    if backend._driver() is not None:  # pragma: no cover - not in CI image
-        pytest.skip("a psycopg driver is installed here")
-    with pytest.raises(StoreUnavailableError, match="psycopg"):
-        backend.connect()
 
 
 # -- results: round-trip, provenance, dedupe -----------------------------
@@ -202,6 +182,46 @@ def test_get_missing_result(store):
 def test_non_comm_results_pickle(store):
     store.put_result(DIGEST_A, {"any": "object", "n": 3})
     assert store.get_result(DIGEST_A).result == {"any": "object", "n": 3}
+
+
+@pytest.mark.parametrize("column,value", [
+    ("payload", b"garbage"),
+    ("fmt", "comm-json-v1"),          # the JSON format older code wrote
+    ("meta_json", "{nope"),
+])
+def test_undecodable_row_reads_as_miss_and_is_dropped(store, column, value):
+    res = make_result()
+    store.put_result(DIGEST_A, res, elapsed=1.0)
+    with store.backend.transaction() as cur:
+        cur.execute(f"UPDATE results SET {column} = ?", (value,))
+    assert store.get_result(DIGEST_A) is None
+    assert store.counts()["results"] == 0
+    assert store.put_result(DIGEST_A, res, elapsed=1.0) is True
+    assert store.get_result(DIGEST_A).result.total_time == res.total_time
+
+
+def test_store_never_imports_the_service_package(tmp_path):
+    code = (
+        "import sys\n"
+        "from repro.store import open_store\n"
+        f"s = open_store('sqlite:///{tmp_path}/s.sqlite3')\n"
+        "s.put_result('a' * 64, {'x': 1}, meta={'scheme': 'netsparse'})\n"
+        "rec = s.get_result('a' * 64)\n"
+        "assert rec.result == {'x': 1}, rec.result\n"
+        "assert rec.meta == {'scheme': 'netsparse'}, rec.meta\n"
+        "assert 'repro.service' not in sys.modules\n"
+    )
+    _run_python(code)
+
+
+def test_cli_import_leaves_store_unloaded():
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "assert 'repro.store' not in sys.modules\n"
+        "assert 'sqlite3' not in sys.modules\n"
+    )
+    _run_python(code)
 
 
 # -- artifacts -----------------------------------------------------------
@@ -325,67 +345,7 @@ def test_gc_respects_cutoff(store):
     assert store.counts()["results"] == 1
 
 
-# -- env opt-in ----------------------------------------------------------
-
-
-def test_store_from_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_DSN", raising=False)
-    assert store_from_env() is None
-    monkeypatch.setenv("REPRO_STORE_DSN", f"sqlite:///{tmp_path}/e.sqlite3")
-    store = store_from_env()
-    assert store is not None
-    assert store.schema_version() == SCHEMA_VERSION
-
-
-# -- bench_compare --from-store ------------------------------------------
-
-
-def _load_bench_compare():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "scripts", "bench_compare.py")
-    spec = importlib.util.spec_from_file_location("bench_compare", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _snapshot(stamp, wall):
-    return json.dumps({
-        "schema": "repro.bench/v1", "timestamp": stamp, "scale": "tiny",
-        "results": [{"test": "benchmarks/t.py::test_a", "wall_s": wall}],
-        "memory": {"peak_rss_mb": 100.0},
-    }).encode("utf-8")
-
-
-def test_bench_compare_from_store(tmp_path, capsys):
-    bc = _load_bench_compare()
-    dsn = f"sqlite:///{tmp_path}/bench.sqlite3"
-    store = open_store(dsn)
-    store.put_artifact(_snapshot("2026-08-07T01:00:00", 1.0),
-                       kind="bench", name="BENCH_2026-08-07.json")
-    time.sleep(0.01)
-    store.put_artifact(_snapshot("2026-08-08T01:00:00", 1.6),
-                       kind="bench", name="BENCH_2026-08-08.json")
-    assert bc.main(["--from-store", dsn]) == 0
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
-    # --strict surfaces the regression as a failure exit.
-    assert bc.main(["--from-store", dsn, "--strict"]) == 1
-
-
-def test_bench_compare_from_store_no_baseline(tmp_path, capsys):
-    bc = _load_bench_compare()
-    dsn = f"sqlite:///{tmp_path}/bench.sqlite3"
-    open_store(dsn).put_artifact(_snapshot("2026-08-08T01:00:00", 1.0),
-                                 kind="bench", name="only.json")
-    assert bc.main(["--from-store", dsn]) == 0
-    assert "no baseline" in capsys.readouterr().out
-
-
-def test_bench_compare_from_store_needs_dsn(monkeypatch, capsys):
-    bc = _load_bench_compare()
-    monkeypatch.delenv("REPRO_STORE_DSN", raising=False)
-    assert bc.main(["--from-store"]) == 2
+# -- the CLI path ---------------------------------------------------------
 
 
 def test_report_cli_streams_artifact_with_ledger_row(tmp_path, monkeypatch):

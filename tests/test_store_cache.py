@@ -1,10 +1,9 @@
-"""Integration tests: store-backed ResultCache, engine ledger
+"""Integration tests: the store-backed ResultCache, engine ledger
 attribution, cross-process convergence, and cross-replica coalescing.
 
 The store package's own unit tests live in ``test_store.py``; this
 file proves the wiring *behind* existing surfaces — ``ResultCache``,
-``ExecutionEngine``, the job service — behaves identically with and
-without the shared tier.
+``ExecutionEngine``, the job service and the CLI.
 """
 
 import multiprocessing
@@ -51,23 +50,19 @@ def dsn(tmp_path):
 # -- store-backed ResultCache -------------------------------------------
 
 
-def test_store_tier_bit_identical_to_filesystem(tmp_path, dsn):
+def test_store_tier_bit_identical_to_filesystem(tmp_path):
     digest = "d" * 64
     res = make_result()
-    store = open_store(dsn)
 
-    fs_only = ResultCache(tmp_path / "fs")
-    fs_only.put(digest, res, meta={"scheme": "netsparse"}, elapsed=1.0)
-    via_fs = fs_only.get(digest).result
-
-    writer = ResultCache(tmp_path / "w", store=store)
+    # Two caches over one store file: one opened from its cache dir,
+    # one handed the store a second process would open by DSN.
+    writer = ResultCache(tmp_path / "shared")
     writer.put(digest, res, meta={"scheme": "netsparse"}, elapsed=1.0)
-    # A different machine: empty filesystem tier, same store.
-    reader = ResultCache(tmp_path / "r", store=store)
-    entry = reader.get(digest)
-    via_store = entry.result
+    via_writer = writer.get(digest).result
+    reader = ResultCache(store=open_store(writer.dsn))
+    via_reader = reader.get(digest).result
 
-    for got in (via_fs, via_store):
+    for got in (via_writer, via_reader):
         assert got.total_time == res.total_time       # exact, not approx
         assert got.per_node_time.tobytes() == res.per_node_time.tobytes()
         assert got.per_node_time.dtype == res.per_node_time.dtype
@@ -76,34 +71,39 @@ def test_store_tier_bit_identical_to_filesystem(tmp_path, dsn):
         assert arr.tobytes() == res.extras["arr"].tobytes()
 
 
-def test_store_hit_backfills_filesystem(tmp_path, dsn):
-    digest = "d" * 64
-    store = open_store(dsn)
-    store.put_result(digest, make_result(), meta={}, elapsed=2.5)
-    cache = ResultCache(tmp_path / "fs", store=store)
-    assert cache.get(digest) is not None
-    # Second read must be served locally (no store needed at all).
-    assert cache._get_local(digest) is not None
-    assert cache._get_local(digest).elapsed == 2.5
-
-
 def test_env_opt_in(tmp_path, dsn, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.delenv("REPRO_STORE_DSN", raising=False)
-    assert ResultCache(tmp_path / "a").store is None
+    assert ResultCache().dsn == (
+        f"sqlite:///{tmp_path / 'xdg' / 'netsparse'}/store.sqlite3")
     monkeypatch.setenv("REPRO_STORE_DSN", dsn)
-    cache = ResultCache(tmp_path / "b")
-    assert cache.store is not None
+    cache = ResultCache()
+    assert cache.store is not None and cache.store.dsn == dsn
     assert cache.store.schema_version() >= 1
     assert cache.info().store is not None
+    # An explicit cache dir beats the env var.
+    assert ResultCache(tmp_path / "b").dsn == (
+        f"sqlite:///{tmp_path / 'b'}/store.sqlite3")
 
 
-def test_bad_dsn_degrades_to_filesystem(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_DSN", "postgres://nobody@nowhere/db")
-    cache = ResultCache(tmp_path / "fs")
-    assert cache.store is None              # gated driver -> disabled
-    digest = "d" * 64
-    cache.put(digest, make_result(), meta={}, elapsed=0.1)
-    assert cache.get(digest) is not None    # filesystem tier unaffected
+def test_unusable_store_turns_cache_off(tmp_path):
+    from repro import telemetry
+
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "store.sqlite3").write_bytes(b"this is not a database" * 64)
+    cache = ResultCache(root)
+    job = make_job()
+    with telemetry.telemetry_scope() as reg:
+        with ExecutionEngine(cache=cache) as eng:
+            result = eng.run_job(job)
+            assert eng.stats.executed == 1
+            assert eng.describe()["store_dsn"] is None
+    assert cache.store is None                # off for the process
+    assert reg.counter("store.errors", op="open").value == 1
+    assert result.total_time > 0
+    assert cache.get(job.digest()) is None
+    assert cache.info().n_entries == 0
 
 
 def test_wal_mode_and_busy_timeout(dsn):
@@ -111,27 +111,6 @@ def test_wal_mode_and_busy_timeout(dsn):
     conn = store.backend.connect()
     assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
     assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 10_000
-
-
-# -- satellite: stranded *.tmp accounting --------------------------------
-
-
-def test_info_counts_and_clear_reclaims_stranded_tmp(tmp_path):
-    cache = ResultCache(tmp_path / "fs")
-    digest = "d" * 64
-    cache.put(digest, {"x": 1}, meta={}, elapsed=0.0)
-    stray = cache._path(digest).parent / "stray0001.tmp"
-    stray.write_bytes(b"half-written entry")
-
-    info = cache.info()
-    assert info.n_entries == 1
-    assert info.tmp_files == 1
-    assert info.tmp_bytes == len(b"half-written entry")
-    assert "stranded tmp" in info.format()
-
-    assert cache.clear() == 2               # entry + stranded tmp
-    assert not stray.exists()
-    assert cache.info().tmp_files == 0
 
 
 # -- engine ledger attribution -------------------------------------------
@@ -143,15 +122,15 @@ def test_engine_records_executed_then_memo_then_cache(tmp_path, dsn):
     digest = job.digest()
 
     eng_a = ExecutionEngine(jobs=1,
-                            cache=ResultCache(tmp_path / "a", store=store))
+                            cache=ResultCache(store=store))
     eng_a.context["experiment"] = "exp-a"
     eng_a.run_jobs([job])          # miss everywhere -> executed
     eng_a.run_jobs([job])          # in-process memo
     eng_a.close()
 
     eng_b = ExecutionEngine(jobs=1,
-                            cache=ResultCache(tmp_path / "b", store=store))
-    eng_b.run_jobs([job])          # local miss, store hit -> cache
+                            cache=ResultCache(store=store))
+    eng_b.run_jobs([job])          # fresh engine, store hit -> cache
     assert eng_b.stats.executed == 0
     eng_b.close()
 
@@ -170,12 +149,16 @@ def test_engine_records_executed_then_memo_then_cache(tmp_path, dsn):
 def test_engine_describe_reports_store(tmp_path, dsn):
     store = open_store(dsn)
     eng = ExecutionEngine(jobs=1,
-                          cache=ResultCache(tmp_path / "c", store=store))
+                          cache=ResultCache(store=store))
     assert eng.describe()["store_dsn"] == dsn
     eng.close()
-    no_store = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "d"))
-    assert no_store.describe()["store_dsn"] is None
-    no_store.close()
+    by_dir = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "d"))
+    assert by_dir.describe()["store_dsn"] == (
+        f"sqlite:///{tmp_path / 'd'}/store.sqlite3")
+    by_dir.close()
+    uncached = ExecutionEngine(jobs=1)
+    assert uncached.describe()["store_dsn"] is None
+    uncached.close()
 
 
 # -- cross-process convergence -------------------------------------------
@@ -225,7 +208,7 @@ def test_two_replicas_share_one_execution(tmp_path, dsn):
            "scale_name": "tiny"}
 
     eng_a = ExecutionEngine(jobs=1,
-                            cache=ResultCache(tmp_path / "a", store=store))
+                            cache=ResultCache(store=store))
     bg_a = serve_in_background(eng_a)
     try:
         ca = ServiceClient(bg_a.url, timeout=120)
@@ -235,9 +218,9 @@ def test_two_replicas_share_one_execution(tmp_path, dsn):
         eng_a.close()
     assert eng_a.stats.executed == 1
 
-    # Replica restart: fresh engine, fresh filesystem cache, same store.
+    # Replica restart: fresh engine and cache, same store.
     eng_b = ExecutionEngine(jobs=1,
-                            cache=ResultCache(tmp_path / "b", store=store))
+                            cache=ResultCache(store=store))
     bg_b = serve_in_background(eng_b)
     try:
         cb = ServiceClient(bg_b.url, timeout=120)
@@ -266,7 +249,7 @@ def test_service_stats_include_store_section(tmp_path, dsn):
 
     store = open_store(dsn)
     eng = ExecutionEngine(jobs=1,
-                          cache=ResultCache(tmp_path / "c", store=store))
+                          cache=ResultCache(store=store))
     bg = serve_in_background(eng)
     try:
         stats = ServiceClient(bg.url).stats()
@@ -279,13 +262,12 @@ def test_service_stats_include_store_section(tmp_path, dsn):
 
 
 def _worker_env_roundtrip(dsn, queue):
-    # A pool worker's view: env opt-in only, no objects shared.
+    # Another process's view: the env var names the store, no objects
+    # shared.
     os.environ["REPRO_STORE_DSN"] = dsn
     from repro.parallel.cache import ResultCache as RC
 
-    import tempfile
-
-    cache = RC(tempfile.mkdtemp())
+    cache = RC()
     entry = cache.get("f" * 64)
     queue.put(entry.result if entry else None)
 
@@ -311,3 +293,22 @@ def test_sqlite_file_is_actually_shared(dsn, tmp_path):
     with sqlite3.connect(path) as conn:
         n = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
     assert n == 1
+
+
+def test_cli_run_records_one_ledger_row_per_answer(tmp_path, capsys):
+    from repro.cli import main
+    from repro.parallel import get_engine, set_engine
+
+    previous = set_engine(None)
+    try:
+        assert main(["run", "fig14", "--scale", "tiny",
+                     "--cache-dir", str(tmp_path)]) == 0
+        answers = get_engine().stats.jobs
+    finally:
+        get_engine().close()
+        set_engine(previous)
+    capsys.readouterr()
+    assert answers > 0
+    rows = open_store(f"sqlite:///{tmp_path}/store.sqlite3").history()
+    assert len(rows) == answers
+    assert {r["experiment"] for r in rows} == {"fig14"}
