@@ -22,7 +22,12 @@ from repro.cluster.model import (
 # package is entered second.
 from repro.baselines.saopt import simulate_saopt
 from repro.baselines.su import simulate_suopt
-from repro.cluster.endtoend import end_to_end_time, single_node_time
+from repro.cluster.endtoend import (
+    ComputeInputs,
+    compute_inputs,
+    end_to_end_time,
+    single_node_time,
+)
 from repro.cluster.execute import (
     distributed_sddmm,
     distributed_spmm,
@@ -31,8 +36,10 @@ from repro.cluster.execute import (
 
 __all__ = [
     "CommResult",
+    "ComputeInputs",
     "batch_stats",
     "build_cluster_topology",
+    "compute_inputs",
     "reset_batch_state",
     "distributed_sddmm",
     "distributed_spmm",

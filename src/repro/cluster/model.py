@@ -61,9 +61,9 @@ __all__ = [
 #
 # Sweep evaluation is single-pass: the stage outputs a knob sweep
 # would otherwise rebuild per point — filter masks, merged rack
-# streams with their hit mask per cache geometry, their reuse-distance
-# profiles and the rig makespan — are memoized under logical keys
-# (which partition, which per-node clamped batch size), so the
+# streams with their hit mask per cache geometry and their
+# reuse-distance profiles — are memoized under logical keys (which
+# partition, which per-node clamped batch size and unit count), so the
 # planner's fused groups and sequential probe loops like the autotune
 # ladder stop replaying identical stages.
 # Repeated whole jobs are answered upstream by the engine's digest
@@ -146,13 +146,12 @@ class _BoundedMemo:
 
 _B = 256 * (1 << 20) // 8           # budget unit: an eighth of 256 MiB
 _FBASE = _BoundedMemo(_B)         # (part, node, window) -> anchor + drops
-_MASKS = _BoundedMemo(_B)         # + clamped batch -> issued node stream
+_MASKS = _BoundedMemo(_B)         # + clamped batch, units -> node stream
 _MERGES = _BoundedMemo(2 * _B)    # rack merge + its hit mask per geometry
 _PROFILES = _BoundedMemo(2 * _B)  # reuse-distance profile per merge
-_RIGGEN = _BoundedMemo(_B // 8)   # scalar rig makespan per (nnz, params)
 _ALL_MEMOS = {
     "fbase": _FBASE, "masks": _MASKS, "merges": _MERGES,
-    "profiles": _PROFILES, "riggen": _RIGGEN,
+    "profiles": _PROFILES,
 }
 
 _token_counter = itertools.count(1)
@@ -488,8 +487,9 @@ def simulate_netsparse(
 
     # ---- stage 1: per-node filtering/coalescing ----------------------
     node_streams = []            # (pos, idx, owner) of issued PRs per node
-    bkeys: List[Optional[int]] = []  # canonical per-node batch (memo key)
-    pr_gen_time = np.zeros(n)
+    # Canonical per-node (batch, unit count): the memo key of a stream.
+    bkeys: List[Optional[Tuple[int, int]]] = []
+    node_nnz = np.zeros(n, dtype=np.int64)
     useful_payload = np.zeros(n)
     n_candidates = n_issued = n_filtered = n_coalesced = 0
     with telemetry.span("cluster.stage.filter", matrix=matrix.name, k=k):
@@ -505,12 +505,17 @@ def simulate_netsparse(
                 window = max(int(knobs.inflight_frac * remote_idx.size), 1)
                 # Batches >= the stream put every idx in unit 0, so the
                 # clamped value is this node's canonical batch identity.
-                bkey = min(batch_remote, int(remote_idx.size))
+                batch = min(batch_remote, int(remote_idx.size))
+                # Coalescing compares the units of positions less than
+                # ``window`` apart, whose batches differ by at most
+                # ``reach``: every unit count above it drops the same.
+                reach = min(-(-remote_idx.size // batch) - 1,
+                            (window - 1) // batch + 1)
+                bkey = (batch, min(config.n_client_units, reach + 1))
                 mask_key = base_key = None
                 if pt is not None:
-                    mask_key = ("mask", pt, node, config.n_client_units,
-                                feats.filtering, feats.coalescing,
-                                knobs.inflight_frac, bkey)
+                    mask_key = ("mask", pt, node, feats.filtering,
+                                feats.coalescing, knobs.inflight_frac, bkey)
                     base_key = ("fbase", pt, node, knobs.inflight_frac,
                                 feats.filtering, feats.coalescing)
                 cached = _MASKS.get(mask_key)
@@ -550,23 +555,7 @@ def simulate_netsparse(
                 n_issued += int(remote_idx.size)
             bkeys.append(bkey)
             node_streams.append(stream)
-            # The rig makespan is a pure scalar function of these five
-            # numbers — nodes with equal nonzero counts (and every sweep
-            # point that leaves the batch alone) share one evaluation
-            # of the max-plus scan.
-            rg_key = ("rg", tr.n_nonzeros, config.n_client_units,
-                      rig_batch, repr(config.snic_freq), repr(cmd_overhead))
-            rg = _RIGGEN.get(rg_key)
-            if rg is None:
-                rg = rig_generation_time(
-                    tr.n_nonzeros,
-                    config.n_client_units,
-                    rig_batch,
-                    freq=config.snic_freq,
-                    cmd_overhead=cmd_overhead,
-                )
-                _RIGGEN.put(rg_key, rg, 64)
-            pr_gen_time[node] = rg
+            node_nnz[node] = tr.n_nonzeros
             # Windowed (sharded) traces drop their materialized windows
             # once their selections are copied out, keeping the resident
             # set bounded by one node's trace.
@@ -579,6 +568,11 @@ def simulate_netsparse(
     telemetry.count("cluster.filter.coalesced", n_coalesced,
                     matrix=matrix.name)
     telemetry.count("cluster.filter.issued", n_issued, matrix=matrix.name)
+    # Timing uses the real unit count: one max-plus scan for all nodes.
+    pr_gen_time = rig_generation_time(
+        node_nnz, config.n_client_units, rig_batch,
+        freq=config.snic_freq, cmd_overhead=cmd_overhead,
+    )
 
     issue_frac = n_issued / max(n_candidates, 1)
     w_nic, w_sw = _concat_windows(config, payload, issue_frac)
@@ -598,7 +592,7 @@ def simulate_netsparse(
         merge_entries = []
         for rack, members in rack_list:
             merge_key = (
-                ("merge", pt, tt, rack, config.n_client_units,
+                ("merge", pt, tt, rack,
                  feats.rig_offload, feats.filtering, feats.coalescing,
                  knobs.inflight_frac, tuple(bkeys[m] for m in members))
                 if pt is not None else None

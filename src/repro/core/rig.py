@@ -197,14 +197,14 @@ class RigServerUnit:
 
 
 def rig_generation_time(
-    n_idxs: int,
+    n_idxs,
     n_units: int,
     batch_size: int,
     freq: float = 2.2e9,
     cmd_overhead: float = 1.0e-6,
     policy: str = "least_loaded",
-) -> float:
-    """Makespan of PR generation for one node (the Figure 15 tradeoff).
+):
+    """Makespan of PR generation per node (the Figure 15 tradeoff).
 
     A single host core issues RIG commands back to back, one every
     ``cmd_overhead`` seconds; each command covers ``batch_size`` idxs
@@ -215,27 +215,34 @@ def rig_generation_time(
     Small batches pay the serial command overhead; large batches starve
     parallelism (few batches over many units) and leave a long last
     batch — the non-monotonic sensitivity the paper shows.
+
+    ``n_idxs`` is one node's idx count (a float comes back) or an int
+    array of per-node counts (an array of per-node makespans comes
+    back, from one scan over all nodes).  A count ``<= 0`` takes 0.0.
     """
-    if n_idxs <= 0:
-        return 0.0
+    counts = np.asarray(n_idxs, dtype=np.int64)
+    if not (counts > 0).any():
+        return 0.0 if counts.ndim == 0 else np.zeros(counts.shape)
     if n_units < 1 or batch_size < 1:
         raise ValueError("n_units and batch_size must be positive")
     if policy not in ("least_loaded", "round_robin"):
         raise ValueError(f"unknown scheduling policy {policy!r}")
-    return _rig_generation_time_fast(
-        n_idxs, n_units, batch_size, freq, cmd_overhead
+    out = _rig_generation_time_fast(
+        np.atleast_1d(counts), n_units, batch_size, freq, cmd_overhead
     )
+    return float(out[0]) if counts.ndim == 0 else out
 
 
 def _rig_generation_time_fast(
-    n_idxs: int,
+    counts: np.ndarray,
     n_units: int,
     batch_size: int,
     freq: float,
     cmd_overhead: float,
-) -> float:
-    """Per-round vectorized makespan scan, bit-identical to the
-    per-batch scheduling loop (the oracle in ``tests/oracles.py``).
+) -> np.ndarray:
+    """Per-round vectorized makespan scan over (nodes x units),
+    bit-identical per node to the per-batch scheduling loop (the
+    oracle in ``tests/oracles.py``).
 
     Batches are all ``batch_size`` idxs except the last, so
     ``least_loaded`` dispatch coincides with round-robin: the units'
@@ -244,19 +251,21 @@ def _rig_generation_time_fast(
     leaving the multiset of free times — and its maximum — unchanged
     whichever unit wins.  That makes one schedule serve both policies,
     and it evaluates as a max-plus scan: round ``r`` updates every
-    unit's free time with one elementwise ``max`` and one add — the
-    same two float roundings, in the same order, as the reference
-    recurrence ``free = max(issue, free) + dur``.
+    live slot's free time with one elementwise ``max`` and one add —
+    the same two float roundings, in the same order, as the reference
+    recurrence ``free = max(issue, free) + dur``.  Slots past a node's
+    last batch keep their free time.
     """
-    n_batches = -(-n_idxs // batch_size)
-    b = np.arange(n_batches, dtype=np.float64)
-    issue = (b + 1.0) * cmd_overhead
-    dur = np.full(n_batches, np.float64(batch_size) / freq)
-    dur[-1] = np.float64(n_idxs - batch_size * (n_batches - 1)) / freq
-    unit_free = np.zeros(n_units)
-    for r in range(0, n_batches, n_units):
-        hi = min(r + n_units, n_batches)
-        k = hi - r
-        np.maximum(issue[r:hi], unit_free[:k], out=unit_free[:k])
-        unit_free[:k] += dur[r:hi]
-    return float(unit_free.max())
+    counts = np.maximum(counts, 0)
+    n_batches = -(-counts // batch_size)
+    last = n_batches - 1
+    full_dur = np.float64(batch_size) / freq
+    last_dur = (counts - batch_size * last).astype(np.float64) / freq
+    unit_free = np.zeros((counts.size, n_units))
+    for r in range(0, int(n_batches.max()), n_units):
+        b = np.arange(r, r + n_units)
+        issue = (b.astype(np.float64) + 1.0) * cmd_overhead
+        dur = np.where(b == last[:, None], last_dur[:, None], full_dur)
+        step = np.maximum(issue, unit_free) + dur
+        unit_free = np.where(b < n_batches[:, None], step, unit_free)
+    return unit_free.max(axis=1)

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.endtoend import end_to_end_time
-from repro.experiments.runner import ExpTable, experiment, run_schemes
-from repro.sparse.suite import MATRIX_NAMES, load_benchmark
+from repro.experiments.runner import (
+    ExpTable,
+    compute_job,
+    experiment,
+    run_schemes,
+)
+from repro.parallel import simulate_many
+from repro.sparse.suite import MATRIX_NAMES
 
 
 PAPER_FIG12_GMEAN = {"netsparse": 33.0, "saopt": 33.0 / 15.0}
@@ -24,6 +30,12 @@ PAPER_FIG13 = {"suopt": 0.7, "saopt": 3.0, "netsparse": 38.0, "ideal": 72.0}
 def _gmean(values) -> float:
     values = np.asarray(list(values), dtype=np.float64)
     return float(np.exp(np.log(values).mean()))
+
+
+def _compute_inputs(scale: str) -> dict:
+    """``{matrix: ComputeInputs}`` for the suite, through the engine."""
+    jobs = [compute_job(name, scale) for name in MATRIX_NAMES]
+    return dict(zip(MATRIX_NAMES, simulate_many(jobs)))
 
 
 @experiment("fig12")
@@ -90,16 +102,17 @@ def run_fig13(scale: str = "small", ks=(16, 128), overlap: float = 0.0) -> ExpTa
     """Figure 13: end-to-end SpMM speedup of 128 nodes over one node."""
     rows = []
     agg = {"suopt": [], "saopt": [], "netsparse": [], "ideal": []}
+    inputs = _compute_inputs(scale)
     for name in MATRIX_NAMES:
-        mat = load_benchmark(name, scale)
+        inp = inputs[name]
         for k in ks:
             r = run_schemes(name, k, scale_name=scale)
             row = [name, k]
             for scheme in ("suopt", "saopt", "netsparse"):
-                e2e = end_to_end_time(mat, k, r[scheme], overlap=overlap)
+                e2e = end_to_end_time(inp, k, r[scheme], overlap=overlap)
                 row.append(round(e2e.speedup_over_single_node, 2))
                 agg[scheme].append(e2e.speedup_over_single_node)
-            ideal = end_to_end_time(mat, k, r["netsparse"],
+            ideal = end_to_end_time(inp, k, r["netsparse"],
                                     overlap=overlap).ideal_speedup
             agg["ideal"].append(ideal)
             row.append(round(ideal, 1))
@@ -125,11 +138,12 @@ def run_fig13(scale: str = "small", ks=(16, 128), overlap: float = 0.0) -> ExpTa
 def run_fig14(scale: str = "small", k: int = 16) -> ExpTable:
     """Figure 14: communication-to-computation time ratio per matrix."""
     rows = []
+    inputs = _compute_inputs(scale)
     for name in MATRIX_NAMES:
         r = run_schemes(name, k, scale_name=scale)
-        mat = load_benchmark(name, scale)
-        sa = end_to_end_time(mat, k, r["saopt"])
-        ns = end_to_end_time(mat, k, r["netsparse"])
+        inp = inputs[name]
+        sa = end_to_end_time(inp, k, r["saopt"])
+        ns = end_to_end_time(inp, k, r["netsparse"])
         rows.append([
             name,
             round(sa.comm_to_comp_ratio, 2),

@@ -7,9 +7,9 @@ import numpy as np
 from repro.accel import SPR_DDR, SPR_HBM
 from repro.cluster.endtoend import end_to_end_time
 from repro.config import NetSparseConfig
-from repro.experiments.runner import ExpTable, experiment
+from repro.experiments.runner import ExpTable, compute_job, experiment
 from repro.parallel import SimJob, simulate_many
-from repro.sparse.suite import BENCHMARKS, MATRIX_NAMES, load_benchmark
+from repro.sparse.suite import BENCHMARKS, MATRIX_NAMES
 
 
 def _gmean(values) -> float:
@@ -21,12 +21,15 @@ def _gmean(values) -> float:
 def run_fig21(scale: str = "small", k: int = 128) -> ExpTable:
     """Figure 21: end-to-end speedup with CPU compute (DDR and HBM).
 
-    The communication results are CPU-independent, so the engine batch
-    covers them once; only the end-to-end composition differs per CPU.
+    The communication results and the compute model's inputs are
+    CPU-independent, so one engine batch covers them once; only the
+    end-to-end composition differs per CPU.
     """
     cfg = NetSparseConfig()
     jobs, keys = [], []
     for name in MATRIX_NAMES:
+        jobs.append(compute_job(name, scale))
+        keys.append((name, "compute"))
         batch = BENCHMARKS[name].default_rig_batch
         for scheme in ("suopt", "saopt", "netsparse"):
             jobs.append(SimJob(
@@ -41,19 +44,19 @@ def run_fig21(scale: str = "small", k: int = 128) -> ExpTable:
     for cpu in (SPR_DDR, SPR_HBM):
         accel = cpu.as_roofline()
         for name in MATRIX_NAMES:
-            mat = load_benchmark(name, scale)
+            inp = results[(name, "compute")]
             comm = {
                 scheme: results[(name, scheme)]
                 for scheme in ("suopt", "saopt", "netsparse")
             }
             row = [cpu.name, name]
             for scheme in ("suopt", "saopt", "netsparse"):
-                e2e = end_to_end_time(mat, k, comm[scheme], accel=accel)
+                e2e = end_to_end_time(inp, k, comm[scheme], accel=accel)
                 row.append(round(e2e.speedup_over_single_node, 2))
                 agg.setdefault((cpu.name, scheme), []).append(
                     e2e.speedup_over_single_node
                 )
-            ideal = end_to_end_time(mat, k, comm["netsparse"],
+            ideal = end_to_end_time(inp, k, comm["netsparse"],
                                     accel=accel).ideal_speedup
             row.append(round(ideal, 1))
             rows.append(row)

@@ -15,6 +15,7 @@ from repro.sparse.suite import BENCHMARKS, load_benchmark, scale_factor
 __all__ = [
     "EXPERIMENTS",
     "ExpTable",
+    "compute_job",
     "experiment",
     "list_experiments",
     "run_experiment",
@@ -98,6 +99,17 @@ def run_experiment(exp_id: str, **kwargs) -> ExpTable:
 
 
 # -- shared runners ------------------------------------------------------
+
+
+def compute_job(name: str, scale_name: str = "small", seed: int = 7) -> SimJob:
+    """The engine job whose result is the end-to-end compute model's
+    :class:`~repro.cluster.endtoend.ComputeInputs` for one matrix.
+
+    ``k`` is fixed and the config is the default, so every end-to-end
+    figure shares one cached result per (matrix, scale, seed) and a
+    fully cached figure loads no matrix."""
+    return SimJob(scheme="compute", matrix=name, k=1,
+                  config=NetSparseConfig(), scale_name=scale_name, seed=seed)
 
 
 def run_schemes(

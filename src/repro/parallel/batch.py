@@ -61,7 +61,11 @@ def group_key(job: SimJob) -> str:
     batchable axes, so any *new* job field or config knob is
     conservatively part of the residual key until explicitly declared
     batchable — unknown axes can only split groups, never corrupt one.
+    A ``compute`` job shares no stage with anything: its key is its
+    digest, a group of one.
     """
+    if job.scheme == "compute":
+        return job.digest()
     kd = job.key_dict()
     for axis in _JOB_AXES:
         kd.pop(axis, None)

@@ -26,8 +26,11 @@ __all__ = ["CODE_SALT", "SCHEMES", "SimJob", "execute_job", "timed_execute"]
 #: stale cached results can never leak into fresh tables.
 CODE_SALT = "netsparse-sim-v2"
 
-#: Communication schemes the engine knows how to dispatch.
-SCHEMES = ("netsparse", "saopt", "suopt", "hybrid")
+#: Job kinds the engine knows how to dispatch: the communication
+#: schemes, and ``compute`` — the end-to-end compute model's
+#: :class:`~repro.cluster.endtoend.ComputeInputs` for the matrix on
+#: ``config.n_nodes`` nodes (no communication; ``k`` is not read).
+SCHEMES = ("netsparse", "saopt", "suopt", "hybrid", "compute")
 
 #: Partitioning strategies representable in a job (see repro.partition).
 PARTITIONS = ("rows", "nnz")
@@ -77,6 +80,10 @@ class SimJob:
                 "only ('leafspine', n_racks, nodes_per_rack, n_spines) "
                 "is reconstructible"
             )
+        if self.scheme == "compute" and (
+                self.faults is not None or self.partition != "rows"):
+            raise ValueError("a compute job takes no faults and the "
+                             "rows partition")
         if self.faults is not None:
             if not isinstance(self.faults, str):
                 raise ValueError(
@@ -168,11 +175,13 @@ def _build_topology(job: SimJob):
 
 
 def execute_job(job: SimJob):
-    """Run one job to its :class:`~repro.results.CommResult`.
+    """Run one job to its :class:`~repro.results.CommResult` (a
+    ``compute`` job to its :class:`~repro.cluster.endtoend.ComputeInputs`).
 
     Module-level (and import-light) so it is picklable as a process
-    pool's task function; each worker regenerates the matrices it needs
-    and keeps them in ``load_benchmark``'s weight-aware ``MatrixMemo``.
+    pool's task function; each worker memory-maps the stored matrices
+    it needs (the first process in a shard directory generates and
+    stores them) and keeps them in ``load_benchmark``'s ``MatrixMemo``.
     """
     from repro import telemetry
     from repro.baselines.hybrid import simulate_hybrid
@@ -183,6 +192,10 @@ def execute_job(job: SimJob):
     from repro.sparse.suite import load_benchmark, scale_factor
 
     mat = load_benchmark(job.matrix, job.scale_name, seed=job.seed)
+    if job.scheme == "compute":
+        from repro.cluster.endtoend import compute_inputs
+
+        return compute_inputs(mat, job.config.n_nodes)
     sc = job.scale if job.scale is not None else scale_factor(job.matrix, mat)
     cfg = job.config
     with telemetry.span(f"sim.{job.scheme}", matrix=job.matrix, k=job.k):

@@ -148,9 +148,16 @@ class JobRequest:
         return dataclasses.asdict(self)
 
     def to_sim_job(self):
-        """Canonicalize to the digestable execution-engine job."""
+        """Canonicalize to the digestable execution-engine job.
+
+        The service answers with a :class:`CommResult`, so it refuses
+        ``compute`` jobs (their result is the compute model's inputs)."""
         from repro.parallel.jobs import SimJob
 
+        if self.scheme == "compute":
+            raise ProtocolError("the service runs communication schemes; "
+                                "'compute' jobs are not served",
+                                code="bad_job")
         try:
             return SimJob(
                 scheme=self.scheme,

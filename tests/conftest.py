@@ -23,7 +23,7 @@ def cold_memos():
 
     Every memo in :data:`repro.cluster.model._ALL_MEMOS` gets a zero
     byte budget, so ``put`` stores nothing and every stage (filter,
-    rack merge, rig makespan) is recomputed on every call; with no
+    rack merge) is recomputed on every call; with no
     stream memoized, no reuse profile is built and every hit mask
     comes from the replay kernel.  The memos are emptied on entry and
     on exit, so a warm run afterwards starts from scratch.

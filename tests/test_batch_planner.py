@@ -124,6 +124,14 @@ class TestPlanBatches:
             "jobs": 3, "groups": 2, "folded": 1, "group_sizes": [2, 1],
         }
 
+    def test_compute_jobs_are_groups_of_one(self):
+        # Compute jobs differing only in a batchable axis do not fold,
+        # and never join the comm jobs of their matrix.
+        jobs = [_job(scheme="compute", k=1), _job(scheme="compute", k=2),
+                _job(), _job(k=128)]
+        plan = plan_batches(jobs)
+        assert [len(g) for g in plan.groups] == [1, 1, 2]
+
     def test_empty(self):
         plan = plan_batches([])
         assert plan.n_jobs == plan.n_groups == plan.n_folded == 0

@@ -2,11 +2,16 @@
 distributed execution (the communication layer must never change the
 numerics)."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from repro.accel import SPR_DDR, SPR_HBM, SpadeConfig
 from repro.cluster import simulate_netsparse, simulate_saopt, simulate_suopt
 from repro.cluster.endtoend import (
+    ComputeInputs,
+    compute_inputs,
     end_to_end_time,
     per_node_compute_times,
     single_node_time,
@@ -49,6 +54,53 @@ def test_per_node_compute_imbalance(matrix):
     # Power-law rows create compute imbalance: ideal speedup < n_nodes.
     ideal = single_node_time(matrix, 16) / times.max()
     assert 1 < ideal < 16
+
+
+def _bits(x: float) -> bytes:
+    assert isinstance(x, float)
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sharded"])
+def test_compute_inputs_give_the_matrix_bits(matrix, comm, storage,
+                                             tmp_path):
+    """``end_to_end_time`` on a matrix and on its ``ComputeInputs``
+    agree field by field, floats by bit pattern."""
+    from repro.sparse.shards import from_coo
+
+    mat = (matrix if storage == "dense"
+           else from_coo(matrix, str(tmp_path / "arabic"), shard_nnz=20000))
+    # A private cache: the sharded twin shares the dense digest.
+    prev = set_trace_cache(TraceCache())
+    try:
+        inp = compute_inputs(mat, comm.n_nodes)
+        rooflines = (SpadeConfig(), SPR_DDR.as_roofline(),
+                     SPR_HBM.as_roofline())
+        for accel in rooflines:
+            for k in (1, 16, 128):
+                assert (per_node_compute_times(mat, k, comm.n_nodes, accel)
+                        .tobytes() == per_node_compute_times(
+                            inp, k, comm.n_nodes, accel).tobytes())
+                assert (_bits(single_node_time(mat, k, accel))
+                        == _bits(single_node_time(inp, k, accel)))
+            for overlap in (0.0, 0.5, 1.0):
+                a = end_to_end_time(mat, 16, comm, accel, overlap)
+                b = end_to_end_time(inp, 16, comm, accel, overlap)
+                assert a.comm is b.comm
+                for name in ("compute_time", "total_time",
+                             "single_node_time"):
+                    assert _bits(getattr(a, name)) == _bits(getattr(b, name))
+    finally:
+        set_trace_cache(prev)
+    assert isinstance(inp, ComputeInputs)
+    assert (inp.nnz, inp.n_rows) == (matrix.nnz, matrix.n_rows)
+    assert int(inp.node_nnz.sum()) == matrix.nnz
+    assert int(inp.node_rows.sum()) == matrix.n_rows
+
+
+def test_compute_inputs_node_count_must_match(matrix, comm):
+    with pytest.raises(ValueError):
+        end_to_end_time(compute_inputs(matrix, 8), 16, comm)
 
 
 def test_end_to_end_combines_phases(matrix, comm):

@@ -13,6 +13,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     batch_stats,
@@ -232,6 +234,37 @@ class TestRigGolden:
     def test_zero_and_negative_idxs(self):
         assert rig_generation_time(0, 4, 32) == 0.0
         assert rig_generation_time(-3, 4, 32) == 0.0
+        out = rig_generation_time(np.array([0, -3]), 4, 32)
+        assert out.dtype == np.float64 and not out.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(-5, 3000), min_size=1, max_size=12),
+        n_units=st.integers(1, 12),
+        batch=st.integers(1, 4000),
+        freq=st.floats(1e8, 3e9),
+        ovh=st.floats(1e-8, 1e-5),
+        policy=st.sampled_from(["least_loaded", "round_robin"]),
+    )
+    @example(counts=[0, -1, 7], n_units=1, batch=3, freq=2.2e9, ovh=1e-6,
+             policy="least_loaded")            # one unit, a remainder
+    @example(counts=[5, 4000, 1], n_units=4, batch=4000, freq=2.2e9,
+             ovh=1e-6, policy="round_robin")   # batch >= n
+    @example(counts=[1025, 2048, 33], n_units=3, batch=32, freq=1e9,
+             ovh=3e-7, policy="least_loaded")  # last-batch remainders
+    def test_per_node_array_matches_the_loop(self, counts, n_units, batch,
+                                             freq, ovh, policy):
+        """One masked (nodes x units) scan equals the per-batch loop on
+        every node, bit for bit; a count <= 0 takes 0.0."""
+        out = rig_generation_time(np.array(counts, dtype=np.int64),
+                                  n_units, batch, freq, ovh, policy=policy)
+        assert out.dtype == np.float64 and out.shape == (len(counts),)
+        for n, got in zip(counts, out.tolist()):
+            want = (_rig_generation_time_reference(
+                n, n_units, batch, freq, ovh, policy) if n > 0 else 0.0)
+            assert got == want
+            assert rig_generation_time(n, n_units, batch, freq, ovh,
+                                       policy=policy) == want
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

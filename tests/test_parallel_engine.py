@@ -80,6 +80,12 @@ class TestJobDigest:
         with pytest.raises(ValueError):
             _job(topology=("fattree", 2, 4, 1))
 
+    def test_compute_job_takes_no_faults_or_nnz_partition(self):
+        with pytest.raises(ValueError):
+            _job(scheme="compute", partition="nnz")
+        with pytest.raises(ValueError):
+            _job(scheme="compute", faults='{"name":"x","seed":0}')
+
     def test_job_is_frozen_and_picklable(self):
         import pickle
 
@@ -134,6 +140,31 @@ class TestCacheCorrectness:
             eng.run_job(job)
             assert eng.stats.executed == 1
         assert cache.get(job.digest()) is not None
+
+    def test_compute_job_is_cached_and_ledgered(self, tmp_path):
+        from repro.cluster.endtoend import compute_inputs
+        from repro.sparse.suite import load_benchmark
+
+        job = _job(scheme="compute", k=1)
+        with ExecutionEngine(cache=ResultCache(tmp_path)) as eng:
+            first = eng.run_job(job)
+            assert eng.stats.executed == 1
+        with ExecutionEngine(cache=ResultCache(tmp_path)) as eng:
+            second = eng.run_job(job)
+            assert eng.stats.cache_hits == 1
+            store = eng.cache.store
+            assert [r["source"] for r in store.history()] == \
+                ["cache", "executed"]
+        want = compute_inputs(load_benchmark(MAT, "tiny"),
+                              NetSparseConfig().n_nodes)
+        for got in (first, second):
+            assert (got.nnz, got.n_rows, got.unique_cols) == \
+                (want.nnz, want.n_rows, want.unique_cols)
+            for name in ("node_nnz", "node_rows", "node_unique_cols"):
+                assert getattr(got, name).dtype == np.int64
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+        assert ResultCache(tmp_path).info().by_scheme == {"compute": 1}
 
     def test_info_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -243,20 +274,24 @@ class TestCli:
                                             monkeypatch):
         from repro.sparse import suite
 
-        args = ["--scale", "tiny", "--cache-dir", str(tmp_path)]
+        args = ["--scale", "tiny", "--cache-dir", str(tmp_path / "cache")]
+        exps = ("fig12", "fig13", "fig14", "fig21")
         previous = set_engine(None)
         try:
-            assert main(["run", "fig12", *args]) == 0
+            for exp in exps:
+                assert main(["run", exp, *args]) == 0
+            capsys.readouterr()
+            # Warm, in a fresh matrix store: every answer (the compute
+            # model's inputs included) is cached, so no matrix is
+            # loaded and no set is written.
+            fresh = tmp_path / "shards"
+            monkeypatch.setenv("REPRO_SHARD_DIR", str(fresh))
             monkeypatch.setattr(suite, "_memo", suite.MatrixMemo())
-            assert main(["run", "fig12", *args]) == 0
-            assert "hit-rate=100%" in capsys.readouterr().out
-            assert suite.suite_cache_stats()["misses"] == 0
-            # fig13's jobs are all cached too, but its end-to-end model
-            # still reads every matrix.
-            assert main(["run", "fig13", *args]) == 0
-            assert "hit-rate=100%" in capsys.readouterr().out
-            assert (suite.suite_cache_stats()["misses"]
-                    == len(suite.MATRIX_NAMES))
+            for exp in exps:
+                assert main(["run", exp, *args]) == 0
+                assert "hit-rate=100%" in capsys.readouterr().out
+                assert suite.suite_cache_stats()["misses"] == 0, exp
+            assert not fresh.exists() or not any(fresh.iterdir())
         finally:
             get_engine().close()
             set_engine(previous)

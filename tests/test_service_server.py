@@ -87,6 +87,20 @@ def test_bad_request_400(client):
     assert exc.value.code == "missing_field"
 
 
+def test_compute_job_refused_400(client):
+    """A ``compute`` job's result is not a CommResult, so the service
+    refuses it at admission, alone or in a sweep."""
+    with pytest.raises(ServiceError) as exc:
+        client.submit({**TINY, "scheme": "compute"})
+    assert exc.value.status == 400
+    assert exc.value.code == "bad_job"
+    assert client.jobs() == []
+    with pytest.raises(ServiceError) as exc:
+        client.submit_sweep({"schemes": ["compute"], "matrices": ["arabic"],
+                             "ks": [8], "scale_name": "tiny"})
+    assert exc.value.status == 400
+
+
 def test_result_before_done_409(client, monkeypatch):
     gate = threading.Event()
     real = engine_mod.timed_execute

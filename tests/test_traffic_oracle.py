@@ -117,7 +117,7 @@ def test_pair_links_rows_match_routes():
 
 @pytest.fixture(scope="module")
 def matrices(tmp_path_factory):
-    """The smallest benchmark matrix at ``tiny``, loaded dense and
+    """Two small benchmark matrices at ``tiny``, each loaded dense and
     sharded (windowed traces read from the shard store)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_SHARD_DIR", str(tmp_path_factory.mktemp("shards")))
@@ -125,8 +125,10 @@ def matrices(tmp_path_factory):
         suite._memo.clear()
         try:
             yield {
-                "dense": load_benchmark("europe", "tiny"),
-                "sharded": suite.stored_set("europe", "tiny"),
+                (name, storage): load(name, "tiny")
+                for name in ("europe", "queen")
+                for storage, load in (("dense", load_benchmark),
+                                      ("sharded", suite.stored_set))
             }
         finally:
             suite._memo.clear()
@@ -152,7 +154,7 @@ def test_traffic_stages_match_the_loops(fabric, toggle, storage, matrices,
         )
     sibling = dataclasses.replace(cfg, pcache_bytes=cfg.pcache_bytes // 4)
     topo = fabrics[fabric]
-    mat = matrices[storage]
+    mat = matrices["europe", storage]
     stages = model._traffic
 
     def run(traffic, config=cfg):
@@ -191,3 +193,35 @@ def test_no_remote_traffic_matches_the_loops(monkeypatch):
     assert new.recv_wire_bytes.dtype == np.float64
     assert not new.recv_wire_bytes.any()
     assert new.extras["fabric_time"] == 0.0
+
+
+@pytest.mark.parametrize("rig_batch", [16, 64])
+@pytest.mark.parametrize("storage", ["dense", "sharded"])
+def test_unit_count_sweep_matches_cold(storage, rig_batch, matrices,
+                                       fabrics, cold_memos):
+    """The filter and merge memos key each node's stream on its clamped
+    unit count, so unit counts that drop the same PRs share entries.
+    A warm sweep over unit counts, in either order, matches cold runs
+    bit for bit.  queen's streams at these batches keep coalescing
+    pairs one to four batches apart, right at the clamp."""
+    cfgs = [NetSparseConfig(n_rig_units=2 * units)
+            for units in (1, 2, 4, 16, 32, 64)]
+    topo = fabrics["leafspine"]
+    mat = matrices["queen", storage]
+
+    def run(cfg):
+        return simulate_netsparse(mat, 16, cfg, topo, rig_batch=rig_batch)
+
+    prev = set_trace_cache(TraceCache())
+    try:
+        with cold_memos():
+            cold = [run(cfg) for cfg in cfgs]
+        for order in (range(len(cfgs)), reversed(range(len(cfgs)))):
+            model.reset_batch_state()
+            for i in order:
+                assert_bitwise_equal(run(cfgs[i]), cold[i])
+            # Clamping shared some node streams across unit counts.
+            assert model._MASKS.hits > 0
+    finally:
+        set_trace_cache(prev)
+        model.reset_batch_state()
