@@ -34,7 +34,7 @@ PAPER_CLAIMS = SCALE != "tiny"
 #: One record per `run_once` call, drained into BENCH_<date>.json.
 _BENCH_RECORDS = []
 
-#: Named top-level payload blocks (e.g. the service latency report)
+#: Named top-level payload blocks (e.g. the store throughput report)
 #: registered by benchmarks via `record_block`.
 _BENCH_EXTRA = {}
 
@@ -43,8 +43,8 @@ def record_block(name: str, data: dict) -> None:
     """Attach a named block to the session's BENCH_<date>.json payload.
 
     For benchmark outputs that aren't a single timed experiment — the
-    service benchmark's latency/throughput/coalesce report, for
-    example.  Re-registering a name overwrites it."""
+    store benchmark's ops/sec report, for example.  Re-registering a
+    name overwrites it."""
     _BENCH_EXTRA[str(name)] = data
 
 

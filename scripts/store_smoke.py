@@ -1,18 +1,17 @@
 #!/usr/bin/env python
-"""Store smoke: migrations, cross-process reuse, cross-replica dedupe.
+"""Store smoke: migrations and cross-process reuse.
 
 Exercises the ``repro.store`` guarantees end to end against a real
 SQLite database file, with hard assertions:
 
 1. **Idempotent migrations** — a second ``migrate()`` applies nothing.
-2. **Cross-engine reuse** — engine A executes a sweep; engine B (its
-   own ``ResultCache`` over the same store) re-runs it with **zero**
-   executions and bit-identical results, served from the store.
-3. **Cross-replica coalescing** — a service replica (a third engine
-   and ``ResultCache``, same store) answers the duplicate sweep
-   entirely from the store; the ledger ends with exactly one
-   ``executed`` (or ``batched``) row per digest.
-4. **Provenance** — every stored row carries code salt, kernel tier,
+2. **Cross-process reuse** — engine A executes a sweep in this
+   process; engine B, in a ``spawn``ed child process with its own
+   ``ResultCache`` over the same DSN, re-runs it with **zero**
+   executions and bit-identical results, served from the store.  The
+   ledger ends with exactly one ``executed`` (or ``batched``) row per
+   digest.
+3. **Provenance** — every stored row carries code salt, kernel tier,
    git sha, and schema version.
 
 Writes the full ledger history as JSON to ``--out`` for CI to upload.
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 import tempfile
 import time
@@ -44,6 +44,23 @@ def _sweep_jobs():
             for s in SCHEMES for m in MATRICES for k in KS]
 
 
+def _fingerprints(results):
+    return [(r.scheme, r.matrix_name, r.total_time,
+             r.per_node_time.tobytes()) for r in results]
+
+
+def _engine_b(dsn, queue):
+    """Engine B, run in a child process: its own cache over ``dsn``."""
+    from repro.parallel import ExecutionEngine, ResultCache
+    from repro.store import open_store
+
+    cache = ResultCache(store=open_store(dsn))
+    with ExecutionEngine(jobs=2, cache=cache) as eng:
+        eng.context["experiment"] = "smoke-b"
+        results = eng.run_jobs(_sweep_jobs())
+        queue.put((eng.stats.executed, _fingerprints(results)))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="store-history.json")
@@ -52,7 +69,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     from repro.parallel import ExecutionEngine, ResultCache
-    from repro.service import ServiceClient, serve_in_background
     from repro.store import open_store
 
     work = tempfile.mkdtemp(prefix="store-smoke-")
@@ -74,7 +90,7 @@ def main(argv=None) -> int:
     jobs = _sweep_jobs()
     digests = [j.digest() for j in jobs]
 
-    # 2. Cross-engine reuse through the store.
+    # 2. Cross-process reuse through the store.
     eng_a = ExecutionEngine(jobs=2, cache=ResultCache(store=store))
     eng_a.context["experiment"] = "smoke-a"
     t0 = time.perf_counter()
@@ -83,49 +99,23 @@ def main(argv=None) -> int:
           f"in {time.perf_counter() - t0:.1f}s")
     eng_a.close()
 
-    eng_b = ExecutionEngine(jobs=2, cache=ResultCache(store=store))
-    eng_b.context["experiment"] = "smoke-b"
-    res_b = eng_b.run_jobs(jobs)
-    if eng_b.stats.executed != 0:
-        failures.append(f"engine B executed {eng_b.stats.executed} jobs; "
+    ctx = multiprocessing.get_context("spawn")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_engine_b, args=(dsn, queue))
+    child.start()
+    executed_b, prints_b = queue.get(timeout=600)
+    child.join(timeout=60)
+    if child.exitcode != 0:
+        failures.append(f"engine B's process exited {child.exitcode}")
+    if executed_b != 0:
+        failures.append(f"engine B executed {executed_b} jobs; "
                         "expected 0 (the store should serve all)")
-    for ra, rb in zip(res_a, res_b):
-        if ra.total_time != rb.total_time or not (
-                ra.per_node_time.tobytes() == rb.per_node_time.tobytes()):
-            failures.append("store round-trip not bit-identical "
-                            f"({ra.scheme}/{ra.matrix_name})")
+    for pa, pb in zip(_fingerprints(res_a), prints_b):
+        if pa != pb:
+            failures.append(f"store round-trip not bit-identical ({pa[:2]})")
             break
-    print(f"[smoke] engine B: {eng_b.stats.executed} executions, "
-          f"{len(res_b)} results bit-checked")
-    eng_b.close()
-
-    # 3. Cross-replica coalescing: a fresh service replica must answer
-    # the duplicate sweep from the store.
-    eng_c = ExecutionEngine(jobs=2, cache=ResultCache(store=store))
-    bg = serve_in_background(eng_c)
-    try:
-        client = ServiceClient(bg.url, timeout=120)
-        sweep = client.submit_sweep({
-            "schemes": list(SCHEMES), "matrices": list(MATRICES),
-            "ks": list(KS), "scale_name": "tiny",
-        })
-        sources = {}
-        for st in sweep["jobs"]:
-            res = client.wait(st.job_id, timeout=120)
-            status = client.status(st.job_id)
-            sources[res.digest] = status.source
-        bad = {d: s for d, s in sources.items() if s != "cache"}
-        if bad:
-            failures.append(f"replica served duplicates from {bad}; "
-                            "expected source 'cache' for all")
-        if eng_c.stats.executed != 0:
-            failures.append(f"replica executed {eng_c.stats.executed} "
-                            "duplicate jobs")
-        print(f"[smoke] replica served {len(sources)} duplicates, "
-              f"sources={sorted(set(sources.values()))}")
-    finally:
-        bg.stop()
-        eng_c.close()
+    print(f"[smoke] engine B (pid {child.pid}): {executed_b} executions, "
+          f"{len(prints_b)} results bit-checked")
 
     # Exactly one execution ledger row per digest, ever.  A job that
     # rode in a fused batch group is recorded as 'batched', not
@@ -137,7 +127,13 @@ def main(argv=None) -> int:
             failures.append(f"digest {digest[:12]}: {len(rows)} "
                             "executed/batched ledger rows, expected 1")
 
-    # 4. Provenance on every stored result.
+    # Engine B's answers are ledgered from the child, not this process.
+    b_workers = {r["worker"] for r in store.history(experiment="smoke-b")}
+    if {w.rsplit(":", 1)[-1] for w in b_workers} != {str(child.pid)}:
+        failures.append(f"engine B's ledger rows came from {b_workers}, "
+                        f"not the child (pid {child.pid})")
+
+    # 3. Provenance on every stored result.
     for digest in digests:
         rec = store.get_result(digest)
         if rec is None:
@@ -169,7 +165,7 @@ def main(argv=None) -> int:
         by_source[row["source"]] = by_source.get(row["source"], 0) + 1
     print(f"[smoke] OK: {info['results']} results, "
           f"{info['ledger']} ledger rows {by_source}, "
-          f"one execution per digest across 2 engines + 1 replica")
+          f"one execution per digest across 2 engines in 2 processes")
     return 0
 
 

@@ -18,10 +18,6 @@ Usage::
     netsparse store migrate
     netsparse store history [--experiment E] [--scheme S] [--since 7d]
     netsparse store gc [--days 30] [--ledger] [--dry-run]
-    netsparse serve [--port 8642] [--jobs 4] [--queue-limit 64]
-    netsparse submit --scheme netsparse --matrix arabic -k 16 [--wait]
-    netsparse submit --scheme netsparse,suopt --matrix arabic,uk -k 8,16
-    netsparse jobs [--url http://127.0.0.1:8642]
     netsparse version        (also: netsparse --version)
 
 ``run`` and ``report`` route every simulation through the execution
@@ -45,14 +41,6 @@ degradation report plus a telemetry JSON; ``--smoke`` additionally
 asserts the NetSparse speedup column decreases strictly with fault
 intensity and that the ``faults.*`` counters are live.
 
-``serve`` turns the engine into a shared service
-(:mod:`repro.service`): clients submit jobs and sweeps over HTTP,
-duplicates coalesce onto single executions, repeats come straight from
-the result cache, and per-job progress streams over WebSocket.
-``submit`` and ``jobs`` are thin clients for it; comma-separated values
-to ``submit`` expand into a sweep.  Ctrl-C on a running server drains
-in-flight jobs before exiting.
-
 ``store`` inspects the result/artifact store (:mod:`repro.store`):
 ``info`` prints backend/schema/row counts,
 ``migrate`` applies pending schema migrations (idempotent — a second
@@ -60,7 +48,7 @@ run is a no-op), ``history`` queries the append-only run ledger
 (filter by experiment, scheme, matrix, scale, source, ``--since 7d``),
 and ``gc`` reclaims old result rows and artifacts (the ledger is kept
 unless ``--ledger`` is given).  The DSN comes from ``--dsn``, else it
-is the result cache's own store; ``run``/``report``/``serve`` append a
+is the result cache's own store; ``run``/``report`` append a
 ledger row per engine answer to it.
 
 ``collectives`` runs the sparse ML workload families
@@ -209,52 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "traces are digest-identical, and the cache/DES counters "
              "are live",
     )
-    serve = sub.add_parser(
-        "serve",
-        help="run the job service: HTTP/WebSocket API over the "
-             "execution engine (coalescing, cache serving, admission "
-             "control)",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=None, metavar="P",
-                       help="bind port (default: 8642; 0 picks a free "
-                            "port)")
-    serve.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                       help="max in-flight jobs before submissions get "
-                            "429 (default: 64)")
-    _add_engine_flags(serve)
-    submit = sub.add_parser(
-        "submit",
-        help="submit a job (or, with comma-separated values, a sweep) "
-             "to a running service",
-    )
-    submit.add_argument("--url", default=None, metavar="URL",
-                        help="service endpoint (default: "
-                             "$NETSPARSE_SERVICE_URL or "
-                             "http://127.0.0.1:8642)")
-    submit.add_argument("--scheme", required=True,
-                        help="scheme id(s), comma-separated")
-    submit.add_argument("--matrix", required=True,
-                        help="matrix name(s), comma-separated")
-    submit.add_argument("-k", required=True, metavar="K",
-                        help="SpMM column count(s), comma-separated")
-    submit.add_argument("--scale", default="small",
-                        choices=["tiny", "small", "medium", "large"])
-    submit.add_argument("--seed", type=int, default=7)
-    submit.add_argument("--wait", action="store_true",
-                        help="block until every job finishes and print "
-                             "result summaries")
-    submit.add_argument("--watch", action="store_true",
-                        help="stream each job's lifecycle + span events "
-                             "(implies --wait ordering)")
-    jobs_p = sub.add_parser(
-        "jobs", help="list jobs and service stats of a running service"
-    )
-    jobs_p.add_argument("--url", default=None, metavar="URL",
-                        help="service endpoint (default: "
-                             "$NETSPARSE_SERVICE_URL or "
-                             "http://127.0.0.1:8642)")
     cache = sub.add_parser(
         "cache", help="inspect or clear the simulation result cache"
     )
@@ -287,8 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     st_history.add_argument("--scale", default=None,
                             help="filter by scale name (tiny, small, ...)")
     st_history.add_argument("--source", default=None,
-                            help="filter by answer source (executed, cache, "
-                                 "memo, inflight, coalesced)")
+                            help="filter by answer source (executed, "
+                                 "batched, cache, memo)")
     st_history.add_argument("--since", default=None, metavar="WHEN",
                             help="only rows at/after WHEN: ISO date "
                                  "(2026-08-01), relative (7d, 12h, 30m), "
@@ -625,111 +567,6 @@ def _collectives_main(args) -> int:
     return 0
 
 
-def _service_url(args) -> str:
-    return (args.url or os.environ.get("NETSPARSE_SERVICE_URL")
-            or "http://127.0.0.1:8642")
-
-
-def _serve_main(args) -> int:
-    from repro.parallel import configure_engine
-    from repro.service import DEFAULT_PORT, run_server
-
-    engine = configure_engine(jobs=args.jobs, cache_dir=args.cache_dir,
-                              use_cache=not args.no_cache)
-    port = DEFAULT_PORT if args.port is None else args.port
-    return run_server(engine, host=args.host, port=port,
-                      queue_limit=args.queue_limit, close_engine=True)
-
-
-def _submit_main(args) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(_service_url(args))
-    schemes = [s for s in args.scheme.split(",") if s]
-    matrices = [m for m in args.matrix.split(",") if m]
-    try:
-        ks = [int(x) for x in args.k.split(",") if x]
-    except ValueError:
-        print(f"-k must be integer(s), got {args.k!r}", file=sys.stderr)
-        return 2
-    try:
-        if len(schemes) * len(matrices) * len(ks) > 1:
-            out = client.submit_sweep({
-                "schemes": schemes, "matrices": matrices, "ks": ks,
-                "scale_name": args.scale, "seed": args.seed,
-            })
-            print(f"sweep {out['sweep_id']}: {out['n_jobs']} jobs "
-                  f"({out['n_coalesced']} coalesced)")
-            statuses = out["jobs"]
-        else:
-            statuses = [client.submit({
-                "scheme": schemes[0], "matrix": matrices[0], "k": ks[0],
-                "scale_name": args.scale, "seed": args.seed,
-            })]
-    except ServiceError as exc:
-        hint = (f" (retry after {exc.retry_after:.0f}s)"
-                if exc.retry_after else "")
-        print(f"submit rejected: {exc}{hint}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach service at {_service_url(args)}: {exc}",
-              file=sys.stderr)
-        return 1
-    for st in statuses:
-        d = st.describe
-        print(f"  {st.job_id}  {st.state:<9} "
-              f"{d.get('scheme')}/{d.get('matrix')}/k={d.get('k')}"
-              f"{'  [coalesced]' if st.coalesced else ''}")
-    if args.watch:
-        for st in statuses:
-            print(f"-- events {st.job_id} --")
-            for ev in client.events(st.job_id):
-                if ev.get("type") == "span":
-                    print(f"  span {ev['name']}: {ev['duration_s']:.4f}s")
-                elif ev.get("type") == "status":
-                    print(f"  {ev['state']}")
-    if args.wait or args.watch:
-        for st in statuses:
-            try:
-                res = client.wait(st.job_id)
-            except ServiceError as exc:
-                print(f"{st.job_id}: {exc}", file=sys.stderr)
-                return 1
-            comm = res.comm_result()
-            print(f"{st.job_id}: total_time={comm.total_time:.6g} "
-                  f"source={res.source} elapsed={res.elapsed:.2f}s")
-    return 0
-
-
-def _jobs_main(args) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(_service_url(args))
-    try:
-        statuses = client.jobs()
-        stats = client.stats()
-    except OSError as exc:
-        print(f"cannot reach service at {_service_url(args)}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not statuses:
-        print("no jobs")
-    for st in statuses:
-        d = st.describe
-        print(f"{st.job_id}  {st.state:<9} {st.source or '-':<8} "
-              f"{d.get('scheme')}/{d.get('matrix')}/k={d.get('k')}"
-              f"@{d.get('scale_name')}")
-    counters = stats["service"]["counters"]
-    jobs_info = stats["jobs"]
-    print(f"[service] inflight={jobs_info['inflight']}"
-          f"/{jobs_info['queue_limit']} "
-          f"submitted={counters.get('service.submitted', 0)} "
-          f"coalesced={counters.get('service.coalesced', 0)} "
-          f"cache-hits={counters.get('service.cache_hits', 0)} "
-          f"rejected={counters.get('service.rejected', 0)}")
-    return 0
-
-
 def _main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -752,15 +589,6 @@ def _main(argv=None) -> int:
 
     if args.command == "cache":
         return _cache_main(args)
-
-    if args.command == "serve":
-        return _serve_main(args)
-
-    if args.command == "submit":
-        return _submit_main(args)
-
-    if args.command == "jobs":
-        return _jobs_main(args)
 
     if args.command == "store":
         return _store_main(args)

@@ -1,6 +1,6 @@
 """Cluster-level end-to-end models.
 
-- :mod:`repro.cluster.results` — the :class:`CommResult` record every
+- :class:`~repro.results.CommResult` (re-exported) — the record every
   communication scheme produces (timing, traffic, per-mechanism stats).
 - :mod:`repro.cluster.model`   — the NetSparse trace-level cluster
   model: partitions the matrix, applies RIG → filter/coalesce →
@@ -17,9 +17,6 @@ from repro.cluster.model import (
     reset_batch_state,
     simulate_netsparse,
 )
-# Submodule (not package-attribute) imports: repro.baselines also imports
-# repro.cluster.results, and attribute imports would break whichever
-# package is entered second.
 from repro.baselines.saopt import simulate_saopt
 from repro.baselines.su import simulate_suopt
 from repro.cluster.endtoend import (

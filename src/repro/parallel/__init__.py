@@ -27,7 +27,6 @@ from repro.parallel.cache import ResultCache, default_cache_dir
 from repro.parallel.engine import (
     EngineStats,
     ExecutionEngine,
-    JobHandle,
     configure_engine,
     engine_scope,
     get_engine,
@@ -42,7 +41,6 @@ __all__ = [
     "CODE_SALT",
     "EngineStats",
     "ExecutionEngine",
-    "JobHandle",
     "ResultCache",
     "SimJob",
     "configure_engine",

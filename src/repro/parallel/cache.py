@@ -15,7 +15,7 @@ The store is chosen in this order:
 3. ``$REPRO_STORE_DSN``;
 4. ``<default_cache_dir()>/store.sqlite3``.
 
-Several processes (CLI runs, service replicas) pointed at one store
+Several processes (concurrent CLI runs, CI jobs) pointed at one store
 share one cache: writes are first-writer-wins, and SQLite's WAL mode
 lets readers and writers of one file run side by side.  The store
 opens on first use, so importing this module never imports

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import NetSparseConfig
@@ -33,7 +33,6 @@ from repro.parallel.jobs import SimJob, timed_execute
 __all__ = [
     "EngineStats",
     "ExecutionEngine",
-    "JobHandle",
     "configure_engine",
     "engine_scope",
     "get_engine",
@@ -70,7 +69,7 @@ class EngineStats:
         )
 
     def as_dict(self) -> dict:
-        """JSON-ready view — the service's ``/v1/stats`` payload."""
+        """JSON-ready view of the counters."""
         return {
             "jobs": self.jobs,
             "memo_hits": self.memo_hits,
@@ -81,36 +80,6 @@ class EngineStats:
             "sim_seconds": round(self.sim_seconds, 4),
             "saved_seconds": round(self.saved_seconds, 4),
         }
-
-
-@dataclass
-class JobHandle:
-    """One async-bridge submission (:meth:`ExecutionEngine.submit`).
-
-    ``future`` resolves to the job's result object.  ``source`` says
-    how the submission was answered: ``"memo"``/``"cache"`` handles are
-    already resolved, ``"inflight"`` handles share another submission's
-    execution (cancelling them is refused — someone else is waiting),
-    and ``"executed"`` handles own a pending execution that can still
-    be cancelled while queued behind the bridge's worker threads.
-    """
-
-    digest: str
-    future: Future
-    source: str = "executed"
-    _inner: Optional[Future] = field(default=None, repr=False)
-
-    def cancel(self) -> bool:
-        """Cancel a not-yet-started execution; ``False`` otherwise."""
-        if self.source != "executed" or self._inner is None:
-            return False
-        return self._inner.cancel()
-
-    def done(self) -> bool:
-        return self.future.done()
-
-    def result(self, timeout: Optional[float] = None):
-        return self.future.result(timeout)
 
 
 def _pool_context():
@@ -127,17 +96,12 @@ class ExecutionEngine:
         self.jobs = max(int(jobs), 1)
         self.cache = cache
         #: Ambient attribution for the run ledger (``experiment`` is the
-        #: CLI's experiment id; the service stamps its replica identity).
+        #: CLI's experiment id).
         self.context: Dict[str, str] = {}
         self.stats = EngineStats()
         self._memo: Dict[str, object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
-        # Async-bridge state: in-flight submissions by digest, executed
-        # on a thread pool so telemetry keeps flowing in-process.
-        self._bridge: Optional[ThreadPoolExecutor] = None
-        self._inflight: Dict[str, JobHandle] = {}
-        self._lock = threading.RLock()
-        self._closed = False
+        self._lock = threading.Lock()
 
     # -- execution -----------------------------------------------------
 
@@ -187,113 +151,10 @@ class ExecutionEngine:
             return
         try:
             store.record_run(digest, source=source, elapsed=elapsed,
-                             worker=self.context.get("worker"),
                              meta=job.describe(),
                              experiment=self.context.get("experiment"))
         except Exception:
             telemetry.count("store.errors", op="ledger")
-
-    # -- async bridge ---------------------------------------------------
-
-    def submit(self, job: SimJob, *,
-               on_start: Optional[Callable[[], None]] = None) -> JobHandle:
-        """Schedule one job without blocking; returns a :class:`JobHandle`.
-
-        The bridge the service front-end (:mod:`repro.service`) runs
-        on: memo and disk-cache hits come back already resolved,
-        duplicate in-flight digests share a single execution, and
-        everything else runs on a pool of ``jobs`` worker *threads* in
-        this process — so the active telemetry registry still sees the
-        per-stage spans the simulators record (the process-pool batch
-        path executes with telemetry disabled in the workers).
-
-        ``on_start`` is invoked in the worker thread immediately before
-        execution begins — the hook the service uses to flip a job to
-        ``running`` and to bind the thread for span attribution.
-        """
-        digest = job.digest()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            self.stats.jobs += 1
-            telemetry.count("engine.jobs")
-            if digest in self._memo:
-                self.stats.memo_hits += 1
-                telemetry.count("engine.memo_hits")
-                self._record_run(job, digest, "memo")
-                fut: Future = Future()
-                fut.set_result(self._memo[digest])
-                return JobHandle(digest=digest, future=fut, source="memo")
-            shared = self._inflight.get(digest)
-            if shared is not None:
-                self.stats.memo_hits += 1
-                telemetry.count("engine.memo_hits")
-                telemetry.count("engine.inflight_hits")
-                self._record_run(job, digest, "inflight")
-                return JobHandle(digest=digest, future=shared.future,
-                                 source="inflight")
-            entry = self.cache.get(digest) if self.cache else None
-            if entry is not None:
-                self._memo[digest] = entry.result
-                self.stats.cache_hits += 1
-                self.stats.saved_seconds += entry.elapsed
-                telemetry.count("engine.cache_hits")
-                self._record_run(job, digest, "cache")
-                fut = Future()
-                fut.set_result(entry.result)
-                return JobHandle(digest=digest, future=fut, source="cache")
-
-            outer: Future = Future()
-            handle = JobHandle(digest=digest, future=outer, source="executed")
-            self._inflight[digest] = handle
-
-            def _task():
-                if on_start is not None:
-                    on_start()
-                return self._timed_instrumented(job)
-
-            def _finish(inner: Future) -> None:
-                with self._lock:
-                    self._inflight.pop(digest, None)
-                if inner.cancelled():
-                    telemetry.count("engine.cancelled")
-                    outer.cancel()
-                    return
-                exc = inner.exception()
-                if exc is not None:
-                    telemetry.count("engine.failed")
-                    outer.set_exception(exc)
-                    return
-                result, elapsed = inner.result()
-                with self._lock:
-                    self._memo[digest] = result
-                    self.stats.executed += 1
-                    self.stats.sim_seconds += elapsed
-                telemetry.count("engine.executed")
-                telemetry.observe("engine.job.seconds", elapsed,
-                                  scheme=job.scheme)
-                if self.cache is not None:
-                    self.cache.put(digest, result, meta=job.describe(),
-                                   elapsed=elapsed)
-                self._record_run(job, digest, "executed", elapsed=elapsed)
-                outer.set_result(result)
-
-            inner = self._ensure_bridge().submit(_task)
-            handle._inner = inner
-            inner.add_done_callback(_finish)
-            return handle
-
-    def describe(self) -> dict:
-        """Engine topology + stats, JSON-ready (service ``/v1/stats``)."""
-        with self._lock:
-            store = self._store()
-            return {
-                "workers": self.jobs,
-                "store_dsn": store.dsn if store is not None else None,
-                "inflight": len(self._inflight),
-                "closed": self._closed,
-                "stats": self.stats.as_dict(),
-            }
 
     def run_job(self, job: SimJob):
         return self.run_jobs([job])[0]
@@ -402,31 +263,16 @@ class ExecutionEngine:
                 )
             return self._pool
 
-    def _ensure_bridge(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._bridge is None:
-                self._bridge = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="engine-bridge",
-                )
-            return self._bridge
-
     def close(self) -> None:
-        """Release both pools.  Idempotent and safe to call from
-        several threads at once: the pools are detached under the lock
-        (so only one caller shuts each down) and later calls are
-        no-ops.  Bridge submissions already running are drained, not
-        killed; afterwards :meth:`submit` refuses new work while the
-        synchronous paths keep answering (serially) — matching the
-        historical post-close behavior."""
+        """Release the process pool.  Idempotent and safe to call from
+        several threads at once: the pool is detached under the lock (so
+        only one caller shuts it down) and later calls are no-ops.  A
+        closed engine still answers ``run_jobs``; a batch that needs the
+        pool opens a new one."""
         with self._lock:
-            self._closed = True
             pool, self._pool = self._pool, None
-            bridge, self._bridge = self._bridge, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        if bridge is not None:
-            bridge.shutdown(wait=True)
 
     def __enter__(self) -> "ExecutionEngine":
         return self

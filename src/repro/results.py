@@ -1,36 +1,21 @@
 """The common result record of every communication-scheme simulation,
-and its bit-exact JSON codec.
+and the bit-exact JSON codec the result store keeps row metadata with.
 
-The codec (:func:`encode_result`/:func:`decode_result` for whole
-records, :func:`encode_value`/:func:`decode_value` for any value,
-:func:`dumps`/:func:`loads` for the canonical bytes) flattens numpy
-arrays into typed ``{"__nd__": ...}`` nodes and rebuilds them
-bit-identically — Python floats round-trip exactly through ``repr``.
-The job service sends results over the wire with it, and the result
-store keeps row metadata with it; it lives here so the store never
-imports the service package.
+:func:`encode_value`/:func:`decode_value` flatten numpy arrays into
+typed ``{"__nd__": ...}`` nodes and rebuild them bit-identically —
+Python floats round-trip exactly through ``repr`` — and :func:`dumps`
+gives the canonical bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
 
-__all__ = ["CommResult", "ProtocolError", "encode_result", "decode_result",
-           "encode_value", "decode_value", "dumps", "loads"]
-
-
-class ProtocolError(ValueError):
-    """A malformed or unacceptable message: bad codec input here, and
-    any rejected request in the job service (maps to HTTP 400)."""
-
-    def __init__(self, message: str, *, code: str = "bad_request"):
-        super().__init__(message)
-        self.code = code
+__all__ = ["CommResult", "encode_value", "decode_value", "dumps"]
 
 
 @dataclass
@@ -123,8 +108,14 @@ class CommResult:
 # -- JSON codec ---------------------------------------------------------
 
 
-def _jsonify(obj: Any) -> Any:
-    """JSON-ready deep copy; numpy arrays become typed ``__nd__`` nodes."""
+def encode_value(obj: Any) -> Any:
+    """JSON-ready deep copy of an arbitrary value.
+
+    Numpy arrays become typed ``__nd__`` nodes, numpy scalars their
+    Python equivalents, opaque extras their ``repr``.
+    :func:`decode_value` inverts it bit-exactly for the array/scalar
+    cases.
+    """
     if isinstance(obj, np.ndarray):
         return {"__nd__": {"dtype": str(obj.dtype),
                            "shape": list(obj.shape),
@@ -132,17 +123,18 @@ def _jsonify(obj: Any) -> Any:
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): encode_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [encode_value(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     # Opaque extras (rare) degrade to their repr rather than failing
-    # the whole result; they are display-only anyway.
+    # the whole value; they are display-only anyway.
     return {"__repr__": repr(obj)}
 
 
-def _unjsonify(obj: Any) -> Any:
+def decode_value(obj: Any) -> Any:
+    """Invert :func:`encode_value` (rebuilds ``__nd__`` arrays)."""
     if isinstance(obj, dict):
         if "__nd__" in obj and len(obj) == 1:
             nd = obj["__nd__"]
@@ -150,59 +142,13 @@ def _unjsonify(obj: Any) -> Any:
             return arr.reshape(nd["shape"])
         if "__repr__" in obj and len(obj) == 1:
             return obj["__repr__"]
-        return {k: _unjsonify(v) for k, v in obj.items()}
+        return {k: decode_value(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_unjsonify(v) for v in obj]
+        return [decode_value(v) for v in obj]
     return obj
 
 
-def encode_value(obj: Any) -> Any:
-    """JSON-ready deep copy of an arbitrary value.
-
-    The public face of the ``__nd__`` codec for payloads that are not
-    whole :class:`CommResult` records — numpy arrays become typed
-    ``__nd__`` nodes, numpy scalars their Python equivalents, opaque
-    extras their ``repr``.  :func:`decode_value` inverts it
-    bit-exactly for the array/scalar cases.  The store uses this pair
-    for artifact and provenance metadata.
-    """
-    return _jsonify(obj)
-
-
-def decode_value(obj: Any) -> Any:
-    """Invert :func:`encode_value` (rebuilds ``__nd__`` arrays)."""
-    return _unjsonify(obj)
-
-
-def encode_result(res: CommResult) -> Dict[str, Any]:
-    """Flatten a :class:`CommResult` to a JSON-ready dict."""
-    return {"__comm_result__": 1,
-            **{f.name: _jsonify(getattr(res, f.name))
-               for f in fields(CommResult)}}
-
-
-def decode_result(data: Dict[str, Any]) -> CommResult:
-    """Rebuild the :class:`CommResult` encoded by :func:`encode_result`."""
-    if not isinstance(data, dict) or not data.get("__comm_result__"):
-        raise ProtocolError("not an encoded CommResult", code="bad_result")
-    kwargs = {f.name: _unjsonify(data[f.name])
-              for f in fields(CommResult) if f.name in data}
-    return CommResult(**kwargs)
-
-
-# -- wire helpers --------------------------------------------------------
-
-
 def dumps(obj: Any) -> bytes:
-    """Canonical wire encoding (compact separators, sorted keys)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
+    """Canonical encoding (compact separators, sorted keys)."""
     return json.dumps(obj, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-
-
-def loads(raw: bytes) -> Any:
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"invalid JSON body: {exc}", code="bad_json")

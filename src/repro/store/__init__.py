@@ -18,11 +18,11 @@ otherwise ``REPRO_STORE_DSN`` names it, else it is
 ``~/.cache/netsparse/store.sqlite3``::
 
     REPRO_STORE_DSN=sqlite:////var/lib/netsparse/store.sqlite3 \\
-        netsparse serve --jobs 4
+        netsparse run all --jobs 4
 
-Two service replicas pointed at one store coalesce duplicate
-submissions across processes: the first executes and writes the row,
-the second answers from the store.  Migrations are idempotent
+Two engines in different processes pointed at one store share each
+answer: the first executes and writes the row, the second answers from
+the store.  Migrations are idempotent
 (``netsparse store migrate`` twice is a no-op) and run automatically
 on open.
 """

@@ -2,8 +2,8 @@
 factory.
 
 ``sqlite:///path/to.db`` (or a bare filesystem path) opens a WAL-mode
-database with a busy timeout, so several processes — service replicas,
-CLI runs, CI jobs — can share one store file safely.
+database with a busy timeout, so several processes — CLI runs, engines,
+CI jobs — can share one store file safely.
 ``sqlite:///:memory:`` keeps everything on a single shared connection
 (tests).  Any other DSN scheme is rejected.
 

@@ -26,8 +26,8 @@ Tables (schema v1):
 
 ``ledger``
     Append-only: one row per engine answer, with source attribution
-    (``memo`` / ``cache`` / ``inflight`` / ``executed`` /
-    ``coalesced``), elapsed seconds, and the worker identity — the
+    (``memo`` / ``cache`` / ``executed`` / ``batched``), elapsed
+    seconds, and the worker identity — the
     queryable history behind ``netsparse store history``.
 """
 

@@ -1,6 +1,6 @@
-"""Concurrency hardening tests: cache writers racing ``clear()``,
+"""Concurrency hardening tests: cache writers racing ``clear()`` and
 engine lifecycle (idempotent/concurrent close, leak-free
-reconfiguration), and the async submit bridge's coalescing semantics."""
+reconfiguration)."""
 
 import threading
 import time
@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.parallel.engine as engine_mod
 from repro.config import NetSparseConfig
 from repro.parallel import (
     ExecutionEngine,
@@ -98,33 +97,8 @@ def test_close_idempotent_and_concurrent(tmp_path):
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda _: eng.close(), range(8)))
     eng.close()                            # and once more, re-entrant
-    assert eng.describe()["closed"] is True
-    # Post-close: sync paths still answer (serially), submit refuses.
+    # Post-close: sync paths still answer.
     assert eng.run_job(_job(8)) is not None
-    with pytest.raises(RuntimeError):
-        eng.submit(_job(16))
-
-
-def test_close_drains_inflight_bridge_work(tmp_path, monkeypatch):
-    gate = threading.Event()
-    real = engine_mod.timed_execute
-
-    def slow(job):
-        gate.wait(30)
-        return real(job)
-
-    monkeypatch.setattr(engine_mod, "timed_execute", slow)
-    eng = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
-    handle = eng.submit(_job(9))
-    closer = threading.Thread(target=eng.close, daemon=True)
-    closer.start()
-    time.sleep(0.2)
-    assert closer.is_alive()               # close() is waiting, not killing
-    gate.set()
-    closer.join(30)
-    assert not closer.is_alive()
-    assert handle.result(5) is not None    # the drained job completed
-    assert eng.cache.get(handle.digest) is not None
 
 
 def test_configure_engine_failure_keeps_previous(tmp_path, monkeypatch):
@@ -180,81 +154,3 @@ def test_engine_scope_restores_on_exception():
             raise ValueError("boom")
     assert get_engine() is before
 
-
-# -- async submit bridge -------------------------------------------------
-
-
-def test_submit_sources_memo_cache_inflight(tmp_path, monkeypatch):
-    eng = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
-    gate = threading.Event()
-    real = engine_mod.timed_execute
-
-    def slow(job):
-        gate.wait(30)
-        return real(job)
-
-    monkeypatch.setattr(engine_mod, "timed_execute", slow)
-    first = eng.submit(_job(8))
-    assert first.source == "executed"
-    dup = eng.submit(_job(8))
-    assert dup.source == "inflight"
-    assert dup.future is first.future      # literally shared
-    assert dup.cancel() is False           # someone else is waiting
-    gate.set()
-    result = first.result(30)
-    assert dup.result(5) is result
-
-    memo = eng.submit(_job(8))
-    assert memo.source == "memo" and memo.done()
-    eng._memo.clear()                      # force the disk-cache path
-    cached = eng.submit(_job(8))
-    assert cached.source == "cache" and cached.done()
-    assert cached.result().total_time == result.total_time  # same bits
-    assert eng.stats.executed == 1
-    eng.close()
-
-
-def test_submit_cancel_queued(tmp_path, monkeypatch):
-    gate = threading.Event()
-    real = engine_mod.timed_execute
-
-    def slow(job):
-        gate.wait(30)
-        return real(job)
-
-    monkeypatch.setattr(engine_mod, "timed_execute", slow)
-    eng = ExecutionEngine(jobs=1, cache=None)   # one worker: 2nd queues
-    running = eng.submit(_job(8))
-    queued = eng.submit(_job(16))
-    assert queued.cancel() is True
-    gate.set()
-    assert running.result(30) is not None
-    with pytest.raises(Exception):
-        queued.result(5)                   # CancelledError
-    assert len(eng._inflight) == 0         # cancelled job deregistered
-    # A fresh submission of the cancelled digest executes normally.
-    redo = eng.submit(_job(16))
-    assert redo.source == "executed"
-    assert redo.result(30) is not None
-    eng.close()
-
-
-def test_submit_concurrent_same_digest_single_execution(tmp_path,
-                                                        monkeypatch):
-    executions = []
-    real = engine_mod.timed_execute
-
-    def counting(job):
-        executions.append(job.digest())
-        return real(job)
-
-    monkeypatch.setattr(engine_mod, "timed_execute", counting)
-    eng = ExecutionEngine(jobs=4, cache=ResultCache(tmp_path))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        handles = list(pool.map(lambda _: eng.submit(_job(8)), range(16)))
-    results = {id(h.result(60)) for h in handles}
-    assert len(executions) == 1
-    assert len(results) == 1               # the one result object, shared
-    assert eng.stats.jobs == 16
-    assert eng.stats.executed == 1
-    eng.close()

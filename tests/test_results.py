@@ -1,9 +1,12 @@
-"""Tests for the CommResult record and its derived statistics."""
+"""Tests for the CommResult record, its derived statistics and the
+value codec."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.results import CommResult
+from repro.results import CommResult, decode_value, dumps, encode_value
 
 
 def make(per_node_time, recv=None, useful=None, **kw):
@@ -79,3 +82,24 @@ def test_active_nodes_curve_monotone():
     assert active[-1] == 0
     assert (np.diff(active) <= 0).all()
     assert t[0] == 0.0 and t[-1] == pytest.approx(4.0)
+
+
+def test_value_codec_round_trip_bit_identical():
+    rng = np.random.default_rng(3)
+    value = {
+        "total_time": rng.random() * 1e-3,
+        "per_node_time": rng.random(8),
+        "recv_wire_bytes": rng.integers(0, 1 << 40, 8),
+        "extras": {"nested": {"arr": rng.random(3).astype(np.float32),
+                              "scalar": np.float64(0.1)}},
+    }
+    back = decode_value(json.loads(dumps(encode_value(value))))
+    assert back["total_time"] == value["total_time"]  # exact, not approx
+    for key in ("per_node_time", "recv_wire_bytes"):
+        assert back[key].dtype == value[key].dtype
+        assert back[key].tobytes() == value[key].tobytes()
+    inner = back["extras"]["nested"]
+    assert inner["arr"].dtype == np.float32
+    assert inner["arr"].tobytes() == value["extras"]["nested"]["arr"].tobytes()
+    assert inner["scalar"] == 0.1
+    assert type(inner["scalar"]) is float

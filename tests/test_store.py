@@ -2,7 +2,7 @@
 provenance, dedupe, the run ledger, and gc.
 
 The cache-integration surface (store-backed ``ResultCache``, engine
-ledger attribution, cross-process races, service replicas) lives in
+ledger attribution, cross-process races, engines sharing a store) lives in
 ``test_store_cache.py``; this file covers the store package itself.
 """
 
@@ -198,20 +198,6 @@ def test_undecodable_row_reads_as_miss_and_is_dropped(store, column, value):
     assert store.counts()["results"] == 0
     assert store.put_result(DIGEST_A, res, elapsed=1.0) is True
     assert store.get_result(DIGEST_A).result.total_time == res.total_time
-
-
-def test_store_never_imports_the_service_package(tmp_path):
-    code = (
-        "import sys\n"
-        "from repro.store import open_store\n"
-        f"s = open_store('sqlite:///{tmp_path}/s.sqlite3')\n"
-        "s.put_result('a' * 64, {'x': 1}, meta={'scheme': 'netsparse'})\n"
-        "rec = s.get_result('a' * 64)\n"
-        "assert rec.result == {'x': 1}, rec.result\n"
-        "assert rec.meta == {'scheme': 'netsparse'}, rec.meta\n"
-        "assert 'repro.service' not in sys.modules\n"
-    )
-    _run_python(code)
 
 
 def test_cli_import_leaves_store_unloaded():

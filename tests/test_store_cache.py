@@ -1,9 +1,9 @@
 """Integration tests: the store-backed ResultCache, engine ledger
-attribution, cross-process convergence, and cross-replica coalescing.
+attribution, cross-process convergence, and cross-engine sharing.
 
 The store package's own unit tests live in ``test_store.py``; this
 file proves the wiring *behind* existing surfaces — ``ResultCache``,
-``ExecutionEngine``, the job service and the CLI.
+``ExecutionEngine`` and the CLI.
 """
 
 import multiprocessing
@@ -98,7 +98,6 @@ def test_unusable_store_turns_cache_off(tmp_path):
         with ExecutionEngine(cache=cache) as eng:
             result = eng.run_job(job)
             assert eng.stats.executed == 1
-            assert eng.describe()["store_dsn"] is None
     assert cache.store is None                # off for the process
     assert reg.counter("store.errors", op="open").value == 1
     assert result.total_time > 0
@@ -146,21 +145,6 @@ def test_engine_records_executed_then_memo_then_cache(tmp_path, dsn):
     assert row["worker"]
 
 
-def test_engine_describe_reports_store(tmp_path, dsn):
-    store = open_store(dsn)
-    eng = ExecutionEngine(jobs=1,
-                          cache=ResultCache(store=store))
-    assert eng.describe()["store_dsn"] == dsn
-    eng.close()
-    by_dir = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "d"))
-    assert by_dir.describe()["store_dsn"] == (
-        f"sqlite:///{tmp_path / 'd'}/store.sqlite3")
-    by_dir.close()
-    uncached = ExecutionEngine(jobs=1)
-    assert uncached.describe()["store_dsn"] is None
-    uncached.close()
-
-
 # -- cross-process convergence -------------------------------------------
 
 
@@ -197,68 +181,35 @@ def test_cross_process_race_converges_to_one_row(dsn):
     assert rec.elapsed == float(inserted[0])
 
 
-# -- cross-replica coalescing via the service ----------------------------
+# -- cross-engine sharing through one store ------------------------------
 
 
 def test_two_replicas_share_one_execution(tmp_path, dsn):
-    from repro.service import ServiceClient, serve_in_background
-
     store = open_store(dsn)
-    req = {"scheme": "netsparse", "matrix": MAT, "k": K,
-           "scale_name": "tiny"}
+    job = make_job()
 
     eng_a = ExecutionEngine(jobs=1,
                             cache=ResultCache(store=store))
-    bg_a = serve_in_background(eng_a)
-    try:
-        ca = ServiceClient(bg_a.url, timeout=120)
-        first = ca.wait(ca.submit(req).job_id, timeout=120)
-    finally:
-        bg_a.stop()
-        eng_a.close()
+    first = eng_a.run_job(job)
+    eng_a.close()
     assert eng_a.stats.executed == 1
 
-    # Replica restart: fresh engine and cache, same store.
+    # A fresh engine and cache over the same store.
     eng_b = ExecutionEngine(jobs=1,
                             cache=ResultCache(store=store))
-    bg_b = serve_in_background(eng_b)
-    try:
-        cb = ServiceClient(bg_b.url, timeout=120)
-        sub = cb.submit(req)
-        second = cb.wait(sub.job_id, timeout=120)
-        status = cb.status(sub.job_id)
-    finally:
-        bg_b.stop()
-        eng_b.close()
+    second = eng_b.run_job(job)
+    eng_b.close()
     assert eng_b.stats.executed == 0
-    assert status.source == "cache"
+    assert eng_b.stats.cache_hits == 1
 
-    ra, rb = first.comm_result(), second.comm_result()
-    assert ra.total_time == rb.total_time
-    assert ra.per_node_time.tobytes() == rb.per_node_time.tobytes()
+    assert first.total_time == second.total_time
+    assert first.per_node_time.tobytes() == second.per_node_time.tobytes()
 
-    digest = make_job().digest()
+    digest = job.digest()
     executed = store.history(digest=digest, source="executed")
-    assert len(executed) == 1       # one execution, ever, across replicas
-    workers = {r["worker"] for r in store.history(digest=digest)}
-    assert any(w.startswith("service:") for w in workers)
-
-
-def test_service_stats_include_store_section(tmp_path, dsn):
-    from repro.service import ServiceClient, serve_in_background
-
-    store = open_store(dsn)
-    eng = ExecutionEngine(jobs=1,
-                          cache=ResultCache(store=store))
-    bg = serve_in_background(eng)
-    try:
-        stats = ServiceClient(bg.url).stats()
-    finally:
-        bg.stop()
-        eng.close()
-    assert stats["store"] is not None
-    assert stats["store"]["info"]["backend"] == "sqlite"
-    assert stats["store"]["info"]["schema_version"] >= 1
+    assert len(executed) == 1       # one execution, ever, across engines
+    sources = sorted(r["source"] for r in store.history(digest=digest))
+    assert sources == ["cache", "executed"]
 
 
 def _worker_env_roundtrip(dsn, queue):
