@@ -31,7 +31,7 @@ import itertools
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,12 +60,12 @@ __all__ = [
 # -- logical memos -------------------------------------------------------
 #
 # Sweep evaluation is single-pass: the stage outputs a knob sweep
-# would otherwise rebuild per point — filter masks, merged rack
-# streams with their hit mask per cache geometry and their
-# reuse-distance profiles — are memoized under logical keys (which
-# partition, which per-node clamped batch size and unit count), so the
-# planner's fused groups and sequential probe loops like the autotune
-# ladder stop replaying identical stages.
+# would otherwise rebuild per point — filter anchors, issued node
+# streams, and merged rack streams with their hit mask per cache
+# geometry and their reuse-distance profile — are memoized under
+# logical keys (which partition, which per-node clamped batch size and
+# unit count), so the planner's fused groups and sequential probe
+# loops like the autotune ladder stop replaying identical stages.
 # Repeated whole jobs are answered upstream by the engine's digest
 # memo and the ResultCache.  Keys never hash array content: object
 # identity tokens stand in for the heavyweight inputs (partition,
@@ -147,12 +147,23 @@ class _BoundedMemo:
 _B = 256 * (1 << 20) // 8           # budget unit: an eighth of 256 MiB
 _FBASE = _BoundedMemo(_B)         # (part, node, window) -> anchor + drops
 _MASKS = _BoundedMemo(_B)         # + clamped batch, units -> node stream
-_MERGES = _BoundedMemo(2 * _B)    # rack merge + its hit mask per geometry
-_PROFILES = _BoundedMemo(2 * _B)  # reuse-distance profile per merge
-_ALL_MEMOS = {
-    "fbase": _FBASE, "masks": _MASKS, "merges": _MERGES,
-    "profiles": _PROFILES,
-}
+_MERGES = _BoundedMemo(4 * _B)    # rack merge + its masks and profile
+_ALL_MEMOS = {"fbase": _FBASE, "masks": _MASKS, "merges": _MERGES}
+
+
+@dataclass(eq=False)
+class _MergeEntry:
+    """A ``_MERGES`` value: one rack's merged stream, its hit mask per
+    cache geometry and, from the second geometry on, its reuse profile.
+    The masks and the profile grow the entry in place and are charged
+    to the memo as they are added, so they are dropped with the
+    stream."""
+
+    merged: Dict[str, np.ndarray]
+    masks: Dict[Tuple[int, int, int], np.ndarray] = field(
+        default_factory=dict)
+    profile: Optional[reusedist.StreamProfile] = None
+
 
 _token_counter = itertools.count(1)
 _token_by_id: Dict[int, tuple] = {}
@@ -599,18 +610,14 @@ def simulate_netsparse(
             )
             entry = _MERGES.get(merge_key)
             if entry is None:
-                merged = _merge_rack_streams(
+                entry = _MergeEntry(_merge_rack_streams(
                     [node_streams[m] for m in members], members
-                )
-                # The entry also holds the stream's hit mask per cache
-                # geometry, charged to the memo as each is added, so
-                # the masks are dropped with the stream.
-                entry = (merged, {})
+                ))
                 _MERGES.put(merge_key, entry,
-                            sum(a.nbytes for a in merged.values()))
+                            sum(a.nbytes for a in entry.merged.values()))
             merge_keys.append(merge_key)
             merge_entries.append(entry)
-        merged_list = [merged for merged, _ in merge_entries]
+        merged_list = [entry.merged for entry in merge_entries]
         # Property Cache at the ToR middle pipes.  A geometry (sets,
         # ways, delay) already scored on a memoized stream reuses its
         # held mask.  A profile is only built on the second *distinct*
@@ -626,29 +633,32 @@ def simulate_netsparse(
             )
             rack_hits = []
             for merge_key, entry in zip(merge_keys, merge_entries):
-                merged, masks = entry
-                m_idx = merged["idx"]
+                m_idx = entry.merged["idx"]
                 if m_idx.size == 0:
                     rack_hits.append(np.zeros(0, dtype=bool))
                     continue
                 geometry = (n_sets, config.pcache_ways,
                             max(int(knobs.cache_inflight_frac * m_idx.size),
                                 1))
-                hits = masks.get(geometry)
+                hits = entry.masks.get(geometry)
                 if hits is None:
-                    prof = _PROFILES.get(merge_key)
-                    if prof is None and masks:
+                    if entry.profile is None and entry.masks:
                         prof = reusedist.build_profile(m_idx)
-                        _PROFILES.put(merge_key, prof, m_idx.nbytes * 4)
-                    if prof is not None:
-                        hits = prof.score(*geometry, "lru")
+                        # Only the first profile stored (a racing
+                        # thread may have stored one too) is charged.
+                        with _MEMO_LOCK:
+                            if entry.profile is None:
+                                entry.profile = prof
+                                _MERGES.charge(merge_key, entry,
+                                               prof.nbytes)
+                    if entry.profile is not None:
+                        hits = entry.profile.score(*geometry, "lru")
                     else:
                         hits = delayed_cache_hits(
                             m_idx, *geometry, policy="lru"
                         )[0]
-                    # Only the first mask stored for a geometry (a
-                    # racing thread may have stored it too) is charged.
-                    if masks.setdefault(geometry, hits) is hits:
+                    # Likewise only the first mask stored for a geometry.
+                    if entry.masks.setdefault(geometry, hits) is hits:
                         _MERGES.charge(merge_key, entry, hits.nbytes)
                 cache_lookups += int(m_idx.size)
                 cache_hits += int(hits.sum())

@@ -20,7 +20,7 @@ the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -29,10 +29,8 @@ from repro.sim import Simulator
 __all__ = [
     "ConcatStats",
     "DelayQueueConcatenator",
-    "merge_concat_stats",
     "window_concat",
     "window_concat_dest_bytes",
-    "window_concat_stream",
     "window_concat_totals",
 ]
 
@@ -291,62 +289,6 @@ def window_concat_totals(
     if lengths is None:
         return int(total[0]), int(n_packets[0])
     return total, n_packets
-
-
-def merge_concat_stats(parts: List[ConcatStats]) -> ConcatStats:
-    """Sum :class:`ConcatStats` over disjoint stream segments.
-
-    Exact when the segments were cut on window boundaries: the window
-    model couples elements only within one ``window_prs`` window, so
-    no (window, destination) group spans a boundary and every count is
-    a plain sum.
-    """
-    n_prs = n_packets = n_solo = 0
-    per_dest_prs: Dict[int, int] = {}
-    per_dest_packets: Dict[int, int] = {}
-    per_dest_solo: Dict[int, int] = {}
-    for st in parts:
-        n_prs += st.n_prs
-        n_packets += st.n_packets
-        n_solo += st.n_solo_packets
-        for d, v in st.per_dest_prs.items():
-            per_dest_prs[d] = per_dest_prs.get(d, 0) + v
-        for d, v in st.per_dest_packets.items():
-            per_dest_packets[d] = per_dest_packets.get(d, 0) + v
-        for d, v in st.per_dest_solo.items():
-            per_dest_solo[d] = per_dest_solo.get(d, 0) + v
-    return ConcatStats(n_prs, n_packets, n_solo, per_dest_prs,
-                       per_dest_packets, per_dest_solo)
-
-
-def window_concat_stream(
-    dest_chunks: Iterable[np.ndarray],
-    max_prs_per_packet: int,
-    window_prs: int,
-) -> ConcatStats:
-    """:func:`window_concat` over a chunked PR stream.
-
-    Buffers each incoming chunk to the last complete ``window_prs``
-    boundary before reducing it, so the grouping — and therefore every
-    count — is bit-identical to one whole-stream call while only one
-    chunk (plus a sub-window remainder) is resident.
-    """
-    if max_prs_per_packet < 1:
-        raise ValueError("max_prs_per_packet must be >= 1")
-    window_prs = max(int(window_prs), 1)
-    parts: List[ConcatStats] = []
-    buf = np.zeros(0, dtype=np.int64)
-    for chunk in dest_chunks:
-        chunk = np.asarray(chunk, dtype=np.int64)
-        arr = np.concatenate([buf, chunk]) if buf.size else chunk
-        cut = (arr.size // window_prs) * window_prs
-        if cut:
-            parts.append(window_concat(arr[:cut], max_prs_per_packet,
-                                       window_prs))
-        buf = arr[cut:]
-    if buf.size:
-        parts.append(window_concat(buf, max_prs_per_packet, window_prs))
-    return merge_concat_stats(parts)
 
 
 @dataclass

@@ -64,7 +64,7 @@ def first_occurrence_positions(idxs: np.ndarray) -> np.ndarray:
     :func:`filter_and_coalesce` that needs the ``np.unique`` sort, and
     it depends on the idx stream alone — not on the batch size, unit
     count or in-flight window.  A sweep over those knobs can therefore
-    compute it once per trace and pass it back via ``first_pos``.
+    compute it once per trace and pass it to :func:`anchored_drops`.
     """
     idxs = np.asarray(idxs)
     n = idxs.size
@@ -84,7 +84,6 @@ def filter_and_coalesce(
     inflight_window: int = 4096,
     enable_filtering: bool = True,
     enable_coalescing: bool = True,
-    first_pos: Optional[np.ndarray] = None,
 ) -> FilterResult:
     """Apply Idx-Filter + Pending-PR-Table semantics to an idx stream.
 
@@ -97,12 +96,8 @@ def filter_and_coalesce(
     outstanding and was issued by the same unit.  Duplicates of PRs
     that are simultaneously in flight from *other* units escape both
     structures — exactly the cross-unit redundancy the paper accepts to
-    avoid synchronization.
-
-    ``first_pos`` optionally supplies a precomputed
-    :func:`first_occurrence_positions` anchor for ``idxs`` (it must
-    have been computed from exactly this stream); the result is
-    bit-identical with or without it.
+    avoid synchronization.  The rule itself is :func:`anchored_drops`
+    over :func:`first_occurrence_positions`.
     """
     idxs = np.asarray(idxs)
     n = idxs.size
@@ -110,35 +105,14 @@ def filter_and_coalesce(
         raise ValueError("n_units and batch_size must be positive")
     if inflight_window < 0:
         raise ValueError("inflight_window must be nonnegative")
-    pos = np.arange(n, dtype=np.int64)
-    unit_of = (pos // batch_size) % n_units
-    if n == 0:
-        return FilterResult(
-            issued_mask=np.ones(0, dtype=bool),
-            unit_of=unit_of, n_total=0, n_issued=0,
-            n_filtered=0, n_coalesced=0,
-        )
-
-    if first_pos is not None:
-        fp = np.asarray(first_pos)
-        if fp.size != n:
-            raise ValueError("first_pos must match the idx stream length")
-    else:
-        fp = first_occurrence_positions(idxs)
-    is_duplicate = pos != fp
-    completed = fp <= pos - inflight_window
-    same_unit = unit_of == unit_of[fp]
-
-    drop_filter = is_duplicate & completed if enable_filtering else np.zeros(n, bool)
-    drop_coalesce = (
-        is_duplicate & ~completed & same_unit
-        if enable_coalescing
-        else np.zeros(n, bool)
+    drop_filter, drop_coalesce, _ = anchored_drops(
+        first_occurrence_positions(idxs), n_units, batch_size,
+        inflight_window, enable_filtering, enable_coalescing,
     )
     dropped = drop_filter | drop_coalesce
     return FilterResult(
         issued_mask=~dropped,
-        unit_of=unit_of,
+        unit_of=(np.arange(n, dtype=np.int64) // batch_size) % n_units,
         n_total=n,
         n_issued=int((~dropped).sum()),
         n_filtered=int(drop_filter.sum()),

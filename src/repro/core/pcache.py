@@ -29,9 +29,10 @@ def slot_bytes_for(property_bytes: int, n_segments: int = 32,
     """Bytes one line slot occupies for a configured property size.
 
     The single source of truth shared by :meth:`PropertyCache.configure`
-    and the array kernel in :mod:`repro.core.pcache_fast` — a property
-    is rounded up to a power-of-two number of segments, and properties
-    larger than the maximum line are tiled across whole lines (§6.2.2).
+    and the cluster model's cache stage (through :func:`n_sets_for`) —
+    a property is rounded up to a power-of-two number of segments, and
+    properties larger than the maximum line are tiled across whole
+    lines (§6.2.2).
     """
     if property_bytes < 1:
         raise ValueError("property size must be positive")

@@ -4,13 +4,14 @@ A sweep submits dozens of :class:`~repro.parallel.jobs.SimJob` records
 that differ only along *profile-compatible* knob axes — Property-Cache
 geometry (capacity / ways / line geometry / cache on-off), the RIG
 batch size, and the kernel width ``k``.  Jobs in such a group share
-their partition trace and every logical memo the cluster model keeps
-(:mod:`repro.cluster.model`): filter anchors and masks, merged rack
-streams and their reuse-distance profiles
-(:mod:`repro.core.reusedist`).  Evaluating the group's members
-*consecutively in one process* is therefore a single pass over the
-trace plus one cheap scoring step per knob point — the planner's whole
-job is to guarantee that adjacency.
+their partition trace and the three logical memos the cluster model
+keeps (:mod:`repro.cluster.model`): filter anchors, issued node
+streams, and merged rack streams, each holding its hit masks and its
+reuse-distance profile (:mod:`repro.core.reusedist`).  Evaluating the
+group's members *consecutively in one process* is therefore a single
+pass over the trace plus one cheap scoring step per knob point — the
+planner's whole job is to guarantee that adjacency; it scores nothing
+itself.
 
 :func:`plan_batches` groups jobs by their **residual key**: the job's
 canonical identity (:meth:`SimJob.key_dict`) with the batchable axes

@@ -21,11 +21,11 @@ def _session_shard_dir(tmp_path_factory):
 def cold_memos():
     """A context manager under which the cluster model runs cold.
 
-    Every memo in :data:`repro.cluster.model._ALL_MEMOS` gets a zero
-    byte budget, so ``put`` stores nothing and every stage (filter,
-    rack merge) is recomputed on every call; with no
-    stream memoized, no reuse profile is built and every hit mask
-    comes from the replay kernel.  The memos are emptied on entry and
+    Each of the three memos in :data:`repro.cluster.model._ALL_MEMOS`
+    gets a zero byte budget, so ``put`` stores nothing and every stage
+    (filter, rack merge) is recomputed on every call; with no merge
+    entry held, no reuse profile is built and every hit mask comes
+    from the replay kernel.  The memos are emptied on entry and
     on exit, so a warm run afterwards starts from scratch.
     """
 

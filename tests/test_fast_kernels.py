@@ -26,7 +26,7 @@ from repro.config import NetSparseConfig
 from repro.core import reusedist
 from repro.core.concat import _window_concat_fast, window_concat
 from repro.core.pcache import PropertyCache, n_sets_for
-from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
+from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.rig import rig_generation_time
 from repro.partition import (
     TraceCache,
@@ -107,6 +107,38 @@ class TestPcacheGolden:
         with pytest.raises(ValueError):
             delayed_cache_hits(np.arange(4), 2, 2, 1, policy="mru")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vals=st.lists(st.integers(0, 200), min_size=1, max_size=300),
+        n_sets=st.integers(1, 6),
+        ways=st.integers(1, 4),
+        delay=st.integers(0, 40),
+        owned=st.sets(st.integers(0, 5), min_size=1),
+        policy=st.sampled_from(PropertyCache.POLICIES),
+    )
+    @example(vals=list(range(40)) * 3, n_sets=2, ways=2, delay=3,
+             owned={0}, policy="random")       # owned set 0 evicts
+    @example(vals=list(range(40)) * 3, n_sets=1, ways=2, delay=3,
+             owned={0}, policy="lru")          # the whole stream
+    def test_subsequence_at_global_positions(self, vals, n_sets, ways,
+                                             delay, owned, policy):
+        """A subsequence holding every occurrence of the values of its
+        cache sets, replayed at its global positions, gets the
+        whole-stream hit mask at those positions."""
+        stream = np.array(vals, dtype=np.int64)
+        sets = stream % n_sets
+        mine = np.isin(sets, sorted(owned))
+        # Outside the owned sets, values fold to at most ``ways``
+        # distinct per set, so the rest of the stream never evicts.
+        stream = np.where(mine, stream,
+                          sets + n_sets * ((stream // n_sets) % ways))
+        positions = np.flatnonzero(mine)
+        whole = delayed_cache_hits(stream, n_sets, ways, delay,
+                                   policy=policy)[0]
+        sub = delayed_cache_hits(stream[positions], n_sets, ways, delay,
+                                 policy=policy, positions=positions)[0]
+        np.testing.assert_array_equal(sub, whole[positions])
+
     def test_duplicate_inflight_misses_both_travel(self):
         # delay=3 keeps both 7s in flight: neither may hit (no MSHR).
         hits, stats = delayed_cache_hits(
@@ -142,20 +174,13 @@ class TestPcacheGolden:
             segment_bytes=segment_bytes,
         )
         pc.configure(property_bytes)
-        assert pc.n_sets == n_sets_for(
+        n_sets = n_sets_for(
             capacity, ways, property_bytes, n_segments, segment_bytes
         )
+        assert pc.n_sets == n_sets
         rng = np.random.default_rng(property_bytes)
-        idxs = rng.integers(0, 4 * max(pc.n_sets, 1) * ways, size=600)
-        fast_hits, fast_stats = property_cache_hits(
-            idxs,
-            capacity_bytes=capacity,
-            ways=ways,
-            property_bytes=property_bytes,
-            delay=delay,
-            n_segments=n_segments,
-            segment_bytes=segment_bytes,
-        )
+        idxs = rng.integers(0, 4 * max(n_sets, 1) * ways, size=600)
+        fast_hits, fast_stats = delayed_cache_hits(idxs, n_sets, ways, delay)
         ref_hits = DelayedInsertCache(pc, delay).process(idxs)
         np.testing.assert_array_equal(fast_hits, ref_hits)
         assert fast_stats == pc.stats
@@ -307,8 +332,8 @@ CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 class TestModelGolden:
     """Cold runs (every memo disabled, each stage recomputed) against
-    warm runs served by the filter-mask, rack-merge and profile memos,
-    with hit masks scored from a reuse-distance profile."""
+    warm runs served by the filter and rack-merge memos, with hit masks
+    scored from the reuse-distance profile a merge entry holds."""
 
     @pytest.mark.parametrize("name", ["queen", "stokes"])
     def test_commresult_bit_identical(self, name, cold_memos, monkeypatch):
@@ -332,8 +357,8 @@ class TestModelGolden:
         stats = batch_stats()
         assert stats["masks"]["hits"] > 0
         assert stats["merges"]["hits"] > 0
-        assert stats["profiles"]["hits"] > 0
-        assert stats["profile"]["profiles_built"] > 0
+        built = stats["profile"]["profiles_built"]
+        assert built > 0
         for c, w in zip(cold, warm):
             assert_results_equal(c, w)
 
@@ -354,22 +379,24 @@ class TestModelGolden:
         replay = simulate_netsparse(mat, 8, CFG16, topo)
         assert calls == {"replay": 0, "score": 0}
         assert_results_equal(cold[0], replay)
-        # ...while a new geometry on the same streams is scored.
+        # ...while a new geometry on the same streams is scored from
+        # the profiles their merge entries hold: none is built again.
         simulate_netsparse(mat, 8, eighth, topo)
         assert calls["score"] > 0
+        assert batch_stats()["profile"]["profiles_built"] == built
 
     def test_held_masks_stay_within_the_merge_budget(self, monkeypatch):
-        """Each hit mask a rack stream holds is charged to the merge
-        memo, which evicts whole entries to stay within its budget
-        however many geometries a sweep scores."""
+        """Each hit mask and reuse profile a rack stream holds is
+        charged to the merge memo, which evicts whole entries to stay
+        within its budget however many geometries a sweep scores."""
         model.reset_batch_state()
         mat = load_benchmark("queen", "tiny")
         topo = build_cluster_topology(CFG16)
         simulate_netsparse(mat, 8, CFG16, topo)
         memo = model._MERGES
         streams = sum(
-            sum(a.nbytes for a in merged.values())
-            for (merged, _), _ in memo.data.values()
+            sum(a.nbytes for a in entry.merged.values())
+            for entry, _ in memo.data.values()
         )
         assert memo.bytes > streams       # one mask per stream is held
         monkeypatch.setattr(memo, "budget", streams * 3 // 2)
@@ -381,9 +408,15 @@ class TestModelGolden:
             simulate_netsparse(mat, 8, cfg, topo)
             assert memo.bytes <= memo.budget
         assert memo.misses > misses       # whole entries were evicted
-        for (merged, masks), nbytes in memo.data.values():
-            assert nbytes == (sum(a.nbytes for a in merged.values())
-                              + sum(m.nbytes for m in masks.values()))
+        assert any(entry.profile is not None
+                   for entry, _ in memo.data.values())
+        for entry, nbytes in memo.data.values():
+            profile = entry.profile
+            assert nbytes == (
+                sum(a.nbytes for a in entry.merged.values())
+                + sum(m.nbytes for m in entry.masks.values())
+                + (profile.nbytes if profile is not None else 0)
+            )
         assert memo.bytes == sum(nb for _, nb in memo.data.values())
         model.reset_batch_state()
 

@@ -2,9 +2,8 @@
 
 :class:`repro.core.reusedist.StreamProfile` must reproduce the
 delayed-insert Property Cache replay *bit-for-bit* under every
-geometry — its closed form, its contended-subset replay and its
-full-replay delegation are three routes to one answer.  These tests
-pin all three against :func:`repro.core.pcache_fast.delayed_cache_hits`
+geometry — its closed form and its contended-subset replay are two
+routes to one answer.  These tests pin both against :func:`repro.core.pcache_fast.delayed_cache_hits`
 (itself golden-tested against the :class:`PropertyCache` executable
 spec in ``tests/test_fast_kernels.py``) and, end to end, against a
 :class:`PropertyCache` driven through the
@@ -16,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.pcache import PropertyCache, n_sets_for
-from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
+from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.reusedist import (
     StreamProfile,
     build_profile,
     profile_stats,
     reset_profile_stats,
-    score_many,
 )
 from tests.oracles import DelayedInsertCache
 
@@ -64,8 +62,8 @@ class TestScoreGolden:
             np.testing.assert_array_equal(got, want)
 
     def test_one_profile_many_geometries(self):
-        """The planner's actual usage: score a whole knob grid from one
-        profile, never rebuilding, never cross-contaminating."""
+        """The cluster model's actual usage: score a whole knob grid
+        from one profile, never rebuilding, never cross-contaminating."""
         rng = np.random.default_rng(42)
         stream = make_stream(rng, 512)
         prof = build_profile(stream)
@@ -74,7 +72,7 @@ class TestScoreGolden:
                   for ways in (1, 4, 16)
                   for delay in (0, 5, 100)
                   for policy in POLICIES]
-        masks = score_many(prof, points)
+        masks = [prof.score(*point) for point in points]
         for (n_sets, ways, delay, policy), got in zip(points, masks):
             want = delayed_cache_hits(stream, n_sets, ways, delay,
                                       policy=policy)[0]
@@ -92,10 +90,22 @@ class TestScoreGolden:
         got = StreamProfile(stream).score(0, 4, 1)
         assert not got.any()
 
+    @pytest.mark.parametrize("n_sets", [0, 16])
+    def test_unknown_policy_rejected_on_every_route(self, n_sets):
+        # 16 sets x 4 ways never evict this stream (the closed form);
+        # zero sets answer without any route.  Both must reject an
+        # unknown policy exactly as the replay kernel does.
+        stream = np.arange(100) % 10
+        for policy in ("mru", "bogus"):
+            with pytest.raises(ValueError):
+                delayed_cache_hits(stream, n_sets, 4, 1, policy=policy)
+            with pytest.raises(ValueError):
+                StreamProfile(stream).score(n_sets, 4, 1, policy=policy)
+
 
 class TestScoringPaths:
-    """Each of the three scoring routes is really exercised — and
-    agrees with the pinned kernel on the stream that forces it."""
+    """Each of the two scoring routes is really exercised — and agrees
+    with the pinned kernel on the stream that forces it."""
 
     def _delta(self, stream, n_sets, ways, delay):
         reset_profile_stats()
@@ -109,7 +119,7 @@ class TestScoringPaths:
         stream = np.tile(np.arange(8), 50)
         stats = self._delta(stream, 16, 4, delay=3)
         assert stats["closed_form"] == 1
-        assert stats["hybrid"] == stats["delegated"] == 0
+        assert stats["hybrid"] == 0
 
     def test_hybrid_partial_contention(self):
         # Set 0 receives 8 distinct values (> 2 ways); sets 1..63 one
@@ -121,15 +131,15 @@ class TestScoringPaths:
                                                  np.tile(cold, 3)]))
         stats = self._delta(stream, 64, 2, delay=5)
         assert stats["hybrid"] == 1
-        assert stats["closed_form"] == stats["delegated"] == 0
+        assert stats["closed_form"] == 0
 
-    def test_delegates_when_fully_contended(self):
-        # Everything lands in one set and exceeds ways: the subset
-        # replay would walk the full stream, so score() must delegate.
+    def test_hybrid_when_fully_contended(self):
+        # Everything lands in one set and exceeds ways: the contended
+        # subsequence is the whole stream, replayed by the same route.
         stream = np.tile(np.arange(40), 10)
         stats = self._delta(stream, 1, 4, delay=2)
-        assert stats["delegated"] == 1
-        assert stats["closed_form"] == stats["hybrid"] == 0
+        assert stats["hybrid"] == 1
+        assert stats["closed_form"] == 0
 
     def test_counters_accumulate(self):
         reset_profile_stats()
@@ -161,8 +171,7 @@ class TestCapacitySweepGolden:
         delay = 37
 
         got = StreamProfile(stream).score(n_sets, ways, delay)
-        want_fast = property_cache_hits(stream, capacity, ways,
-                                        property_bytes, delay)[0]
+        want_fast = delayed_cache_hits(stream, n_sets, ways, delay)[0]
         np.testing.assert_array_equal(got, want_fast)
 
         pc = PropertyCache(capacity_bytes=capacity, ways=ways)
@@ -173,17 +182,5 @@ class TestCapacitySweepGolden:
 
 
 class TestProfileStructure:
-    def test_reuse_distances(self):
-        prof = StreamProfile(np.array([5, 3, 5, 5, 3]))
-        # reuses: pos2 (d=2), pos3 (d=3), pos4 (d=3)
-        np.testing.assert_array_equal(sorted(prof.reuse_distances()),
-                                      [2, 3, 3])
-
-    def test_reuse_histogram_partitions_all_reuses(self):
-        rng = np.random.default_rng(3)
-        prof = StreamProfile(rng.integers(0, 50, size=400))
-        hist = prof.reuse_histogram()
-        assert sum(hist.values()) == prof.reuse_distances().size
-
     def test_n_unique(self):
         assert StreamProfile(np.array([1, 1, 2, 9])).n_unique() == 3

@@ -1,12 +1,10 @@
 """End-to-end determinism of the out-of-core pipeline.
 
-Three claims, each enforced with exact equality:
+Two claims, each enforced with exact equality:
 
-1. The windowed kernels (incremental cache replayer, streamed window
-   concat) are bit-identical to their one-shot twins.
-2. Trace spill-then-reload through :class:`TraceCache` reproduces the
+1. Trace spill-then-reload through :class:`TraceCache` reproduces the
    original traces bit-for-bit and reports its spill telemetry.
-3. ``simulate_netsparse`` produces the same :class:`CommResult`
+2. ``simulate_netsparse`` produces the same :class:`CommResult`
    regardless of storage tier (dense vs sharded) and memo state (a
    cold dense run is the reference), including under the parallel
    execution engine's process fan-out.
@@ -21,12 +19,6 @@ import pytest
 
 from repro.cluster import build_cluster_topology, simulate_netsparse
 from repro.config import NetSparseConfig
-from repro.core.concat import (
-    merge_concat_stats,
-    window_concat,
-    window_concat_stream,
-)
-from repro.core.pcache_fast import DelayedCacheReplayer, delayed_cache_hits
 from repro.partition import TraceCache, set_trace_cache
 from repro.parallel import ExecutionEngine, SimJob
 from repro.parallel.jobs import execute_job
@@ -73,69 +65,6 @@ def shard_env(tmp_path, monkeypatch):
     suite._memo.clear()
     yield tmp_path
     suite._memo.clear()
-
-
-# ---------------------------------------------------------------------
-# incremental cache replayer
-# ---------------------------------------------------------------------
-
-
-class TestDelayedCacheReplayer:
-    GEOMETRIES = [(64, 4, 0), (64, 4, 32), (16, 2, 100), (1, 8, 7)]
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    @pytest.mark.parametrize("n_sets,ways,delay", GEOMETRIES)
-    def test_windowed_feed_matches_one_shot(self, policy, n_sets, ways,
-                                            delay):
-        rng = np.random.default_rng(42)
-        idxs = rng.integers(0, 5000, size=20_000)
-        ref_hits, ref_stats = delayed_cache_hits(idxs, n_sets, ways, delay,
-                                                 policy=policy)
-        rep = DelayedCacheReplayer(n_sets, ways, delay, policy=policy)
-        masks = [rep.feed(w) for w in np.array_split(idxs, 13)]
-        stats = rep.finish()
-        np.testing.assert_array_equal(np.concatenate(masks), ref_hits)
-        assert stats == ref_stats
-
-    def test_iterable_input_matches_array(self):
-        rng = np.random.default_rng(3)
-        idxs = rng.integers(0, 800, size=6000)
-        ref = delayed_cache_hits(idxs, 32, 4, 16)
-        windowed = delayed_cache_hits(
-            iter(np.array_split(idxs, 7)), 32, 4, 16
-        )
-        np.testing.assert_array_equal(windowed[0], ref[0])
-        assert windowed[1] == ref[1]
-
-    def test_feed_after_finish_rejected(self):
-        rep = DelayedCacheReplayer(8, 2, 4)
-        rep.feed(np.arange(10))
-        rep.finish()
-        with pytest.raises(RuntimeError):
-            rep.feed(np.arange(3))
-
-
-# ---------------------------------------------------------------------
-# streamed window concat
-# ---------------------------------------------------------------------
-
-
-class TestWindowConcatStream:
-    @pytest.mark.parametrize("window_prs", [1, 7, 64])
-    @pytest.mark.parametrize("max_prs", [1, 4, 9])
-    def test_matches_one_shot(self, window_prs, max_prs):
-        rng = np.random.default_rng(5)
-        dests = rng.integers(0, 16, size=9973)
-        ref = window_concat(dests, max_prs, window_prs)
-        streamed = window_concat_stream(
-            np.array_split(dests, 11), max_prs, window_prs
-        )
-        assert streamed == ref
-
-    def test_empty_stream(self):
-        stats = window_concat_stream([], 4, 8)
-        assert stats.n_prs == stats.n_packets == 0
-        assert merge_concat_stats([]).n_prs == 0
 
 
 # ---------------------------------------------------------------------

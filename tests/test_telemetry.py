@@ -202,8 +202,8 @@ class TestBitIdentical:
         instrumented call hits and misses each memo exactly as a plain
         call does, records every stage, and returns the identical
         result.  Both warm routes are covered: a new cache geometry
-        scored from the reuse profiles, and a repeated one answered by
-        its held hit mask."""
+        scored from the reuse profiles the merge entries hold, and a
+        repeated one answered by its held hit mask."""
         import dataclasses
 
         from repro.cluster import build_cluster_topology, simulate_netsparse
@@ -212,6 +212,10 @@ class TestBitIdentical:
             return {name: np.array([s["hits"], s["misses"]])
                     for name, s in batch_stats().items()
                     if name != "profile"}
+
+        def profile_counts():
+            prof = batch_stats()["profile"]
+            return prof["profiles_built"], prof["scores"]
 
         def delta(before, after):
             return {name: tuple(after[name] - before[name])
@@ -230,6 +234,8 @@ class TestBitIdentical:
         # geometry of its own, take the same route.
         simulate_netsparse(mat, 16, cfg, topo)
         simulate_netsparse(mat, 16, half, topo)
+        built, scores = profile_counts()
+        assert built > 0
         c0 = memo_counts()
         baseline = simulate_netsparse(mat, 16, quarter, topo)
         c1 = memo_counts()
@@ -238,7 +244,11 @@ class TestBitIdentical:
         c2 = memo_counts()
         plain = delta(c0, c1)
         assert plain == delta(c1, c2)
-        assert plain["masks"][0] > 0 and plain["profiles"][0] > 0
+        assert plain["masks"][0] > 0 and plain["merges"][0] > 0
+        # A third and a fourth geometry on the held streams are scored
+        # from their profiles: none is built again.
+        built_now, scores_now = profile_counts()
+        assert built_now == built and scores_now > scores
         assert {"cluster.stage.filter", "cluster.stage.cache",
                 "cluster.stage.respond",
                 "cluster.stage.timing"} <= {s.name for s in reg.spans}
@@ -250,7 +260,7 @@ class TestBitIdentical:
         plain_repeat = simulate_netsparse(mat, 16, eighth, topo)
         c4 = memo_counts()
         assert delta(c2, c3) == delta(c3, c4)
-        assert delta(c2, c3)["profiles"] == (0, 0)
+        assert profile_counts() == (built, scores_now)
         for plain_run, instrumented_run in ((baseline, instrumented_repeat),
                                             (plain_repeat, instrumented)):
             assert instrumented_run is not plain_run
