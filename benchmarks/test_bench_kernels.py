@@ -56,6 +56,27 @@ def _pcache_workload(stream):
     )
 
 
+def _pcache_onetouch_workload(stream):
+    hits, stats = delayed_cache_hits(
+        stream, n_sets=4096, ways=16, delay=2000
+    )
+    return SimpleNamespace(
+        exp_id="kernel.pcache_onetouch", hits=int(hits.sum()), stats=stats
+    )
+
+
+def _onetouch_stream(rng, size):
+    """~85% of the elements are values looked up once (odd values), the
+    rest a skewed re-read set (even values): the shape of the sparse
+    out-of-core rack streams."""
+    n_once = int(0.85 * size)
+    once = np.arange(n_once, dtype=np.int64) * 2 + 1
+    reread = (rng.zipf(1.3, size=size - n_once) % (1 << 16)) * 2
+    stream = np.concatenate([once, reread])
+    rng.shuffle(stream)
+    return stream
+
+
 def _concat_workload(dests):
     stats = window_concat(dests, max_prs_per_packet=11, window_prs=64)
     return SimpleNamespace(exp_id="kernel.concat", stats=stats)
@@ -235,6 +256,17 @@ def test_kernel_pcache(benchmark, scale):
     result = run_once(benchmark, _pcache_workload, stream)
     assert result.stats.lookups == stream.size
     assert 0 < result.hits < stream.size
+
+
+def test_kernel_pcache_onetouch(benchmark, scale):
+    rng = np.random.default_rng(4)
+    stream = _onetouch_stream(rng, _stream_len(scale))
+    _, counts = np.unique(stream, return_counts=True)
+    assert 0.8 <= (counts == 1).sum() / stream.size <= 0.9
+    result = run_once(benchmark, _pcache_onetouch_workload, stream)
+    assert result.stats.lookups == stream.size
+    assert result.stats.insertions > 0.8 * stream.size
+    assert 0 < result.hits < 0.15 * stream.size
 
 
 def test_kernel_concat(benchmark, scale):

@@ -22,18 +22,17 @@ structural facts:
   ``i >= first_pos + max(delay, 1)``.  This is a fully vectorized
   closed form — it answers the "infinite cache" sweep points without
   a replay.
-- **Per-set independence.**  Sets interact only through the eviction
-  tick of the ``random`` policy, and evictions can only happen in
-  *contended* sets (those receiving more than ``ways`` distinct
-  values).  Replaying only the contended sets' subsequence — carrying
-  global stream positions so the delayed-insert due times are
-  preserved — is therefore bit-identical to the full replay, while the
-  uncontended elements score through the closed form.  The
-  replay is :func:`repro.core.pcache_fast.delayed_cache_hits` itself,
-  given the subsequence's global positions through ``positions=``.
-  It applies a pending insert at the next contended element rather
-  than the next element of any set, which is exact: an insert only
-  matters to lookups of its own set, and those are all contended.
+- **Per-set independence.**  Under LRU and FIFO a cache set changes
+  only through its own lookups and inserts, each due at its global
+  stream position, so every set replays alone.  The replay kernel,
+  :func:`repro.core.pcache_fast.delayed_cache_hits`, is built on this
+  (it walks one set at a time), and the profile uses it one level up:
+  evictions only happen in *contended* sets (those receiving more than
+  ``ways`` distinct values), so replaying only the contended sets'
+  subsequence — given its global positions through ``positions=``, so
+  the delayed-insert due times are preserved — is bit-identical to the
+  full replay, while the uncontended elements score through the closed
+  form.
 
 Both routes are pinned against :class:`repro.core.pcache.PropertyCache`
 driven by the reference front-end in ``tests/test_reusedist.py``
@@ -54,8 +53,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.pcache import PropertyCache
-from repro.core.pcache_fast import delayed_cache_hits
+from repro.core.pcache_fast import check_policy, delayed_cache_hits
 
 __all__ = ["StreamProfile", "build_profile", "profile_stats",
            "reset_profile_stats"]
@@ -139,12 +137,9 @@ class StreamProfile:
     def score(self, n_sets: int, ways: int, delay: int,
               policy: str = "lru") -> np.ndarray:
         """Exact hit mask under one geometry (bit-identical to
-        :func:`~repro.core.pcache_fast.delayed_cache_hits`)."""
-        if policy not in PropertyCache.POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; choose from "
-                f"{PropertyCache.POLICIES}"
-            )
+        :func:`~repro.core.pcache_fast.delayed_cache_hits`, which
+        rejects the same policies on every route)."""
+        check_policy(policy)
         t0 = time.perf_counter()
         try:
             _STATS["scores"] += 1

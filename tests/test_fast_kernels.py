@@ -26,7 +26,7 @@ from repro.config import NetSparseConfig
 from repro.core import reusedist
 from repro.core.concat import _window_concat_fast, window_concat
 from repro.core.pcache import PropertyCache, n_sets_for
-from repro.core.pcache_fast import delayed_cache_hits
+from repro.core.pcache_fast import POLICIES, delayed_cache_hits
 from repro.core.rig import rig_generation_time
 from repro.partition import (
     TraceCache,
@@ -84,6 +84,14 @@ class TestPcacheGolden:
             rng.zipf(1.5, size=500) % space,           # skewed: real hits
             np.zeros(64, dtype=np.int64),              # pathological dupes
         ):
+            if policy not in POLICIES:
+                # ``random`` advances one eviction tick shared by every
+                # set, so a per-set replay cannot reproduce it: the
+                # kernel refuses it on every geometry, zero sets too.
+                with pytest.raises(ValueError):
+                    delayed_cache_hits(stream, n_sets, ways, delay,
+                                       policy=policy)
+                continue
             fast_hits, fast_stats = delayed_cache_hits(
                 stream, n_sets, ways, delay, policy=policy
             )
@@ -107,6 +115,89 @@ class TestPcacheGolden:
         with pytest.raises(ValueError):
             delayed_cache_hits(np.arange(4), 2, 2, 1, policy="mru")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"positions": np.arange(3)},                # too short
+        {"positions": np.arange(7)},                # too long
+        {"positions": np.arange(6)[::-1].copy()},   # descending
+        {"positions": np.array([0, 1, 1, 2, 3, 4])},  # repeated
+        {"positions": np.arange(6).reshape(2, 3)},  # not one per element
+    ])
+    def test_bad_positions_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            delayed_cache_hits(np.ones(6, dtype=np.int64), 4, 2, 0,
+                               **kwargs)
+
+    @pytest.mark.parametrize("ways", [0, -1])
+    def test_nonpositive_ways_rejected(self, ways):
+        # As PropertyCache does: a set with no way cannot hold a line,
+        # and the replay must say so rather than raise StopIteration
+        # (which would silently end an enclosing iteration).
+        with pytest.raises(ValueError):
+            delayed_cache_hits(np.array([1, 2, 1, 3, 1]), 2, ways, 1)
+
+    def test_bad_positions_rejected_on_empty_stream(self):
+        with pytest.raises(ValueError):
+            delayed_cache_hits(np.zeros(0, dtype=np.int64), 4, 2, 0,
+                               positions=np.arange(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_unique=st.integers(0, 120),
+        repeats=st.lists(st.integers(0, 119), max_size=40),
+        n_sets=st.integers(1, 8),
+        ways=st.integers(1, 4),
+        delay=st.sampled_from([0, 1, 2, 5, 10**6]),
+        gaps=st.none() | st.integers(1, 4),
+        policy=st.sampled_from(POLICIES),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_unique=60, repeats=[0, 5, 9], n_sets=2, ways=2, delay=3,
+             gaps=None, policy="lru", seed=0)   # bulk inserts k >= ways
+    @example(n_unique=8, repeats=[], n_sets=1, ways=4, delay=10**6,
+             gaps=2, policy="fifo", seed=1)     # one-touch only, drained
+    def test_one_touch_heavy_streams_match_oracle(
+        self, n_unique, repeats, n_sets, ways, delay, gaps, policy, seed
+    ):
+        """Mostly distinct values plus a few repeats — the one-touch
+        lines the kernel applies in bulk — against the per-element
+        oracle, in hits and every ``CacheStats`` field.
+
+        With ``gaps`` the elements sit at spread-out ``positions``, as
+        in the profile's subsequence replay.  The oracle then replays
+        the whole stream on one more set: each value keeps its set,
+        and every gap holds one filler value alone in the extra set.
+        """
+        rng = np.random.default_rng(seed)
+        stream = np.concatenate([
+            rng.permutation(n_unique), np.asarray(repeats, dtype=np.int64)
+        ]).astype(np.int64) * 3 + 1
+        rng.shuffle(stream)
+        if gaps is None:
+            hits, stats = delayed_cache_hits(stream, n_sets, ways, delay,
+                                             policy=policy)
+            ref_hits, ref_stats = reference_cache_hits(
+                stream, n_sets, ways, delay, policy=policy
+            )
+            np.testing.assert_array_equal(hits, ref_hits)
+            assert stats == ref_stats
+            return
+        positions = np.cumsum(rng.integers(1, gaps + 1, size=stream.size))
+        hits, stats = delayed_cache_hits(stream, n_sets, ways, delay,
+                                         policy=policy, positions=positions)
+        length = int(positions[-1]) + 1 if stream.size else 0
+        whole = np.full(length, n_sets, dtype=np.int64)     # the filler
+        whole[positions] = (stream // n_sets) * (n_sets + 1) + stream % n_sets
+        ref_hits, ref_stats = reference_cache_hits(
+            whole, n_sets + 1, ways, delay, policy=policy
+        )
+        np.testing.assert_array_equal(hits, ref_hits[positions])
+        # The filler set holds one value: one insertion, no eviction.
+        filler = int(length > stream.size)
+        assert stats == dataclasses.replace(
+            ref_stats, lookups=stream.size, hits=int(ref_hits[positions].sum()),
+            insertions=ref_stats.insertions - filler,
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(
         vals=st.lists(st.integers(0, 200), min_size=1, max_size=300),
@@ -114,10 +205,10 @@ class TestPcacheGolden:
         ways=st.integers(1, 4),
         delay=st.integers(0, 40),
         owned=st.sets(st.integers(0, 5), min_size=1),
-        policy=st.sampled_from(PropertyCache.POLICIES),
+        policy=st.sampled_from(POLICIES),
     )
     @example(vals=list(range(40)) * 3, n_sets=2, ways=2, delay=3,
-             owned={0}, policy="random")       # owned set 0 evicts
+             owned={0}, policy="fifo")         # owned set 0 evicts
     @example(vals=list(range(40)) * 3, n_sets=1, ways=2, delay=3,
              owned={0}, policy="lru")          # the whole stream
     def test_subsequence_at_global_positions(self, vals, n_sets, ways,
@@ -138,6 +229,20 @@ class TestPcacheGolden:
         sub = delayed_cache_hits(stream[positions], n_sets, ways, delay,
                                  policy=policy, positions=positions)[0]
         np.testing.assert_array_equal(sub, whole[positions])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_touch_insert_is_older_than_a_hit_at_its_due(self, policy):
+        # One 2-way set, delay 1: the one-touch 4 is inserted at
+        # position 2 just before 1 hits there, so 7's insert at
+        # position 4 must evict 4 under LRU (1's hit is newer) and 1
+        # under FIFO (1 went in first); position 5 tells them apart.
+        stream = np.array([1, 4, 1, 7, 7, 1])
+        hits, stats = delayed_cache_hits(stream, 1, 2, 1, policy=policy)
+        ref_hits, ref_stats = reference_cache_hits(stream, 1, 2, 1,
+                                                   policy=policy)
+        np.testing.assert_array_equal(hits, ref_hits)
+        assert stats == ref_stats
+        assert hits[5] == (policy == "lru")
 
     def test_duplicate_inflight_misses_both_travel(self):
         # delay=3 keeps both 7s in flight: neither may hit (no MSHR).

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.pcache import PropertyCache, n_sets_for
-from repro.core.pcache_fast import delayed_cache_hits
+from repro.core.pcache_fast import POLICIES, delayed_cache_hits
 from repro.core.reusedist import (
     StreamProfile,
     build_profile,
@@ -23,8 +23,6 @@ from repro.core.reusedist import (
     reset_profile_stats,
 )
 from tests.oracles import DelayedInsertCache
-
-POLICIES = PropertyCache.POLICIES
 
 
 def make_stream(rng, space, size=600):
@@ -39,7 +37,7 @@ def make_stream(rng, space, size=600):
 class TestScoreGolden:
     """profile.score == delayed_cache_hits, all geometries, all paths."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", PropertyCache.POLICIES)
     @pytest.mark.parametrize(
         "n_sets,ways", [(0, 1), (1, 1), (1, 2), (3, 2), (10, 4),
                         (10, 16), (64, 16), (4096, 16)]
@@ -47,7 +45,7 @@ class TestScoreGolden:
     @pytest.mark.parametrize("delay", [0, 1, 7, 150, 10**6])
     def test_matches_pinned_kernel(self, policy, n_sets, ways, delay):
         seed = (n_sets * 7919 + ways * 131 + min(delay, 997)
-                + POLICIES.index(policy))
+                + PropertyCache.POLICIES.index(policy))
         rng = np.random.default_rng(seed)
         space = max(4 * max(n_sets, 1) * ways, 8)
         for stream in (
@@ -55,6 +53,16 @@ class TestScoreGolden:
             np.zeros(64, dtype=np.int64),
             rng.integers(0, 4, size=200),        # heavily contended
         ):
+            if policy not in POLICIES:
+                # ``random`` is beyond the per-set replay: the profile
+                # refuses it on every geometry, just as the kernel does.
+                with pytest.raises(ValueError):
+                    delayed_cache_hits(stream, n_sets, ways, delay,
+                                       policy=policy)
+                with pytest.raises(ValueError):
+                    StreamProfile(stream).score(n_sets, ways, delay,
+                                                policy=policy)
+                continue
             want = delayed_cache_hits(stream, n_sets, ways, delay,
                                       policy=policy)[0]
             got = StreamProfile(stream).score(n_sets, ways, delay,
@@ -101,6 +109,25 @@ class TestScoreGolden:
                 delayed_cache_hits(stream, n_sets, 4, 1, policy=policy)
             with pytest.raises(ValueError):
                 StreamProfile(stream).score(n_sets, 4, 1, policy=policy)
+
+    @pytest.mark.parametrize("n_sets,ways,route", [
+        (16, 4, "closed_form"),     # 10 values over 16 sets: no eviction
+        (1, 4, "hybrid"),           # 10 values in one 4-way set
+    ])
+    def test_random_policy_rejected_on_both_routes(self, n_sets, ways,
+                                                   route):
+        # ``random`` shares one eviction tick across sets, which the
+        # per-set replay cannot reproduce: both scoring routes refuse it
+        # before doing any work, while ``lru`` on the same geometry
+        # takes the named route.
+        stream = np.arange(100) % 10
+        prof = StreamProfile(stream)
+        reset_profile_stats()
+        with pytest.raises(ValueError):
+            prof.score(n_sets, ways, 1, policy="random")
+        assert profile_stats()[route] == 0
+        prof.score(n_sets, ways, 1, policy="lru")
+        assert profile_stats()[route] == 1
 
 
 class TestScoringPaths:
