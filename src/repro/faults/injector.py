@@ -1,14 +1,11 @@
-"""Event-time fault injection for the DES substrates.
+"""Event-time fault injection for the packet-level DES (:mod:`repro.dessim`).
 
 :class:`FaultInjector` compiles a :class:`~repro.faults.plan.FaultPlan`
-into concrete injections:
-
-- :meth:`install` wires a :class:`repro.dessim.cluster.DesCluster`:
-  per-link drop functions (seeded, order-independent decisions),
-  bandwidth-degradation windows, scheduled property-cache flushes,
-  permanently failed client RIG units and straggler slowdowns.
-- :meth:`install_packetsim` arms the generic packet-level network's
-  per-link drop hook (:class:`repro.network.packetsim.PacketNetwork`).
+into concrete injections.  :meth:`FaultInjector.install` wires a
+:class:`repro.dessim.cluster.DesCluster`: per-link drop functions
+(seeded, order-independent decisions), bandwidth-degradation windows,
+scheduled property-cache flushes, permanently failed client RIG units
+and straggler slowdowns.
 
 The plan's fractional windows scale by ``horizon`` (seconds of
 simulated time representing "the whole run").  Every drop decision is
@@ -199,37 +196,3 @@ class FaultInjector:
         telemetry.count("faults.cache.flushes")
         kind = "cache.corrupt" if cf.corrupt else "cache.flush"
         self._log(sim.now, kind, f"tor{tor.rack}", entries=flushed)
-
-    # -- generic packet network ----------------------------------------
-
-    def install_packetsim(self, net) -> "FaultInjector":
-        """Arm the plan's link faults on a ``PacketNetwork`` via its
-        per-link ``drop_hook`` (drop/corrupt only; the generic network
-        has no NetSparse components to fail)."""
-        if not self.plan.links:
-            return self
-        sim = net.sim
-        seed = self.plan.seed
-        faults = [lf for lf in self.plan.links if lf.loss_rate > 0.0]
-        if not faults:
-            return self
-        counters: Dict[int, int] = {}
-        windows = [self._window(lf.start, lf.end) for lf in faults]
-
-        def drop_hook(packet, link_id: int) -> bool:
-            ordinal = counters.get(link_id, 0)
-            counters[link_id] = ordinal + 1
-            for lf, (t0, t1) in zip(faults, windows):
-                if not t0 <= sim.now < t1:
-                    continue
-                draw = hash_uniform(seed, f"psim.{link_id}", ordinal)
-                if draw < lf.loss_rate:
-                    self.stats_dropped += 1
-                    telemetry.count("faults.des.drops")
-                    self._log(sim.now, "link.drop", f"link{link_id}",
-                              ordinal=ordinal)
-                    return True
-            return False
-
-        net.drop_hook = drop_hook
-        return self

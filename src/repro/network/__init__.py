@@ -1,21 +1,17 @@
 """Cluster network substrate.
 
-- :mod:`repro.network.topology` — leaf-spine, HyperX and Dragonfly
-  topologies with deterministic routing and per-link load accounting.
-- :mod:`repro.network.flowmodel` — fast bandwidth/bottleneck timing
-  model used by the cluster-level experiments.
-- :mod:`repro.network.packetsim` — packet-level DES network used to
-  validate the flow model at small scale.
+:mod:`repro.network.topology` — leaf-spine, HyperX and Dragonfly
+topologies with deterministic routing, the Table 5 latency constants
+and per-link load accounting (``flow_loads``, which the cluster model's
+stage-4 timing reads).  The packet-level DES of these fabrics is
+:mod:`repro.dessim`.
 """
 
 from repro.network.topology import Dragonfly, HyperX, LeafSpine, Topology
-from repro.network.flowmodel import FlowTimingResult, flow_completion_time
 
 __all__ = [
     "Dragonfly",
-    "FlowTimingResult",
     "HyperX",
     "LeafSpine",
     "Topology",
-    "flow_completion_time",
 ]

@@ -12,8 +12,8 @@ All topologies expose the same interface:
   packet traverses between two *hosts*.
 - ``rack_of``           — the ToR/group a host hangs off (the property
   cache domain).
-- ``link_loads(tm)``    — per-link byte loads for a traffic matrix;
-  ``flow_loads`` does the same for a list of (pair, bytes) flows.
+- ``flow_loads``        — per-link byte loads of a list of
+  (pair, bytes) flows.
 - ``one_way_latency``   — zero-load latency along a route, from the
   paper's 450 ns/link + 300 ns/switch model (giving the quoted
   2.4 µs intra-rack and 5.4 µs inter-rack RTTs on leaf-spine).
@@ -175,17 +175,6 @@ class Topology:
         # (bincount returns ints for no input, weights or not.)
         return np.bincount(rows[on_route], weights=nbytes[on_route],
                            minlength=self.n_links).astype(float, copy=False)
-
-    def link_loads(self, traffic: np.ndarray) -> np.ndarray:
-        """Accumulate a (N, N) byte traffic matrix onto the links."""
-        traffic = np.asarray(traffic)
-        if traffic.shape != (self.n_nodes, self.n_nodes):
-            raise ValueError(
-                f"traffic matrix must be ({self.n_nodes}, {self.n_nodes})"
-            )
-        src_ids, dst_ids = np.nonzero(traffic)
-        return self.flow_loads(src_ids * self.n_nodes + dst_ids,
-                               traffic[src_ids, dst_ids])
 
     def diameter_hops(self) -> int:
         """Maximum host-to-host hop count (sampled exactly: all pairs)."""

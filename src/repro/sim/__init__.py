@@ -1,16 +1,14 @@
 """Discrete-event simulation core.
 
-This subpackage is the simulation substrate for the packet-level
-(cycle-approximate) models in :mod:`repro.network.packetsim` and the DES
-variants of the NetSparse hardware components.  It provides:
+This subpackage is the simulation substrate of the packet-level DES,
+:mod:`repro.dessim`, and of the DES forms of the NetSparse hardware
+components in :mod:`repro.core`.  It provides:
 
 - :class:`~repro.sim.engine.Simulator` — the event loop and clock.
 - :class:`~repro.sim.engine.Process` — generator-coroutine processes.
 - :class:`~repro.sim.resources.Store` — a bounded FIFO channel with
   blocking puts/gets (the backpressure primitive used to model lossless,
   credit-flow-controlled RDMA fabrics).
-- :class:`~repro.sim.resources.Resource` — counted resource with queued
-  acquisition.
 
 The engine is deliberately small and deterministic: events at equal
 timestamps fire in schedule order, which makes simulations reproducible
@@ -18,13 +16,12 @@ and testable.
 """
 
 from repro.sim.engine import Event, Interrupt, Process, Simulator, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "Resource",
     "Simulator",
     "Store",
     "Timeout",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-__all__ = ["Event", "Timeout", "Process", "Interrupt", "AllOf", "AnyOf", "Simulator"]
+__all__ = ["Event", "Timeout", "Process", "Interrupt", "AnyOf", "Simulator"]
 
 #: Default event priority.  Lower fires first among equal-time events.
 NORMAL = 0
@@ -97,15 +97,17 @@ class Timeout(Event):
         sim._schedule_event(self, delay, URGENT)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite wait conditions."""
+class AnyOf(Event):
+    """Fires as soon as any constituent event fires: with the values of
+    the events triggered by then, keyed by position, or with the first
+    event's exception if it failed.  An empty list fires at once with
+    ``{}``."""
 
-    __slots__ = ("events", "_n_fired")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._n_fired = 0
         if not self.events:
             self.succeed({})
             return
@@ -116,40 +118,14 @@ class _Condition(Event):
                 ev.callbacks.append(self._on_fire)
 
     def _on_fire(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {
-            i: ev.value for i, ev in enumerate(self.events) if ev.triggered
-        }
-
-
-class AllOf(_Condition):
-    """Fires once every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _on_fire(self, ev: Event) -> None:
-        if not ev.ok and not self.triggered:
-            self.fail(ev.value)
-            return
-        self._n_fired += 1
-        if self._n_fired == len(self.events) and not self.triggered:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def _on_fire(self, ev: Event) -> None:
         if self.triggered:
             return
         if not ev.ok:
             self.fail(ev.value)
         else:
-            self.succeed(self._collect())
+            self.succeed({
+                i: e.value for i, e in enumerate(self.events) if e.triggered
+            })
 
 
 class Process(Event):
@@ -287,9 +263,6 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -1,7 +1,6 @@
-"""Blocking stores and counted resources for the DES engine.
+"""The blocking store of the DES engine.
 
-:class:`Store` is the workhorse: a bounded FIFO whose ``put`` blocks
-when full.  Chained stores therefore propagate backpressure upstream,
+:class:`Store` is a bounded FIFO whose ``put`` blocks when full.  Chained stores therefore propagate backpressure upstream,
 which is exactly how the paper's lossless InfiniBand-like fabric and the
 NIC Tx/Rx hardware queues behave ("applies backpressure when network
 queues get full", §7.1).
@@ -14,7 +13,7 @@ from typing import Any, Deque, Optional
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Store", "Resource"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -87,58 +86,3 @@ class Store:
                 ev = self._get_waiters.popleft()
                 ev.succeed(self.items.popleft())
                 progress = True
-
-
-class Resource:
-    """A counted resource with FIFO acquisition.
-
-    Models structural hazards such as a shared DMA engine or a cache
-    port: at most ``capacity`` holders at a time, queued otherwise.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise RuntimeError("release without matching acquire")
-        if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(self)
-        else:
-            self.in_use -= 1
-
-    def request(self):
-        """Context-manager style usage inside a process::
-
-            with (yield res.acquire()) if False else ...  # not supported
-
-        Provided for API symmetry; acquire/release is the primary API.
-        """
-        return _ResourceContext(self)
-
-
-class _ResourceContext:
-    def __init__(self, resource: Resource):
-        self.resource = resource
-
-    def __enter__(self):
-        return self.resource
-
-    def __exit__(self, *exc):
-        self.resource.release()
-        return False

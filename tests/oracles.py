@@ -13,8 +13,8 @@ pin the library kernels against them bit for bit:
   reuse-distance profiles of :mod:`repro.core.reusedist`;
 - :func:`_saopt_pr_counts_reference` —
   :func:`repro.baselines.saopt.saopt_pr_counts`;
-- :func:`_link_loads_reference` —
-  :meth:`repro.network.topology.Topology.link_loads`;
+- :func:`_flow_loads_reference` —
+  :meth:`repro.network.topology.Topology.flow_loads`;
 - :func:`_traffic_reference` — the read and response stages of
   :func:`repro.cluster.model.simulate_netsparse` (``model._traffic``),
   with a loop over nodes and over (src, dst) flows.
@@ -152,21 +152,15 @@ class DelayedInsertCache:
         return hits
 
 
-#: Backwards-compatible alias (pre-rename private name).
-_DelayedInsertCache = DelayedInsertCache
-
-
-def _link_loads_reference(topo, traffic: np.ndarray) -> np.ndarray:
-    """The original loop: every nonzero off-diagonal entry of the
-    traffic matrix added onto each link of its route."""
-    traffic = np.asarray(traffic)
+def _flow_loads_reference(topo, pairs: np.ndarray, nbytes: np.ndarray,
+                          fabric_only: bool = False) -> np.ndarray:
+    """The original loop: every flow's bytes added onto each link of
+    its route, one flow (``src * n_nodes + dst``) at a time."""
     loads = np.zeros(topo.n_links)
-    src_ids, dst_ids = np.nonzero(traffic)
-    for s, d in zip(src_ids, dst_ids):
-        if s == d:
-            continue
-        for lid in topo.route(int(s), int(d)):
-            loads[lid] += traffic[s, d]
+    for pair, b in zip(np.asarray(pairs).tolist(), nbytes):
+        route = topo.route(*divmod(pair, topo.n_nodes))
+        for lid in route[1:-1] if fabric_only else route:
+            loads[lid] += b
     return loads
 
 

@@ -7,7 +7,7 @@ from repro.config import FeatureFlags, NetSparseConfig
 from repro.cluster import build_cluster_topology, simulate_netsparse
 from repro.core.pcache import PropertyCache
 from repro.sparse.suite import load_benchmark
-from tests.oracles import _DelayedInsertCache
+from tests.oracles import DelayedInsertCache
 
 
 CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
@@ -151,7 +151,7 @@ class TestDelayedInsertCache:
     def make(self, delay):
         pc = PropertyCache(capacity_bytes=1 << 16, ways=4)
         pc.configure(64)
-        return _DelayedInsertCache(pc, delay)
+        return DelayedInsertCache(pc, delay)
 
     def test_immediate_reuse_misses_within_delay(self):
         front = self.make(delay=5)

@@ -1,4 +1,4 @@
-"""Tests for event-time fault injection in the DES substrates."""
+"""Tests for event-time fault injection in the packet-level DES."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.faults import (
     NicFault,
     StragglerFault,
 )
-from repro.network.packetsim import Packet, PacketNetwork
-from repro.network.topology import LeafSpine
 from repro.sim import Simulator, Store
 from repro.sparse.suite import load_benchmark
 
@@ -27,7 +25,7 @@ HORIZON = 2e-5
 
 # Non-lossy faults only: the bare DES gather has no watchdog loop, so a
 # dropped PR would deadlock completion.  Packet drops are exercised at
-# the link and packet-network levels below.
+# the link level below.
 SAFE_PLAN = FaultPlan(
     name="safe",
     seed=11,
@@ -137,32 +135,3 @@ class TestLinkDrops:
         ords_a = [e.detail["ordinal"] for e in inj_a.events]
         ords_b = [e.detail["ordinal"] for e in inj_b.events]
         assert ords_a != ords_b
-
-
-class TestPacketNetworkHook:
-    def test_install_packetsim_drops_and_counts(self):
-        sim = Simulator()
-        topo = LeafSpine(n_racks=2, nodes_per_rack=2, n_spines=1)
-        net = PacketNetwork(sim, topo)
-        plan = FaultPlan(name="lossy", seed=2,
-                         links=(LinkFault(drop_rate=0.6),))
-        inj = FaultInjector(plan, horizon=1e9).install_packetsim(net)
-        n = 30
-
-        def sender():
-            for _ in range(n):
-                yield from net.inject(Packet(src=0, dst=3, size_bytes=1500))
-
-        sim.process(sender())
-        sim.run()
-        assert net.stats_dropped > 0
-        assert net.stats_dropped == inj.stats_dropped
-        # Every packet either arrived or was dropped on some hop.
-        assert net.stats_delivered + net.stats_dropped == n
-
-    def test_empty_plan_installs_nothing(self):
-        sim = Simulator()
-        topo = LeafSpine(n_racks=2, nodes_per_rack=2, n_spines=1)
-        net = PacketNetwork(sim, topo)
-        FaultInjector(FaultPlan.empty()).install_packetsim(net)
-        assert net.drop_hook is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, Interrupt
-from repro.sim.engine import AllOf
+from repro.sim.engine import AnyOf
 
 
 def test_timeout_advances_clock():
@@ -124,22 +124,6 @@ def test_event_failure_raises_in_waiter():
     assert caught == ["boom"]
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    times = []
-
-    def proc():
-        t1, t2 = sim.timeout(2.0, "a"), sim.timeout(5.0, "b")
-        result = yield sim.all_of([t1, t2])
-        times.append(sim.now)
-        return result
-
-    p = sim.process(proc())
-    sim.run()
-    assert times == [5.0]
-    assert p.value == {0: "a", 1: "b"}
-
-
 def test_any_of_fires_on_first():
     sim = Simulator()
 
@@ -153,10 +137,10 @@ def test_any_of_fires_on_first():
     assert p.value == 2.0
 
 
-def test_all_of_empty_fires_immediately():
+def test_any_of_empty_fires_immediately():
     sim = Simulator()
-    cond = AllOf(sim, [])
-    assert cond.triggered
+    cond = AnyOf(sim, [])
+    assert cond.triggered and cond.value == {}
 
 
 def test_interrupt_raises_in_process():
@@ -276,7 +260,7 @@ def test_unobserved_process_failure_is_silent():
     assert p.triggered and not p.ok
 
 
-def test_all_of_fails_fast_on_failed_member():
+def test_any_of_fails_on_failed_member():
     sim = Simulator()
     good = sim.timeout(10.0)
     bad = sim.event()
@@ -284,7 +268,7 @@ def test_all_of_fails_fast_on_failed_member():
 
     def waiter():
         try:
-            yield sim.all_of([good, bad])
+            yield sim.any_of([good, bad])
         except ValueError:
             caught.append(sim.now)
 

@@ -1,8 +1,8 @@
-"""Unit tests for Store (backpressure FIFO) and Resource."""
+"""Unit tests for Store (backpressure FIFO)."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 def test_store_fifo_order():
@@ -122,50 +122,3 @@ def test_backpressure_chain_propagates():
     # items 0-2 flow in immediately; items 3 and 4 each wait for one
     # tail drain (t=100, t=200).  The head's final put lands at t=200.
     assert head_done == [200.0]
-
-
-def test_resource_mutual_exclusion():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    timeline = []
-
-    def user(tag, hold):
-        yield res.acquire()
-        timeline.append(("start", tag, sim.now))
-        yield sim.timeout(hold)
-        timeline.append(("end", tag, sim.now))
-        res.release()
-
-    sim.process(user("a", 5.0))
-    sim.process(user("b", 3.0))
-    sim.run()
-    assert timeline == [
-        ("start", "a", 0.0),
-        ("end", "a", 5.0),
-        ("start", "b", 5.0),
-        ("end", "b", 8.0),
-    ]
-
-
-def test_resource_counted_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    starts = []
-
-    def user(tag):
-        yield res.acquire()
-        starts.append((tag, sim.now))
-        yield sim.timeout(10.0)
-        res.release()
-
-    for tag in range(4):
-        sim.process(user(tag))
-    sim.run()
-    assert [t for _, t in starts] == [0.0, 0.0, 10.0, 10.0]
-
-
-def test_resource_release_without_acquire():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(RuntimeError):
-        res.release()

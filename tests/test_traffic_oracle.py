@@ -1,7 +1,7 @@
 """Differential oracle for the cluster model's traffic accounting.
 
 The read and response stages of :func:`repro.cluster.simulate_netsparse`
-(``model._traffic``) and :meth:`Topology.link_loads` make a fixed
+(``model._traffic``) and :meth:`Topology.flow_loads` make a fixed
 handful of array calls and sum every float with one ``bincount``.  The
 loop forms they replaced, kept in ``tests/oracles.py``, add the same
 contributions one flow at a time.  Both must agree bit for bit.
@@ -20,7 +20,7 @@ from repro.partition import TraceCache, set_trace_cache
 from repro.sparse import suite
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.suite import load_benchmark
-from tests.oracles import _link_loads_reference, _traffic_reference
+from tests.oracles import _flow_loads_reference, _traffic_reference
 
 FABRICS = ("leafspine", "hyperx", "dragonfly")
 #: Each feature the traffic stages branch on, toggled off (None: all on).
@@ -50,7 +50,7 @@ def assert_bitwise_equal(a, b, path="result"):
 
 
 # ---------------------------------------------------------------------
-# Topology.link_loads
+# Topology.flow_loads
 # ---------------------------------------------------------------------
 
 
@@ -77,8 +77,10 @@ def test_link_loads_match_the_loop(fabric, seed):
     np.fill_diagonal(zero_diagonal, 0.0)
     for tm in (traffic, zero_diagonal, np.zeros((n, n)),
                np.rint(traffic).astype(np.int64)):
-        assert_bitwise_equal(topo.link_loads(tm),
-                             _link_loads_reference(topo, tm))
+        src, dst = np.nonzero(tm)
+        pairs, nbytes = src * n + dst, tm[src, dst]
+        assert_bitwise_equal(topo.flow_loads(pairs, nbytes),
+                             _flow_loads_reference(topo, pairs, nbytes))
 
 
 @pytest.mark.parametrize("fabric", FABRICS)
@@ -90,8 +92,13 @@ def test_cluster_fabric_link_loads_match_the_loop(fabric):
     traffic[rng.random((n, n)) < 0.7] = 0.0
     traffic[::5] = 0.0
     np.fill_diagonal(traffic, 0.0)
-    assert_bitwise_equal(topo.link_loads(traffic),
-                         _link_loads_reference(topo, traffic))
+    src, dst = np.nonzero(traffic)
+    pairs, nbytes = src * n + dst, traffic[src, dst]
+    # The cluster model reads the fabric-only loads.
+    for fabric_only in (False, True):
+        assert_bitwise_equal(
+            topo.flow_loads(pairs, nbytes, fabric_only),
+            _flow_loads_reference(topo, pairs, nbytes, fabric_only))
 
 
 def test_pair_links_rows_match_routes():
