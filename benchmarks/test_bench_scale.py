@@ -50,7 +50,7 @@ BUDGETS = {
 }
 
 #: Resident-trace budget for the sweep's TraceCache (idx elements).
-SPILL_NNZ = 32 * 1024 * 1024
+RESIDENT_NNZ = 32 * 1024 * 1024
 
 #: ``structural_digest()`` of each benchmark at ``large`` (seed 7); the
 #: sweep asserts the ones it generates.
@@ -86,7 +86,7 @@ def test_bench_sharded_sweep(benchmark, scale):
     if scale not in BUDGETS:
         pytest.skip("paper scale: generation + traces only, no model")
     wall_budget, rss_budget = BUDGETS[scale]
-    prev = set_trace_cache(TraceCache(max_resident_nnz=SPILL_NNZ))
+    prev = set_trace_cache(TraceCache(max_resident_nnz=RESIDENT_NNZ))
     t0 = time.perf_counter()
     try:
         results = run_once(benchmark, _sweep, scale=scale)

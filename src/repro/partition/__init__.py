@@ -1,6 +1,6 @@
 """1D partitioning of matrices and property arrays across cluster nodes."""
 
-from repro.partition.oned import NodeTrace, OneDPartition, balanced_by_nnz
+from repro.partition.oned import NodeTrace, OneDPartition
 from repro.partition.tracecache import (
     TraceCache,
     cached_partition,
@@ -10,9 +10,9 @@ from repro.partition.tracecache import (
 from repro.partition.windowed import (
     ShardedOneDPartition,
     WindowedNodeTrace,
+    balanced_by_nnz,
     build_partition,
     col_owner_array,
-    sharded_balanced_by_nnz,
 )
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "col_owner_array",
     "get_trace_cache",
     "set_trace_cache",
-    "sharded_balanced_by_nnz",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.sparse.matrix import COOMatrix, distinct_count
 
-__all__ = ["OneDPartition", "NodeTrace"]
+__all__ = ["BlockPartition", "NodeTrace", "OneDPartition"]
 
 
 def _block_starts(n: int, parts: int) -> np.ndarray:
@@ -114,24 +114,42 @@ class NodeTrace:
         return self._unique_count
 
 
-class OneDPartition:
-    """Contiguous 1D row-block partition of a square-ish sparse matrix.
+def _check_n_nodes(n_rows: int, n_nodes: int) -> None:
+    """Reject a node count with no row block for some node."""
+    if n_nodes < 1:
+        raise ValueError("need at least one node")
+    if n_nodes > n_rows:
+        raise ValueError(
+            f"more nodes ({n_nodes}) than matrix rows ({n_rows})"
+        )
+
+
+def _col_owners(col_starts: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """Owner node of every column id: node ``p`` owns
+    ``[col_starts[p], col_starts[p+1])``."""
+    return np.repeat(np.arange(col_starts.size - 1, dtype=dtype),
+                     np.diff(col_starts))
+
+
+class BlockPartition:
+    """Geometry of a contiguous 1D row-block partition.
 
     Rows are distributed as evenly as possible (the first
-    ``n_rows % n_nodes`` nodes get one extra row).  Input properties are
-    partitioned by the same boundaries over the *column* space, which
-    requires n_cols == n_rows (true for all benchmark matrices); a
-    rectangular matrix partitions columns independently.
+    ``n_rows % n_nodes`` nodes get one extra row) unless ``row_starts``
+    gives the blocks.  Input properties are partitioned by the same
+    boundaries over the *column* space, which requires n_cols == n_rows
+    (true for all benchmark matrices); a rectangular matrix partitions
+    columns independently.
+
+    Subclasses differ only in where a node's idx stream comes from:
+    :class:`OneDPartition` sorts an in-memory matrix,
+    :class:`~repro.partition.windowed.ShardedOneDPartition` reads
+    windows of the shard store.
     """
 
-    def __init__(self, matrix: COOMatrix, n_nodes: int,
+    def __init__(self, matrix, n_nodes: int,
                  row_starts: Optional[np.ndarray] = None):
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        if n_nodes > matrix.n_rows:
-            raise ValueError(
-                f"more nodes ({n_nodes}) than matrix rows ({matrix.n_rows})"
-            )
+        _check_n_nodes(matrix.n_rows, n_nodes)
         self.matrix = matrix
         self.n_nodes = n_nodes
         if row_starts is not None:
@@ -144,123 +162,19 @@ class OneDPartition:
                                  "from 0 to n_rows with one block per node")
             self.row_starts = row_starts
         else:
-            self.row_starts = self._block_starts(matrix.n_rows, n_nodes)
+            self.row_starts = _block_starts(matrix.n_rows, n_nodes)
         self.col_starts = (
             self.row_starts
             if matrix.n_cols == matrix.n_rows
-            else self._block_starts(matrix.n_cols, n_nodes)
+            else _block_starts(matrix.n_cols, n_nodes)
         )
-        # Owner lookup for every column id (int16 is plenty for <=32k nodes).
-        self.col_owner = np.empty(matrix.n_cols, dtype=np.int32)
-        for p in range(n_nodes):
-            self.col_owner[self.col_starts[p] : self.col_starts[p + 1]] = p
-        self.row_owner_of = np.searchsorted(
-            self.row_starts, np.arange(matrix.n_rows), side="right"
-        ) - 1
         self._traces: Optional[List] = None
-        self._spill: Optional[tuple] = None
-        self._on_reload = None
-
-    _block_starts = staticmethod(_block_starts)
 
     def rows_of(self, node: int) -> range:
         return range(int(self.row_starts[node]), int(self.row_starts[node + 1]))
 
     def owner_of_col(self, col: int) -> int:
-        return int(self.col_owner[col])
-
-    def node_nnz(self) -> np.ndarray:
-        """Number of nonzeros assigned to each node."""
-        row_owner = self.row_owner_of[self.matrix.rows]
-        return np.bincount(row_owner, minlength=self.n_nodes)
-
-    def node_traces(self) -> List[NodeTrace]:
-        """Every node's nonzero scan trace in row-major order.
-
-        This is the idx stream a node's cores (software SA) or RIG Units
-        (NetSparse) walk through; all communication analyses start here.
-        Built once per partition instance and memoized — traces are
-        immutable, and sweeps revisit them for every scheme/knob point.
-        """
-        if self._traces is not None:
-            return self._traces
-        if self._spill is not None:
-            return self._reload_spilled()
-        mat = self.matrix
-        order = np.argsort(mat.rows * mat.n_cols + mat.cols, kind="stable")
-        rows_sorted = mat.rows[order]
-        cols_sorted = mat.cols[order]
-        # Split points between nodes in the sorted nonzero stream.
-        split = np.searchsorted(rows_sorted, self.row_starts[1:-1], side="left")
-        idx_chunks = np.split(cols_sorted, split)
-        traces = []
-        for node, idxs in enumerate(idx_chunks):
-            owner = self.col_owner[idxs]
-            remote = owner != node
-            traces.append(NodeTrace(node, idxs, owner, remote))
-        self._traces = traces
-        return traces
-
-    # -- spill tier ----------------------------------------------------
-
-    @property
-    def is_spilled(self) -> bool:
-        return self._spill is not None
-
-    def spill(self, path: str, on_reload=None) -> int:
-        """Write the built traces' idx streams to ``path`` and drop
-        them from RAM.
-
-        The spill file is the concatenated per-node idx stream (one
-        ``.npy``); owners and remote masks are recomputed per window on
-        reload, so nothing else needs persisting.  Returns the number
-        of idx elements spilled (0 when traces were never built —
-        they'd be rebuilt from the matrix anyway).
-        """
-        if self._traces is None:
-            return 0
-        if self._spill is None:
-            traces = self._traces
-            offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum([tr.idxs.size for tr in traces], out=offsets[1:])
-            out = np.lib.format.open_memmap(
-                path, mode="w+", dtype=np.int64, shape=(int(offsets[-1]),)
-            )
-            for tr, k0 in zip(traces, offsets[:-1]):
-                out[k0:k0 + tr.idxs.size] = tr.idxs
-            out.flush()
-            del out
-            self._spill = (path, offsets)
-        spilled = int(self._spill[1][-1])
-        self._traces = None
-        self._on_reload = on_reload if on_reload is not None else self._on_reload
-        return spilled
-
-    def _reload_spilled(self) -> List:
-        from repro.partition.windowed import WindowedNodeTrace, _SpillSource
-
-        path, offsets = self._spill
-        source = _SpillSource(path)
-        self._traces = [
-            WindowedNodeTrace(p, source, offsets[p], offsets[p + 1],
-                              self.col_starts)
-            for p in range(self.n_nodes)
-        ]
-        if self._on_reload is not None:
-            self._on_reload(self)
-        return self._traces
-
-    def resident_trace_nnz(self) -> int:
-        """Idx elements currently held in RAM by this partition."""
-        if self._traces is None:
-            return 0
-        total = 0
-        for tr in self._traces:
-            if isinstance(tr, NodeTrace):
-                total += tr.idxs.size
-            else:
-                total += tr.resident_nnz()
-        return total
+        return int(np.searchsorted(self.col_starts, col, side="right") - 1)
 
     # -- distributed property array helpers ---------------------------
 
@@ -278,19 +192,53 @@ class OneDPartition:
         return np.concatenate(shards, axis=0)
 
 
-def balanced_by_nnz(matrix: COOMatrix, n_nodes: int) -> OneDPartition:
-    """Nonzero-balanced contiguous 1D partition (§9.4 future work).
+class OneDPartition(BlockPartition):
+    """1D row-block partition of an in-memory :class:`COOMatrix`.
 
-    Equal-row blocks leave the nodes owning dense row ranges with far
-    more nonzeros (and communication) than the rest — the inter-node
-    imbalance of Figure 19.  This partitioner instead places the block
-    boundaries at equal quantiles of the row-nnz prefix sum, equalizing
-    per-node work while keeping the contiguity 1D partitioning needs.
+    Node traces come from one row-major sort of the nonzeros; ownership
+    is looked up in a per-column ``col_owner`` array.
     """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if n_nodes > matrix.n_rows:
-        raise ValueError("more nodes than matrix rows")
-    row_nnz = np.bincount(matrix.rows, minlength=matrix.n_rows)
-    row_starts = _balanced_row_starts(row_nnz, matrix.n_rows, n_nodes)
-    return OneDPartition(matrix, n_nodes, row_starts=row_starts)
+
+    def __init__(self, matrix: COOMatrix, n_nodes: int,
+                 row_starts: Optional[np.ndarray] = None):
+        super().__init__(matrix, n_nodes, row_starts)
+        self.col_owner = _col_owners(self.col_starts)
+        self.row_owner_of = np.searchsorted(
+            self.row_starts, np.arange(matrix.n_rows), side="right"
+        ) - 1
+
+    def node_nnz(self) -> np.ndarray:
+        """Number of nonzeros assigned to each node."""
+        row_owner = self.row_owner_of[self.matrix.rows]
+        return np.bincount(row_owner, minlength=self.n_nodes)
+
+    def node_traces(self) -> List[NodeTrace]:
+        """Every node's nonzero scan trace in row-major order.
+
+        This is the idx stream a node's cores (software SA) or RIG Units
+        (NetSparse) walk through; all communication analyses start here.
+        Built once per partition instance and memoized — traces are
+        immutable, and sweeps revisit them for every scheme/knob point.
+        """
+        if self._traces is not None:
+            return self._traces
+        mat = self.matrix
+        order = np.argsort(mat.rows * mat.n_cols + mat.cols, kind="stable")
+        rows_sorted = mat.rows[order]
+        cols_sorted = mat.cols[order]
+        # Split points between nodes in the sorted nonzero stream.
+        split = np.searchsorted(rows_sorted, self.row_starts[1:-1], side="left")
+        idx_chunks = np.split(cols_sorted, split)
+        traces = []
+        for node, idxs in enumerate(idx_chunks):
+            owner = self.col_owner[idxs]
+            remote = owner != node
+            traces.append(NodeTrace(node, idxs, owner, remote))
+        self._traces = traces
+        return traces
+
+    def resident_trace_nnz(self) -> int:
+        """Idx elements currently held in RAM by this partition."""
+        if self._traces is None:
+            return 0
+        return sum(tr.idxs.size for tr in self._traces)

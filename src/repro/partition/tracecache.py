@@ -16,15 +16,16 @@ Keying and invalidation rules (also documented in ``docs/api.md``):
   with the same sparsity pattern share an entry by design.
 - ``kind`` names the partition rule: ``"rows"`` (equal row blocks,
   the :class:`~repro.partition.oned.OneDPartition` default) or
-  ``"nnz"`` (:func:`~repro.partition.oned.balanced_by_nnz`).  Explicit
+  ``"nnz"`` (:func:`~repro.partition.windowed.balanced_by_nnz`).  Explicit
   ``row_starts`` are keyed by their own byte digest.
 - Entries are never stale: a partition is a pure function of its key,
   and :class:`~repro.partition.oned.NodeTrace` objects are immutable.
   Fault-injected runs (``faults=``) perturb *simulation* behaviour, not
   the partition, so they share cache entries safely — the seeded fault
   processes draw from the result, never mutate the traces.
-- The cache is bounded (LRU on entry count) because medium-scale trace
-  sets run to hundreds of MB; evictions only cost a rebuild.
+- The cache is an LRU bounded by entry count and, optionally, by
+  resident trace elements (``max_resident_nnz``); evictions only cost
+  a rebuild.
 
 Workers forked by :class:`repro.parallel.engine.ExecutionEngine`
 inherit whatever the parent already cached (fork start method shares
@@ -34,18 +35,14 @@ matrices it draws.
 Counters are exported as ``perf.trace_cache.hits`` / ``.misses`` /
 ``.evictions`` through :mod:`repro.telemetry`.
 
-When a resident-trace budget is set (``max_resident_nnz`` or the
-``REPRO_TRACE_SPILL_NNZ`` env var), least-recently-used entries spill
-their idx streams to disk instead of pinning RAM and reload lazily as
-windowed traces; the spill tier reports
-``perf.trace_cache.spill.{spills,reloads,resident_nnz}``.
+The cache keeps no copy of its own on disk: sharded matrices' traces
+are windows over the matrix store (:mod:`repro.sparse.shards`), which
+is the one out-of-core tier.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
@@ -53,7 +50,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.partition.oned import OneDPartition
+from repro.partition.oned import BlockPartition
+from repro.partition.windowed import build_partition
 from repro.sparse.matrix import COOMatrix
 
 __all__ = [
@@ -67,35 +65,31 @@ __all__ = [
 DEFAULT_MAX_ENTRIES = 8
 
 
-def _default_spill_nnz() -> Optional[int]:
-    """Resident-trace budget from ``REPRO_TRACE_SPILL_NNZ`` (elements);
-    unset or empty means unlimited (no spilling)."""
-    raw = os.environ.get("REPRO_TRACE_SPILL_NNZ", "").strip()
-    return int(raw) if raw else None
-
-
 class TraceCache:
-    """Bounded LRU of built :class:`OneDPartition` objects.
+    """Bounded LRU of built partitions (:class:`BlockPartition` objects).
 
     ``get_partition`` returns a partition whose ``node_traces()`` are
     memoized on the instance, so a hit also reuses the trace arrays and
     every :class:`~repro.partition.oned.NodeTrace` cached property.
+
+    A new entry evicts least-recently-used ones while the cache holds
+    more than ``max_entries`` entries or, with ``max_resident_nnz``
+    set, more resident trace elements (:meth:`resident_nnz`) than that
+    budget.  The newest entry is never evicted: its caller holds it
+    anyway.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 max_resident_nnz: Optional[int] = None,
-                 spill_dir: Optional[str] = None):
+                 max_resident_nnz: Optional[int] = None):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         #: Resident trace budget (idx elements) across all entries;
-        #: ``None`` disables the spill tier entirely.
+        #: ``None`` bounds the entry count only.
         self.max_resident_nnz = (
-            _default_spill_nnz() if max_resident_nnz is None
-            else int(max_resident_nnz)
+            None if max_resident_nnz is None else int(max_resident_nnz)
         )
-        self._spill_dir = spill_dir
-        self._entries: "OrderedDict[Tuple, OneDPartition]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, BlockPartition]" = OrderedDict()
         self._lock = threading.Lock()
         #: Keys currently being built (misses whose construction is in
         #: flight); a second miss on one of these is a *contended*
@@ -106,8 +100,6 @@ class TraceCache:
         self.misses = 0
         self.evictions = 0
         self.contended_builds = 0
-        self.spills = 0
-        self.reloads = 0
 
     @staticmethod
     def _rule_key(kind: str, row_starts: Optional[np.ndarray]) -> str:
@@ -129,7 +121,7 @@ class TraceCache:
         n_nodes: int,
         kind: str = "rows",
         row_starts: Optional[np.ndarray] = None,
-    ) -> OneDPartition:
+    ) -> BlockPartition:
         """The cached partition for ``matrix`` under the given rule,
         building (and tracing) it on first use."""
         key = (matrix.structural_digest(), int(n_nodes),
@@ -151,11 +143,9 @@ class TraceCache:
         # Build outside the lock: trace construction is the expensive
         # part, and a duplicate build on a race is merely wasted work —
         # counted above so dispatch-ordering regressions show up in
-        # telemetry instead of only in wall time.
-        # build_partition dispatches on the matrix storage tier, so
-        # sharded matrices come back with windowed (bounded) traces.
-        from repro.partition.windowed import build_partition
-
+        # telemetry instead of only in wall time.  build_partition
+        # picks the class by storage tier, so sharded matrices come back
+        # with windowed (bounded) traces.
         try:
             part = build_partition(matrix, n_nodes, kind=kind,
                                    row_starts=row_starts)
@@ -163,61 +153,24 @@ class TraceCache:
             with self._lock:
                 self._entries[key] = part
                 self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
+                while len(self._entries) > 1 and self._over_budget():
                     self._entries.popitem(last=False)
                     self.evictions += 1
                     telemetry.count("perf.trace_cache.evictions")
-                self._enforce_spill_budget(key)
         finally:
             with self._lock:
                 self._building.discard(key)
         return part
 
-    # -- spill tier ----------------------------------------------------
-
     def resident_nnz(self) -> int:
         """Idx elements currently held in RAM across all entries."""
         return sum(p.resident_trace_nnz() for p in self._entries.values())
 
-    def _note_reload(self, part) -> None:
-        self.reloads += 1
-        telemetry.count("perf.trace_cache.spill.reloads")
-
-    def _spill_path(self, key: Tuple) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-trace-spill-")
-        os.makedirs(self._spill_dir, exist_ok=True)
-        digest, n_nodes, rule = key
-        fname = f"trace-{digest}-{n_nodes}-{rule}.npy".replace(":", "-")
-        return os.path.join(self._spill_dir, fname)
-
-    def _enforce_spill_budget(self, newest_key: Tuple) -> None:
-        """Spill LRU entries' traces until the resident set fits.
-
-        Dense partitions write their idx streams to the spill dir and
-        reload them as disk-backed windows; sharded partitions just
-        release their windows (the data is already on disk).  The most
-        recently requested entry is never spilled — the caller holds it.
-        Caller must hold the lock.
-        """
-        if self.max_resident_nnz is None:
-            return
-        for key in list(self._entries):
-            if self.resident_nnz() <= self.max_resident_nnz:
-                break
-            if key == newest_key:
-                continue
-            part = self._entries[key]
-            if part.resident_trace_nnz() == 0:
-                continue
-            if hasattr(part, "release_traces"):
-                part.release_traces()
-            else:
-                part.spill(self._spill_path(key), on_reload=self._note_reload)
-            self.spills += 1
-            telemetry.count("perf.trace_cache.spill.spills")
-        telemetry.set_gauge("perf.trace_cache.spill.resident_nnz",
-                            self.resident_nnz())
+    def _over_budget(self) -> bool:
+        return len(self._entries) > self.max_entries or (
+            self.max_resident_nnz is not None
+            and self.resident_nnz() > self.max_resident_nnz
+        )
 
     def clear(self) -> int:
         """Drop every entry; returns how many were held."""
@@ -238,8 +191,6 @@ class TraceCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "contended_builds": self.contended_builds,
-            "spills": self.spills,
-            "reloads": self.reloads,
             "resident_nnz": self.resident_nnz(),
         }
 
@@ -265,7 +216,7 @@ def cached_partition(
     n_nodes: int,
     kind: str = "rows",
     row_starts: Optional[np.ndarray] = None,
-) -> OneDPartition:
+) -> BlockPartition:
     """Convenience front door onto :func:`get_trace_cache`."""
     return _global_cache.get_partition(
         matrix, n_nodes, kind=kind, row_starts=row_starts

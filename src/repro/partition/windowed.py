@@ -9,16 +9,15 @@ materializes that window (and its derived selections) lazily and can
 ``release()`` it afterwards, keeping the resident set bounded by the
 largest single node window instead of the whole matrix.
 
-The same window mechanism backs the trace cache's spill tier: a dense
-:class:`~repro.partition.oned.OneDPartition` whose traces were spilled
-to disk (:meth:`~repro.partition.oned.OneDPartition.spill`) reloads
-them as windows over the spill file rather than re-sorting the matrix.
-
 Owners are recomputed per window as
 ``searchsorted(col_starts, idxs, side="right") - 1`` — identical to the
 dense path's ``col_owner[idxs]`` lookup (both map ``c`` to the unique
 ``p`` with ``col_starts[p] <= c < col_starts[p+1]``) without the
 O(n_cols) owner array.
+
+:func:`build_partition` picks the partition class by storage tier;
+:func:`balanced_by_nnz` places the blocks of either class from the
+matrix's per-row nnz histogram.
 """
 
 from __future__ import annotations
@@ -28,9 +27,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.partition.oned import (
+    BlockPartition,
     OneDPartition,
     _balanced_row_starts,
-    _block_starts,
+    _check_n_nodes,
+    _col_owners,
 )
 from repro.sparse.matrix import distinct_count
 from repro.sparse.shards import ShardedCOOMatrix, is_sharded
@@ -38,21 +39,10 @@ from repro.sparse.shards import ShardedCOOMatrix, is_sharded
 __all__ = [
     "ShardedOneDPartition",
     "WindowedNodeTrace",
-    "sharded_balanced_by_nnz",
+    "balanced_by_nnz",
+    "build_partition",
+    "col_owner_array",
 ]
-
-
-class _SpillSource:
-    """Window reads over one spilled idx stream (``.npy`` memmap)."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._mm: Optional[np.ndarray] = None
-
-    def cols_slice(self, start: int, stop: int) -> np.ndarray:
-        if self._mm is None:
-            self._mm = np.load(self.path, mmap_mode="r")
-        return np.array(self._mm[start:stop])
 
 
 class WindowedNodeTrace:
@@ -60,9 +50,9 @@ class WindowedNodeTrace:
 
     Exposes the same attributes (``idxs`` / ``owner`` / ``remote`` and
     the ``remote_*`` selections), each materialized on first touch and
-    dropped by :meth:`release`.  ``source`` is anything with a
-    ``cols_slice(start, stop)`` method — a
-    :class:`~repro.sparse.shards.ShardedCOOMatrix` or a spill file.
+    dropped by :meth:`release`.  ``source`` is the
+    :class:`~repro.sparse.shards.ShardedCOOMatrix` whose
+    ``cols_slice(start, stop)`` reads the window.
     """
 
     __slots__ = ("node", "_source", "_k0", "_k1", "_col_starts", "_cache",
@@ -168,55 +158,21 @@ class WindowedNodeTrace:
         self._cache.clear()
 
 
-class ShardedOneDPartition:
-    """Contiguous 1D row-block partition of a sharded matrix.
+class ShardedOneDPartition(BlockPartition):
+    """1D row-block partition of a sharded matrix.
 
-    Mirrors the :class:`~repro.partition.oned.OneDPartition` API the
-    cluster model and baselines consume (``row_starts`` /
-    ``col_starts`` / ``node_traces()`` / ``node_nnz()`` / property
-    scatter-gather), but never materializes the matrix: traces are
-    :class:`WindowedNodeTrace` windows and there is no O(n_cols)
-    ``col_owner`` array (the DES front-end, which needs one, stays
-    in-memory only).
+    Same geometry and API as :class:`~repro.partition.oned.OneDPartition`
+    (``row_starts`` / ``col_starts`` / ``node_traces()`` /
+    ``node_nnz()`` / property scatter-gather), but never materializes
+    the matrix: traces are :class:`WindowedNodeTrace` windows and there
+    is no O(n_cols) ``col_owner`` array (:func:`col_owner_array` builds
+    one for the DES front-end).
     """
 
     def __init__(self, matrix: ShardedCOOMatrix, n_nodes: int,
                  row_starts: Optional[np.ndarray] = None):
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        if n_nodes > matrix.n_rows:
-            raise ValueError(
-                f"more nodes ({n_nodes}) than matrix rows ({matrix.n_rows})"
-            )
-        self.matrix = matrix
-        self.n_nodes = n_nodes
-        if row_starts is not None:
-            row_starts = np.asarray(row_starts, dtype=np.int64)
-            if (row_starts.size != n_nodes + 1
-                    or row_starts[0] != 0
-                    or row_starts[-1] != matrix.n_rows
-                    or (np.diff(row_starts) < 1).any()):
-                raise ValueError("row_starts must be strictly increasing "
-                                 "from 0 to n_rows with one block per node")
-            self.row_starts = row_starts
-        else:
-            self.row_starts = _block_starts(matrix.n_rows, n_nodes)
-        self.col_starts = (
-            self.row_starts
-            if matrix.n_cols == matrix.n_rows
-            else _block_starts(matrix.n_cols, n_nodes)
-        )
+        super().__init__(matrix, n_nodes, row_starts)
         self._trace_offsets: Optional[np.ndarray] = None
-        self._traces: Optional[List[WindowedNodeTrace]] = None
-
-    def rows_of(self, node: int) -> range:
-        return range(int(self.row_starts[node]),
-                     int(self.row_starts[node + 1]))
-
-    def owner_of_col(self, col: int) -> int:
-        return int(
-            np.searchsorted(self.col_starts, col, side="right") - 1
-        )
 
     def trace_offsets(self) -> np.ndarray:
         """Node boundaries in the global canonical nonzero stream."""
@@ -252,82 +208,44 @@ class ShardedOneDPartition:
         return self._traces
 
     def resident_trace_nnz(self) -> int:
+        """Elements currently materialized across the node windows."""
         if self._traces is None:
             return 0
         return sum(tr.resident_nnz() for tr in self._traces)
 
-    def release_traces(self) -> int:
-        """Drop every materialized window; returns elements released."""
-        released = self.resident_trace_nnz()
-        if self._traces is not None:
-            for tr in self._traces:
-                tr.release()
-        return released
-
-    # -- distributed property array helpers ---------------------------
-
-    def scatter_properties(self, b: np.ndarray) -> List[np.ndarray]:
-        return [
-            b[self.col_starts[p] : self.col_starts[p + 1]]
-            for p in range(self.n_nodes)
-        ]
-
-    def gather_outputs(self, shards: List[np.ndarray]) -> np.ndarray:
-        if len(shards) != self.n_nodes:
-            raise ValueError("one shard per node required")
-        return np.concatenate(shards, axis=0)
-
-
-def sharded_balanced_by_nnz(matrix: ShardedCOOMatrix,
-                            n_nodes: int) -> ShardedOneDPartition:
-    """Nonzero-balanced partition of a sharded matrix.
-
-    Same quantile rule as :func:`repro.partition.oned.balanced_by_nnz`,
-    with the row-nnz histogram computed by streaming the shards.
-    """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if n_nodes > matrix.n_rows:
-        raise ValueError("more nodes than matrix rows")
-    row_starts = _balanced_row_starts(matrix.row_nnz(), matrix.n_rows,
-                                      n_nodes)
-    return ShardedOneDPartition(matrix, n_nodes, row_starts=row_starts)
-
 
 def build_partition(matrix, n_nodes: int, kind: str = "rows",
                     row_starts: Optional[np.ndarray] = None):
-    """Storage-tier-dispatching partition factory.
+    """Partition ``matrix`` in the class of its storage tier.
 
-    Dense matrices get :class:`OneDPartition` /
-    :func:`~repro.partition.oned.balanced_by_nnz`; sharded ones the
-    windowed twins.  ``row_starts`` overrides ``kind``.
+    Dense matrices get a :class:`OneDPartition`, sharded ones a
+    :class:`ShardedOneDPartition`.  Blocks are equal row counts, the
+    nnz quantiles of :func:`balanced_by_nnz` for ``kind="nnz"``, or
+    ``row_starts``, which overrides ``kind``.
     """
-    from repro.partition.oned import balanced_by_nnz
+    cls = ShardedOneDPartition if is_sharded(matrix) else OneDPartition
+    if row_starts is None and kind == "nnz":
+        _check_n_nodes(matrix.n_rows, n_nodes)
+        row_starts = _balanced_row_starts(matrix.row_degrees(),
+                                          matrix.n_rows, n_nodes)
+    return cls(matrix, n_nodes, row_starts=row_starts)
 
-    if is_sharded(matrix):
-        if row_starts is not None:
-            return ShardedOneDPartition(matrix, n_nodes,
-                                        row_starts=row_starts)
-        if kind == "nnz":
-            return sharded_balanced_by_nnz(matrix, n_nodes)
-        return ShardedOneDPartition(matrix, n_nodes)
-    if row_starts is not None:
-        return OneDPartition(matrix, n_nodes, row_starts=row_starts)
-    if kind == "nnz":
-        return balanced_by_nnz(matrix, n_nodes)
-    return OneDPartition(matrix, n_nodes)
+
+def balanced_by_nnz(matrix, n_nodes: int):
+    """Nonzero-balanced contiguous 1D partition (§9.4 future work).
+
+    Equal-row blocks leave the nodes owning dense row ranges with far
+    more nonzeros (and communication) than the rest — the inter-node
+    imbalance of Figure 19.  This partitioner instead places the block
+    boundaries at equal quantiles of the row-nnz prefix sum, equalizing
+    per-node work while keeping the contiguity 1D partitioning needs.
+    The histogram is ``matrix.row_degrees()``, which a sharded matrix
+    accumulates one shard at a time.
+    """
+    return build_partition(matrix, n_nodes, kind="nnz")
 
 
 def col_owner_array(part) -> np.ndarray:
-    """Full column→owner array for consumers that index it densely
-    (the packet-level DES Destination Solver).
-
-    Dense partitions already hold one; windowed partitions answer
-    ownership by searchsorted and don't pin the O(n_cols) array, so it
-    is rebuilt here from ``col_starts``.
-    """
-    owner = getattr(part, "col_owner", None)
-    if owner is None:
-        owner = np.repeat(np.arange(part.n_nodes),
-                          np.diff(part.col_starts))
-    return owner.astype(np.int64)
+    """Full column→owner array (int64) for consumers that index it
+    densely (the packet-level DES Destination Solver)."""
+    return _col_owners(part.col_starts, np.int64)

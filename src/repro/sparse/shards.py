@@ -1,12 +1,14 @@
-"""Memory-mapped COO shard storage for out-of-core traces.
+"""The matrix store: memory-mapped COO shards, the one out-of-core tier.
 
 The paper evaluates arabic-2005 at ~640M nonzeros; holding such a
 matrix (plus its partition traces and per-scheme selections) in one
-process's RAM is what kept the reproduction at toy scale (ROADMAP
-item 3).  This module stores a canonical COO matrix as a directory of
-bounded-size shards, each a pair of plain ``.npy`` files opened with
-``mmap_mode="r"`` — the OS pages nonzeros in and out on demand, so the
-*resident* cost of a matrix is a window, not the matrix.
+process's RAM does not scale.  This module stores a canonical COO
+matrix as a directory of bounded-size shards, each a pair of plain
+``.npy`` files opened with ``mmap_mode="r"`` — the OS pages nonzeros in
+and out on demand, so the *resident* cost of a matrix is a window, not
+the matrix.  Every benchmark matrix lives here
+(:func:`repro.sparse.suite.stored_set`); nothing else writes matrix or
+trace data to disk.
 
 Layout of a shard directory::
 
@@ -56,8 +58,9 @@ __all__ = [
     "write_sharded",
 ]
 
-#: Target nonzeros per shard (~32 MB of int64 rows+cols at the default).
-DEFAULT_SHARD_NNZ = int(os.environ.get("REPRO_SHARD_NNZ", str(1 << 21)))
+#: Target nonzeros per shard for :func:`from_coo` (~32 MB of int64
+#: rows+cols).
+DEFAULT_SHARD_NNZ = 1 << 21
 
 _MANIFEST = "manifest.json"
 _SCHEMA = "repro.shards/v1"
@@ -285,11 +288,6 @@ class ShardedCOOMatrix:
     def n_shards(self) -> int:
         return len(self._shard_meta)
 
-    @property
-    def resident_nnz(self) -> int:
-        """Weight for RAM-budgeted memos: metadata only, ~zero."""
-        return 0
-
     def structural_digest(self) -> str:
         """Identical to the materialized COOMatrix's digest (manifest-
         cached, computed incrementally at write time)."""
@@ -360,7 +358,7 @@ class ShardedCOOMatrix:
         telemetry.count("sparse.shards.window_nnz", int(out.size))
         return out
 
-    def row_nnz(self) -> np.ndarray:
+    def row_degrees(self) -> np.ndarray:
         """Per-row nonzero counts, accumulated one shard at a time
         (for nnz-balanced partitioning)."""
         counts = np.zeros(self.n_rows, dtype=np.int64)

@@ -26,14 +26,16 @@ chunk-sized shards and come back as
 :class:`~repro.sparse.shards.ShardedCOOMatrix` — same
 ``structural_digest`` as the whole matrix, bounded resident set.  The
 other scales are written as one chunk, one shard, and come back as a
-:class:`COOMatrix` over the read-only memmaps.
+:class:`COOMatrix` over the read-only memmaps.  The store is the one
+place matrix data lives: :func:`load_benchmark` memoizes these readers
+per process (:class:`MatrixMemo`, hits and misses only), and the page
+cache decides which nonzeros stay resident.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Set, Tuple
 
@@ -211,71 +213,36 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
 }
 
 
-#: Resident-nnz budget for the suite memo.  In-memory matrices weigh
-#: their full nnz; sharded matrices weigh only their resident windows
-#: (~0), so out-of-core loads never evict anything.
-DEFAULT_MEMO_NNZ = int(os.environ.get("REPRO_SUITE_CACHE_NNZ",
-                                      str(64 * 1024 * 1024)))
-
-
 class MatrixMemo:
-    """Weight-aware LRU memo for loaded benchmark matrices.
+    """Per-process memo of loaded benchmark matrices.
 
-    ``lru_cache(maxsize=32)`` counted *entries*; 32 ``large`` matrices
-    would pin gigabytes.  This memo counts *resident nonzeros* and
-    evicts least-recently-used entries once the budget is exceeded.
-    The most recent entry always stays, even oversized — callers hold a
-    reference to it anyway, so evicting it would save nothing.
+    Unbounded on purpose: a dense entry is a :class:`COOMatrix` view
+    over its set's read-only memmaps and a sharded entry is only
+    metadata, so the page cache, not this memo, decides which
+    nonzeros stay in RAM.
     """
 
-    def __init__(self, max_resident_nnz: Optional[int] = None):
-        self.max_resident_nnz = (
-            DEFAULT_MEMO_NNZ if max_resident_nnz is None else int(max_resident_nnz)
-        )
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+    def __init__(self):
+        self._entries: Dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def _weight(matrix) -> int:
-        resident = getattr(matrix, "resident_nnz", None)
-        return int(matrix.nnz if resident is None else resident)
-
-    def resident_nnz(self) -> int:
-        return sum(self._weight(m) for m in self._entries.values())
 
     def get_or_load(self, key: tuple, loader: Callable[[], object]):
         mat = self._entries.get(key)
         if mat is not None:
-            self._entries.move_to_end(key)
             self.hits += 1
             telemetry.count("sparse.suite.cache.hits")
             return mat
         self.misses += 1
         telemetry.count("sparse.suite.cache.misses")
-        mat = loader()
-        self._entries[key] = mat
-        self._enforce_budget()
-        telemetry.set_gauge("sparse.suite.cache.resident_nnz",
-                            self.resident_nnz())
+        mat = self._entries[key] = loader()
         return mat
-
-    def _enforce_budget(self) -> None:
-        while (len(self._entries) > 1
-               and self.resident_nnz() > self.max_resident_nnz):
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            telemetry.count("sparse.suite.cache.evictions")
 
     def stats(self) -> Dict[str, int]:
         return {
             "entries": len(self._entries),
-            "resident_nnz": self.resident_nnz(),
-            "max_resident_nnz": self.max_resident_nnz,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
         }
 
     def clear(self) -> None:

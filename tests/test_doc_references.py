@@ -5,8 +5,13 @@ Every inline-backticked ``repro.…`` name in the top-level docs and
 every backticked ``tests/…py``, ``scripts/…py`` or ``examples/…py`` path
 must exist.  A deleted or renamed module then fails here instead of
 leaving the docs citing it.
+
+The same holds for environment knobs: every backticked ``REPRO_*`` name
+must be read by the code, and every ``REPRO_*`` name the package reads
+must be documented in ``docs/api.md``.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -21,6 +26,7 @@ FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 SPAN = re.compile(r"`([^`\n]+)`")
 NAME = re.compile(r"\brepro(?:\.\w+)+")
 PATH = re.compile(r"\b(?:tests|scripts|examples)/[\w/.-]*?\.py\b")
+ENV = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 
 def _references(pattern):
@@ -70,6 +76,37 @@ def test_file_paths_in_docs_exist():
     missing = {ref: docs for ref, docs in _references(PATH).items()
                if not (ROOT / ref).is_file()}
     assert not missing, f"docs name missing files: {missing}"
+
+
+def _env_names(*dirs):
+    """``REPRO_*`` names used as whole string literals in the ``.py``
+    files under ``dirs`` — the form an ``os.environ`` read (or the
+    constant it reads through) takes; docstrings that merely mention a
+    name do not count."""
+    found = set()
+    for d in dirs:
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and ENV.fullmatch(node.value)):
+                    found.add(node.value)
+    return found
+
+
+def test_env_vars_in_docs_are_read():
+    read = _env_names("src", "bench", "benchmarks", "scripts")
+    stale = {ref: docs for ref, docs in _references(ENV).items()
+             if ref not in read}
+    assert not stale, f"docs name env vars no code reads: {stale}"
+
+
+def test_env_vars_read_by_src_are_documented():
+    api = (ROOT / "docs" / "api.md").read_text()
+    read = _env_names("src")
+    assert read
+    missing = sorted(name for name in read if name not in api)
+    assert not missing, f"docs/api.md omits env vars: {missing}"
 
 
 @pytest.mark.parametrize("name, ok", [

@@ -181,16 +181,6 @@ class TestDistinctColumnCounts:
             assert part.node_traces()[-1].n_nonzeros == 0
             assert counts[-1] == 0
 
-    def test_spilled_then_reloaded_counts(self, tmp_path):
-        mat = _gappy_matrix()
-        part = OneDPartition(mat, 4)
-        expected = [_reference_count(tr.idxs) for tr in part.node_traces()]
-        assert part.spill(str(tmp_path / "spill.npy")) == mat.nnz
-        reloaded = part.node_traces()
-        assert [tr.unique_count(mat.n_cols) for tr in reloaded] == expected
-        # Counting a spilled window does not pin it in RAM.
-        assert part.resident_trace_nnz() == 0
-
     def test_matrix_count_matches_reference(self, matrix):
         assert matrix.unique_col_count() == _reference_count(matrix.cols)
         empty = COOMatrix(4, 4, np.zeros(0), np.zeros(0))

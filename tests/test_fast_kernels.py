@@ -667,8 +667,6 @@ class TestTraceCache:
             "misses": 1,
             "evictions": 0,
             "contended_builds": 0,
-            "spills": 0,
-            "reloads": 0,
             "resident_nnz": part.resident_trace_nnz(),
         }
         assert snap["resident_nnz"] > 0

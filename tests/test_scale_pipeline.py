@@ -2,8 +2,8 @@
 
 Two claims, each enforced with exact equality:
 
-1. Trace spill-then-reload through :class:`TraceCache` reproduces the
-   original traces bit-for-bit and reports its spill telemetry.
+1. A :class:`TraceCache` entry evicted over the resident-trace budget
+   is rebuilt bit-for-bit, and the cache writes nothing to disk.
 2. ``simulate_netsparse`` produces the same :class:`CommResult`
    regardless of storage tier (dense vs sharded) and memo state (a
    cold dense run is the reference), including under the parallel
@@ -13,6 +13,7 @@ Two claims, each enforced with exact equality:
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
@@ -68,60 +69,57 @@ def shard_env(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# trace spill tier
+# trace cache resident budget
 # ---------------------------------------------------------------------
 
 
-class TestTraceSpill:
-    def test_spill_then_reload_bit_identical(self, tmp_path):
-        mat = load_benchmark("queen", "tiny")
-        fresh = TraceCache().get_partition(mat, 8)
-        expect = [
-            (np.array(t.idxs), np.array(t.owner), np.array(t.remote_idxs))
-            for t in fresh.node_traces()
-        ]
+def _trace_arrays(part):
+    return [(np.array(t.idxs), np.array(t.owner), np.array(t.remote_idxs))
+            for t in part.node_traces()]
 
-        tc = TraceCache(max_resident_nnz=mat.nnz // 2,
-                        spill_dir=str(tmp_path / "spill"))
+
+class TestTraceBudget:
+    @pytest.mark.parametrize("tier", ["dense", "windowed"])
+    def test_over_budget_entry_is_evicted(self, tier, tmp_path,
+                                          monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        # Same structure either way: a COOMatrix view, or the sharded
+        # reader whose node traces are windows.
+        mat = (load_benchmark("queen", "tiny") if tier == "dense"
+               else stored_set("queen", "tiny"))
+        expect = _trace_arrays(TraceCache().get_partition(mat, 8))
+
+        tc = TraceCache(max_resident_nnz=mat.nnz // 2)
         part = tc.get_partition(mat, 8)
-        tc.get_partition(mat, 16)       # push the first entry over budget
-        assert tc.stats()["spills"] >= 1
-        assert part.is_spilled
-        assert part.resident_trace_nnz() == 0
+        for tr in part.node_traces():
+            _ = tr.idxs                     # make every trace resident
+        assert part.resident_trace_nnz() >= mat.nnz
+        tc.get_partition(mat, 16)           # push the first entry out
+        assert tc.stats()["evictions"] == 1
+        assert len(tc) == 1
 
-        reloaded = tc.get_partition(mat, 8)
-        assert reloaded is part
-        for tr, (idxs, owner, remote_idxs) in zip(part.node_traces(),
-                                                  expect):
-            np.testing.assert_array_equal(tr.idxs, idxs)
-            np.testing.assert_array_equal(tr.owner, owner)
-            assert tr.owner.dtype == owner.dtype
-            np.testing.assert_array_equal(tr.remote_idxs, remote_idxs)
-        assert tc.stats()["reloads"] >= 1
+        rebuilt = tc.get_partition(mat, 8)
+        assert rebuilt is not part
+        assert tc.stats()["misses"] == 3
+        for (idxs, owner, remote_idxs), want in zip(_trace_arrays(rebuilt),
+                                                    expect):
+            np.testing.assert_array_equal(idxs, want[0])
+            np.testing.assert_array_equal(owner, want[1])
+            assert owner.dtype == want[1].dtype
+            np.testing.assert_array_equal(remote_idxs, want[2])
+        assert not any(scratch.iterdir())
 
-    def test_no_budget_means_no_spilling(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_SPILL_NNZ", raising=False)
+    def test_no_budget_means_no_eviction(self):
         tc = TraceCache()
         assert tc.max_resident_nnz is None
         mat = load_benchmark("queen", "tiny")
         tc.get_partition(mat, 8)
         tc.get_partition(mat, 16)
-        assert tc.stats()["spills"] == 0
-
-    def test_budget_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SPILL_NNZ", "12345")
-        assert TraceCache().max_resident_nnz == 12345
-
-    def test_sharded_entries_release_instead_of_spilling(self, shard_env):
-        smat = load_benchmark("stokes", "tiny")
-        tc = TraceCache(max_resident_nnz=1)
-        part = tc.get_partition(smat, 8)
-        _ = part.node_traces()[0].idxs      # materialize one window
-        tc.get_partition(smat, 16)
-        assert tc.stats()["spills"] >= 1
-        assert part.resident_trace_nnz() == 0
-        # Windowed traces rebuild from the shard store on demand.
-        assert part.node_traces()[0].idxs.size > 0
+        assert tc.stats()["evictions"] == 0
+        assert len(tc) == 2
 
 
 # ---------------------------------------------------------------------
@@ -187,43 +185,12 @@ class TestEngineShardedFanout:
 # ---------------------------------------------------------------------
 
 
-class _FakeMatrix:
-    def __init__(self, nnz):
-        self.nnz = nnz
-
-
 class TestMatrixMemo:
-    def test_weight_aware_eviction(self):
-        memo = MatrixMemo(max_resident_nnz=100)
-        a = memo.get_or_load(("a",), lambda: _FakeMatrix(60))
-        memo.get_or_load(("b",), lambda: _FakeMatrix(60))
-        assert memo.stats()["evictions"] == 1       # a fell out
-        assert memo.stats()["resident_nnz"] == 60
-        a2 = memo.get_or_load(("a",), lambda: _FakeMatrix(60))
-        assert a2 is not a                          # rebuilt after evict
-        assert memo.stats()["misses"] == 3
-
-    def test_oversized_newest_entry_is_kept(self):
-        memo = MatrixMemo(max_resident_nnz=10)
-        big = memo.get_or_load(("big",), lambda: _FakeMatrix(1000))
-        assert memo.get_or_load(("big",), lambda: _FakeMatrix(1000)) is big
-        assert memo.stats() == {
-            "entries": 1, "resident_nnz": 1000, "max_resident_nnz": 10,
-            "hits": 1, "misses": 1, "evictions": 0,
-        }
-
-    def test_lru_order(self):
-        memo = MatrixMemo(max_resident_nnz=100)
-        memo.get_or_load(("a",), lambda: _FakeMatrix(40))
-        memo.get_or_load(("b",), lambda: _FakeMatrix(40))
-        memo.get_or_load(("a",), lambda: _FakeMatrix(40))   # touch a
-        memo.get_or_load(("c",), lambda: _FakeMatrix(40))   # evicts b
-        assert memo.get_or_load(("a",), lambda: _FakeMatrix(99)).nnz == 40
-
-    def test_sharded_weight_uses_resident_nnz(self, shard_env):
-        smat = load_benchmark("queen", "tiny")
-        memo = MatrixMemo(max_resident_nnz=10)
-        memo.get_or_load(("s",), lambda: smat)
-        # mmap-backed matrices weigh ~nothing, so they never evict.
-        memo.get_or_load(("t",), lambda: _FakeMatrix(5))
-        assert memo.stats()["entries"] == 2
+    def test_hits_and_misses(self):
+        memo = MatrixMemo()
+        first = memo.get_or_load(("a",), object)
+        assert memo.get_or_load(("a",), object) is first
+        memo.get_or_load(("b",), object)
+        assert memo.stats() == {"entries": 2, "hits": 1, "misses": 2}
+        memo.clear()
+        assert memo.get_or_load(("a",), object) is not first
