@@ -11,8 +11,9 @@ SQLite database file, with hard assertions:
    executions and bit-identical results, served from the store.  The
    ledger ends with exactly one ``executed`` (or ``batched``) row per
    digest.
-3. **Provenance** — every stored row carries code salt, kernel tier,
-   git sha, and schema version.
+3. **Provenance** — every stored row carries code salt, git sha, and
+   schema version, and engine B's process derives the same code salt
+   (the hash of the package sources) as this one.
 
 Writes the full ledger history as JSON to ``--out`` for CI to upload.
 
@@ -133,18 +134,30 @@ def main(argv=None) -> int:
         failures.append(f"engine B's ledger rows came from {b_workers}, "
                         f"not the child (pid {child.pid})")
 
-    # 3. Provenance on every stored result.
+    # 3. Provenance on every stored result, and one code salt across
+    # both processes: the rows engine B answered carry B's salt.
+    from repro.sources import code_salt
+
+    salt = code_salt()
     for digest in digests:
         rec = store.get_result(digest)
         if rec is None:
             failures.append(f"digest {digest[:12]} missing from store")
             continue
-        missing = [f for f in ("code_salt", "kernel_tier", "git_sha",
-                               "schema_version")
+        missing = [f for f in ("code_salt", "git_sha", "schema_version")
                    if not rec.provenance.get(f)]
         if missing:
             failures.append(f"digest {digest[:12]}: "
                             f"incomplete provenance {missing}")
+        elif rec.provenance["code_salt"] != salt:
+            failures.append(f"digest {digest[:12]}: stored under code "
+                            f"salt {rec.provenance['code_salt'][:12]}, "
+                            f"not this process's {salt[:12]}")
+    b_salts = {r["code_salt"] for r in store.history(experiment="smoke-b")}
+    if b_salts != {salt}:
+        failures.append(f"engine B answered under code salt(s) "
+                        f"{sorted(s[:12] for s in b_salts)}, not "
+                        f"engine A's {salt[:12]}")
 
     history = store.history()
     info = store.describe()

@@ -41,13 +41,13 @@ degradation report plus a telemetry JSON; ``--smoke`` additionally
 asserts the NetSparse speedup column decreases strictly with fault
 intensity and that the ``faults.*`` counters are live.
 
-``store`` inspects the result/artifact store (:mod:`repro.store`):
+``store`` inspects the result store (:mod:`repro.store`):
 ``info`` prints backend/schema/row counts,
 ``migrate`` applies pending schema migrations (idempotent — a second
 run is a no-op), ``history`` queries the append-only run ledger
 (filter by experiment, scheme, matrix, scale, source, ``--since 7d``),
-and ``gc`` reclaims old result rows and artifacts (the ledger is kept
-unless ``--ledger`` is given).  The DSN comes from ``--dsn``, else it
+and ``gc`` reclaims old result rows (the ledger is kept unless
+``--ledger`` is given).  The DSN comes from ``--dsn``, else it
 is the result cache's own store; ``run``/``report`` append a
 ledger row per engine answer to it.
 
@@ -211,11 +211,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "~/.cache/netsparse/store.sqlite3)")
     store = sub.add_parser(
         "store", help="inspect, migrate, query, or garbage-collect the "
-                      "shared result/artifact store"
+                      "shared result store"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     st_info = store_sub.add_parser(
-        "info", help="backend, schema version, row/artifact/ledger counts")
+        "info", help="backend, schema version, result/ledger row counts")
     st_migrate = store_sub.add_parser(
         "migrate", help="apply pending schema migrations (idempotent)")
     st_history = store_sub.add_parser(
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st_history.add_argument("--json", action="store_true",
                             help="emit rows as JSON instead of a table")
     st_gc = store_sub.add_parser(
-        "gc", help="reclaim result rows and artifacts older than a cutoff")
+        "gc", help="reclaim result rows older than a cutoff")
     st_gc.add_argument("--days", type=float, default=30.0, metavar="D",
                        help="age cutoff in days (default 30)")
     st_gc.add_argument("--ledger", action="store_true",
@@ -267,30 +267,6 @@ def _print_engine_summary(engine) -> None:
         f"hits={tc['hits']} misses={tc['misses']} "
         f"evictions={tc['evictions']}"
     )
-
-
-def _store_report_artifact(text: str, args, engine) -> None:
-    """Mirror the markdown report into the artifact table of the
-    engine's store (with ``--no-cache``, the store the cache would
-    use), and append a ledger row carrying its sha so
-    ``netsparse store history`` points at the report a run produced.
-    Best-effort: a broken store never fails the report."""
-    from repro.parallel import ResultCache
-
-    try:
-        store = (engine.cache or ResultCache(args.cache_dir)).store
-        if store is None:
-            raise RuntimeError("store unavailable")
-        sha = store.put_artifact(
-            text.encode("utf-8"), kind="report",
-            name=os.path.basename(args.output),
-            meta={"scale": args.scale,
-                  "experiments": args.only if args.only else "all"})
-        store.record_run(sha, source="report", experiment="report",
-                         meta={"scale_name": args.scale})
-        print(f"stored report artifact {sha[:12]}")
-    except Exception as exc:
-        print(f"store upload skipped: {exc}", file=sys.stderr)
 
 
 def _cache_main(args) -> int:
@@ -361,7 +337,6 @@ def _store_main(args) -> int:
         print(f"schema       : v{info.get('schema_version')} "
               f"(latest v{info.get('latest_schema_version')})")
         print(f"results      : {info.get('results', 0)}")
-        print(f"artifacts    : {info.get('artifacts', 0)}")
         print(f"ledger rows  : {info.get('ledger', 0)}")
         return 0
 
@@ -610,7 +585,6 @@ def _main(argv=None) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
         print(f"wrote {args.output}")
-        _store_report_artifact(text, args, engine)
         _print_engine_summary(engine)
         return 0
 

@@ -168,7 +168,7 @@ class NetSparseConfig:
     def digest(self) -> str:
         """Stable content hash of this configuration.
 
-        Used (with matrix identity, scheme and a code-version salt) to
+        Used (with matrix identity, scheme and the source-hash salt) to
         key the on-disk simulation result cache — any changed field,
         including a single feature flag, changes the digest.
         """

@@ -34,11 +34,10 @@ from repro.parallel.engine import (
     simulate,
     simulate_many,
 )
-from repro.parallel.jobs import CODE_SALT, SimJob, execute_job
+from repro.parallel.jobs import SimJob, execute_job
 
 __all__ = [
     "BatchPlan",
-    "CODE_SALT",
     "EngineStats",
     "ExecutionEngine",
     "ResultCache",

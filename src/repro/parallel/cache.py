@@ -2,8 +2,8 @@
 
 Entries are :class:`~repro.results.CommResult` records keyed by the
 owning :class:`~repro.parallel.jobs.SimJob`'s content digest (which
-already folds in a code-version salt), kept as rows of a SQLite
-:class:`~repro.store.Store`.  Each row carries the wall-clock seconds
+already folds in a hash of the package sources), kept as rows of a
+SQLite :class:`~repro.store.Store`.  Each row carries the wall-clock seconds
 the original computation took, so ``netsparse cache info`` can report
 how much simulation time the cache is holding.
 
@@ -35,7 +35,7 @@ from typing import Dict, Optional
 
 from repro import telemetry
 
-__all__ = ["CacheEntry", "CacheInfo", "ResultCache", "default_cache_dir"]
+__all__ = ["CacheInfo", "ResultCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
@@ -43,17 +43,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "netsparse"
-
-
-@dataclass
-class CacheEntry:
-    """One stored result plus the provenance needed for ``cache info``."""
-
-    digest: str
-    meta: dict
-    elapsed: float
-    created: float
-    result: object = None
 
 
 @dataclass
@@ -83,7 +72,6 @@ class CacheInfo:
         else:
             lines.append(
                 f"  schema v{self.store.get('schema_version', '?')}  "
-                f"artifacts={self.store.get('artifacts', 0)}  "
                 f"ledger={self.store.get('ledger', 0)} rows")
         return "\n".join(lines)
 
@@ -125,19 +113,16 @@ class ResultCache:
                     self._store_resolved = True
         return self._store
 
-    def get(self, digest: str) -> Optional[CacheEntry]:
+    def get(self, digest: str):
+        """The store's :class:`~repro.store.StoredResult`, or ``None``."""
         store = self.store
         if store is None:
             return None
         try:
-            rec = store.get_result(digest)
+            return store.get_result(digest)
         except Exception:
             telemetry.count("store.errors", op="get")
             return None
-        if rec is None:
-            return None
-        return CacheEntry(digest=digest, meta=rec.meta, elapsed=rec.elapsed,
-                          created=rec.created, result=rec.result)
 
     def put(self, digest: str, result, *, meta: dict, elapsed: float) -> None:
         store = self.store
@@ -171,8 +156,8 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every cached result; returns how many were removed.
 
-        Only ``results`` rows go: the run ledger and the artifacts stay
-        (``netsparse store gc`` prunes those).  In a store other
+        Only ``results`` rows go: the run ledger stays (``netsparse
+        store gc --ledger`` prunes it).  In a store other
         processes share, this clears their cache too."""
         store = self.store
         return 0 if store is None else store.clear_results()

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.config import NetSparseConfig
+from repro.sources import code_salt
 
-__all__ = ["CODE_SALT", "SCHEMES", "SimJob", "execute_job", "timed_execute"]
-
-#: Cache-version salt.  Bump whenever simulator semantics change so
-#: stale cached results can never leak into fresh tables.
-CODE_SALT = "netsparse-sim-v2"
+__all__ = ["SCHEMES", "SimJob", "execute_job", "timed_execute"]
 
 #: Job kinds the engine knows how to dispatch: the communication
 #: schemes, and ``compute`` — the end-to-end compute model's
@@ -97,9 +94,11 @@ class SimJob:
     # -- identity ------------------------------------------------------
 
     def key_dict(self) -> dict:
-        """The canonical, JSON-stable identity of this job."""
+        """The canonical, JSON-stable identity of this job.  ``salt``
+        hashes the package sources (:func:`repro.sources.code_salt`),
+        so an edit to the code misses every result cached before it."""
         return {
-            "salt": CODE_SALT,
+            "salt": code_salt(),
             "scheme": self.scheme,
             "matrix": self.matrix,
             "k": self.k,

@@ -113,6 +113,10 @@ class NodeTrace:
             self._unique_count = distinct_count((self.idxs,), n_cols)
         return self._unique_count
 
+    def resident_idxs(self) -> int:
+        """Idx elements held in RAM: the whole scan, always."""
+        return int(self.idxs.size)
+
 
 def _check_n_nodes(n_rows: int, n_nodes: int) -> None:
     """Reject a node count with no row block for some node."""
@@ -191,6 +195,15 @@ class BlockPartition:
             raise ValueError("one shard per node required")
         return np.concatenate(shards, axis=0)
 
+    def resident_trace_nnz(self) -> int:
+        """Idx elements its node traces hold in RAM, counted alike on
+        both storage tiers: the unit ``TraceCache(max_resident_nnz=)``
+        budgets.  Derived selections (``owner``, ``remote_idxs``, ...)
+        are not counted."""
+        if self._traces is None:
+            return 0
+        return sum(tr.resident_idxs() for tr in self._traces)
+
 
 class OneDPartition(BlockPartition):
     """1D row-block partition of an in-memory :class:`COOMatrix`.
@@ -236,9 +249,3 @@ class OneDPartition(BlockPartition):
             traces.append(NodeTrace(node, idxs, owner, remote))
         self._traces = traces
         return traces
-
-    def resident_trace_nnz(self) -> int:
-        """Idx elements currently held in RAM by this partition."""
-        if self._traces is None:
-            return 0
-        return sum(tr.idxs.size for tr in self._traces)

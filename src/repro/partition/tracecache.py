@@ -74,8 +74,8 @@ class TraceCache:
 
     A new entry evicts least-recently-used ones while the cache holds
     more than ``max_entries`` entries or, with ``max_resident_nnz``
-    set, more resident trace elements (:meth:`resident_nnz`) than that
-    budget.  The newest entry is never evicted: its caller holds it
+    set, more resident trace idx elements (:meth:`resident_nnz`) than
+    that budget.  The newest entry is never evicted: its caller holds it
     anyway.
     """
 

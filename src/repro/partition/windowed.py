@@ -149,9 +149,10 @@ class WindowedNodeTrace:
             self._unique_count = distinct_count((idxs,), n_cols)
         return self._unique_count
 
-    def resident_nnz(self) -> int:
-        """Total elements currently materialized for this trace."""
-        return sum(int(a.size) for a in self._cache.values())
+    def resident_idxs(self) -> int:
+        """Idx elements held in RAM: the window once read, else 0."""
+        idxs = self._cache.get("idxs")
+        return 0 if idxs is None else int(idxs.size)
 
     def release(self) -> None:
         """Drop every materialized window (reloadable on next touch)."""
@@ -206,12 +207,6 @@ class ShardedOneDPartition(BlockPartition):
                 for p in range(self.n_nodes)
             ]
         return self._traces
-
-    def resident_trace_nnz(self) -> int:
-        """Elements currently materialized across the node windows."""
-        if self._traces is None:
-            return 0
-        return sum(tr.resident_nnz() for tr in self._traces)
 
 
 def build_partition(matrix, n_nodes: int, kind: str = "rows",

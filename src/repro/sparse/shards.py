@@ -29,7 +29,7 @@ Invariants (enforced by :class:`ShardWriter`):
   digest of the materialized :class:`~repro.sparse.matrix.COOMatrix`,
   so every digest-keyed cache (``TraceCache``, ``SimJob`` results)
   treats sharded and in-memory copies of one structure as the same
-  entry — no cache-key or ``CODE_SALT`` change.
+  entry.
 """
 
 from __future__ import annotations

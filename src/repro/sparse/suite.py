@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterator, Optional, Set, Tuple
 import numpy as np
 
 from repro import telemetry
+from repro.sources import source_digest
 from repro.sparse.matrix import COOMatrix
 from repro.sparse import synthetic
 
@@ -257,16 +258,23 @@ def suite_cache_stats() -> Dict[str, int]:
     return _memo.stats()
 
 
+#: The sources a stored matrix's bytes depend on: the generators and
+#: the canonicalization they stream through.
+_GENERATOR_SOURCES = ("sparse/synthetic.py", "sparse/matrix.py")
+
+
 def _set_name(spec: BenchmarkSpec, scale: str, seed: int) -> str:
     """Directory name of a stored matrix: ``{name}-{scale}-s{seed}-{tag}``.
 
     ``tag`` hashes what generates the matrix (generator, sorted
-    ``gen_kwargs``, row count), so editing a spec or ``_SCALE_ROWS``
-    misses the old set instead of serving it.
+    ``gen_kwargs``, row count, and the bytes of
+    :data:`_GENERATOR_SOURCES`), so editing a spec, ``_SCALE_ROWS`` or
+    the generator code misses the old set instead of serving it.
     """
     ident = repr((spec.generator.__qualname__,
                   sorted(spec.gen_kwargs.items()),
-                  spec.rows_for_scale(scale)))
+                  spec.rows_for_scale(scale),
+                  source_digest(_GENERATOR_SOURCES)))
     tag = hashlib.blake2b(ident.encode(), digest_size=4).hexdigest()
     return f"{spec.name}-{scale}-s{seed}-{tag}"
 

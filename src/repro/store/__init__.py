@@ -1,14 +1,12 @@
-"""The result/artifact store with provenance and a run ledger.
+"""The result store with provenance and a run ledger.
 
 :class:`~repro.parallel.cache.ResultCache` keeps every result here: a
 SQLite database (WAL mode, so several processes share one file)
 holding:
 
 - **results**: one provenance-stamped row per ``SimJob`` digest (job
-  digest, ``CODE_SALT``, faults-plan digest, kernel tier, git sha,
-  schema version, timestamps), with bit-identical pickled
-  ``CommResult`` payloads;
-- **artifacts**: content-addressed blobs (reports) deduped by SHA-256;
+  digest, code salt, faults-plan digest, git sha, schema version,
+  timestamps), with bit-identical pickled ``CommResult`` payloads;
 - **ledger**: an append-only record of every engine answer with
   source attribution — the queryable history behind
   ``netsparse store history``.
@@ -36,7 +34,7 @@ from repro.store.backend import (
     parse_dsn,
 )
 from repro.store.migrations import MIGRATIONS, SCHEMA_VERSION, run_migrations
-from repro.store.provenance import git_sha, kernel_tier, provenance, worker_id
+from repro.store.provenance import git_sha, provenance, worker_id
 from repro.store.store import Store, StoredResult, open_store
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "StoredResult",
     "backend_for_dsn",
     "git_sha",
-    "kernel_tier",
     "open_store",
     "parse_dsn",
     "provenance",

@@ -30,8 +30,8 @@ __all__ = [
     "backend_for_dsn",
 ]
 
-#: Names the store the result cache, the run ledger and report
-#: artifacts live in (see :class:`~repro.parallel.cache.ResultCache`).
+#: Names the store the result cache and the run ledger live in (see
+#: :class:`~repro.parallel.cache.ResultCache`).
 ENV_STORE_DSN = "REPRO_STORE_DSN"
 
 #: How long a writer waits on a locked SQLite database before erroring.

@@ -10,25 +10,25 @@ each missing migration inside a transaction, so:
   write transaction and converge to the same schema,
 - a failed migration rolls back whole, leaving the version unrecorded.
 
-Tables (schema v1):
+Tables (schema v2):
 
 ``results``
     One row per :class:`~repro.parallel.jobs.SimJob` digest — the
     storage of :class:`~repro.parallel.cache.ResultCache`.
-    Every write carries full provenance: the job digest, ``CODE_SALT``,
-    the faults-plan digest, the kernel tier, the git
+    Every write carries full provenance: the job digest, the code salt
+    (:func:`repro.sources.code_salt`), the faults-plan digest, the git
     sha, the store schema version, and creation timestamps.
-
-``artifacts``
-    Content-addressed blobs (bench snapshots, reports, telemetry
-    dumps), keyed by the SHA-256 of their content so identical
-    artifacts dedupe across machines.
 
 ``ledger``
     Append-only: one row per engine answer, with source attribution
     (``memo`` / ``cache`` / ``executed`` / ``batched``), elapsed
     seconds, and the worker identity — the
     queryable history behind ``netsparse store history``.
+
+v2 dropped what v1 wrote and nothing read: the ``artifacts`` table
+(report blobs) and the ``results.kernel_tier`` column (always
+``fast``).  A migration is never edited once shipped, so a fresh
+store applies v1 and then v2.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ MIGRATIONS: List[Migration] = [
         "CREATE INDEX IF NOT EXISTS ix_ledger_ts ON ledger (ts)",
         "CREATE INDEX IF NOT EXISTS ix_ledger_digest ON ledger (digest)",
         "CREATE INDEX IF NOT EXISTS ix_ledger_source ON ledger (source)",
+    )),
+    Migration(2, "drop-artifacts-and-kernel-tier", (
+        "DROP TABLE IF EXISTS artifacts",
+        "ALTER TABLE results DROP COLUMN kernel_tier",
     )),
 ]
 

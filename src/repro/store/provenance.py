@@ -1,15 +1,12 @@
 """Provenance captured on every store write.
 
-A result row (or artifact) without provenance is unauditable: two
-machines sweeping the same grid must be able to tell *which code*
-produced a row before trusting it.  Every write therefore stamps:
+A result row without provenance is unauditable: two machines sweeping
+the same grid must be able to tell *which code* produced a row before
+trusting it.  Every write therefore stamps:
 
-- ``code_salt`` — the simulator-semantics version
-  (:data:`repro.parallel.jobs.CODE_SALT`), the same salt already folded
-  into every job digest;
-- ``kernel_tier`` — the constant ``fast`` (older rows may name the
-  since-removed ``reference`` / ``pool`` tiers, which were
-  bit-identical to it);
+- ``code_salt`` — the hash of the package sources
+  (:func:`repro.sources.code_salt`), the same salt already folded into
+  every job digest;
 - ``git_sha`` — the commit of the working tree, resolved once per
   process (``$REPRO_GIT_SHA`` overrides for detached deployments);
 - ``schema_version`` — the store schema the row was written under;
@@ -24,7 +21,7 @@ import subprocess
 from functools import lru_cache
 from pathlib import Path
 
-__all__ = ["git_sha", "kernel_tier", "worker_id", "provenance"]
+__all__ = ["git_sha", "worker_id", "provenance"]
 
 #: Override for environments without a git checkout (containers, CI
 #: artifact replays).
@@ -49,14 +46,6 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def kernel_tier() -> str:
-    """The kernel tier: always ``"fast"``, the only one there is.
-
-    Kept so the v1 ``kernel_tier`` column stays filled; rows written
-    when ``reference`` and ``pool`` tiers existed remain valid."""
-    return "fast"
-
-
 @lru_cache(maxsize=1)
 def worker_id() -> str:
     """``host:pid`` — note the pid is resolved per call-site process
@@ -73,12 +62,11 @@ def worker_id() -> str:
 
 def provenance() -> dict:
     """The full provenance stamp for one store write."""
-    from repro.parallel.jobs import CODE_SALT
+    from repro.sources import code_salt
     from repro.store.migrations import SCHEMA_VERSION
 
     return {
-        "code_salt": CODE_SALT,
-        "kernel_tier": kernel_tier(),
+        "code_salt": code_salt(),
         "git_sha": git_sha(),
         "schema_version": SCHEMA_VERSION,
         "worker": worker_id(),

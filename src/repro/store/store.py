@@ -1,7 +1,7 @@
-"""The result/artifact store: provenance-stamped rows over SQLite.
+"""The result store: provenance-stamped rows over SQLite.
 
 One :class:`Store` wraps one backend connection factory
-(:mod:`repro.store.backend`) and exposes the three tables the
+(:mod:`repro.store.backend`) and exposes the two tables the
 migrations define:
 
 - ``put_result``/``get_result`` — the storage of
@@ -12,9 +12,6 @@ migrations define:
   converge to a single provenance row.  A row that does not decode
   (corrupt bytes, or a format this code does not write) reads as a
   miss and is deleted, so the next ``put_result`` replaces it.
-- ``put_artifact``/``get_artifact``/``latest_artifacts`` —
-  content-addressed blobs (``netsparse report`` output) deduped by
-  SHA-256.
 - ``record_run``/``history`` — the append-only run ledger: one row per
   engine answer with source attribution, queryable by experiment /
   scheme / matrix / scale / source / time window.
@@ -25,7 +22,6 @@ telemetry is disabled, like every other instrumented subsystem).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 import time
@@ -80,7 +76,7 @@ def _meta_load(raw: str) -> dict:
 
 
 class Store:
-    """Results + artifacts + run ledger over one backend."""
+    """Results + run ledger over one backend."""
 
     def __init__(self, backend, *, dsn: str = ""):
         self.backend = backend
@@ -133,13 +129,11 @@ class Store:
             cur.execute(
                 "INSERT OR IGNORE INTO results"
                 " (digest, fmt, payload, meta_json, elapsed, created,"
-                "  code_salt, faults_digest, kernel_tier, git_sha,"
-                "  schema_version)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "  code_salt, faults_digest, git_sha, schema_version)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (digest, _FMT_PICKLE, payload, _meta_json(meta),
                  float(elapsed), time.time(), prov["code_salt"],
-                 meta.get("faults_digest"),
-                 prov["kernel_tier"], prov["git_sha"],
+                 meta.get("faults_digest"), prov["git_sha"],
                  prov["schema_version"]))
             inserted = cur.rowcount > 0
         telemetry.count("store.results.puts")
@@ -154,8 +148,8 @@ class Store:
         with self.backend.reading() as cur:
             cur.execute(
                 "SELECT fmt, payload, meta_json, elapsed, created,"
-                " code_salt, faults_digest, kernel_tier, git_sha,"
-                " schema_version FROM results WHERE digest = ?",
+                " code_salt, faults_digest, git_sha, schema_version"
+                " FROM results WHERE digest = ?",
                 (digest,))
             row = cur.fetchone()
         telemetry.count("store.results.gets")
@@ -170,8 +164,7 @@ class Store:
                     created=row[4],
                     provenance={
                         "code_salt": row[5], "faults_digest": row[6],
-                        "kernel_tier": row[7], "git_sha": row[8],
-                        "schema_version": row[9],
+                        "git_sha": row[7], "schema_version": row[8],
                     },
                 )
             except Exception:
@@ -203,69 +196,11 @@ class Store:
                 "by_scheme": by_scheme}
 
     def clear_results(self) -> int:
-        """Delete every ``results`` row (the ledger and artifacts stay);
-        returns how many were removed."""
+        """Delete every ``results`` row (the ledger stays); returns how
+        many were removed."""
         with self.backend.transaction() as cur:
             cur.execute("DELETE FROM results")
             return cur.rowcount
-
-    # -- artifacts -----------------------------------------------------
-
-    def put_artifact(self, content: bytes, *, kind: str, name: str,
-                     meta: Optional[dict] = None) -> str:
-        """Store a blob content-addressed; returns its sha256 key.
-        Identical content dedupes to one row regardless of name."""
-        from repro.store.provenance import provenance
-
-        if isinstance(content, str):
-            content = content.encode("utf-8")
-        sha = hashlib.sha256(content).hexdigest()
-        prov = provenance()
-        with self.backend.transaction() as cur:
-            cur.execute(
-                "INSERT OR IGNORE INTO artifacts"
-                " (sha256, kind, name, content, nbytes, created,"
-                "  meta_json, git_sha, code_salt)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (sha, kind, name, content, len(content), time.time(),
-                 _meta_json(meta), prov["git_sha"], prov["code_salt"]))
-            inserted = cur.rowcount > 0
-        telemetry.count("store.artifacts.puts")
-        if not inserted:
-            telemetry.count("store.artifacts.dedupes")
-        return sha
-
-    def get_artifact(self, sha256: str) -> Optional[Dict[str, Any]]:
-        with self.backend.reading() as cur:
-            cur.execute(
-                "SELECT sha256, kind, name, content, nbytes, created,"
-                " meta_json, git_sha, code_salt FROM artifacts"
-                " WHERE sha256 = ?",
-                (sha256,))
-            row = cur.fetchone()
-        return None if row is None else self._artifact_row(row)
-
-    def latest_artifacts(self, kind: str,
-                         limit: int = 2) -> List[Dict[str, Any]]:
-        """Newest-first artifacts of one kind (content included)."""
-        with self.backend.reading() as cur:
-            cur.execute(
-                "SELECT sha256, kind, name, content, nbytes, created,"
-                " meta_json, git_sha, code_salt FROM artifacts"
-                " WHERE kind = ? ORDER BY created DESC, sha256"
-                " LIMIT ?",
-                (kind, int(limit)))
-            rows = cur.fetchall()
-        return [self._artifact_row(r) for r in rows]
-
-    @staticmethod
-    def _artifact_row(row) -> Dict[str, Any]:
-        return {
-            "sha256": row[0], "kind": row[1], "name": row[2],
-            "content": bytes(row[3]), "nbytes": row[4], "created": row[5],
-            "meta": _meta_load(row[6]), "git_sha": row[7],
-            "code_salt": row[8],
-        }
 
     # -- run ledger ----------------------------------------------------
 
@@ -331,7 +266,7 @@ class Store:
     def counts(self) -> Dict[str, int]:
         out = {}
         with self.backend.reading() as cur:
-            for table in ("results", "artifacts", "ledger"):
+            for table in ("results", "ledger"):
                 cur.execute(f"SELECT COUNT(*) FROM {table}")
                 out[table] = cur.fetchone()[0]
         return out
@@ -346,21 +281,20 @@ class Store:
             info.update(self.counts())
         except Exception:
             # Unmigrated database: counts are simply absent.
-            info.update({"results": 0, "artifacts": 0, "ledger": 0})
+            info.update({"results": 0, "ledger": 0})
         return info
 
     def gc(self, *, older_than_days: float = 30.0,
            include_ledger: bool = False,
            dry_run: bool = False) -> Dict[str, int]:
-        """Reclaim result rows and artifacts older than the cutoff.
+        """Reclaim result rows older than the cutoff.
 
         The ledger is append-only and kept by default; pass
         ``include_ledger=True`` to prune its old rows too (an explicit
         audit-trail decision, never implicit)."""
         cutoff = time.time() - older_than_days * 86400.0
         removed: Dict[str, int] = {}
-        tables = ["results", "artifacts"] + (
-            ["ledger"] if include_ledger else [])
+        tables = ["results"] + (["ledger"] if include_ledger else [])
         for table in tables:
             col = "ts" if table == "ledger" else "created"
             with self.backend.reading() as cur:

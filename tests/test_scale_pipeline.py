@@ -96,7 +96,7 @@ class TestTraceBudget:
         part = tc.get_partition(mat, 8)
         for tr in part.node_traces():
             _ = tr.idxs                     # make every trace resident
-        assert part.resident_trace_nnz() >= mat.nnz
+        assert part.resident_trace_nnz() == mat.nnz
         tc.get_partition(mat, 16)           # push the first entry out
         assert tc.stats()["evictions"] == 1
         assert len(tc) == 1
@@ -111,6 +111,22 @@ class TestTraceBudget:
             assert owner.dtype == want[1].dtype
             np.testing.assert_array_equal(remote_idxs, want[2])
         assert not any(scratch.iterdir())
+
+    def test_both_tiers_count_idx_elements(self):
+        """The budget's unit is the idx element on either tier: derived
+        selections (owners, remote views) are not counted."""
+        dense = TraceCache().get_partition(load_benchmark("queen", "tiny"), 8)
+        windowed = TraceCache().get_partition(stored_set("queen", "tiny"), 8)
+        for part in (dense, windowed):
+            for tr in part.node_traces():
+                _ = (tr.remote_idxs, tr.remote_owners, tr.remote_pos,
+                     tr.remote_unique)
+        nnz = dense.matrix.nnz
+        assert dense.resident_trace_nnz() == nnz
+        assert windowed.resident_trace_nnz() == nnz
+        for tr in windowed.node_traces():
+            tr.release()
+        assert windowed.resident_trace_nnz() == 0
 
     def test_no_budget_means_no_eviction(self):
         tc = TraceCache()

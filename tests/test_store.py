@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -128,6 +129,63 @@ def test_run_migrations_direct():
     assert run_migrations(backend) == []
 
 
+def _v1_store(path):
+    """A store as schema v1 left it: a result row with a kernel tier,
+    a report artifact and a ledger row."""
+    import sqlite3
+
+    v1 = next(m for m in MIGRATIONS if m.version == 1)
+    with sqlite3.connect(path) as conn:
+        for stmt in v1.statements:
+            conn.execute(stmt)
+        conn.execute("CREATE TABLE schema_migrations (version INTEGER"
+                     " PRIMARY KEY, name TEXT NOT NULL,"
+                     " applied_at REAL NOT NULL)")
+        conn.execute("INSERT INTO schema_migrations VALUES (1, ?, 0)",
+                     (v1.name,))
+        conn.execute(
+            "INSERT INTO results VALUES (?, 'pickle-v1', ?, '{}', 1.5, ?,"
+            " 'netsparse-sim-v2', NULL, 'fast', 'abc', 1)",
+            (DIGEST_A, pickle.dumps(make_result()), time.time() - 86400))
+        conn.execute(
+            "INSERT INTO artifacts VALUES ('s', 'report', 'r.md', x'00',"
+            " 1, 0, '{}', 'abc', 'netsparse-sim-v2')")
+        conn.execute(
+            "INSERT INTO ledger (ts, digest, source, elapsed, worker,"
+            " git_sha, code_salt) VALUES (?, ?, 'executed', 1.5, 'w',"
+            " 'abc', 'netsparse-sim-v2')", (time.time(), DIGEST_A))
+
+
+def test_v1_store_migrates_to_v2_and_works(tmp_path):
+    path = tmp_path / "v1.sqlite3"
+    _v1_store(path)
+    store = open_store(f"sqlite:///{path}", migrate=False)
+    assert store.schema_version() == 1
+    assert store.migrate() == [2]
+    assert store.migrate() == []
+    assert store.schema_version() == SCHEMA_VERSION == 2
+    with store.backend.reading() as cur:
+        cur.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        tables = {row[0] for row in cur.fetchall()}
+        cur.execute("PRAGMA table_info(results)")
+        columns = {row[1] for row in cur.fetchall()}
+    assert "artifacts" not in tables
+    assert "kernel_tier" not in columns
+
+    # The v1 row still answers; new rows write and read back.
+    old = store.get_result(DIGEST_A)
+    assert old.elapsed == 1.5
+    assert old.provenance["code_salt"] == "netsparse-sim-v2"
+    assert old.result.total_time == make_result().total_time
+    assert store.put_result(DIGEST_B, make_result(1), elapsed=2.0)
+    assert store.get_result(DIGEST_B).result.total_time == (
+        make_result(1).total_time)
+    assert [r["digest"] for r in store.history()] == [DIGEST_A]
+    assert store.counts() == {"results": 2, "ledger": 1}
+    assert store.gc(older_than_days=0.5) == {"results": 1}
+    assert store.get_result(DIGEST_A) is None
+
+
 # -- results: round-trip, provenance, dedupe -----------------------------
 
 
@@ -153,16 +211,15 @@ def test_provenance_complete_on_every_row(store, monkeypatch):
 
     monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe" * 5)
     p.git_sha.cache_clear()
-    from repro.parallel.jobs import CODE_SALT
+    from repro.sources import code_salt
 
     fd = hashlib.sha256(json.dumps({"plan": 1}).encode()).hexdigest()
     store.put_result(DIGEST_A, make_result(),
                      meta={"faults_digest": fd}, elapsed=0.5)
     rec = store.get_result(DIGEST_A)
-    assert rec.provenance["code_salt"] == CODE_SALT
+    assert rec.provenance["code_salt"] == code_salt()
     assert rec.provenance["git_sha"] == "cafebabe" * 5
     assert rec.provenance["faults_digest"] == fd
-    assert rec.provenance["kernel_tier"]
     assert rec.provenance["schema_version"] == SCHEMA_VERSION
     p.git_sha.cache_clear()
 
@@ -208,28 +265,6 @@ def test_cli_import_leaves_store_unloaded():
         "assert 'sqlite3' not in sys.modules\n"
     )
     _run_python(code)
-
-
-# -- artifacts -----------------------------------------------------------
-
-
-def test_artifact_content_addressing_dedupes(store):
-    sha1 = store.put_artifact(b"payload", kind="bench", name="a.json")
-    sha2 = store.put_artifact(b"payload", kind="bench", name="b.json")
-    assert sha1 == sha2
-    assert store.counts()["artifacts"] == 1
-    art = store.get_artifact(sha1)
-    assert art["content"] == b"payload"
-    assert art["nbytes"] == 7
-
-
-def test_latest_artifacts_newest_first(store):
-    store.put_artifact(b"one", kind="bench", name="one.json")
-    time.sleep(0.01)
-    store.put_artifact(b"two", kind="bench", name="two.json")
-    store.put_artifact(b"other", kind="report", name="r.json")
-    latest = store.latest_artifacts("bench", limit=2)
-    assert [a["name"] for a in latest] == ["two.json", "one.json"]
 
 
 # -- run ledger ----------------------------------------------------------
@@ -287,27 +322,23 @@ def test_ledger_is_append_only(store):
 
 def test_describe_payload(store):
     store.put_result(DIGEST_A, make_result())
-    store.put_artifact(b"x", kind="bench", name="x")
     store.record_run(DIGEST_A, source="executed")
     info = store.describe()
     assert info["backend"] == "sqlite"
     assert info["schema_version"] == SCHEMA_VERSION
     assert info["latest_schema_version"] == SCHEMA_VERSION
     assert info["results"] == 1
-    assert info["artifacts"] == 1
     assert info["ledger"] == 1
     assert "dsn" in info
 
 
-def test_gc_reclaims_results_and_artifacts_keeps_ledger(store):
+def test_gc_reclaims_results_keeps_ledger(store):
     store.put_result(DIGEST_A, make_result())
-    store.put_artifact(b"x", kind="bench", name="x")
     store.record_run(DIGEST_A, source="executed")
     removed = store.gc(older_than_days=0.0)
-    assert removed == {"results": 1, "artifacts": 1}
+    assert removed == {"results": 1}
     counts = store.counts()
     assert counts["results"] == 0
-    assert counts["artifacts"] == 0
     assert counts["ledger"] == 1          # append-only by default
 
 
@@ -327,43 +358,29 @@ def test_gc_ledger_opt_in(store):
 
 def test_gc_respects_cutoff(store):
     store.put_result(DIGEST_A, make_result())
-    assert store.gc(older_than_days=30.0) == {"results": 0, "artifacts": 0}
+    assert store.gc(older_than_days=30.0) == {"results": 0}
     assert store.counts()["results"] == 1
 
 
 # -- the CLI path ---------------------------------------------------------
 
 
-def test_report_cli_streams_artifact_with_ledger_row(tmp_path, monkeypatch):
-    """`netsparse report` mirrors its markdown into the artifact table
-    and appends a ledger row carrying the artifact sha, so
-    `store history` points at the report a run produced."""
+def test_report_cli_survives_broken_store(tmp_path, monkeypatch):
+    """A store that cannot open must not fail the report itself: the
+    cache turns off and the report is still written."""
     from repro.cli import main
-
-    dsn = f"sqlite:///{tmp_path}/report.sqlite3"
-    monkeypatch.setenv("REPRO_STORE_DSN", dsn)
-    out = tmp_path / "report.md"
-    assert main(["report", "--scale", "tiny", "--only", "table1",
-                 "-o", str(out), "--no-cache"]) == 0
-
-    store = open_store(dsn)
-    arts = store.latest_artifacts("report", limit=5)
-    assert len(arts) == 1
-    assert arts[0]["name"] == "report.md"
-    assert arts[0]["content"] == out.read_bytes()
-    assert arts[0]["meta"]["scale"] == "tiny"
-    rows = store.history(experiment="report", source="report")
-    assert len(rows) == 1
-    assert rows[0]["digest"] == arts[0]["sha256"]
-
-
-def test_report_cli_survives_broken_store(tmp_path, monkeypatch, capsys):
-    """A store that cannot open must not fail the report itself."""
-    from repro.cli import main
+    from repro.parallel import get_engine, set_engine
 
     monkeypatch.setenv("REPRO_STORE_DSN", "bogus://nowhere")
     out = tmp_path / "report.md"
-    assert main(["report", "--scale", "tiny", "--only", "table1",
-                 "-o", str(out), "--no-cache"]) == 0
-    assert out.exists()
-    assert "store upload skipped" in capsys.readouterr().err
+    previous = set_engine(None)
+    try:
+        assert main(["report", "--scale", "tiny", "--only", "fig14",
+                     "-o", str(out)]) == 0
+        engine = get_engine()
+        assert engine.cache is not None and engine.cache.store is None
+        assert engine.stats.executed > 0
+    finally:
+        get_engine().close()
+        set_engine(previous)
+    assert "fig14" in out.read_text()

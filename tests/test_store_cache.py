@@ -105,6 +105,41 @@ def test_unusable_store_turns_cache_off(tmp_path):
     assert cache.info().n_entries == 0
 
 
+def test_store_faults_never_cache_a_wrong_answer(dsn, monkeypatch):
+    """A full disk on write and a locked database on read cost the
+    cache, never the answer: results match an uncached run bitwise,
+    each fault is counted, and no row is left behind."""
+    from repro import telemetry
+
+    def fails(message):
+        def raise_(*args, **kwargs):
+            raise sqlite3.OperationalError(message)
+        return raise_
+
+    store = open_store(dsn)
+    monkeypatch.setattr(store, "put_result",
+                        fails("database or disk is full"))
+    monkeypatch.setattr(store, "get_result", fails("database is locked"))
+    jobs = [make_job(), make_job(scheme="suopt"), make_job(k=8)]
+
+    with ExecutionEngine(jobs=1) as plain:
+        want = plain.run_jobs(jobs)
+    with telemetry.telemetry_scope() as reg:
+        with ExecutionEngine(jobs=1, cache=ResultCache(store=store)) as eng:
+            got = eng.run_jobs(jobs)
+            assert eng.stats.executed == len(jobs)
+            assert eng.stats.cache_hits == 0
+    assert reg.counter("store.errors", op="get").value == len(jobs)
+    assert reg.counter("store.errors", op="put").value == len(jobs)
+
+    for a, b in zip(got, want):
+        assert a.total_time == b.total_time
+        assert a.per_node_time.tobytes() == b.per_node_time.tobytes()
+        assert a.recv_wire_bytes.tobytes() == b.recv_wire_bytes.tobytes()
+        assert a.sent_wire_bytes.tobytes() == b.sent_wire_bytes.tobytes()
+    assert store.counts()["results"] == 0
+
+
 def test_wal_mode_and_busy_timeout(dsn):
     store = open_store(dsn)
     conn = store.backend.connect()
