@@ -55,7 +55,7 @@ def transfer_redundancy(
     part = partition or cached_partition(matrix, n_nodes)
     traces = part.node_traces()
     useful = sum(t.unique_remote_count() for t in traces)
-    sa = sum(int(t.remote.sum()) for t in traces)
+    sa = sum(t.remote_count() for t in traces)
     su = sum(
         int(matrix.n_cols - (part.col_starts[p + 1] - part.col_starts[p]))
         for p in range(n_nodes)

@@ -139,7 +139,7 @@ def simulate_hybrid(
         useful_payload_bytes=useful,
         link_bandwidth=config.link_bandwidth,
         n_pr_candidates=int(
-            sum(t.remote.sum() for t in part.node_traces())
+            sum(t.remote_count() for t in part.node_traces())
         ),
         n_prs_issued=int(split.sa_prs_per_node.sum()),
         extras={"threshold": threshold,

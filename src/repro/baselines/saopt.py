@@ -127,7 +127,7 @@ def simulate_saopt(
         useful_payload_bytes=useful,
         link_bandwidth=config.link_bandwidth,
         n_pr_candidates=int(
-            sum(t.remote.sum() for t in part.node_traces())
+            sum(t.remote_count() for t in part.node_traces())
         ),
         n_prs_issued=int(sent_prs.sum()),
         extras={"sw_time": sw_time},

@@ -56,7 +56,7 @@ def vanilla_sa_transfer(
     traces = part.node_traces()
 
     total_nnz = sum(t.n_nonzeros for t in traces)
-    total_remote = sum(int(t.remote.sum()) for t in traces)
+    total_remote = sum(t.remote_count() for t in traces)
     pr_cost = config.sw_pr_cost(payload) * VANILLA_PR_COST_MULT
 
     time = (total_nnz * SCAN_COST_S + total_remote * pr_cost) / cores

@@ -54,7 +54,7 @@ def compute_inputs(matrix, n_nodes: int) -> ComputeInputs:
     part = cached_partition(matrix, n_nodes)
     nnz, rows, cols = np.array(
         [(tr.n_nonzeros, len(part.rows_of(node)),
-          tr.unique_count(matrix.n_cols))
+          tr.unique_count())
          for node, tr in enumerate(part.node_traces())],
         dtype=np.int64,
     ).T.copy()

@@ -47,6 +47,7 @@ from repro.core.rig import rig_generation_time
 from repro.results import CommResult
 from repro.network.topology import Dragonfly, HyperX, LeafSpine, Topology
 from repro.partition import OneDPartition, cached_partition
+from repro.partition.oned import span_distinct_count
 
 __all__ = [
     "batch_stats",
@@ -154,14 +155,15 @@ _ALL_MEMOS = {"fbase": _FBASE, "masks": _MASKS, "merges": _MERGES}
 @dataclass(eq=False)
 class _MergeEntry:
     """A ``_MERGES`` value: one rack's merged stream, its hit mask per
-    cache geometry and, from the second geometry on, its reuse profile.
-    The masks and the profile grow the entry in place and are charged
-    to the memo as they are added, so they are dropped with the
-    stream."""
+    cache geometry and, from the second geometry on, its distinct count
+    and (once a geometry can hold that many) its reuse profile.  The
+    masks and the profile grow the entry in place and are charged to
+    the memo as they are added, so they are dropped with the stream."""
 
     merged: Dict[str, np.ndarray]
     masks: Dict[Tuple[int, int, int], np.ndarray] = field(
         default_factory=dict)
+    distinct: Optional[int] = None
     profile: Optional[reusedist.StreamProfile] = None
 
 
@@ -620,11 +622,14 @@ def simulate_netsparse(
         merged_list = [entry.merged for entry in merge_entries]
         # Property Cache at the ToR middle pipes.  A geometry (sets,
         # ways, delay) already scored on a memoized stream reuses its
-        # held mask.  A profile is only built on the second *distinct*
-        # geometry asked of a memoized stream: a geometry sweep
-        # amortizes the unique-sort, while a single-geometry workload
-        # (e.g. the autotune ladder, where every probe's stream is new)
-        # goes straight to the pinned replay kernel.  Both routes are
+        # held mask.  The profile route starts at the second *distinct*
+        # geometry asked of a memoized stream (a single-geometry
+        # workload, e.g. the autotune ladder, never amortizes the
+        # unique-sort), and only for a geometry whose capacity
+        # (sets x ways) holds the stream's distinct values.  Below
+        # that, nearly every element sits in a contended set, so the
+        # profile would replay almost the whole stream anyway; those
+        # go straight to the replay kernel.  Both routes are
         # bit-identical (golden-tested).
         if feats.property_cache:
             n_sets = n_sets_for(
@@ -642,7 +647,11 @@ def simulate_netsparse(
                                 1))
                 hits = entry.masks.get(geometry)
                 if hits is None:
-                    if entry.profile is None and entry.masks:
+                    if entry.masks and entry.distinct is None:
+                        entry.distinct = span_distinct_count(m_idx)
+                    profiled = bool(entry.masks) and (
+                        geometry[0] * geometry[1] >= entry.distinct)
+                    if profiled and entry.profile is None:
                         prof = reusedist.build_profile(m_idx)
                         # Only the first profile stored (a racing
                         # thread may have stored one too) is charged.
@@ -651,7 +660,7 @@ def simulate_netsparse(
                                 entry.profile = prof
                                 _MERGES.charge(merge_key, entry,
                                                prof.nbytes)
-                    if entry.profile is not None:
+                    if profiled:
                         hits = entry.profile.score(*geometry, "lru")
                     else:
                         hits = delayed_cache_hits(

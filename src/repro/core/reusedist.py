@@ -38,10 +38,16 @@ Both routes are pinned against :class:`repro.core.pcache.PropertyCache`
 driven by the reference front-end in ``tests/test_reusedist.py``
 (seeds x set geometries x ways x capacities x segmented line sizes).
 
-The cluster model (:mod:`repro.cluster.model`) keeps one profile per
-memoized rack stream and consults it from the second geometry asked of
-that stream on; the first geometry goes to ``delayed_cache_hits``
-directly.  The hit masks are identical either way.  The batch planner
+The cluster model (:mod:`repro.cluster.model`) chooses the route
+before it pays for a profile.  The first geometry asked of a memoized
+rack stream goes to ``delayed_cache_hits`` directly.  From the second
+on, it counts the stream's distinct values once, and builds (then
+reuses) the stream's profile only for a geometry whose capacity
+``n_sets * ways`` is at least that count: a smaller cache leaves nearly
+every element in a contended set, so the hybrid route would replay
+almost the whole stream after paying for the unique-sort.  Such
+geometries go to ``delayed_cache_hits`` directly too.  The hit masks
+are identical on every route.  The batch planner
 (:mod:`repro.parallel.batch`) only orders jobs so that a sweep's
 geometries meet the same held stream.
 """

@@ -231,7 +231,7 @@ def run_des_gather(
     idxs_per_node = {
         node: tr.remote_idxs.tolist()
         for node, tr in enumerate(part.node_traces())
-        if tr.remote.any()
+        if tr.remote_count()
     }
     return cluster.run_gather(idxs_per_node)
 
@@ -297,7 +297,7 @@ def run_des_rounds(
         idxs_per_node = {
             node: tr.remote_idxs.tolist()
             for node, tr in enumerate(part.node_traces())
-            if tr.remote.any()
+            if tr.remote_count()
         }
         result = cluster.run_gather(idxs_per_node)
         lookups = hits = 0

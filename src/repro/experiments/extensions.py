@@ -292,7 +292,7 @@ def run_cache_policy(scale: str = "small", k: int = 16) -> ExpTable:
         # Rack 0's merged stream (the trace model's cache input).
         members = range(cfg.nodes_per_rack)
         streams = [
-            (np.nonzero(traces[m].remote)[0], traces[m].remote_idxs)
+            (traces[m].remote_pos, traces[m].remote_idxs)
             for m in members
         ]
         pos = np.concatenate([s[0] for s in streams])
@@ -466,7 +466,7 @@ def run_latency_profile() -> ExpTable:
         idxs = {
             node: tr.remote_idxs.tolist()
             for node, tr in enumerate(part.node_traces())
-            if tr.remote.any()
+            if tr.remote_count()
         }
         res = cluster.run_gather(idxs)
         lat = res.extras["latency"]
@@ -522,7 +522,7 @@ def run_partitioning(scale: str = "small", k: int = 16) -> ExpTable:
                 spmm_compute_time(
                     tr.n_nonzeros,
                     len(part.rows_of(node)),
-                    tr.unique_count(mat.n_cols),
+                    tr.unique_count(),
                     k,
                 )
                 for node, tr in enumerate(part.node_traces())

@@ -28,7 +28,7 @@ def run_table1(scale: str = "small", n_nodes: int = 128) -> ExpTable:
         mat = load_benchmark(name, scale)
         part = cached_partition(mat, n_nodes)
         traces = part.node_traces()
-        remote = sum(int(t.remote.sum()) for t in traces)
+        remote = sum(t.remote_count() for t in traces)
         useful = sum(t.unique_remote_count() for t in traces)
         su_recv = sum(
             int(mat.n_cols - (part.col_starts[p + 1] - part.col_starts[p]))

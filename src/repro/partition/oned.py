@@ -11,15 +11,14 @@ are the Property Requests the entire paper is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
 from repro.sparse.matrix import COOMatrix, distinct_count
 
-__all__ = ["BlockPartition", "NodeTrace", "OneDPartition"]
+__all__ = ["BlockPartition", "NodeTrace", "OneDPartition",
+           "TraceSelections", "span_distinct_count"]
 
 
 def _block_starts(n: int, parts: int) -> np.ndarray:
@@ -57,61 +56,147 @@ def _balanced_row_starts(row_nnz: np.ndarray, n_rows: int,
     return row_starts
 
 
-@dataclass
-class NodeTrace:
-    """The per-node nonzero scan, in processing (row-major) order.
+def span_distinct_count(values: np.ndarray) -> int:
+    """Distinct values in ``values``, counted by :func:`distinct_count`
+    over their span: the minimum is subtracted, so the bitmap is as long
+    as ``max - min + 1``, not the whole column space."""
+    if values.size == 0:
+        return distinct_count((values,), 0)
+    lo = int(values.min())
+    return distinct_count((values - lo,), int(values.max()) - lo + 1)
 
-    ``idxs``   — column index (= property index) of each local nonzero.
-    ``owner``  — owning node of each idx.
-    ``remote`` — boolean mask: the idx is owned by another node.
 
-    The derived views (``remote_idxs`` etc.) are cached: a trace is
-    immutable once built, and every scheme walking a shared
-    :class:`~repro.partition.tracecache.TraceCache` entry re-reads the
-    same selections.
+def _owners(col_starts: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    """Owning node (int32) of each idx: the ``p`` with
+    ``col_starts[p] <= idx < col_starts[p+1]``."""
+    return (np.searchsorted(col_starts, idxs, side="right") - 1).astype(
+        np.int32)
+
+
+class TraceSelections:
+    """The selections a node trace derives from its idx scan.
+
+    Shared by :class:`NodeTrace` and
+    :class:`~repro.partition.windowed.WindowedNodeTrace`, which supply
+    ``idxs``.  ``col_starts`` are the partition's column block bounds.
+
+    An idx is remote exactly when it falls outside the node's own
+    column block ``[col_starts[node], col_starts[node+1])`` (§2.1), so
+    no owner is looked up to find the remote nonzeros; only the remote
+    idxs get one (``remote_owners``).  The remote count, the
+    distinct-remote count (both from one scan of the remote idxs) and
+    the distinct count are each computed once and kept outside
+    ``_cache``.
     """
 
-    node: int
-    idxs: np.ndarray
-    owner: np.ndarray
-    remote: np.ndarray
-    _unique_count: Optional[int] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("node", "_col_starts", "_cache", "_n_remote",
+                 "_n_remote_distinct", "_n_distinct")
+
+    def __init__(self, node: int, col_starts: np.ndarray):
+        self.node = node
+        self._col_starts = col_starts
+        self._cache: dict = {}
+        self._n_remote: Optional[int] = None
+        self._n_remote_distinct: Optional[int] = None
+        self._n_distinct: Optional[int] = None
+
+    def _selected(self, name: str, build):
+        out = self._cache.get(name)
+        if out is None:
+            out = build()
+            self._cache[name] = out
+        return out
+
+    def _remote_mask(self, idxs: np.ndarray) -> np.ndarray:
+        lo = self._col_starts[self.node]
+        hi = self._col_starts[self.node + 1]
+        return (idxs < lo) | (idxs >= hi)
 
     @property
     def n_nonzeros(self) -> int:
         return int(self.idxs.size)
 
-    @cached_property
-    def remote_idxs(self) -> np.ndarray:
-        return self.idxs[self.remote]
+    @property
+    def owner(self) -> np.ndarray:
+        """Owning node of every idx, built on each access and never
+        held: no scheme reads it, only ``remote_owners``."""
+        return _owners(self._col_starts, self.idxs)
 
-    @cached_property
-    def remote_owners(self) -> np.ndarray:
-        return self.owner[self.remote]
+    @property
+    def remote(self) -> np.ndarray:
+        """Boolean mask: the idx is owned by another node."""
+        return self._selected("remote", lambda: self._remote_mask(self.idxs))
 
-    @cached_property
+    @property
     def remote_pos(self) -> np.ndarray:
         """Scan positions (within ``idxs``) of the remote nonzeros."""
-        return np.nonzero(self.remote)[0]
+        return self._selected("remote_pos",
+                              lambda: np.flatnonzero(self.remote))
 
-    @cached_property
+    @property
+    def remote_idxs(self) -> np.ndarray:
+        return self._selected("remote_idxs",
+                              lambda: self.idxs[self.remote])
+
+    @property
+    def remote_owners(self) -> np.ndarray:
+        return self._selected(
+            "remote_owners",
+            lambda: _owners(self._col_starts, self.remote_idxs))
+
+    @property
     def remote_unique(self) -> np.ndarray:
         """Sorted distinct remote idxs (the node's true working set)."""
-        return np.unique(self.remote_idxs)
+        return self._selected("remote_unique",
+                              lambda: np.unique(self.remote_idxs))
+
+    def _scan(self) -> np.ndarray:
+        """The idx scan, read without pinning it (see the windowed
+        override)."""
+        return self.idxs
+
+    def _scan_remote_idxs(self) -> np.ndarray:
+        return self.remote_idxs
+
+    def _count_remote(self) -> None:
+        remote_idxs = self._scan_remote_idxs()
+        self._n_remote = int(remote_idxs.size)
+        self._n_remote_distinct = span_distinct_count(remote_idxs)
+
+    def remote_count(self) -> int:
+        """Remote nonzeros in the scan (the node's PR candidates)."""
+        if self._n_remote is None:
+            self._count_remote()
+        return self._n_remote
 
     def unique_remote_count(self) -> int:
-        if not self.remote.any():
-            return 0
-        return int(self.remote_unique.size)
+        """Distinct remote idxs (the node's useful property transfers)."""
+        if self._n_remote_distinct is None:
+            self._count_remote()
+        return self._n_remote_distinct
 
-    def unique_count(self, n_cols: int) -> int:
-        """Distinct idxs in the scan (the node's compute working set),
-        counted once with a presence bitmap over ``[0, n_cols)``."""
-        if self._unique_count is None:
-            self._unique_count = distinct_count((self.idxs,), n_cols)
-        return self._unique_count
+    def unique_count(self) -> int:
+        """Distinct idxs in the scan (the node's compute working set)."""
+        if self._n_distinct is None:
+            self._n_distinct = span_distinct_count(self._scan())
+        return self._n_distinct
+
+
+class NodeTrace(TraceSelections):
+    """The per-node nonzero scan, in processing (row-major) order.
+
+    ``idxs`` is the column index (= property index) of each local
+    nonzero.  The derived selections (``remote``, ``remote_idxs`` etc.) are
+    cached: a trace is immutable once built, and every scheme walking a
+    shared :class:`~repro.partition.tracecache.TraceCache` entry
+    re-reads the same selections.
+    """
+
+    __slots__ = ("idxs",)
+
+    def __init__(self, node: int, idxs: np.ndarray, col_starts: np.ndarray):
+        super().__init__(node, col_starts)
+        self.idxs = idxs
 
     def resident_idxs(self) -> int:
         """Idx elements held in RAM: the whole scan, always."""
@@ -126,13 +211,6 @@ def _check_n_nodes(n_rows: int, n_nodes: int) -> None:
         raise ValueError(
             f"more nodes ({n_nodes}) than matrix rows ({n_rows})"
         )
-
-
-def _col_owners(col_starts: np.ndarray, dtype=np.int32) -> np.ndarray:
-    """Owner node of every column id: node ``p`` owns
-    ``[col_starts[p], col_starts[p+1])``."""
-    return np.repeat(np.arange(col_starts.size - 1, dtype=dtype),
-                     np.diff(col_starts))
 
 
 class BlockPartition:
@@ -198,8 +276,8 @@ class BlockPartition:
     def resident_trace_nnz(self) -> int:
         """Idx elements its node traces hold in RAM, counted alike on
         both storage tiers: the unit ``TraceCache(max_resident_nnz=)``
-        budgets.  Derived selections (``owner``, ``remote_idxs``, ...)
-        are not counted."""
+        budgets.  Derived selections (``remote_idxs``,
+        ``remote_owners``, ...) are not counted."""
         if self._traces is None:
             return 0
         return sum(tr.resident_idxs() for tr in self._traces)
@@ -208,14 +286,13 @@ class BlockPartition:
 class OneDPartition(BlockPartition):
     """1D row-block partition of an in-memory :class:`COOMatrix`.
 
-    Node traces come from one row-major sort of the nonzeros; ownership
-    is looked up in a per-column ``col_owner`` array.
+    Node traces come from one row-major sort of the nonzeros, split at
+    the row-block boundaries.
     """
 
     def __init__(self, matrix: COOMatrix, n_nodes: int,
                  row_starts: Optional[np.ndarray] = None):
         super().__init__(matrix, n_nodes, row_starts)
-        self.col_owner = _col_owners(self.col_starts)
         self.row_owner_of = np.searchsorted(
             self.row_starts, np.arange(matrix.n_rows), side="right"
         ) - 1
@@ -241,11 +318,8 @@ class OneDPartition(BlockPartition):
         cols_sorted = mat.cols[order]
         # Split points between nodes in the sorted nonzero stream.
         split = np.searchsorted(rows_sorted, self.row_starts[1:-1], side="left")
-        idx_chunks = np.split(cols_sorted, split)
-        traces = []
-        for node, idxs in enumerate(idx_chunks):
-            owner = self.col_owner[idxs]
-            remote = owner != node
-            traces.append(NodeTrace(node, idxs, owner, remote))
-        self._traces = traces
-        return traces
+        self._traces = [
+            NodeTrace(node, idxs, self.col_starts)
+            for node, idxs in enumerate(np.split(cols_sorted, split))
+        ]
+        return self._traces

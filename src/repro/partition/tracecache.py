@@ -70,7 +70,7 @@ class TraceCache:
 
     ``get_partition`` returns a partition whose ``node_traces()`` are
     memoized on the instance, so a hit also reuses the trace arrays and
-    every :class:`~repro.partition.oned.NodeTrace` cached property.
+    every :class:`~repro.partition.oned.NodeTrace` selection and count.
 
     A new entry evicts least-recently-used ones while the cache holds
     more than ``max_entries`` entries or, with ``max_resident_nnz``

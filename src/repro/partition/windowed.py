@@ -9,11 +9,11 @@ materializes that window (and its derived selections) lazily and can
 ``release()`` it afterwards, keeping the resident set bounded by the
 largest single node window instead of the whole matrix.
 
-Owners are recomputed per window as
-``searchsorted(col_starts, idxs, side="right") - 1`` — identical to the
-dense path's ``col_owner[idxs]`` lookup (both map ``c`` to the unique
-``p`` with ``col_starts[p] <= c < col_starts[p+1]``) without the
-O(n_cols) owner array.
+Both trace types share :class:`~repro.partition.oned.TraceSelections`:
+the remote nonzeros are the idxs outside the node's own column block,
+only those get an owner (a ``searchsorted`` over ``col_starts``, no
+O(n_cols) owner array), and the remote, distinct-remote and distinct
+counts are computed once per trace and survive :meth:`release`.
 
 :func:`build_partition` picks the partition class by storage tier;
 :func:`balanced_by_nnz` places the blocks of either class from the
@@ -29,11 +29,10 @@ import numpy as np
 from repro.partition.oned import (
     BlockPartition,
     OneDPartition,
+    TraceSelections,
     _balanced_row_starts,
     _check_n_nodes,
-    _col_owners,
 )
-from repro.sparse.matrix import distinct_count
 from repro.sparse.shards import ShardedCOOMatrix, is_sharded
 
 __all__ = [
@@ -45,28 +44,25 @@ __all__ = [
 ]
 
 
-class WindowedNodeTrace:
+class WindowedNodeTrace(TraceSelections):
     """Drop-in :class:`NodeTrace` twin backed by an on-disk window.
 
-    Exposes the same attributes (``idxs`` / ``owner`` / ``remote`` and
-    the ``remote_*`` selections), each materialized on first touch and
-    dropped by :meth:`release`.  ``source`` is the
+    Exposes the same attributes and counts through the shared
+    :class:`~repro.partition.oned.TraceSelections`; ``idxs`` and every
+    derived selection are materialized on first touch and dropped by
+    :meth:`release`.  ``source`` is the
     :class:`~repro.sparse.shards.ShardedCOOMatrix` whose
     ``cols_slice(start, stop)`` reads the window.
     """
 
-    __slots__ = ("node", "_source", "_k0", "_k1", "_col_starts", "_cache",
-                 "_unique_count")
+    __slots__ = ("_source", "_k0", "_k1")
 
     def __init__(self, node: int, source, k0: int, k1: int,
                  col_starts: np.ndarray):
-        self.node = node
+        super().__init__(node, col_starts)
         self._source = source
         self._k0 = int(k0)
         self._k1 = int(k1)
-        self._col_starts = col_starts
-        self._cache: dict = {}
-        self._unique_count: Optional[int] = None
 
     @property
     def n_nonzeros(self) -> int:
@@ -74,80 +70,23 @@ class WindowedNodeTrace:
 
     @property
     def idxs(self) -> np.ndarray:
-        out = self._cache.get("idxs")
-        if out is None:
-            out = self._source.cols_slice(self._k0, self._k1)
-            self._cache["idxs"] = out
-        return out
+        return self._selected("idxs", self._read)
 
-    @property
-    def owner(self) -> np.ndarray:
-        out = self._cache.get("owner")
-        if out is None:
-            out = (
-                np.searchsorted(self._col_starts, self.idxs, side="right") - 1
-            ).astype(np.int32)
-            self._cache["owner"] = out
-        return out
+    def _read(self) -> np.ndarray:
+        return self._source.cols_slice(self._k0, self._k1)
 
-    @property
-    def remote(self) -> np.ndarray:
-        out = self._cache.get("remote")
-        if out is None:
-            out = self.owner != self.node
-            self._cache["remote"] = out
-        return out
+    def _scan(self) -> np.ndarray:
+        """The window if resident, else a transient read that is not
+        pinned, keeping the partition's resident set unchanged."""
+        idxs = self._cache.get("idxs")
+        return self._read() if idxs is None else idxs
 
-    @property
-    def remote_idxs(self) -> np.ndarray:
+    def _scan_remote_idxs(self) -> np.ndarray:
         out = self._cache.get("remote_idxs")
         if out is None:
-            out = self.idxs[self.remote]
-            self._cache["remote_idxs"] = out
+            idxs = self._scan()
+            out = idxs[self._remote_mask(idxs)]
         return out
-
-    @property
-    def remote_owners(self) -> np.ndarray:
-        out = self._cache.get("remote_owners")
-        if out is None:
-            out = self.owner[self.remote]
-            self._cache["remote_owners"] = out
-        return out
-
-    @property
-    def remote_pos(self) -> np.ndarray:
-        out = self._cache.get("remote_pos")
-        if out is None:
-            out = np.nonzero(self.remote)[0]
-            self._cache["remote_pos"] = out
-        return out
-
-    @property
-    def remote_unique(self) -> np.ndarray:
-        out = self._cache.get("remote_unique")
-        if out is None:
-            out = np.unique(self.remote_idxs)
-            self._cache["remote_unique"] = out
-        return out
-
-    def unique_remote_count(self) -> int:
-        if not self.remote.any():
-            return 0
-        return int(self.remote_unique.size)
-
-    def unique_count(self, n_cols: int) -> int:
-        """Distinct idxs in the window, counted once.
-
-        The count lives outside ``_cache`` so :meth:`release` keeps it.
-        A window that is not resident is read transiently and not
-        pinned, keeping the partition's resident set unchanged.
-        """
-        if self._unique_count is None:
-            idxs = self._cache.get("idxs")
-            if idxs is None:
-                idxs = self._source.cols_slice(self._k0, self._k1)
-            self._unique_count = distinct_count((idxs,), n_cols)
-        return self._unique_count
 
     def resident_idxs(self) -> int:
         """Idx elements held in RAM: the window once read, else 0."""
@@ -155,7 +94,8 @@ class WindowedNodeTrace:
         return 0 if idxs is None else int(idxs.size)
 
     def release(self) -> None:
-        """Drop every materialized window (reloadable on next touch)."""
+        """Drop every materialized window (reloadable on next touch);
+        the counts are kept."""
         self._cache.clear()
 
 
@@ -165,9 +105,7 @@ class ShardedOneDPartition(BlockPartition):
     Same geometry and API as :class:`~repro.partition.oned.OneDPartition`
     (``row_starts`` / ``col_starts`` / ``node_traces()`` /
     ``node_nnz()`` / property scatter-gather), but never materializes
-    the matrix: traces are :class:`WindowedNodeTrace` windows and there
-    is no O(n_cols) ``col_owner`` array (:func:`col_owner_array` builds
-    one for the DES front-end).
+    the matrix: traces are :class:`WindowedNodeTrace` windows.
     """
 
     def __init__(self, matrix: ShardedCOOMatrix, n_nodes: int,
@@ -243,4 +181,6 @@ def balanced_by_nnz(matrix, n_nodes: int):
 def col_owner_array(part) -> np.ndarray:
     """Full column→owner array (int64) for consumers that index it
     densely (the packet-level DES Destination Solver)."""
-    return _col_owners(part.col_starts, np.int64)
+    starts = part.col_starts
+    return np.repeat(np.arange(starts.size - 1, dtype=np.int64),
+                     np.diff(starts))

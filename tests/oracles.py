@@ -17,7 +17,10 @@ pin the library kernels against them bit for bit:
   :meth:`repro.network.topology.Topology.flow_loads`;
 - :func:`_traffic_reference` — the read and response stages of
   :func:`repro.cluster.model.simulate_netsparse` (``model._traffic``),
-  with a loop over nodes and over (src, dst) flows.
+  with a loop over nodes and over (src, dst) flows;
+- :func:`_trace_selections_reference` — the selections and counts of
+  :class:`repro.partition.oned.TraceSelections`, from every idx's owner
+  (``tests/test_trace_selections.py``).
 """
 
 from collections import deque
@@ -302,3 +305,36 @@ def _traffic_reference(topo, config, payload, rack_of, racks, node_streams,
         served_per_node=served_per_node,
         n_packets=n_packets_total,
     )
+
+
+def _trace_selections_reference(idxs, node, col_starts, owner_from):
+    """A node trace's selections as first defined: look up every idx's
+    owner, call the idxs owned by another node remote, and count
+    distinct values with ``np.unique``.
+
+    ``owner_from`` picks the original lookup of either storage tier:
+    ``"gather"`` indexes a per-column owner array (the dense tier),
+    ``"searchsorted"`` bisects ``col_starts`` (the windowed tier).
+    """
+    idxs = np.asarray(idxs)
+    if owner_from == "gather":
+        col_owner = np.repeat(
+            np.arange(col_starts.size - 1, dtype=np.int32),
+            np.diff(col_starts))
+        owner = col_owner[idxs]
+    else:
+        owner = (np.searchsorted(col_starts, idxs, side="right")
+                 - 1).astype(np.int32)
+    remote = owner != node
+    remote_idxs = idxs[remote]
+    return {
+        "owner": owner,
+        "remote": remote,
+        "remote_pos": np.nonzero(remote)[0],
+        "remote_idxs": remote_idxs,
+        "remote_owners": owner[remote],
+        "remote_unique": np.unique(remote_idxs),
+        "remote_count": int(remote.sum()),
+        "unique_remote_count": int(np.unique(remote_idxs).size),
+        "unique_count": int(np.unique(idxs).size),
+    }

@@ -174,7 +174,7 @@ class TestDistinctColumnCounts:
         mat = matrix if which == "arabic" else _gappy_matrix()
         n = 16 if which == "arabic" else 4
         part = build(mat, n)
-        counts = [tr.unique_count(mat.n_cols) for tr in part.node_traces()]
+        counts = [tr.unique_count() for tr in part.node_traces()]
         assert counts == [_reference_count(tr.idxs)
                           for tr in part.node_traces()]
         if which == "gappy":
@@ -212,7 +212,8 @@ class TestDistinctColumnCounts:
             return real(chunks, n)
 
         for mod in (matrix_mod, oned, windowed, shards):
-            monkeypatch.setattr(mod, "distinct_count", counting)
+            if hasattr(mod, "distinct_count"):
+                monkeypatch.setattr(mod, "distinct_count", counting)
         mat = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
                         matrix.cols, name=matrix.name)
         prev = set_trace_cache(TraceCache())

@@ -525,6 +525,41 @@ class TestModelGolden:
         assert memo.bytes == sum(nb for _, nb in memo.data.values())
         model.reset_batch_state()
 
+    def test_profile_only_where_the_geometry_holds_the_stream(
+            self, cold_memos):
+        """From a stream's second geometry on, a profile is built and
+        scored only for a geometry whose sets x ways can hold the
+        stream's distinct values; a smaller one goes to the replay
+        kernel.  Either way the bits are the cold run's."""
+        mat = load_benchmark("queen", "tiny")
+        topo = build_cluster_topology(CFG16)
+        full, small, mid = (
+            dataclasses.replace(CFG16, pcache_bytes=CFG16.pcache_bytes // d)
+            for d in (1, 4096, 64)
+        )
+        with cold_memos():
+            cold = [simulate_netsparse(mat, 8, cfg, topo)
+                    for cfg in (small, mid)]
+        model.reset_batch_state()
+        simulate_netsparse(mat, 8, full, topo)
+        warm_small = simulate_netsparse(mat, 8, small, topo)
+        entries = [entry for entry, _ in model._MERGES.data.values()]
+        assert entries and all(entry.distinct is not None
+                               for entry in entries)
+        n_sets, ways, _ = list(entries[0].masks)[1]
+        assert all(n_sets * ways < entry.distinct for entry in entries)
+        assert batch_stats()["profile"]["profiles_built"] == 0
+        warm_mid = simulate_netsparse(mat, 8, mid, topo)
+        n_sets, ways, _ = list(entries[0].masks)[2]
+        assert all(n_sets * ways >= entry.distinct for entry in entries)
+        assert all(entry.profile is not None for entry in entries)
+        assert batch_stats()["profile"]["profiles_built"] == len(entries)
+        for entry in entries:
+            assert entry.distinct == np.unique(entry.merged["idx"]).size
+        assert_results_equal(cold[0], warm_small)
+        assert_results_equal(cold[1], warm_mid)
+        model.reset_batch_state()
+
     def test_faulted_run_bit_identical(self, cold_memos):
         # faults= perturbs the *result* analytically; a memoized result
         # must come back unperturbed by the previous call's faults.

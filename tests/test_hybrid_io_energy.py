@@ -179,13 +179,13 @@ class TestMonitoring:
 
     def test_des_cluster_latency_probe(self):
         from repro.dessim import DesCluster
-        from repro.partition import OneDPartition
+        from repro.partition import OneDPartition, col_owner_array
 
         mat = web_crawl(n=512, mean_degree=4, seed=2, block_size=64)
         part = OneDPartition(mat, 8)
         cluster = DesCluster(n_racks=2, nodes_per_rack=4, k=16,
                              n_cols=mat.n_cols,
-                             col_owner=part.col_owner.astype("int64"),
+                             col_owner=col_owner_array(part),
                              probe_latency=True)
         idxs = {n: t.remote_idxs.tolist()
                 for n, t in enumerate(part.node_traces()) if t.remote.any()}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.partition import OneDPartition
+from repro.partition import OneDPartition, col_owner_array
 from repro.sparse import COOMatrix
 from repro.sparse.synthetic import web_crawl
 
@@ -33,7 +33,7 @@ def test_col_owner_covers_all_columns():
     p = OneDPartition(toy(), 4)
     assert p.owner_of_col(0) == 0
     assert p.owner_of_col(7) == 3
-    counts = np.bincount(p.col_owner, minlength=4)
+    counts = np.bincount(col_owner_array(p), minlength=4)
     assert counts.sum() == 8
 
 

@@ -193,8 +193,8 @@ class TestShardedPartition:
             np.testing.assert_array_equal(dt.remote_pos, st.remote_pos)
             np.testing.assert_array_equal(dt.remote_unique, st.remote_unique)
             assert dt.unique_remote_count() == st.unique_remote_count()
-            assert (dt.unique_count(mat.n_cols)
-                    == st.unique_count(mat.n_cols)
+            assert (dt.unique_count()
+                    == st.unique_count()
                     == np.unique(dt.idxs).size)
 
     def test_release_bounds_residency(self, shard_env):
@@ -230,7 +230,7 @@ class TestShardedDistinctCounts:
         cols = np.array([4, 6, 6, 1, 7])
         mat = COOMatrix(8, 8, rows, cols).canonicalize()
         smat = from_coo(mat, str(tmp_path / "gappy"), shard_nnz=2)
-        counts = [tr.unique_count(8)
+        counts = [tr.unique_count()
                   for tr in ShardedOneDPartition(smat, 4).node_traces()]
         assert counts == [2, 2, 0, 0]
 
@@ -239,10 +239,10 @@ class TestShardedDistinctCounts:
         part = ShardedOneDPartition(smat, 8)
         tr = part.node_traces()[0]
         expected = int(np.unique(tr.idxs).size)     # window now resident
-        assert tr.unique_count(smat.n_cols) == expected
+        assert tr.unique_count() == expected
         tr.release()
         assert part.resident_trace_nnz() == 0
-        assert tr.unique_count(smat.n_cols) == expected
+        assert tr.unique_count() == expected
         assert part.resident_trace_nnz() == 0        # not re-read
 
     def test_matrix_count_cached_on_instance(self, shard_env, monkeypatch):
