@@ -7,7 +7,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.partition import OneDPartition, cached_partition
+from repro.partition import BlockPartition, cached_partition
 from repro.sparse.matrix import COOMatrix
 
 __all__ = [
@@ -49,7 +49,7 @@ class RedundancyStats:
 def transfer_redundancy(
     matrix: COOMatrix,
     n_nodes: int,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> RedundancyStats:
     """Count useful / SA / SU property transfers under 1D partitioning."""
     part = partition or cached_partition(matrix, n_nodes)
@@ -67,7 +67,7 @@ def destination_locality(
     matrix: COOMatrix,
     n_nodes: int,
     window: int = 64,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> float:
     """Average unique destination nodes in ``window`` consecutive PRs
     (Table 4's temporal remote destination locality)."""
@@ -86,7 +86,7 @@ def rack_sharing_fraction(
     matrix: COOMatrix,
     n_nodes: int,
     nodes_per_rack: int = 16,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> float:
     """Fraction of useful PRs whose property is needed by more than one
     node of the same rack (§3: ~85% on average, the motivation for
@@ -122,7 +122,7 @@ def working_set_sizes(
     n_nodes: int,
     nodes_per_rack: int = 16,
     property_bytes: int = 64,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> np.ndarray:
     """Per-rack remote working set in bytes — what a Property Cache
     would need to hold everything the rack ever fetches (sizes Fig 18's

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import NetSparseConfig
-from repro.partition import OneDPartition, cached_partition
+from repro.partition import BlockPartition, cached_partition
 from repro.results import CommResult
 
 __all__ = ["HybridSplit", "choose_threshold", "simulate_hybrid"]
@@ -38,7 +38,7 @@ class HybridSplit:
     sa_prs_per_node: np.ndarray
 
 
-def _column_fanout(part: OneDPartition) -> np.ndarray:
+def _column_fanout(part: BlockPartition) -> np.ndarray:
     """For each column, how many *other* nodes need it at least once.
 
     Memoized on the partition: threshold tuning recomputes the same
@@ -60,7 +60,7 @@ def split_columns(
     threshold: int,
     k: int,
     config: Optional[NetSparseConfig] = None,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> HybridSplit:
     """Split columns by fan-out: popular ones ride collectives."""
     config = config or NetSparseConfig()
@@ -151,7 +151,7 @@ def choose_threshold(
     matrix,
     k: int,
     config: Optional[NetSparseConfig] = None,
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
     candidates=(1, 2, 4, 8, 16, 32, 64, 127),
 ) -> int:
     """Pick the fan-out threshold minimizing the hybrid's time.

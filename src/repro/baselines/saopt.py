@@ -47,15 +47,21 @@ def saopt_pr_counts(
 
     ``exclude_cols`` (boolean mask over columns) removes columns served
     by another mechanism — the hybrid baseline's broadcast set.
+
+    Without ``exclude_cols`` the counts, which do not depend on K, are
+    made once and held, read-only, on the partition (``saopt_counts``).
+    No sharded window stays pinned (``scan_remote_idxs()``).
     """
     config = config or NetSparseConfig()
     n, cores = config.n_nodes, config.host_cores
     part = cached_partition(matrix, n)
+    if exclude_cols is None and cores in part.saopt_counts:
+        return (*part.saopt_counts[cores], part)
     sent = np.zeros((n, cores), dtype=np.int64)
     served = np.zeros(n * cores, dtype=np.int64)
     own_cols = np.diff(part.col_starts)
     for node, tr in enumerate(part.node_traces()):
-        idxs = tr.remote_idxs
+        idxs = tr.scan_remote_idxs()
         if exclude_cols is not None and idxs.size:
             idxs = idxs[~exclude_cols[idxs]]
         if idxs.size == 0:
@@ -73,7 +79,11 @@ def saopt_pr_counts(
         )
         served += np.bincount(owners * cores + serve_rank,
                               minlength=n * cores)
-    return sent, served.reshape(n, cores), part
+    served = served.reshape(n, cores)
+    if exclude_cols is None:
+        sent.flags.writeable = served.flags.writeable = False
+        part.saopt_counts[cores] = (sent, served)
+    return sent, served, part
 
 
 def simulate_saopt(

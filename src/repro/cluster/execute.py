@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.config import NetSparseConfig
 from repro.core.filtering import FilterResult, filter_and_coalesce
-from repro.partition import OneDPartition, cached_partition
+from repro.partition import BlockPartition, cached_partition
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.shards import as_coo
 
@@ -48,7 +48,7 @@ def _gather_node_properties(
     trace,
     source: np.ndarray,
     config: NetSparseConfig,
-    part: OneDPartition,
+    part: BlockPartition,
     node: int,
 ) -> tuple:
     """Fetch one node's remote properties through the filter pipeline.

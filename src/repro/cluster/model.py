@@ -46,7 +46,7 @@ from repro.core.pcache_fast import delayed_cache_hits
 from repro.core.rig import rig_generation_time
 from repro.results import CommResult
 from repro.network.topology import Dragonfly, HyperX, LeafSpine, Topology
-from repro.partition import OneDPartition, cached_partition
+from repro.partition import BlockPartition, cached_partition
 from repro.partition.oned import span_distinct_count
 
 __all__ = [
@@ -244,14 +244,15 @@ def _merge_rack_streams(
     """Interleave node streams by per-node position (concurrent scan)."""
     srcs, poss, idxs, owners = [], [], [], []
     for node, (pos, idx, owner) in zip(nodes, per_node):
-        srcs.append(np.full(pos.size, node, dtype=np.int64))
+        srcs.append(np.full(pos.size, node, dtype=np.int32))
         poss.append(pos)
         idxs.append(idx)
         owners.append(owner)
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-    pos = np.concatenate(poss) if poss else np.zeros(0, dtype=np.int64)
-    idx = np.concatenate(idxs) if idxs else np.zeros(0, dtype=np.int64)
-    owner = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int32)
+    src = np.concatenate(srcs) if srcs else empty
+    pos = np.concatenate(poss) if poss else empty
+    idx = np.concatenate(idxs) if idxs else empty
+    owner = np.concatenate(owners) if owners else empty
     order = np.lexsort((src, pos))
     return {"src": src[order], "pos": pos[order],
             "idx": idx[order], "owner": owner[order]}
@@ -414,8 +415,8 @@ def _traffic(
             np.concatenate(a) for a in zip(*responses.pop(rack))
         )
         # Stream order: by position, then owner (a stable sort on one
-        # combined key).
-        order = np.argsort(r_pos * n + r_owner, kind="stable")
+        # combined int64 key).
+        order = np.argsort(r_pos * np.int64(n) + r_owner, kind="stable")
         r_src, r_owner = r_src[order], r_owner[order]
         # A stable owner sort makes each owner's responses one segment
         # that keeps their stream order (and hence every byte count);
@@ -458,7 +459,7 @@ def simulate_netsparse(
     rig_batch: Optional[int] = None,
     scale: float = 1.0,
     knobs: NetSparseKnobs = NetSparseKnobs(),
-    partition: Optional[OneDPartition] = None,
+    partition: Optional[BlockPartition] = None,
 ) -> CommResult:
     """Simulate one iteration's communication under NetSparse.
 
@@ -507,22 +508,20 @@ def simulate_netsparse(
     n_candidates = n_issued = n_filtered = n_coalesced = 0
     with telemetry.span("cluster.stage.filter", matrix=matrix.name, k=k):
         for node, tr in enumerate(traces):
-            remote_idx = tr.remote_idxs
-            remote_owner = tr.remote_owners
-            remote_pos = tr.remote_pos
+            n_remote = tr.remote_count()
             useful_payload[node] = tr.unique_remote_count() * payload
-            n_candidates += remote_idx.size
-            if feats.rig_offload and remote_idx.size:
-                remote_frac = remote_idx.size / max(tr.n_nonzeros, 1)
+            n_candidates += n_remote
+            if feats.rig_offload and n_remote:
+                remote_frac = n_remote / max(tr.n_nonzeros, 1)
                 batch_remote = max(int(rig_batch * remote_frac), 1)
-                window = max(int(knobs.inflight_frac * remote_idx.size), 1)
+                window = max(int(knobs.inflight_frac * n_remote), 1)
                 # Batches >= the stream put every idx in unit 0, so the
                 # clamped value is this node's canonical batch identity.
-                batch = min(batch_remote, int(remote_idx.size))
+                batch = min(batch_remote, n_remote)
                 # Coalescing compares the units of positions less than
                 # ``window`` apart, whose batches differ by at most
                 # ``reach``: every unit count above it drops the same.
-                reach = min(-(-remote_idx.size // batch) - 1,
+                reach = min(-(-n_remote // batch) - 1,
                             (window - 1) // batch + 1)
                 bkey = (batch, min(config.n_client_units, reach + 1))
                 mask_key = base_key = None
@@ -536,9 +535,13 @@ def simulate_netsparse(
                     # The anchor and the batch-invariant drop masks are
                     # memoized per node, so a batch sweep recomputes two
                     # vectorized compares instead of the whole filter.
+                    # Memoized positions, idxs and anchors are int32
+                    # (the partition checks they fit).
+                    remote_idx = tr.remote_idxs
                     entry = _FBASE.get(base_key)
                     if entry is None:
-                        fp = first_occurrence_positions(remote_idx)
+                        fp = first_occurrence_positions(remote_idx).astype(
+                            np.int32)
                         base = None
                     else:
                         fp, base = entry
@@ -551,8 +554,9 @@ def simulate_netsparse(
                                    drop_filter.nbytes * 2 + fp.nbytes)
                     mask = ~(drop_filter | drop_coalesce)
                     cached = (
-                        remote_pos[mask], remote_idx[mask],
-                        remote_owner[mask], int(drop_filter.sum()),
+                        tr.remote_pos[mask].astype(np.int32),
+                        remote_idx[mask].astype(np.int32),
+                        tr.remote_owners[mask], int(drop_filter.sum()),
                         int(drop_coalesce.sum()), int(mask.sum()),
                     )
                     _MASKS.put(mask_key, cached,
@@ -563,9 +567,10 @@ def simulate_netsparse(
                 n_issued += cached[5]
             else:
                 bkey = None
-                stream = (remote_pos.copy(), remote_idx.copy(),
-                          remote_owner.copy())
-                n_issued += int(remote_idx.size)
+                stream = (tr.remote_pos.astype(np.int32),
+                          tr.remote_idxs.astype(np.int32),
+                          tr.remote_owners.copy())
+                n_issued += n_remote
             bkeys.append(bkey)
             node_streams.append(stream)
             node_nnz[node] = tr.n_nonzeros

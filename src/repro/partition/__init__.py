@@ -1,6 +1,6 @@
 """1D partitioning of matrices and property arrays across cluster nodes."""
 
-from repro.partition.oned import NodeTrace, OneDPartition
+from repro.partition.oned import BlockPartition, NodeTrace, OneDPartition
 from repro.partition.tracecache import (
     TraceCache,
     cached_partition,
@@ -16,6 +16,7 @@ from repro.partition.windowed import (
 )
 
 __all__ = [
+    "BlockPartition",
     "NodeTrace",
     "OneDPartition",
     "ShardedOneDPartition",

@@ -11,7 +11,7 @@ are the Property Requests the entire paper is about.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class TraceSelections:
     idxs get one (``remote_owners``).  The remote count, the
     distinct-remote count (both from one scan of the remote idxs) and
     the distinct count are each computed once and kept outside
-    ``_cache``.
+    ``_cache``; a windowed trace makes all three on its first read.
     """
 
     __slots__ = ("node", "_col_starts", "_cache", "_n_remote",
@@ -150,18 +150,18 @@ class TraceSelections:
         return self._selected("remote_unique",
                               lambda: np.unique(self.remote_idxs))
 
-    def _scan(self) -> np.ndarray:
-        """The idx scan, read without pinning it (see the windowed
-        override)."""
-        return self.idxs
-
-    def _scan_remote_idxs(self) -> np.ndarray:
+    def scan_remote_idxs(self) -> np.ndarray:
+        """The remote idxs, read without pinning a window that is not
+        resident (see the windowed override)."""
         return self.remote_idxs
 
     def _count_remote(self) -> None:
-        remote_idxs = self._scan_remote_idxs()
+        remote_idxs = self.remote_idxs
         self._n_remote = int(remote_idxs.size)
         self._n_remote_distinct = span_distinct_count(remote_idxs)
+
+    def _count_distinct(self) -> None:
+        self._n_distinct = span_distinct_count(self.idxs)
 
     def remote_count(self) -> int:
         """Remote nonzeros in the scan (the node's PR candidates)."""
@@ -178,7 +178,7 @@ class TraceSelections:
     def unique_count(self) -> int:
         """Distinct idxs in the scan (the node's compute working set)."""
         if self._n_distinct is None:
-            self._n_distinct = span_distinct_count(self._scan())
+            self._count_distinct()
         return self._n_distinct
 
 
@@ -203,13 +203,16 @@ class NodeTrace(TraceSelections):
         return int(self.idxs.size)
 
 
-def _check_n_nodes(n_rows: int, n_nodes: int) -> None:
-    """Reject a node count with no row block for some node."""
+def _check_partition(matrix, n_nodes: int) -> None:
+    """Reject idxs or scan positions past int32 (the cluster model's
+    memos), before any row is read, and a node with no row block."""
+    if max(matrix.n_cols, matrix.nnz) >= 2**31:
+        raise ValueError("partitions need n_cols and nnz below 2**31")
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    if n_nodes > n_rows:
+    if n_nodes > matrix.n_rows:
         raise ValueError(
-            f"more nodes ({n_nodes}) than matrix rows ({n_rows})"
+            f"more nodes ({n_nodes}) than matrix rows ({matrix.n_rows})"
         )
 
 
@@ -231,7 +234,7 @@ class BlockPartition:
 
     def __init__(self, matrix, n_nodes: int,
                  row_starts: Optional[np.ndarray] = None):
-        _check_n_nodes(matrix.n_rows, n_nodes)
+        _check_partition(matrix, n_nodes)
         self.matrix = matrix
         self.n_nodes = n_nodes
         if row_starts is not None:
@@ -251,6 +254,9 @@ class BlockPartition:
             else _block_starts(matrix.n_cols, n_nodes)
         )
         self._traces: Optional[List] = None
+        #: SAOpt's per-rank ``(sent, served)`` counts by ``host_cores``
+        #: (:func:`repro.baselines.saopt.saopt_pr_counts`).
+        self.saopt_counts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def rows_of(self, node: int) -> range:
         return range(int(self.row_starts[node]), int(self.row_starts[node + 1]))

@@ -13,7 +13,8 @@ Both trace types share :class:`~repro.partition.oned.TraceSelections`:
 the remote nonzeros are the idxs outside the node's own column block,
 only those get an owner (a ``searchsorted`` over ``col_starts``, no
 O(n_cols) owner array), and the remote, distinct-remote and distinct
-counts are computed once per trace and survive :meth:`release`.
+counts are made by a trace's first read of its window and survive
+:meth:`release`.
 
 :func:`build_partition` picks the partition class by storage tier;
 :func:`balanced_by_nnz` places the blocks of either class from the
@@ -31,7 +32,8 @@ from repro.partition.oned import (
     OneDPartition,
     TraceSelections,
     _balanced_row_starts,
-    _check_n_nodes,
+    _check_partition,
+    span_distinct_count,
 )
 from repro.sparse.shards import ShardedCOOMatrix, is_sharded
 
@@ -73,20 +75,27 @@ class WindowedNodeTrace(TraceSelections):
         return self._selected("idxs", self._read)
 
     def _read(self) -> np.ndarray:
-        return self._source.cols_slice(self._k0, self._k1)
+        """Read the window; the trace's first read also makes its three
+        counts, so no count ever reads it again."""
+        idxs = self._source.cols_slice(self._k0, self._k1)
+        if self._n_distinct is None:
+            remote_idxs = idxs[self._remote_mask(idxs)]
+            self._n_remote = int(remote_idxs.size)
+            self._n_remote_distinct = span_distinct_count(remote_idxs)
+            self._n_distinct = span_distinct_count(idxs)
+        return idxs
 
-    def _scan(self) -> np.ndarray:
-        """The window if resident, else a transient read that is not
-        pinned, keeping the partition's resident set unchanged."""
-        idxs = self._cache.get("idxs")
-        return self._read() if idxs is None else idxs
+    # A window was counted when it was first read, so a missing count
+    # means a window never read: one transient read makes all three.
+    _count_remote = _count_distinct = _read
 
-    def _scan_remote_idxs(self) -> np.ndarray:
-        out = self._cache.get("remote_idxs")
-        if out is None:
-            idxs = self._scan()
-            out = idxs[self._remote_mask(idxs)]
-        return out
+    def scan_remote_idxs(self) -> np.ndarray:
+        """The remote idxs of the resident window, else of a transient
+        read that pins nothing."""
+        if "idxs" in self._cache:
+            return self.remote_idxs
+        idxs = self._read()
+        return idxs[self._remote_mask(idxs)]
 
     def resident_idxs(self) -> int:
         """Idx elements held in RAM: the window once read, else 0."""
@@ -158,7 +167,7 @@ def build_partition(matrix, n_nodes: int, kind: str = "rows",
     """
     cls = ShardedOneDPartition if is_sharded(matrix) else OneDPartition
     if row_starts is None and kind == "nnz":
-        _check_n_nodes(matrix.n_rows, n_nodes)
+        _check_partition(matrix, n_nodes)
         row_starts = _balanced_row_starts(matrix.row_degrees(),
                                           matrix.n_rows, n_nodes)
     return cls(matrix, n_nodes, row_starts=row_starts)

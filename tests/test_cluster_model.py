@@ -173,3 +173,53 @@ class TestDelayedInsertCache:
         front = self.make(delay=1)
         hits = front.process(np.array([1, 2, 3, 4]))
         assert not hits.any()
+
+
+def test_memoized_streams_are_int32_and_match_int64(arabic_tiny):
+    """The model memoizes node and merged streams as int32; each equals,
+    value for value, its int64 recomputation from the traces."""
+    from repro.cluster import model
+    from repro.core.filtering import (
+        filter_and_coalesce,
+        first_occurrence_positions,
+    )
+    from repro.partition import cached_partition
+
+    model.reset_batch_state()
+    try:
+        topo = topo16()
+        simulate_netsparse(arabic_tiny, 16, CFG16, topo)
+        traces = cached_partition(arabic_tiny, 16).node_traces()
+        assert len(model._FBASE.data) == len(model._MASKS.data) == 16
+        for key, ((fp, _), _) in model._FBASE.data.items():
+            ref = first_occurrence_positions(traces[key[2]].remote_idxs)
+            assert fp.dtype == np.int32 and ref.dtype == np.int64
+            assert np.array_equal(fp, ref)
+        streams = {}
+        for key, (value, _) in model._MASKS.data.items():
+            _, _, node, filtering, coalescing, frac, (batch, units) = key
+            tr = traces[node]
+            window = max(int(frac * tr.remote_count()), 1)
+            issued = filter_and_coalesce(tr.remote_idxs, units, batch, window,
+                                         filtering, coalescing).issued_mask
+            ref = (tr.remote_pos[issued], tr.remote_idxs[issued],
+                   tr.remote_owners[issued].astype(np.int64))
+            for got, want in zip(value[:3], ref):
+                assert got.dtype == np.int32 and want.dtype == np.int64
+                assert np.array_equal(got, want)
+            streams[node] = ref
+        assert len(model._MERGES.data) == CFG16.n_racks
+        for key, (entry, _) in model._MERGES.data.items():
+            members = [n for n in range(16) if topo.rack_of(n) == key[3]]
+            src = np.concatenate([np.full(streams[m][0].size, m, np.int64)
+                                  for m in members])
+            pos, idx, owner = (np.concatenate([streams[m][i]
+                                               for m in members])
+                               for i in range(3))
+            order = np.lexsort((src, pos))
+            want = {"src": src, "pos": pos, "idx": idx, "owner": owner}
+            for name, got in entry.merged.items():
+                assert got.dtype == np.int32
+                assert np.array_equal(got, want[name][order])
+    finally:
+        model.reset_batch_state()

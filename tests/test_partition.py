@@ -188,3 +188,33 @@ class TestBalancedByNnz:
         # A valid custom split works.
         p = OneDPartition(m, 2, row_starts=np.array([0, 10, 64]))
         assert len(list(p.rows_of(0))) == 10
+
+
+class _HugeStub:
+    """A matrix shape past the int32 bound, with almost no nonzeros."""
+
+    n_rows = n_cols = 2**31
+    nnz = 1
+
+    def row_degrees(self):
+        raise AssertionError("row histogram read before the bound check")
+
+
+@pytest.mark.parametrize("kind", ["rows", "nnz"])
+def test_int32_bound_checked_before_any_row_array(monkeypatch, kind):
+    """Partitions keep idxs and scan positions below 2**31 (the model
+    memoizes them as int32); the check runs before any n_rows- or
+    n_cols-sized array is allocated."""
+    from repro.partition import ShardedOneDPartition, build_partition
+
+    real_arange = np.arange
+
+    def small_arange(*args, **kwargs):
+        assert max(args) < 2**20, "n_rows-sized array allocated"
+        return real_arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small_arange)
+    for build in (OneDPartition, ShardedOneDPartition,
+                  lambda m, n: build_partition(m, n, kind=kind)):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            build(_HugeStub(), 4)

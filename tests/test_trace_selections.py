@@ -10,6 +10,7 @@ counts are made once and survive a window's ``release()``.
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import simulate_saopt, simulate_suopt
-from repro.cluster import build_cluster_topology, simulate_netsparse
+from repro.baselines.saopt import saopt_pr_counts
+from repro.cluster import (
+    build_cluster_topology,
+    compute_inputs,
+    reset_batch_state,
+    simulate_netsparse,
+)
 from repro.config import NetSparseConfig
 from repro.partition import (
     ShardedOneDPartition,
@@ -29,7 +36,10 @@ from repro.partition import (
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.shards import ShardedCOOMatrix, from_coo
 from repro.sparse.suite import stored_set
-from tests.oracles import _trace_selections_reference
+from tests.oracles import (
+    _saopt_pr_counts_reference,
+    _trace_selections_reference,
+)
 
 ARRAYS = ("owner", "remote", "remote_pos", "remote_idxs", "remote_owners",
           "remote_unique")
@@ -128,15 +138,15 @@ class TestCountsOncePerTrace:
         part = ShardedOneDPartition(stored_set("queen", "tiny"), 8)
         reads = _count_reads(monkeypatch)
         traces = part.node_traces()
-        # Counts on a window that is not resident read it transiently:
-        # once for the two remote counts, once for the distinct count.
+        # Counts on a window that is not resident read it transiently,
+        # once: the first read makes all three counts.
         first = [[getattr(tr, c)() for c in COUNTS] for tr in traces]
-        assert len(reads) == 2 * len(traces)
+        assert len(reads) == len(traces)
         assert part.resident_trace_nnz() == 0
         for tr in traces:
             _ = (tr.remote_idxs, tr.remote_owners, tr.remote_unique)
         n_reads = len(reads)
-        assert n_reads == 3 * len(traces)
+        assert n_reads == 2 * len(traces)
         for tr in traces:
             tr.release()
         assert part.resident_trace_nnz() == 0
@@ -212,3 +222,61 @@ def test_owner_is_built_on_access(tier):
     assert owner.dtype == np.int32 and owner.size == tr.n_nonzeros
     assert tr.owner is not owner
     assert "owner" not in tr._cache
+
+
+def test_sharded_grid_reads_each_window_three_times(monkeypatch):
+    """The out-of-core grid's scheme order on a sharded matrix: SUOpt,
+    SAOpt at two Ks, NetSparse at two Ks, then the compute inputs.
+    SAOpt pins no window and counts once per partition; each window is
+    read three times in all (the counts, SAOpt, NetSparse's first K)."""
+    cfg = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
+    topo = build_cluster_topology(cfg)
+    smat = stored_set("queen", "tiny")
+    prev = set_trace_cache(TraceCache(max_resident_nnz=smat.nnz // 4))
+    reset_batch_state()
+    try:
+        part = cached_partition(smat, cfg.n_nodes)
+        reads = _count_reads(monkeypatch)
+        simulate_suopt(smat, 16, cfg)
+        held = []
+        for k in (16, 128):
+            simulate_saopt(smat, k, cfg)
+            assert part.resident_trace_nnz() == 0
+            held.append(part.saopt_counts[cfg.host_cores])
+        assert held[0] is held[1]
+        for k in (16, 128):
+            simulate_netsparse(smat, k, cfg, topo)
+        compute_inputs(smat, cfg.n_nodes)
+        windows = [_window(part, node) for node in range(cfg.n_nodes)]
+        assert Counter(reads) == {w: 3 for w in windows}
+
+        # An exclude_cols call neither answers from nor replaces the
+        # held counts.
+        exclude = np.zeros(smat.n_cols, dtype=bool)
+        exclude[::3] = True
+        sent, served, _ = saopt_pr_counts(smat, cfg, exclude_cols=exclude)
+        assert part.saopt_counts == {cfg.host_cores: held[0]}
+        ref = _saopt_pr_counts_reference(smat, cfg, exclude_cols=exclude)
+        assert np.array_equal(sent, ref[0])
+        assert np.array_equal(served, ref[1])
+        ref = _saopt_pr_counts_reference(smat, cfg)
+        for got, want in zip(held[0], ref):
+            assert np.array_equal(got, want) and not got.flags.writeable
+    finally:
+        set_trace_cache(prev)
+        reset_batch_state()
+
+
+def test_exclude_cols_call_holds_nothing():
+    cfg = NetSparseConfig(n_nodes=8, n_racks=2, nodes_per_rack=4)
+    smat = stored_set("europe", "tiny")
+    prev = set_trace_cache(TraceCache())
+    try:
+        exclude = np.zeros(smat.n_cols, dtype=bool)
+        sent, _, part = saopt_pr_counts(smat, cfg, exclude_cols=exclude)
+        assert part.saopt_counts == {} and sent.flags.writeable
+        held, _, _ = saopt_pr_counts(smat, cfg)
+        assert np.array_equal(held, sent)
+        assert part.saopt_counts[cfg.host_cores][0] is held
+    finally:
+        set_trace_cache(prev)
