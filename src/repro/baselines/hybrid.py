@@ -24,7 +24,8 @@ from repro.config import NetSparseConfig
 from repro.partition import BlockPartition, cached_partition
 from repro.results import CommResult
 
-__all__ = ["HybridSplit", "choose_threshold", "simulate_hybrid"]
+__all__ = ["HybridSplit", "choose_threshold", "fanout_histogram",
+           "simulate_hybrid"]
 
 
 @dataclass
@@ -41,17 +42,51 @@ class HybridSplit:
 def _column_fanout(part: BlockPartition) -> np.ndarray:
     """For each column, how many *other* nodes need it at least once.
 
-    Memoized on the partition: threshold tuning recomputes the same
-    fan-out for every candidate, and traces never change once built.
-    """
-    fanout = getattr(part, "_column_fanout", None)
-    if fanout is not None:
-        return fanout
+    Counted from ``scan_remote_idxs()``, so no sharded window stays
+    pinned."""
     fanout = np.zeros(part.matrix.n_cols, dtype=np.int64)
     for tr in part.node_traces():
-        fanout[tr.remote_unique] += 1
-    part._column_fanout = fanout
+        fanout[np.unique(tr.scan_remote_idxs())] += 1
     return fanout
+
+
+def fanout_histogram(
+    part: BlockPartition, fanout: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``hist[node, f]``: the node's distinct remote columns that ``f``
+    nodes need.
+
+    Fan-outs never change once traces are built, so the histogram is
+    made once and held, read-only, on the partition (``fanout_hist``):
+    every threshold's split is then a prefix sum that reads nothing.
+    ``fanout`` is the :func:`_column_fanout` a caller already holds.
+    """
+    if part.fanout_hist is None:
+        if fanout is None:
+            fanout = _column_fanout(part)
+        n = part.n_nodes
+        hist = np.zeros((n, n), dtype=np.int64)
+        for node, tr in enumerate(part.node_traces()):
+            hist[node] = np.bincount(
+                fanout[np.unique(tr.scan_remote_idxs())], minlength=n)
+        hist.flags.writeable = False
+        part.fanout_hist = hist
+    return part.fanout_hist
+
+
+def _split(hist: np.ndarray, threshold: int, payload: int) -> HybridSplit:
+    """The split at ``threshold`` from a :func:`fanout_histogram`."""
+    # A column of fan-out f is counted in f nodes' rows.
+    fanouts = np.arange(1, hist.shape[1])
+    columns = hist.sum(axis=0)[1:] // fanouts
+    n_su = int(columns[threshold:].sum())
+    return HybridSplit(
+        threshold=threshold,
+        n_su_columns=n_su,
+        n_sa_columns=int(columns[:threshold].sum()),
+        su_bytes_per_node=float(n_su) * payload,
+        sa_prs_per_node=hist[:, :threshold + 1].sum(axis=1),
+    )
 
 
 def split_columns(
@@ -65,21 +100,8 @@ def split_columns(
     """Split columns by fan-out: popular ones ride collectives."""
     config = config or NetSparseConfig()
     part = partition or cached_partition(matrix, n_nodes)
-    payload = config.property_bytes(k)
-    fanout = _column_fanout(part)
-    su_cols = fanout > threshold
-
-    sa_prs = np.zeros(n_nodes, dtype=np.int64)
-    for node, tr in enumerate(part.node_traces()):
-        sa_prs[node] = int((~su_cols[tr.remote_unique]).sum())
-
-    return HybridSplit(
-        threshold=threshold,
-        n_su_columns=int(su_cols.sum()),
-        n_sa_columns=int((fanout > 0).sum() - su_cols.sum()),
-        su_bytes_per_node=float(su_cols.sum()) * payload,
-        sa_prs_per_node=sa_prs,
-    )
+    return _split(fanout_histogram(part), threshold,
+                  config.property_bytes(k))
 
 
 def simulate_hybrid(
@@ -101,9 +123,11 @@ def simulate_hybrid(
     n = config.n_nodes
     payload = config.property_bytes(k)
     part = cached_partition(matrix, n)
+    fanout = _column_fanout(part)
+    hist = fanout_histogram(part, fanout)
     if threshold is None:
         threshold = choose_threshold(matrix, k, config, part)
-    split = split_columns(matrix, n, threshold, k, config, part)
+    split = _split(hist, threshold, payload)
 
     su_time = split.su_bytes_per_node / config.link_bandwidth
     # The SA tail uses exactly the SAOpt machinery (per-rank dedup and
@@ -111,7 +135,6 @@ def simulate_hybrid(
     # broadcast columns excluded.
     from repro.baselines.saopt import saopt_pr_counts
 
-    fanout = _column_fanout(part)
     su_cols = fanout > threshold
     sent_ranks, served_ranks, _ = saopt_pr_counts(
         matrix, config, exclude_cols=su_cols

@@ -77,20 +77,14 @@ def _gather_node_properties(
     return table, remote_idx.size, fr.n_issued, fetched.size
 
 
-def distributed_spmm(
-    matrix: COOMatrix,
-    b: np.ndarray,
-    n_nodes: int,
-    config: Optional[NetSparseConfig] = None,
-) -> DistributedRun:
-    """Distributed ``C = A @ B`` over ``n_nodes`` 1D partitions."""
-    matrix = as_coo(matrix)   # numeric execution indexes the full arrays
+def _run_distributed(matrix: COOMatrix, source: np.ndarray, n_nodes: int,
+                     config: Optional[NetSparseConfig], output: np.ndarray,
+                     compute) -> DistributedRun:
+    """Gather each node's remote ``source`` rows through the filter
+    pipeline, then ``compute(sel, rows, cols, vals, table)`` its share
+    of the nonzeros in canonical (row, col) order (``sel`` masks them)
+    into ``output``."""
     config = config or NetSparseConfig(n_nodes=n_nodes)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
-    if b.shape[0] != matrix.n_cols:
-        raise ValueError(f"b must have {matrix.n_cols} rows")
     part = cached_partition(matrix, n_nodes)
     vals = (
         matrix.vals
@@ -101,27 +95,45 @@ def distributed_spmm(
                        kind="stable")
     rows_s, cols_s, vals_s = (matrix.rows[order], matrix.cols[order],
                               vals[order])
-
-    out = np.zeros((matrix.n_rows, b.shape[1]))
     candidates = issued = moved = 0
     for node, trace in enumerate(part.node_traces()):
         table, n_cand, n_iss, n_moved = _gather_node_properties(
-            trace, b, config, part, node
+            trace, source, config, part, node
         )
         candidates += n_cand
         issued += n_iss
         moved += n_moved
         row_lo, row_hi = part.row_starts[node], part.row_starts[node + 1]
         sel = (rows_s >= row_lo) & (rows_s < row_hi)
-        np.add.at(out, rows_s[sel],
-                  vals_s[sel, None] * table[cols_s[sel]])
+        compute(sel, rows_s[sel], cols_s[sel], vals_s[sel], table)
     return DistributedRun(
-        output=out,
+        output=output,
         n_nodes=n_nodes,
         pr_candidates=candidates,
         prs_issued=issued,
         properties_moved=moved,
     )
+
+
+def distributed_spmm(
+    matrix: COOMatrix,
+    b: np.ndarray,
+    n_nodes: int,
+    config: Optional[NetSparseConfig] = None,
+) -> DistributedRun:
+    """Distributed ``C = A @ B`` over ``n_nodes`` 1D partitions."""
+    matrix = as_coo(matrix)   # numeric execution indexes the full arrays
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim == 1:
+        b = b[:, None]
+    if b.shape[0] != matrix.n_cols:
+        raise ValueError(f"b must have {matrix.n_cols} rows")
+    out = np.zeros((matrix.n_rows, b.shape[1]))
+
+    def compute(sel, rows, cols, vals, table):
+        np.add.at(out, rows, vals[:, None] * table[cols])
+
+    return _run_distributed(matrix, b, n_nodes, config, out, compute)
 
 
 def distributed_spmv(
@@ -154,41 +166,15 @@ def distributed_sddmm(
     canonical (row, col) order.
     """
     matrix = as_coo(matrix)   # numeric execution indexes the full arrays
-    config = config or NetSparseConfig(n_nodes=n_nodes)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape[0] != matrix.n_rows or v.shape[0] != matrix.n_cols:
         raise ValueError("u/v row counts must match the matrix")
     if u.shape[1:] != v.shape[1:]:
         raise ValueError("u and v must share K")
-    part = cached_partition(matrix, n_nodes)
-    vals = (
-        matrix.vals
-        if matrix.vals is not None
-        else np.ones(matrix.nnz, dtype=np.float64)
-    )
-    order = np.argsort(matrix.rows * matrix.n_cols + matrix.cols,
-                       kind="stable")
-    rows_s, cols_s, vals_s = (matrix.rows[order], matrix.cols[order],
-                              vals[order])
-
     out_vals = np.zeros(matrix.nnz)
-    candidates = issued = moved = 0
-    for node, trace in enumerate(part.node_traces()):
-        table, n_cand, n_iss, n_moved = _gather_node_properties(
-            trace, v, config, part, node
-        )
-        candidates += n_cand
-        issued += n_iss
-        moved += n_moved
-        row_lo, row_hi = part.row_starts[node], part.row_starts[node + 1]
-        sel = (rows_s >= row_lo) & (rows_s < row_hi)
-        dots = np.einsum("ij,ij->i", u[rows_s[sel]], table[cols_s[sel]])
-        out_vals[sel] = vals_s[sel] * dots
-    return DistributedRun(
-        output=out_vals,
-        n_nodes=n_nodes,
-        pr_candidates=candidates,
-        prs_issued=issued,
-        properties_moved=moved,
-    )
+
+    def compute(sel, rows, cols, vals, table):
+        out_vals[sel] = vals * np.einsum("ij,ij->i", u[rows], table[cols])
+
+    return _run_distributed(matrix, v, n_nodes, config, out_vals, compute)

@@ -27,9 +27,7 @@ downscaling documented in DESIGN.md.
 
 from __future__ import annotations
 
-import itertools
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -68,23 +66,19 @@ __all__ = [
 # unit count), so the planner's fused groups and sequential probe
 # loops like the autotune ladder stop replaying identical stages.
 # Repeated whole jobs are answered upstream by the engine's digest
-# memo and the ResultCache.  Keys never hash array content: object
-# identity tokens stand in for the heavyweight inputs (partition,
-# topology), which the trace/topology caches already share across a
-# sweep.  A key is ``None`` when an input has no token; the stage then
-# runs the same code unmemoized.  Everything here is bit-exact: a memo
-# hit returns the same arrays the miss path computed.  Apart from the
-# weakly held identity tokens, all state lives in the byte-bounded
-# memos, so nothing grows with the call count.
+# memo and the ResultCache.  Keys never hash array content: a
+# partition's never-reused ``token`` stands in for its traces, and a
+# rack merge is keyed on its member nodes, not on the fabric, so a
+# call that builds a fresh topology shares every entry.  Everything
+# here is bit-exact: a memo hit returns the same arrays the miss path
+# computed.  All state lives in the byte-bounded memos, so nothing
+# grows with the call count.
 
 _MEMO_LOCK = threading.RLock()
-_MISS = object()
 
 
 class _BoundedMemo:
-    """FIFO-bounded memo with approximate byte accounting.
-
-    A ``None`` key is never stored and always misses uncounted."""
+    """FIFO-bounded memo with approximate byte accounting."""
 
     def __init__(self, budget_bytes: int):
         self.budget = int(budget_bytes)
@@ -94,11 +88,9 @@ class _BoundedMemo:
         self.misses = 0
 
     def get(self, key):
-        if key is None:
-            return None
         with _MEMO_LOCK:
-            entry = self.data.get(key, _MISS)
-            if entry is _MISS:
+            entry = self.data.get(key)
+            if entry is None:
                 self.misses += 1
                 return None
             self.hits += 1
@@ -106,7 +98,7 @@ class _BoundedMemo:
 
     def put(self, key, value, nbytes: int) -> None:
         nbytes = max(int(nbytes), 1)
-        if key is None or nbytes > self.budget:
+        if nbytes > self.budget:
             return
         with _MEMO_LOCK:
             if key in self.data:
@@ -121,8 +113,6 @@ class _BoundedMemo:
         """Add ``nbytes`` to the stored entry ``value``, which grew in
         place, evicting the oldest entries (possibly this one) while
         over budget.  Ignored unless ``key`` holds ``value`` itself."""
-        if key is None:
-            return
         with _MEMO_LOCK:
             entry = self.data.get(key)
             if entry is None or entry[0] is not value:
@@ -165,30 +155,6 @@ class _MergeEntry:
         default_factory=dict)
     distinct: Optional[int] = None
     profile: Optional[reusedist.StreamProfile] = None
-
-
-_token_counter = itertools.count(1)
-_token_by_id: Dict[int, tuple] = {}
-
-
-def _obj_token(obj) -> Optional[int]:
-    """A stable int identity for a live object (``None`` if it cannot
-    be weak-referenced).  Tokens die with the object, so a recycled
-    ``id()`` can never resurrect a stale memo entry."""
-    key = id(obj)
-    with _MEMO_LOCK:
-        entry = _token_by_id.get(key)
-        if entry is not None and entry[1]() is obj:
-            return entry[0]
-        try:
-            ref = weakref.ref(
-                obj, lambda _r, key=key: _token_by_id.pop(key, None)
-            )
-        except TypeError:
-            return None
-        token = next(_token_counter)
-        _token_by_id[key] = (token, ref)
-        return token
 
 
 def reset_batch_state() -> None:
@@ -238,24 +204,202 @@ class NetSparseKnobs:
     cache_inflight_frac: float = 0.03
 
 
+@dataclass
+class _Filtered:
+    """Stage 1 output: each node's issued PR stream and the counts."""
+
+    streams: List[Tuple[np.ndarray, ...]]    # (pos, idx, owner) per node
+    # Canonical per-node (batch, unit count): the memo key of a stream,
+    # ``None`` where no RIG filter ran.
+    bkeys: List[Optional[Tuple[int, int]]]
+    node_nnz: np.ndarray
+    useful_payload: np.ndarray
+    n_candidates: int
+    n_issued: int
+    n_filtered: int
+    n_coalesced: int
+
+
+def _filter(part: BlockPartition, config: NetSparseConfig,
+            knobs: NetSparseKnobs, rig_batch: int, payload: int) -> _Filtered:
+    """Stage 1: per-node RIG batching + filtering/coalescing.
+
+    A node's anchor and batch-invariant drop masks are memoized in
+    ``_FBASE``, its issued stream per canonical (batch, unit count) in
+    ``_MASKS``, both under the partition's token and the node id.
+    """
+    feats = config.features
+    n = part.n_nodes
+    streams, bkeys = [], []
+    node_nnz = np.zeros(n, dtype=np.int64)
+    useful_payload = np.zeros(n)
+    n_candidates = n_issued = n_filtered = n_coalesced = 0
+    for node, tr in enumerate(part.node_traces()):
+        # A trace without counts has no ``_MASKS`` entry yet, so its
+        # window is pinned here: that one read makes the counts too.
+        n_remote = (tr.remote_count() if tr.counted
+                    else int(tr.remote_idxs.size))
+        useful_payload[node] = tr.unique_remote_count() * payload
+        n_candidates += n_remote
+        bkey = None
+        if feats.rig_offload and n_remote:
+            remote_frac = n_remote / max(tr.n_nonzeros, 1)
+            batch_remote = max(int(rig_batch * remote_frac), 1)
+            window = max(int(knobs.inflight_frac * n_remote), 1)
+            # Batches >= the stream put every idx in unit 0, so the
+            # clamped value is this node's canonical batch identity.
+            batch = min(batch_remote, n_remote)
+            # Coalescing compares the units of positions less than
+            # ``window`` apart, whose batches differ by at most
+            # ``reach``: every unit count above it drops the same.
+            reach = min(-(-n_remote // batch) - 1, (window - 1) // batch + 1)
+            bkey = (batch, min(config.n_client_units, reach + 1))
+            mask_key = ("mask", part.token, node, feats.filtering,
+                        feats.coalescing, knobs.inflight_frac, bkey)
+            cached = _MASKS.get(mask_key)
+            if cached is None:
+                # The anchor and the batch-invariant drop masks are
+                # memoized per node, so a batch sweep recomputes two
+                # vectorized compares instead of the whole filter.
+                # Memoized positions, idxs and anchors are int32 (the
+                # partition checks they fit).
+                remote_idx = tr.remote_idxs
+                base_key = ("fbase", part.token, node, knobs.inflight_frac,
+                            feats.filtering, feats.coalescing)
+                entry = _FBASE.get(base_key)
+                if entry is None:
+                    fp = first_occurrence_positions(remote_idx).astype(
+                        np.int32)
+                    base = None
+                else:
+                    fp, base = entry
+                drop_filter, drop_coalesce, base = anchored_drops(
+                    fp, config.n_client_units, batch_remote, window,
+                    feats.filtering, feats.coalescing, base=base,
+                )
+                if entry is None:
+                    _FBASE.put(base_key, (fp, base),
+                               drop_filter.nbytes * 2 + fp.nbytes)
+                mask = ~(drop_filter | drop_coalesce)
+                cached = (
+                    tr.remote_pos[mask].astype(np.int32),
+                    remote_idx[mask].astype(np.int32),
+                    tr.remote_owners[mask], int(drop_filter.sum()),
+                    int(drop_coalesce.sum()), int(mask.sum()),
+                )
+                _MASKS.put(mask_key, cached,
+                           sum(a.nbytes for a in cached[:3]) + 24)
+            stream = cached[:3]
+            n_filtered += cached[3]
+            n_coalesced += cached[4]
+            n_issued += cached[5]
+        else:
+            stream = (tr.remote_pos.astype(np.int32),
+                      tr.remote_idxs.astype(np.int32),
+                      tr.remote_owners.copy())
+            n_issued += n_remote
+        bkeys.append(bkey)
+        streams.append(stream)
+        node_nnz[node] = tr.n_nonzeros
+        # Windowed (sharded) traces drop their materialized windows
+        # once their selections are copied out, keeping the resident
+        # set bounded by one node's trace.
+        release = getattr(tr, "release", None)
+        if release is not None:
+            release()
+    return _Filtered(streams, bkeys, node_nnz, useful_payload,
+                     n_candidates, n_issued, n_filtered, n_coalesced)
+
+
 def _merge_rack_streams(
     per_node: List[Tuple[np.ndarray, ...]], nodes: List[int]
 ) -> Dict[str, np.ndarray]:
     """Interleave node streams by per-node position (concurrent scan)."""
-    srcs, poss, idxs, owners = [], [], [], []
-    for node, (pos, idx, owner) in zip(nodes, per_node):
-        srcs.append(np.full(pos.size, node, dtype=np.int32))
-        poss.append(pos)
-        idxs.append(idx)
-        owners.append(owner)
-    empty = np.zeros(0, dtype=np.int32)
-    src = np.concatenate(srcs) if srcs else empty
-    pos = np.concatenate(poss) if poss else empty
-    idx = np.concatenate(idxs) if idxs else empty
-    owner = np.concatenate(owners) if owners else empty
+    src = np.concatenate([np.full(stream[0].size, node, dtype=np.int32)
+                          for node, stream in zip(nodes, per_node)])
+    pos, idx, owner = (np.concatenate(arrays) for arrays in zip(*per_node))
     order = np.lexsort((src, pos))
     return {"src": src[order], "pos": pos[order],
             "idx": idx[order], "owner": owner[order]}
+
+
+@dataclass
+class _Cached:
+    """Stage 2 output: each rack's merged stream and its hit mask."""
+
+    merged: List[Dict[str, np.ndarray]]
+    hits: List[np.ndarray]
+    lookups: int
+    n_hits: int
+
+
+def _merge_and_cache(part: BlockPartition, racks: List[Tuple[int, List[int]]],
+                     filtered: _Filtered, config: NetSparseConfig,
+                     knobs: NetSparseKnobs, pcache_bytes: int,
+                     payload: int) -> _Cached:
+    """Stage 2: per-rack stream merge + Property Cache.
+
+    A merge depends only on its members' streams, so ``_MERGES`` keys
+    it on the partition token, the member ids and their stream keys.
+    """
+    feats = config.features
+    # Property Cache at the ToR middle pipes.  A geometry (sets, ways,
+    # delay) already scored on a memoized stream reuses its held mask.
+    # The profile route starts at the second *distinct* geometry asked
+    # of a memoized stream (a single-geometry workload, e.g. the
+    # autotune ladder, never amortizes the unique-sort), and only for
+    # a geometry whose capacity (sets x ways) holds the stream's
+    # distinct values.  Below that, nearly every element sits in a
+    # contended set, so the profile would replay almost the whole
+    # stream anyway; those go straight to the replay kernel.  Both
+    # routes are bit-identical (golden-tested).
+    if feats.property_cache:
+        n_sets = n_sets_for(pcache_bytes, config.pcache_ways, max(payload, 1),
+                            config.pcache_segments, config.pcache_min_line)
+    merged, rack_hits = [], []
+    lookups = n_hits = 0
+    for _, members in racks:
+        key = ("merge", part.token, tuple(members), feats.rig_offload,
+               feats.filtering, feats.coalescing, knobs.inflight_frac,
+               tuple(filtered.bkeys[m] for m in members))
+        entry = _MERGES.get(key)
+        if entry is None:
+            entry = _MergeEntry(_merge_rack_streams(
+                [filtered.streams[m] for m in members], members))
+            _MERGES.put(key, entry,
+                        sum(a.nbytes for a in entry.merged.values()))
+        merged.append(entry.merged)
+        m_idx = entry.merged["idx"]
+        if not feats.property_cache or m_idx.size == 0:
+            rack_hits.append(np.zeros(m_idx.size, dtype=bool))
+            continue
+        geometry = (n_sets, config.pcache_ways,
+                    max(int(knobs.cache_inflight_frac * m_idx.size), 1))
+        hits = entry.masks.get(geometry)
+        if hits is None:
+            if entry.masks and entry.distinct is None:
+                entry.distinct = span_distinct_count(m_idx)
+            profiled = bool(entry.masks) and (
+                geometry[0] * geometry[1] >= entry.distinct)
+            if profiled and entry.profile is None:
+                prof = reusedist.build_profile(m_idx)
+                # Only the first profile stored (a racing thread may
+                # have stored one too) is charged.
+                with _MEMO_LOCK:
+                    if entry.profile is None:
+                        entry.profile = prof
+                        _MERGES.charge(key, entry, prof.nbytes)
+            if profiled:
+                hits = entry.profile.score(*geometry, "lru")
+            else:
+                hits = delayed_cache_hits(m_idx, *geometry, policy="lru")[0]
+            # Likewise only the first mask stored for a geometry.
+            if entry.masks.setdefault(geometry, hits) is hits:
+                _MERGES.charge(key, entry, hits.nbytes)
+        lookups += int(m_idx.size)
+        n_hits += int(hits.sum())
+        rack_hits.append(hits)
+    return _Cached(merged, rack_hits, lookups, n_hits)
 
 
 def _pr_rate(config: NetSparseConfig, payload: int, issue_frac: float) -> float:
@@ -451,6 +595,75 @@ def _traffic(
     )
 
 
+@dataclass
+class _Timing:
+    """Stage 4 output: the rate limits and the one that binds."""
+
+    stage_times: Dict[str, np.ndarray]   # per-node seconds by limit
+    per_node_time: np.ndarray
+    fabric_time: float
+    total_time: float
+    binding: Dict[str, object]
+
+
+def _timing(topo: Topology, config: NetSparseConfig, payload: int,
+            scale: float, rig_batch: int, filtered: _Filtered,
+            traffic: _Traffic) -> _Timing:
+    """Stage 4: time from the interacting rate limits.
+
+    A node's time is the slowest of its ``stage_times``; the call's is
+    the slower of that maximum and the busiest fabric link, plus the
+    zero-load RTT and the concatenation drain.  ``binding`` names the
+    limit that sets the maximum: a ``stage_times`` key and its node,
+    or ``"fabric"`` and node -1 when a fabric link is strictly slower.
+    """
+    n = config.n_nodes
+    # Timing uses the real unit count: one max-plus scan for all nodes.
+    pr_gen_time = rig_generation_time(
+        filtered.node_nnz, config.n_client_units, rig_batch,
+        freq=config.snic_freq, cmd_overhead=config.rig_cmd_overhead * scale,
+    )
+    if config.features.concat_nic:
+        per_node_prs = np.array([s[0].size for s in filtered.streams],
+                                dtype=np.float64)
+        t_concat = per_node_prs / _concat_sram_rate_cap(config, payload)
+        drain = config.concat_delay_cycles_nic / config.snic_freq
+    else:
+        t_concat = np.zeros(n)
+        drain = 0.0
+    stage_times = {
+        "pr_gen": pr_gen_time,
+        "up": traffic.up_bytes / config.link_bandwidth,
+        "down": traffic.down_bytes / config.link_bandwidth,
+        "pcie": traffic.down_bytes / config.pcie_bandwidth,
+        "server": traffic.served_per_node / (
+            (config.n_rig_units - config.n_client_units) * config.snic_freq
+        ),
+        "concat": t_concat,
+    }
+    per_node_time = np.maximum.reduce(list(stage_times.values()))
+    link_bw = np.array([ln.bandwidth for ln in topo.links])
+    fabric_time = (
+        float((traffic.fabric_loads / link_bw).max()) if topo.n_links else 0.0
+    )
+    node = int(per_node_time.argmax())
+    node_time = float(per_node_time[node])
+    if fabric_time > node_time:
+        binding = {"limit": "fabric", "node": -1}
+    else:
+        limit = next(name for name, t in stage_times.items()
+                     if t[node] == node_time)
+        binding = {"limit": limit, "node": node}
+    # Fixed latencies scale with the matrix downscaling like every
+    # other absolute time constant (DESIGN.md §5) — at paper scale
+    # they are negligible against millisecond totals, and must stay
+    # negligible.
+    rtt = topo.rtt(0, n - 1) * scale
+    total_time = max(node_time, fabric_time) + rtt + drain * scale
+    return _Timing(stage_times, per_node_time, fabric_time, total_time,
+                   binding)
+
+
 def simulate_netsparse(
     matrix,
     k: int,
@@ -473,11 +686,14 @@ def simulate_netsparse(
 
     ``partition`` overrides the default equal-rows 1D partition (e.g.
     :func:`repro.partition.balanced_by_nnz`).
+
+    The four stages run in order, each in its ``cluster.stage.*``
+    span: filter, merge/cache, traffic (``respond``) and timing.
+    ``extras["binding"]`` names the limit that sets the time.
     """
     config = config or NetSparseConfig()
     topo = topology or build_cluster_topology(config)
     n = config.n_nodes
-    feats = config.features
     payload = config.property_bytes(k)
     part = partition or cached_partition(matrix, n)
     if part.n_nodes != n:
@@ -487,283 +703,73 @@ def simulate_netsparse(
     if rig_batch is None:
         rig_batch = config.rig_batch_nonzeros
     rig_batch = max(int(rig_batch * scale), 1)
-    cmd_overhead = config.rig_cmd_overhead * scale
-    pcache_bytes = int(config.pcache_bytes * scale)
+    label = matrix.name
 
-    # Identity tokens key the logical memos; a stage whose key is None
-    # (an input without a token) runs the same code unmemoized.  Every
-    # call runs all four stages and records their spans.
-    pt = _obj_token(part)
-    tt = _obj_token(topo)
-    if pt is None or tt is None:
-        pt = tt = None
-    traces = part.node_traces()
+    with telemetry.span("cluster.stage.filter", matrix=label, k=k):
+        filtered = _filter(part, config, knobs, rig_batch, payload)
+    telemetry.count("cluster.filter.candidates", filtered.n_candidates,
+                    matrix=label)
+    telemetry.count("cluster.filter.drops", filtered.n_filtered, matrix=label)
+    telemetry.count("cluster.filter.coalesced", filtered.n_coalesced,
+                    matrix=label)
+    telemetry.count("cluster.filter.issued", filtered.n_issued, matrix=label)
 
-    # ---- stage 1: per-node filtering/coalescing ----------------------
-    node_streams = []            # (pos, idx, owner) of issued PRs per node
-    # Canonical per-node (batch, unit count): the memo key of a stream.
-    bkeys: List[Optional[Tuple[int, int]]] = []
-    node_nnz = np.zeros(n, dtype=np.int64)
-    useful_payload = np.zeros(n)
-    n_candidates = n_issued = n_filtered = n_coalesced = 0
-    with telemetry.span("cluster.stage.filter", matrix=matrix.name, k=k):
-        for node, tr in enumerate(traces):
-            n_remote = tr.remote_count()
-            useful_payload[node] = tr.unique_remote_count() * payload
-            n_candidates += n_remote
-            if feats.rig_offload and n_remote:
-                remote_frac = n_remote / max(tr.n_nonzeros, 1)
-                batch_remote = max(int(rig_batch * remote_frac), 1)
-                window = max(int(knobs.inflight_frac * n_remote), 1)
-                # Batches >= the stream put every idx in unit 0, so the
-                # clamped value is this node's canonical batch identity.
-                batch = min(batch_remote, n_remote)
-                # Coalescing compares the units of positions less than
-                # ``window`` apart, whose batches differ by at most
-                # ``reach``: every unit count above it drops the same.
-                reach = min(-(-n_remote // batch) - 1,
-                            (window - 1) // batch + 1)
-                bkey = (batch, min(config.n_client_units, reach + 1))
-                mask_key = base_key = None
-                if pt is not None:
-                    mask_key = ("mask", pt, node, feats.filtering,
-                                feats.coalescing, knobs.inflight_frac, bkey)
-                    base_key = ("fbase", pt, node, knobs.inflight_frac,
-                                feats.filtering, feats.coalescing)
-                cached = _MASKS.get(mask_key)
-                if cached is None:
-                    # The anchor and the batch-invariant drop masks are
-                    # memoized per node, so a batch sweep recomputes two
-                    # vectorized compares instead of the whole filter.
-                    # Memoized positions, idxs and anchors are int32
-                    # (the partition checks they fit).
-                    remote_idx = tr.remote_idxs
-                    entry = _FBASE.get(base_key)
-                    if entry is None:
-                        fp = first_occurrence_positions(remote_idx).astype(
-                            np.int32)
-                        base = None
-                    else:
-                        fp, base = entry
-                    drop_filter, drop_coalesce, base = anchored_drops(
-                        fp, config.n_client_units, batch_remote, window,
-                        feats.filtering, feats.coalescing, base=base,
-                    )
-                    if entry is None:
-                        _FBASE.put(base_key, (fp, base),
-                                   drop_filter.nbytes * 2 + fp.nbytes)
-                    mask = ~(drop_filter | drop_coalesce)
-                    cached = (
-                        tr.remote_pos[mask].astype(np.int32),
-                        remote_idx[mask].astype(np.int32),
-                        tr.remote_owners[mask], int(drop_filter.sum()),
-                        int(drop_coalesce.sum()), int(mask.sum()),
-                    )
-                    _MASKS.put(mask_key, cached,
-                               sum(a.nbytes for a in cached[:3]) + 24)
-                stream = cached[:3]
-                n_filtered += cached[3]
-                n_coalesced += cached[4]
-                n_issued += cached[5]
-            else:
-                bkey = None
-                stream = (tr.remote_pos.astype(np.int32),
-                          tr.remote_idxs.astype(np.int32),
-                          tr.remote_owners.copy())
-                n_issued += n_remote
-            bkeys.append(bkey)
-            node_streams.append(stream)
-            node_nnz[node] = tr.n_nonzeros
-            # Windowed (sharded) traces drop their materialized windows
-            # once their selections are copied out, keeping the resident
-            # set bounded by one node's trace.
-            release = getattr(tr, "release", None)
-            if release is not None:
-                release()
-    telemetry.count("cluster.filter.candidates", n_candidates,
-                    matrix=matrix.name)
-    telemetry.count("cluster.filter.drops", n_filtered, matrix=matrix.name)
-    telemetry.count("cluster.filter.coalesced", n_coalesced,
-                    matrix=matrix.name)
-    telemetry.count("cluster.filter.issued", n_issued, matrix=matrix.name)
-    # Timing uses the real unit count: one max-plus scan for all nodes.
-    pr_gen_time = rig_generation_time(
-        node_nnz, config.n_client_units, rig_batch,
-        freq=config.snic_freq, cmd_overhead=cmd_overhead,
-    )
-
-    issue_frac = n_issued / max(n_candidates, 1)
-    w_nic, w_sw = _concat_windows(config, payload, issue_frac)
-    if not feats.concat_nic:
-        w_nic = 1
-
-    # ---- stage 2: per-rack merge + Property Cache ---------------------
     rack_of = np.array([topo.rack_of(i) for i in range(n)])
-    racks: Dict[int, List[int]] = {}
+    members: Dict[int, List[int]] = {}
     for node in range(n):
-        racks.setdefault(int(rack_of[node]), []).append(node)
-    rack_list = sorted(racks.items())
+        members.setdefault(int(rack_of[node]), []).append(node)
+    racks = sorted(members.items())
+    with telemetry.span("cluster.stage.cache", matrix=label, k=k):
+        cached = _merge_and_cache(part, racks, filtered, config, knobs,
+                                  int(config.pcache_bytes * scale), payload)
+    telemetry.count("pcache.lookups", cached.lookups, matrix=label)
+    telemetry.count("pcache.hits", cached.n_hits, matrix=label)
 
-    cache_lookups = cache_hits = 0
-    with telemetry.span("cluster.stage.cache", matrix=matrix.name, k=k):
-        merge_keys = []
-        merge_entries = []
-        for rack, members in rack_list:
-            merge_key = (
-                ("merge", pt, tt, rack,
-                 feats.rig_offload, feats.filtering, feats.coalescing,
-                 knobs.inflight_frac, tuple(bkeys[m] for m in members))
-                if pt is not None else None
-            )
-            entry = _MERGES.get(merge_key)
-            if entry is None:
-                entry = _MergeEntry(_merge_rack_streams(
-                    [node_streams[m] for m in members], members
-                ))
-                _MERGES.put(merge_key, entry,
-                            sum(a.nbytes for a in entry.merged.values()))
-            merge_keys.append(merge_key)
-            merge_entries.append(entry)
-        merged_list = [entry.merged for entry in merge_entries]
-        # Property Cache at the ToR middle pipes.  A geometry (sets,
-        # ways, delay) already scored on a memoized stream reuses its
-        # held mask.  The profile route starts at the second *distinct*
-        # geometry asked of a memoized stream (a single-geometry
-        # workload, e.g. the autotune ladder, never amortizes the
-        # unique-sort), and only for a geometry whose capacity
-        # (sets x ways) holds the stream's distinct values.  Below
-        # that, nearly every element sits in a contended set, so the
-        # profile would replay almost the whole stream anyway; those
-        # go straight to the replay kernel.  Both routes are
-        # bit-identical (golden-tested).
-        if feats.property_cache:
-            n_sets = n_sets_for(
-                pcache_bytes, config.pcache_ways, max(payload, 1),
-                config.pcache_segments, config.pcache_min_line,
-            )
-            rack_hits = []
-            for merge_key, entry in zip(merge_keys, merge_entries):
-                m_idx = entry.merged["idx"]
-                if m_idx.size == 0:
-                    rack_hits.append(np.zeros(0, dtype=bool))
-                    continue
-                geometry = (n_sets, config.pcache_ways,
-                            max(int(knobs.cache_inflight_frac * m_idx.size),
-                                1))
-                hits = entry.masks.get(geometry)
-                if hits is None:
-                    if entry.masks and entry.distinct is None:
-                        entry.distinct = span_distinct_count(m_idx)
-                    profiled = bool(entry.masks) and (
-                        geometry[0] * geometry[1] >= entry.distinct)
-                    if profiled and entry.profile is None:
-                        prof = reusedist.build_profile(m_idx)
-                        # Only the first profile stored (a racing
-                        # thread may have stored one too) is charged.
-                        with _MEMO_LOCK:
-                            if entry.profile is None:
-                                entry.profile = prof
-                                _MERGES.charge(merge_key, entry,
-                                               prof.nbytes)
-                    if profiled:
-                        hits = entry.profile.score(*geometry, "lru")
-                    else:
-                        hits = delayed_cache_hits(
-                            m_idx, *geometry, policy="lru"
-                        )[0]
-                    # Likewise only the first mask stored for a geometry.
-                    if entry.masks.setdefault(geometry, hits) is hits:
-                        _MERGES.charge(merge_key, entry, hits.nbytes)
-                cache_lookups += int(m_idx.size)
-                cache_hits += int(hits.sum())
-                rack_hits.append(hits)
-        else:
-            rack_hits = [
-                np.zeros(m["idx"].size, dtype=bool) for m in merged_list
-            ]
-    telemetry.count("pcache.lookups", cache_lookups, matrix=matrix.name)
-    telemetry.count("pcache.hits", cache_hits, matrix=matrix.name)
+    issue_frac = filtered.n_issued / max(filtered.n_candidates, 1)
+    w_nic, w_sw = _concat_windows(config, payload, issue_frac)
+    if not config.features.concat_nic:
+        w_nic = 1
+    with telemetry.span("cluster.stage.respond", matrix=label, k=k):
+        traffic = _traffic(topo, config, payload, rack_of, racks,
+                           filtered.streams, cached.merged, cached.hits,
+                           w_nic, w_sw)
 
-    # ---- stage 3: read and response wire traffic -----------------------
-    with telemetry.span("cluster.stage.respond", matrix=matrix.name, k=k):
-        traffic = _traffic(topo, config, payload, rack_of, rack_list,
-                           node_streams, merged_list, rack_hits, w_nic, w_sw)
-    up_bytes, down_bytes = traffic.up_bytes, traffic.down_bytes
-    n_packets_total = traffic.n_packets
+    with telemetry.span("cluster.stage.timing", matrix=label, k=k):
+        timing = _timing(topo, config, payload, scale, rig_batch, filtered,
+                         traffic)
 
-    # ---- stage 4: timing ----------------------------------------------
-    with telemetry.span("cluster.stage.timing", matrix=matrix.name, k=k):
-        t_up = up_bytes / config.link_bandwidth
-        t_down = down_bytes / config.link_bandwidth
-        t_pcie = down_bytes / config.pcie_bandwidth
-        t_server = traffic.served_per_node / (
-            (config.n_rig_units - config.n_client_units) * config.snic_freq
-        )
-        per_node_prs = np.array(
-            [node_streams[i][0].size for i in range(n)], dtype=np.float64
-        )
-        if feats.concat_nic:
-            cap = _concat_sram_rate_cap(config, payload)
-            t_concat = per_node_prs / cap
-            drain = config.concat_delay_cycles_nic / config.snic_freq
-        else:
-            t_concat = np.zeros(n)
-            drain = 0.0
-        per_node_time = np.maximum.reduce(
-            [pr_gen_time, t_up, t_down, t_pcie, t_server, t_concat]
-        )
-        link_bw = np.array([ln.bandwidth for ln in topo.links])
-        fabric_time = (
-            float((traffic.fabric_loads / link_bw).max())
-            if topo.n_links else 0.0
-        )
-        # Fixed latencies scale with the matrix downscaling like every
-        # other absolute time constant (DESIGN.md §5) — at paper scale
-        # they are negligible against millisecond totals, and must stay
-        # negligible.
-        rtt = topo.rtt(0, n - 1) * scale
-        total_time = (
-            max(float(per_node_time.max()), fabric_time) + rtt + drain * scale
-        )
-
-    telemetry.count("concat.packets", n_packets_total, matrix=matrix.name)
-    if n_packets_total:
+    telemetry.count("concat.packets", traffic.n_packets, matrix=label)
+    if traffic.n_packets:
         telemetry.observe("concat.prs_per_packet",
-                          n_issued / n_packets_total, matrix=matrix.name)
+                          filtered.n_issued / traffic.n_packets, matrix=label)
 
     return CommResult(
         scheme="netsparse",
-        matrix_name=matrix.name,
+        matrix_name=label,
         k=k,
         n_nodes=n,
-        total_time=total_time,
-        per_node_time=per_node_time,
-        recv_wire_bytes=down_bytes,
-        sent_wire_bytes=up_bytes,
-        useful_payload_bytes=useful_payload,
+        total_time=timing.total_time,
+        per_node_time=timing.per_node_time,
+        recv_wire_bytes=traffic.down_bytes,
+        sent_wire_bytes=traffic.up_bytes,
+        useful_payload_bytes=filtered.useful_payload,
         link_bandwidth=config.link_bandwidth,
-        n_pr_candidates=n_candidates,
-        n_prs_issued=n_issued,
-        n_filtered=n_filtered,
-        n_coalesced=n_coalesced,
-        n_packets=n_packets_total,
-        cache_lookups=cache_lookups,
-        cache_hits=cache_hits,
-        pr_gen_time=pr_gen_time,
+        n_pr_candidates=filtered.n_candidates,
+        n_prs_issued=filtered.n_issued,
+        n_filtered=filtered.n_filtered,
+        n_coalesced=filtered.n_coalesced,
+        n_packets=traffic.n_packets,
+        cache_lookups=cached.lookups,
+        cache_hits=cached.n_hits,
+        pr_gen_time=timing.stage_times["pr_gen"],
         extras={
-            "fabric_time": fabric_time,
+            "fabric_time": timing.fabric_time,
             "rig_batch": rig_batch,
             "window_nic": w_nic,
             "window_switch": w_sw,
-            # Per-node stage breakdown — consumed by repro.faults to
-            # attribute analytic penalties to the stages a fault hits.
-            "stage_times": {
-                "pr_gen": pr_gen_time,
-                "up": t_up,
-                "down": t_down,
-                "pcie": t_pcie,
-                "server": t_server,
-                "concat": t_concat,
-            },
+            # Per-node seconds of each rate limit, and the one that
+            # sets the time.
+            "stage_times": timing.stage_times,
+            "binding": timing.binding,
         },
     )

@@ -11,6 +11,7 @@ are the Property Requests the entire paper is about.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,6 +20,10 @@ from repro.sparse.matrix import COOMatrix, distinct_count
 
 __all__ = ["BlockPartition", "NodeTrace", "OneDPartition",
            "TraceSelections", "span_distinct_count"]
+
+
+#: Partition tokens: one per partition built, never reused.
+_TOKENS = itertools.count(1)
 
 
 def _block_starts(n: int, parts: int) -> np.ndarray:
@@ -150,6 +155,13 @@ class TraceSelections:
         return self._selected("remote_unique",
                               lambda: np.unique(self.remote_idxs))
 
+    @property
+    def counted(self) -> bool:
+        """Whether the remote counts are made, so that
+        ``remote_count()`` reads nothing (a windowed trace makes them
+        on its first read)."""
+        return self._n_remote is not None
+
     def scan_remote_idxs(self) -> np.ndarray:
         """The remote idxs, read without pinning a window that is not
         resident (see the windowed override)."""
@@ -254,9 +266,14 @@ class BlockPartition:
             else _block_starts(matrix.n_cols, n_nodes)
         )
         self._traces: Optional[List] = None
+        #: Identity in the cluster model's memo keys, never reused.
+        self.token = next(_TOKENS)
         #: SAOpt's per-rank ``(sent, served)`` counts by ``host_cores``
         #: (:func:`repro.baselines.saopt.saopt_pr_counts`).
         self.saopt_counts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: The hybrid baseline's per-node fan-out histogram
+        #: (:func:`repro.baselines.hybrid.fanout_histogram`).
+        self.fanout_hist: Optional[np.ndarray] = None
 
     def rows_of(self, node: int) -> range:
         return range(int(self.row_starts[node]), int(self.row_starts[node + 1]))

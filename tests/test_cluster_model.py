@@ -210,7 +210,9 @@ def test_memoized_streams_are_int32_and_match_int64(arabic_tiny):
             streams[node] = ref
         assert len(model._MERGES.data) == CFG16.n_racks
         for key, (entry, _) in model._MERGES.data.items():
-            members = [n for n in range(16) if topo.rack_of(n) == key[3]]
+            members = list(key[2])
+            assert members == [n for n in range(16)
+                               if topo.rack_of(n) == topo.rack_of(members[0])]
             src = np.concatenate([np.full(streams[m][0].size, m, np.int64)
                                   for m in members])
             pos, idx, owner = (np.concatenate([streams[m][i]
@@ -223,3 +225,62 @@ def test_memoized_streams_are_int32_and_match_int64(arabic_tiny):
                 assert np.array_equal(got, want[name][order])
     finally:
         model.reset_batch_state()
+
+
+def test_binding_names_the_limit_that_sets_the_time():
+    """``extras["binding"]`` names the per-node stage or the fabric
+    whose time, plus the RTT and the concatenation drain, is the call's
+    total, on a grid that lets either bind."""
+    import dataclasses
+    import itertools
+    import math
+
+    mat = load_benchmark("queen", "tiny")
+    topo = topo16()
+    limits = set()
+    for cache, rig, rig_units, scale in itertools.product(
+            (True, False), (True, False), (2, 16), (1.0, 1e-3)):
+        cfg = dataclasses.replace(
+            CFG16.with_features(property_cache=cache, rig_offload=rig),
+            n_rig_units=rig_units,
+        )
+        assert cfg.n_client_units in (1, 8)
+        res = simulate_netsparse(mat, 16, cfg, topo, scale=scale)
+        binding, extras = res.extras["binding"], res.extras
+        if binding["limit"] == "fabric":
+            assert binding["node"] == -1
+            value = extras["fabric_time"]
+            assert value > res.per_node_time.max()
+        else:
+            node = binding["node"]
+            value = extras["stage_times"][binding["limit"]][node]
+            assert value == res.per_node_time[node] == res.per_node_time.max()
+            assert value >= extras["fabric_time"]
+        limits.add(binding["limit"])
+        drain = cfg.concat_delay_cycles_nic / cfg.snic_freq
+        rest = res.total_time - topo.rtt(0, 15) * scale - drain * scale
+        # Undoing the two additions may round the last bit of the total.
+        assert math.isclose(value, rest, rel_tol=0.0,
+                            abs_tol=2 * math.ulp(res.total_time))
+    assert "fabric" in limits and len(limits) >= 3
+
+
+def test_calls_without_a_topology_share_rack_merges():
+    """A rack merge is keyed on its members, not on the fabric object:
+    a second call that builds its own topology hits every merge."""
+    from repro.cluster import batch_stats, reset_batch_state
+
+    mat = load_benchmark("queen", "tiny")
+    reset_batch_state()
+    try:
+        first = simulate_netsparse(mat, 8, CFG16)
+        assert batch_stats()["merges"]["misses"] == CFG16.n_racks
+        second = simulate_netsparse(mat, 8, CFG16)
+        merges = batch_stats()["merges"]
+        assert merges["hits"] == CFG16.n_racks
+        assert merges["misses"] == CFG16.n_racks
+        assert second.total_time == first.total_time
+        np.testing.assert_array_equal(second.recv_wire_bytes,
+                                      first.recv_wire_bytes)
+    finally:
+        reset_batch_state()

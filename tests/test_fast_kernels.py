@@ -584,8 +584,8 @@ class TestModelGolden:
 
 
 def test_module_state_stays_bounded():
-    """A call without a ``topology`` builds a fresh one, hence a fresh
-    identity token; no module-level table may grow with such calls."""
+    """No module-level table may grow with repeated calls, each of
+    which builds a fresh topology."""
     import gc
 
     from repro.cluster import model
@@ -594,7 +594,7 @@ def test_module_state_stays_bounded():
         gc.collect()
         return {name: len(obj) for name, obj in vars(model).items()
                 if isinstance(obj, (dict, list, set))
-                and not name.startswith("__") and name != "_token_by_id"}
+                and not name.startswith("__")}
 
     mat = load_benchmark("queen", "tiny")
     simulate_netsparse(mat, 8, CFG16)

@@ -280,3 +280,54 @@ def test_exclude_cols_call_holds_nothing():
         assert part.saopt_counts[cfg.host_cores][0] is held
     finally:
         set_trace_cache(prev)
+
+
+def test_netsparse_reads_each_cold_window_once(monkeypatch):
+    """NetSparse on windows no scheme has counted yet pins each window
+    with its first read, which makes the counts too; a second call is
+    answered from the memos and reads nothing."""
+    cfg = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
+    topo = build_cluster_topology(cfg)
+    smat = stored_set("queen", "tiny")
+    prev = set_trace_cache(TraceCache())
+    reset_batch_state()
+    try:
+        part = cached_partition(smat, cfg.n_nodes)
+        reads = _count_reads(monkeypatch)
+        first = simulate_netsparse(smat, 16, cfg, topo)
+        windows = [_window(part, node) for node in range(cfg.n_nodes)]
+        assert Counter(reads) == {w: 1 for w in windows}
+        assert part.resident_trace_nnz() == 0
+        second = simulate_netsparse(smat, 16, cfg, topo)
+        assert len(reads) == cfg.n_nodes
+        assert second.total_time == first.total_time
+    finally:
+        set_trace_cache(prev)
+        reset_batch_state()
+
+
+def test_hybrid_pins_no_window(monkeypatch):
+    """The hybrid baseline counts column fan-outs from transient reads
+    and holds only their per-node histogram, so no window stays pinned,
+    the threshold search reads nothing, and every count matches the
+    dense tier's."""
+    from repro.baselines.hybrid import choose_threshold, simulate_hybrid
+    from tests.test_fast_kernels import assert_results_equal
+
+    cfg = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
+    smat = stored_set("queen", "tiny")
+    prev = set_trace_cache(TraceCache())
+    try:
+        sharded = simulate_hybrid(smat, 16, cfg, scale=0.01)
+        part = cached_partition(smat, cfg.n_nodes)
+        assert isinstance(part, ShardedOneDPartition)
+        assert part.resident_trace_nnz() == 0
+        hist = part.fanout_hist
+        assert hist.shape == (16, 16) and not hist.flags.writeable
+        reads = _count_reads(monkeypatch)
+        choose_threshold(smat, 16, cfg, part)
+        assert reads == []
+        dense = simulate_hybrid(smat.to_coo(), 16, cfg, scale=0.01)
+        assert_results_equal(sharded, dense)
+    finally:
+        set_trace_cache(prev)
