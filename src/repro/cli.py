@@ -8,10 +8,6 @@ Usage::
     netsparse report [--scale small] [-o report.md] [--jobs 4]
     netsparse profile fig12 [--scale tiny] [-o DIR]
     netsparse profile --smoke
-    netsparse resilience [--scale small] [-o DIR]
-    netsparse resilience --smoke
-    netsparse collectives [--scale small] [-o DIR]
-    netsparse collectives --smoke
     netsparse cache info
     netsparse cache clear
     netsparse store info [--dsn sqlite:///...]
@@ -35,12 +31,6 @@ code path actually executes — and writes a JSON metrics dump, a CSV,
 and a Chrome ``trace_event`` file (open in Perfetto), then prints the
 per-stage breakdown.
 
-``resilience`` sweeps the canonical fault scenario
-(:mod:`repro.faults`) over the schemes and writes a markdown
-degradation report plus a telemetry JSON; ``--smoke`` additionally
-asserts the NetSparse speedup column decreases strictly with fault
-intensity and that the ``faults.*`` counters are live.
-
 ``store`` inspects the result store (:mod:`repro.store`):
 ``info`` prints backend/schema/row counts,
 ``migrate`` applies pending schema migrations (idempotent — a second
@@ -50,14 +40,6 @@ and ``gc`` reclaims old result rows (the ledger is kept unless
 ``--ledger`` is given).  The DSN comes from ``--dsn``, else it
 is the result cache's own store; ``run``/``report`` append a
 ledger row per engine answer to it.
-
-``collectives`` runs the sparse ML workload families
-(:mod:`repro.workloads`: sparse allreduce + iterative SpMV) on both
-substrates — every round through the analytic cluster model, plus the
-DES keep-vs-flush cache sweep — and writes a per-scheme speedup report;
-``--smoke`` forces tiny scale and asserts both families run end-to-end
-on both substrates, regenerated traces are digest-identical (generator
-determinism), and the cache/DES counters are live.
 """
 
 from __future__ import annotations
@@ -158,44 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CI self-check: force tiny scale and fail unless the "
              "filter/coalesce/cache counters are live and the artifacts "
              "were written",
-    )
-    res = sub.add_parser(
-        "resilience",
-        help="sweep fault intensity across the schemes and write a "
-             "degradation report (speedup vs fault intensity)",
-    )
-    res.add_argument("--scale", default="small",
-                     choices=["tiny", "small", "medium", "large"])
-    res.add_argument(
-        "-o", "--out-dir", default=".", metavar="DIR",
-        help="directory for resilience_<scale>.md and the telemetry "
-             "JSON (default: current directory)",
-    )
-    res.add_argument(
-        "--smoke", action="store_true",
-        help="CI self-check: force tiny scale and fail unless the "
-             "NetSparse speedup decreases strictly with intensity and "
-             "the faults.* counters are live",
-    )
-    col = sub.add_parser(
-        "collectives",
-        help="run the sparse ML workload families (allreduce + iterative "
-             "SpMV) on the analytic and DES substrates and write a "
-             "speedup report",
-    )
-    col.add_argument("--scale", default="small",
-                     choices=["tiny", "small", "medium", "large"])
-    col.add_argument(
-        "-o", "--out-dir", default=".", metavar="DIR",
-        help="directory for collectives_<scale>.md and the telemetry "
-             "JSON (default: current directory)",
-    )
-    col.add_argument(
-        "--smoke", action="store_true",
-        help="CI self-check: force tiny scale and fail unless both "
-             "workload families run on both substrates, regenerated "
-             "traces are digest-identical, and the cache/DES counters "
-             "are live",
     )
     cache = sub.add_parser(
         "cache", help="inspect or clear the simulation result cache"
@@ -421,127 +365,6 @@ def _profile_main(args) -> int:
     return 0
 
 
-def _resilience_main(args) -> int:
-    from repro.experiments.resilience import degradation_report, run_resilience
-    from repro.parallel import ExecutionEngine, engine_scope
-    from repro.telemetry import (
-        MetricsRegistry,
-        telemetry_scope,
-        write_metrics_json,
-    )
-
-    scale = "tiny" if args.smoke else args.scale
-    reg = MetricsRegistry()
-    # Serial + uncached, like `profile`: every fault-injection code
-    # path must actually execute for the counters to mean anything.
-    with engine_scope(ExecutionEngine(jobs=1, cache=None)):
-        with telemetry_scope(reg):
-            table = run_resilience(scale=scale)
-    print(table.format())
-    print()
-    os.makedirs(args.out_dir, exist_ok=True)
-    md_path = os.path.join(args.out_dir, f"resilience_{scale}.md")
-    with open(md_path, "w") as fh:
-        fh.write(degradation_report(table))
-    json_path = write_metrics_json(
-        reg, os.path.join(args.out_dir, f"resilience_{scale}.metrics.json"),
-        meta={"experiment": "resilience", "scale": scale},
-    )
-    print(f"wrote {md_path}")
-    print(f"wrote {json_path}")
-    if args.smoke:
-        failures = []
-        speedups = table.column("NS/SUOpt x")
-        if not all(a > b for a, b in zip(speedups, speedups[1:])):
-            failures.append(
-                f"NetSparse speedup not strictly decreasing: {speedups}"
-            )
-        counters = {k: c.value for k, c in reg.counters.items()}
-        live = sorted(
-            k for k, v in counters.items()
-            if k.split("{")[0].startswith("faults.") and v > 0
-        )
-        if not live:
-            failures.append("no live faults.* counters")
-        if failures:
-            for f in failures:
-                print(f"[smoke] FAIL: {f}", file=sys.stderr)
-            return 1
-        print(f"[smoke] degradation monotone; live counters: {live}")
-    return 0
-
-
-def _collectives_main(args) -> int:
-    from repro.experiments.collectives import (
-        collectives_report,
-        run_collectives,
-        run_collectives_des,
-    )
-    from repro.parallel import ExecutionEngine, engine_scope
-    from repro.telemetry import (
-        MetricsRegistry,
-        telemetry_scope,
-        write_metrics_json,
-    )
-    from repro.workloads import WORKLOADS, trace_digest
-
-    scale = "tiny" if args.smoke else args.scale
-    reg = MetricsRegistry()
-    # Serial + uncached, like `profile`/`resilience`: the smoke check
-    # needs every substrate to actually execute, not replay from cache.
-    with engine_scope(ExecutionEngine(jobs=1, cache=None)):
-        with telemetry_scope(reg):
-            analytic = run_collectives(scale=scale)
-            des = run_collectives_des()
-    print(analytic.format())
-    print()
-    print(des.format())
-    print()
-    os.makedirs(args.out_dir, exist_ok=True)
-    md_path = os.path.join(args.out_dir, f"collectives_{scale}.md")
-    with open(md_path, "w") as fh:
-        fh.write(collectives_report(analytic, des))
-    json_path = write_metrics_json(
-        reg, os.path.join(args.out_dir, f"collectives_{scale}.metrics.json"),
-        meta={"experiment": "collectives", "scale": scale},
-    )
-    print(f"wrote {md_path}")
-    print(f"wrote {json_path}")
-    if args.smoke:
-        failures = []
-        kinds = set(analytic.column("kind"))
-        if kinds != {"allreduce", "spmv"}:
-            failures.append(f"analytic sweep missing a family kind: {kinds}")
-        des_kinds = {WORKLOADS[w].kind for w in des.column("workload")}
-        if des_kinds != {"allreduce", "spmv"}:
-            failures.append(f"DES sweep missing a family kind: {des_kinds}")
-        for fam in analytic.column("workload"):
-            if (trace_digest(fam, scale, round_idx=1, fresh=True)
-                    != trace_digest(fam, scale, round_idx=1)):
-                failures.append(f"non-deterministic generator: {fam}")
-        bad = [row[0] for row in analytic.rows if row[4] <= 1.0]
-        if bad:
-            failures.append(f"NetSparse not ahead of SUOpt on: {bad}")
-        for row in des.rows:
-            if row[3] < row[2]:
-                failures.append(
-                    f"persistent cache hit rate below flushed on {row[0]}: "
-                    f"{row[3]} < {row[2]}"
-                )
-        counters = {k: c.value for k, c in reg.counters.items()}
-        for key in ("pcache.lookups", "dessim.prs.issued",
-                    "dessim.fabric.packets"):
-            if counters.get(key, 0) <= 0:
-                failures.append(f"dead counter: {key}")
-        if failures:
-            for f in failures:
-                print(f"[smoke] FAIL: {f}", file=sys.stderr)
-            return 1
-        print("[smoke] both families ran on both substrates; "
-              "traces deterministic; cache/DES counters live")
-    return 0
-
-
 def _main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -555,12 +378,6 @@ def _main(argv=None) -> int:
 
     if args.command == "profile":
         return _profile_main(args)
-
-    if args.command == "resilience":
-        return _resilience_main(args)
-
-    if args.command == "collectives":
-        return _collectives_main(args)
 
     if args.command == "cache":
         return _cache_main(args)

@@ -60,7 +60,6 @@ class CacheStats:
     hits: int = 0
     insertions: int = 0
     evictions: int = 0
-    flushes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -232,14 +231,3 @@ class PropertyCache:
         if self.n_sets == 0:
             return False
         return idx in self._sets[idx % self.n_sets]
-
-    def clear(self) -> int:
-        """Invalidate every cached property, keeping the configuration
-        and accumulated stats (fault injection: a flushed or corrupted
-        cache restarts cold).  Returns the number of lines dropped."""
-        self._check_ready()
-        dropped = sum(len(s) for s in self._sets)
-        for s in self._sets:
-            s.clear()
-        self.stats.flushes += 1
-        return dropped

@@ -8,13 +8,8 @@ holding any partial results is discarded.  We add the natural recovery
 loop on top: the host reissues the failed command, with the unit's
 state (pending table, Idx Filter bits, received buffer) rolled back so
 late/stale responses from the failed attempt are recognized and dropped
-(see :meth:`repro.core.rig.RigClientUnit.run_rx`).
-
-The re-issue schedule is pluggable (:mod:`repro.faults.policies`):
-the default re-issues immediately (the historical behaviour), while
-``backoff="exponential"`` waits out an exponential-with-seeded-jitter
-schedule between attempts — the right policy when the failure is a
-congested or flapping fabric rather than a dead unit.
+(see :meth:`repro.core.rig.RigClientUnit.run_rx`).  A failed command
+is re-issued immediately.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from typing import List
 
 from repro import telemetry
 from repro.core.rig import RigClientUnit
-from repro.faults.policies import BackoffPolicy, backoff_from_spec
 from repro.sim import Simulator
 
 __all__ = ["RigWatchdog", "WatchdogReport", "RigOperationFailed"]
@@ -47,12 +41,7 @@ class WatchdogReport:
 
 
 class RigWatchdog:
-    """Drive a client RIG Unit's command under a watchdog timer.
-
-    ``backoff`` selects the re-issue schedule: a
-    :class:`~repro.faults.policies.BackoffPolicy`, ``"fixed"``/``None``
-    (immediate re-issue) or ``"exponential"`` (seeded jitter).
-    """
+    """Drive a client RIG Unit's command under a watchdog timer."""
 
     def __init__(
         self,
@@ -60,7 +49,6 @@ class RigWatchdog:
         unit: RigClientUnit,
         timeout: float,
         max_retries: int = 3,
-        backoff: BackoffPolicy | str | None = None,
     ):
         if timeout <= 0:
             raise ValueError("watchdog timeout must be positive")
@@ -70,7 +58,6 @@ class RigWatchdog:
         self.unit = unit
         self.timeout = timeout
         self.max_retries = max_retries
-        self.backoff = backoff_from_spec(backoff, seed=unit.unit_id)
 
     def execute(self, idxs) -> "Process":
         """Returns a process-event whose value is a WatchdogReport."""
@@ -101,13 +88,6 @@ class RigWatchdog:
             if command.is_alive:
                 command.interrupt("watchdog")
             report.discarded_properties += self._discard(received_mark)
-            delay = self.backoff.delay(attempt)
-            if delay > 0.0 and attempt < self.max_retries:
-                telemetry.observe("faults.watchdog.backoff_s", delay)
-                report.events.append(
-                    f"attempt {attempt}: backoff {delay:.3g}s"
-                )
-                yield self.sim.timeout(delay)
         report.elapsed = self.sim.now - start
         telemetry.count("faults.watchdog.failures")
         raise RigOperationFailed(

@@ -18,11 +18,6 @@ Topology modelled::
     host NIC  <->  ToR (cache + concat)  <->  spines  <->  ToR  <->  host NIC
 """
 
-from repro.dessim.cluster import (
-    DesCluster,
-    DesResult,
-    run_des_gather,
-    run_des_rounds,
-)
+from repro.dessim.cluster import DesCluster, DesResult, run_des_gather
 
-__all__ = ["DesCluster", "DesResult", "run_des_gather", "run_des_rounds"]
+__all__ = ["DesCluster", "DesResult", "run_des_gather"]

@@ -21,7 +21,7 @@ from repro.dessim.switch import DesSpine, DesToR
 from repro.partition import cached_partition, col_owner_array
 from repro.sim import Simulator
 
-__all__ = ["DesCluster", "DesResult", "run_des_gather", "run_des_rounds"]
+__all__ = ["DesCluster", "DesResult", "run_des_gather"]
 
 
 @dataclass
@@ -65,7 +65,6 @@ class DesCluster:
         cache_bytes: Optional[int] = None,
         concat_delay: Optional[float] = None,
         probe_latency: bool = False,
-        fault_injector=None,
     ):
         self.sim = Simulator()
         self.config = config or NetSparseConfig(
@@ -136,12 +135,6 @@ class DesCluster:
                 spine.tor_links[tor.rack] = s2t
                 self.fabric_links.extend([t2s, s2t])
 
-        # Fault injection last: the injector reshapes the healthy cluster
-        # (kills RIG units, arms link degradation/flush processes).
-        self.fault_injector = fault_injector
-        if fault_injector is not None:
-            fault_injector.install(self)
-
     def run_gather(self, idxs_per_node: Dict[int, List[int]],
                    max_events: int = 5_000_000) -> DesResult:
         """Run every node's gather to completion and collect statistics."""
@@ -200,11 +193,6 @@ class DesCluster:
                     if self.latency_probe is not None
                     else None
                 ),
-                "faults": (
-                    self.fault_injector.summary()
-                    if self.fault_injector is not None
-                    else None
-                ),
             },
         )
 
@@ -235,81 +223,3 @@ def run_des_gather(
     }
     return cluster.run_gather(idxs_per_node)
 
-
-def run_des_rounds(
-    matrices,
-    k: int,
-    n_racks: int = 2,
-    nodes_per_rack: int = 4,
-    keep_cache: bool = False,
-    **cluster_kw,
-) -> List[DesResult]:
-    """Run a multi-round workload sweep, one gather per round trace.
-
-    Each round gets a *fresh* cluster (the NIC Idx Filters and received
-    sets are per-gather state: a training step or SpMV iteration fetches
-    its working set anew).  With ``keep_cache=True`` the ToR Property
-    Cache objects are carried over between rounds — the switch-resident
-    segment cache of §6 persists across collective operations, which is
-    what makes cross-round reuse (persistent top-k hot sets, nested
-    PageRank frontiers) visible at the middle pipe.  ``keep_cache=False``
-    models a switch whose cache is flushed between collectives; the
-    difference between the two sweeps is the reuse a persistent cache
-    recovers.
-
-    Every per-round :class:`DesResult` gains ``extras["round_cache"]``
-    with that round's cache lookups/hits (deltas, so carried-over stats
-    do not double count).  All round matrices must share the same
-    dimensions: one model/graph, evolving nonzero set.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("need at least one round matrix")
-    dims = {(m.n_rows, m.n_cols) for m in matrices}
-    if len(dims) > 1:
-        raise ValueError(
-            f"round traces must share dimensions, got {sorted(dims)}"
-        )
-    n_nodes = n_racks * nodes_per_rack
-    results: List[DesResult] = []
-    carried = None  # previous round's ToR PropertyCache objects
-    for matrix in matrices:
-        part = cached_partition(matrix, n_nodes)
-        cluster = DesCluster(
-            n_racks=n_racks,
-            nodes_per_rack=nodes_per_rack,
-            k=k,
-            n_cols=matrix.n_cols,
-            col_owner=col_owner_array(part),
-            **cluster_kw,
-        )
-        if keep_cache and carried is not None:
-            # Equal-row 1D partitioning of same-dims matrices yields the
-            # same col_owner every round, so cached entries stay valid.
-            for tor, cache in zip(cluster.tors, carried):
-                if tor.cache is not None and cache is not None:
-                    tor.cache = cache
-        base = [
-            (t.cache.stats.lookups, t.cache.stats.hits)
-            if t.cache is not None else (0, 0)
-            for t in cluster.tors
-        ]
-        idxs_per_node = {
-            node: tr.remote_idxs.tolist()
-            for node, tr in enumerate(part.node_traces())
-            if tr.remote_count()
-        }
-        result = cluster.run_gather(idxs_per_node)
-        lookups = hits = 0
-        for t, (l0, h0) in zip(cluster.tors, base):
-            if t.cache is not None:
-                lookups += t.cache.stats.lookups - l0
-                hits += t.cache.stats.hits - h0
-        result.extras["round_cache"] = {
-            "lookups": lookups,
-            "hits": hits,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
-        results.append(result)
-        carried = [t.cache for t in cluster.tors]
-    return results

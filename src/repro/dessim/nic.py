@@ -157,19 +157,6 @@ class DesHostNic:
             if chunk
         ]
 
-    def fail_units(self, n_dead: int) -> int:
-        """Permanently fail ``n_dead`` client RIG units (fault
-        injection).  At least one unit survives — a node with zero
-        client units could never gather.  Failed units stop receiving
-        work; their rx queues stay wired so any in-flight responses
-        addressed to them drain harmlessly.  Returns how many units
-        actually died.  Must be called before :meth:`execute_gather`.
-        """
-        n_dead = max(min(int(n_dead), len(self.clients) - 1), 0)
-        for _ in range(n_dead):
-            self.clients.pop()
-        return n_dead
-
     def flush(self):
         self._concat_read.flush()
         self._concat_resp.flush()

@@ -139,14 +139,6 @@ class DesToR:
         for cq in self._concat.values():
             cq.flush()
 
-    def flush_cache(self) -> int:
-        """Drop every cached property (fault injection: power event or
-        corruption scrub).  Returns the number of lines lost; a ToR
-        without a cache loses nothing."""
-        if self.cache is None:
-            return 0
-        return self.cache.clear()
-
 
 class DesSpine:
     """A spine switch: forwards packets to the destination rack's ToR."""

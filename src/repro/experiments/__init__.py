@@ -21,13 +21,11 @@ from repro.experiments.runner import (
 # Importing the modules populates the registry.
 from repro.experiments import (  # noqa: F401  (registration side effects)
     ablation,
-    collectives,
     extensions,
     hardware,
     headline,
     motivation,
     other,
-    resilience,
     sensitivity,
 )
 

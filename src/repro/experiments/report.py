@@ -26,8 +26,7 @@ _ORDER = [
     "fig20", "table9", "switch_overheads",
     "fig21", "fig22",
     "sharing", "des_validation", "concat_virtualization", "autotune",
-    "spgemm_preview", "iterative", "resilience",
-    "collectives", "collectives_des",
+    "spgemm_preview", "iterative",
 ]
 
 

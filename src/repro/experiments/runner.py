@@ -134,12 +134,7 @@ def run_schemes(
     """
     config = config or NetSparseConfig()
     if rig_batch is None:
-        if name.startswith("wl:"):
-            from repro.workloads import WORKLOADS, parse_trace_name
-
-            rig_batch = WORKLOADS[parse_trace_name(name)[0]].default_rig_batch
-        else:
-            rig_batch = BENCHMARKS[name].default_rig_batch
+        rig_batch = BENCHMARKS[name].default_rig_batch
     out = {}
     if topology is not None:
         mat = load_benchmark(name, scale_name, seed=seed)

@@ -17,7 +17,7 @@ itself.
 canonical identity (:meth:`SimJob.key_dict`) with the batchable axes
 deleted.  Jobs whose residual keys match land in one
 :class:`BatchPlan` group; axes the profile machinery cannot fold —
-concatenation-delay sweeps, unit counts, topology, fault plans —
+concatenation-delay sweeps, unit counts, topology —
 stay in the residual key, so such jobs transparently fall back to
 per-job evaluation (a group of one).  Grouping never changes results:
 every job still executes through :func:`timed_execute`, and the

@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -175,6 +176,7 @@ class ExecutionEngine:
         telemetry.count("perf.batch.groups", plan.n_groups)
         telemetry.count("perf.batch.folded", plan.n_folded)
         prof0 = reusedist.profile_stats()
+        pool = None
         if self.jobs > 1 and plan.n_groups > 1:
             if self._pool is None:
                 self._prewarm_traces(list(pending.values()))
@@ -186,12 +188,23 @@ class ExecutionEngine:
                 [self._timed_instrumented(job) for job in group]
                 for group in plan.groups
             )
-        for group, outcomes in zip(plan.groups, group_outcomes):
-            for rank, (job, (result, elapsed)) in enumerate(
-                    zip(group, outcomes)):
-                source = "batched" if rank and len(group) > 1 else "executed"
-                self._note_executed(digest_of[job], job, result, elapsed,
-                                    source=source)
+        try:
+            for group, outcomes in zip(plan.groups, group_outcomes):
+                for rank, (job, (result, elapsed)) in enumerate(
+                        zip(group, outcomes)):
+                    source = ("batched" if rank and len(group) > 1
+                              else "executed")
+                    self._note_executed(digest_of[job], job, result,
+                                        elapsed, source=source)
+        except BrokenProcessPool:
+            # A dead worker breaks the executor for good.  Detach it, as
+            # close() does, so the next batch forks a fresh pool; the
+            # groups not yet noted left nothing in the memo or cache.
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
         prof1 = reusedist.profile_stats()
         build = prof1["build_seconds"] - prof0["build_seconds"]
         score = prof1["score_seconds"] - prof0["score_seconds"]
@@ -346,13 +359,12 @@ def engine_scope(engine: ExecutionEngine):
 def simulate(scheme: str, matrix: str, k: int, *, config=None,
              scale_name: str = "small", seed: int = 7,
              rig_batch: Optional[int] = None, scale: Optional[float] = None,
-             topology=None, partition: str = "rows",
-             faults: Optional[str] = None):
+             topology=None, partition: str = "rows"):
     """One simulation through the default engine (memo + cache aware)."""
     job = SimJob(scheme=scheme, matrix=matrix, k=k,
                  config=config or NetSparseConfig(), scale_name=scale_name,
                  seed=seed, rig_batch=rig_batch, scale=scale,
-                 topology=topology, partition=partition, faults=faults)
+                 topology=topology, partition=partition)
     return get_engine().run_job(job)
 
 

@@ -43,10 +43,6 @@ class SimJob:
     :func:`~repro.sparse.suite.scale_factor`.  ``topology`` is either
     ``None`` (build the config's fabric) or a reconstructible spec
     tuple ``("leafspine", n_racks, nodes_per_rack, n_spines)``.
-    ``faults`` is either ``None`` (fault-free) or the canonical JSON of
-    a :class:`~repro.faults.FaultPlan` (string, so the job stays
-    hashable and picklable); the plan's analytic penalties are applied
-    to the result, and its content is part of the cache digest.
     """
 
     scheme: str
@@ -59,7 +55,6 @@ class SimJob:
     scale: Optional[float] = None
     topology: Optional[Tuple] = None
     partition: str = "rows"
-    faults: Optional[str] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -77,19 +72,8 @@ class SimJob:
                 "only ('leafspine', n_racks, nodes_per_rack, n_spines) "
                 "is reconstructible"
             )
-        if self.scheme == "compute" and (
-                self.faults is not None or self.partition != "rows"):
-            raise ValueError("a compute job takes no faults and the "
-                             "rows partition")
-        if self.faults is not None:
-            if not isinstance(self.faults, str):
-                raise ValueError(
-                    "faults must be a FaultPlan canonical-JSON string "
-                    "(use plan.canonical_json()) or None"
-                )
-            from repro.faults import FaultPlan
-
-            FaultPlan.from_json(self.faults)  # validate eagerly
+        if self.scheme == "compute" and self.partition != "rows":
+            raise ValueError("a compute job takes the rows partition")
 
     # -- identity ------------------------------------------------------
 
@@ -109,7 +93,6 @@ class SimJob:
             "scale": None if self.scale is None else repr(float(self.scale)),
             "topology": None if self.topology is None else list(self.topology),
             "partition": self.partition,
-            "faults": self.faults,
             "config": self.config.canonical_dict(),
         }
 
@@ -120,25 +103,14 @@ class SimJob:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def describe(self) -> dict:
-        """Small human-readable metadata stored next to cached results.
-
-        ``faults_digest`` carries the fault plan's content hash so the
-        result store can stamp it into every result row's provenance
-        without re-parsing the plan JSON."""
+        """Small human-readable metadata stored next to cached results."""
         return {
             "scheme": self.scheme,
             "matrix": self.matrix,
             "k": self.k,
             "scale_name": self.scale_name,
             "seed": self.seed,
-            "faults_digest": self.faults_digest(),
         }
-
-    def faults_digest(self) -> Optional[str]:
-        """Content hash of the attached fault plan, or ``None``."""
-        if self.faults is None:
-            return None
-        return hashlib.sha256(self.faults.encode("utf-8")).hexdigest()
 
 
 #: Process-level fabric memo.  A topology is immutable during
@@ -213,10 +185,6 @@ def execute_job(job: SimJob):
             result = simulate_netsparse(mat, job.k, cfg, _build_topology(job),
                                         rig_batch=job.rig_batch, scale=sc,
                                         partition=part)
-    if job.faults is not None:
-        from repro.faults import FaultPlan, apply_faults
-
-        result = apply_faults(result, FaultPlan.from_json(job.faults), cfg)
     return result
 
 

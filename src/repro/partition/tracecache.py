@@ -20,9 +20,6 @@ Keying and invalidation rules (also documented in ``docs/api.md``):
   ``row_starts`` are keyed by their own byte digest.
 - Entries are never stale: a partition is a pure function of its key,
   and :class:`~repro.partition.oned.NodeTrace` objects are immutable.
-  Fault-injected runs (``faults=``) perturb *simulation* behaviour, not
-  the partition, so they share cache entries safely — the seeded fault
-  processes draw from the result, never mutate the traces.
 - The cache is an LRU bounded by entry count and, optionally, by
   resident trace elements (``max_resident_nnz``); evictions only cost
   a rebuild.

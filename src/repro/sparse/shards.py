@@ -4,11 +4,13 @@ The paper evaluates arabic-2005 at ~640M nonzeros; holding such a
 matrix (plus its partition traces and per-scheme selections) in one
 process's RAM does not scale.  This module stores a canonical COO
 matrix as a directory of bounded-size shards, each a pair of plain
-``.npy`` files opened with ``mmap_mode="r"`` — the OS pages nonzeros in
-and out on demand, so the *resident* cost of a matrix is a window, not
-the matrix.  Every benchmark matrix lives here
-(:func:`repro.sparse.suite.stored_set`); nothing else writes matrix or
-trace data to disk.
+``.npy`` files, so the *resident* cost of a matrix is a window, not the
+matrix.  Column windows and whole-column passes read the files into
+the caller's buffer, so no column page is ever mapped into the
+process; row bisections and degree passes open the row files with
+``mmap_mode="r"`` and drop their pages after use.  Every benchmark
+matrix lives here (:func:`repro.sparse.suite.stored_set`); nothing
+else writes matrix or trace data to disk.
 
 Layout of a shard directory::
 
@@ -70,6 +72,9 @@ _DIGEST_SIZE = 16
 
 #: Bytes per read when hashing a written column file.
 _HASH_BLOCK = 1 << 20
+
+#: Elements per block of a whole-column pass (1 MiB of int64).
+_COL_BLOCK = 1 << 17
 
 
 def drop_pages(arr: np.ndarray) -> None:
@@ -191,18 +196,28 @@ class ShardWriter:
         return ShardedCOOMatrix(self.path)
 
 
-def _hash_npy_data(h, path: str) -> None:
-    """Feed the data bytes of the ``.npy`` file at ``path`` to ``h``.
-
-    Reads past the magic and header, then in ``_HASH_BLOCK`` blocks: a
-    memmap plus ``tobytes()`` would map every page into the resident
-    set and then copy it.
-    """
+def _open_npy_data(path: str, buffering: int = -1):
+    """Open the ``.npy`` file at ``path`` at its first data byte, past
+    the magic and header; returns ``(file, dtype)``."""
     fmt = np.lib.format
-    with open(path, "rb") as fh:
+    fh = open(path, "rb", buffering=buffering)
+    try:
         major, _ = fmt.read_magic(fh)
-        (fmt.read_array_header_1_0 if major == 1
-         else fmt.read_array_header_2_0)(fh)
+        dtype = (fmt.read_array_header_1_0 if major == 1
+                 else fmt.read_array_header_2_0)(fh)[2]
+    except BaseException:
+        fh.close()
+        raise
+    return fh, dtype
+
+
+def _hash_npy_data(h, path: str) -> None:
+    """Feed the data bytes of the ``.npy`` file at ``path`` to ``h``,
+    in ``_HASH_BLOCK`` blocks: a memmap plus ``tobytes()`` would map
+    every page into the resident set and then copy it.
+    """
+    fh, _ = _open_npy_data(path)
+    with fh:
         for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
             h.update(block)
 
@@ -305,6 +320,29 @@ class ShardedCOOMatrix:
             os.path.join(self.path, f"shard-{i:05d}.cols.npy"), mmap_mode="r"
         )
 
+    def _read_cols(self, i: int, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with ``cols[start:start + out.size]`` of shard ``i``.
+
+        A read into ``out``, not a memmap copy: a mapped page counts in
+        the resident set while it stays mapped, and how many of a
+        copy's mapped pages counted at the peak moved from run to run
+        with the page cache, while ``out`` counts the same every run.
+        """
+        path = os.path.join(self.path, f"shard-{i:05d}.cols.npy")
+        fh, dtype = _open_npy_data(path, buffering=0)
+        with fh:
+            if dtype != out.dtype:
+                raise ValueError(f"{path}: dtype {dtype}, want {out.dtype}")
+            fh.seek(start * out.itemsize, os.SEEK_CUR)
+            view = memoryview(out).cast("B")
+            got = 0
+            while got < view.nbytes:
+                n = fh.readinto(view[got:])
+                if not n:
+                    raise ValueError(f"{path}: truncated at element "
+                                     f"{start + got // out.itemsize}")
+                got += n
+
     def iter_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield each shard's ``(rows, cols)`` memmaps in global order."""
         for i in range(self.n_shards):
@@ -349,12 +387,10 @@ class ShardedCOOMatrix:
             s0 = int(self.shard_offsets[i])
             if s0 >= stop:
                 break
-            cols = self.shard_cols(i)
             a = max(start - s0, 0)
-            b = min(stop - s0, cols.shape[0])
-            out[filled:filled + (b - a)] = cols[a:b]
+            b = min(stop, int(self.shard_offsets[i + 1])) - s0
+            self._read_cols(i, a, out[filled:filled + (b - a)])
             filled += b - a
-            drop_pages(cols)
         telemetry.count("sparse.shards.window_nnz", int(out.size))
         return out
 
@@ -380,10 +416,15 @@ class ShardedCOOMatrix:
         return self._unique_col_count
 
     def _iter_cols(self) -> Iterator[np.ndarray]:
-        """Each shard's column memmap, its pages dropped once consumed."""
-        for _, cols in self.iter_chunks():
-            yield cols
-            drop_pages(cols)
+        """The column stream in blocks of at most :data:`_COL_BLOCK`,
+        each read into one buffer that the next block overwrites."""
+        buf = np.empty(min(_COL_BLOCK, self._nnz), dtype=np.int64)
+        for i, meta in enumerate(self._shard_meta):
+            n = int(meta["nnz"])
+            for a in range(0, n, _COL_BLOCK):
+                block = buf[:min(_COL_BLOCK, n - a)]
+                self._read_cols(i, a, block)
+                yield block
 
     def to_coo(self) -> COOMatrix:
         """The whole matrix as a :class:`COOMatrix`, digest preset.

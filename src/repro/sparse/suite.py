@@ -304,13 +304,7 @@ def stored_set(name: str, scale: str = "small", seed: int = 7):
 
 
 def load_benchmark(name: str, scale: str = "small", seed: int = 7):
-    """Load (and memoize) a benchmark matrix or workload trace.
-
-    Names beginning with ``wl:`` are workload round traces
-    (``wl:<family>:r<round>``) and dispatch to
-    :func:`repro.workloads.load_workload_trace`, so jobs referencing
-    either kind of matrix resolve through this one front door — the
-    execution engine's worker processes rely on that.
+    """Load (and memoize) a benchmark matrix.
 
     Benchmark matrices come from their :func:`stored_set`, read as the
     scale says: scales in :func:`sharded_scales` return the on-disk
@@ -322,10 +316,6 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7):
 
     Raises ``KeyError`` with the available names for typos.
     """
-    if name.startswith("wl:"):
-        from repro.workloads import load_workload_trace
-
-        return load_workload_trace(name, scale=scale, seed=seed)
     if name not in BENCHMARKS:
         raise KeyError(f"unknown benchmark {name!r}; available: {MATRIX_NAMES}")
     if scale in sharded_scales():
@@ -340,12 +330,6 @@ def scale_factor(name: str, matrix: COOMatrix) -> float:
 
     The cluster model uses this to scale size-coupled quantities (RIG
     batch, per-command overhead, Property Cache capacity) so ratios
-    survive the downscaling (DESIGN.md §5).  Workload traces
-    (``wl:`` names) scale against their family's virtual paper-scale
-    nnz instead (:func:`repro.workloads.workload_scale_factor`).
+    survive the downscaling (DESIGN.md §5).
     """
-    if name.startswith("wl:"):
-        from repro.workloads import workload_scale_factor
-
-        return workload_scale_factor(name, matrix)
     return matrix.nnz / (BENCHMARKS[name].paper_nnz_m * 1e6)

@@ -5,8 +5,8 @@ SQLite database (WAL mode, so several processes share one file)
 holding:
 
 - **results**: one provenance-stamped row per ``SimJob`` digest (job
-  digest, code salt, faults-plan digest, git sha, schema version,
-  timestamps), with bit-identical pickled ``CommResult`` payloads;
+  digest, code salt, git sha, schema version, timestamps), with
+  bit-identical pickled ``CommResult`` payloads;
 - **ledger**: an append-only record of every engine answer with
   source attribution — the queryable history behind
   ``netsparse store history``.

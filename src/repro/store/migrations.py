@@ -10,14 +10,14 @@ each missing migration inside a transaction, so:
   write transaction and converge to the same schema,
 - a failed migration rolls back whole, leaving the version unrecorded.
 
-Tables (schema v2):
+Tables (schema v3):
 
 ``results``
     One row per :class:`~repro.parallel.jobs.SimJob` digest — the
     storage of :class:`~repro.parallel.cache.ResultCache`.
     Every write carries full provenance: the job digest, the code salt
-    (:func:`repro.sources.code_salt`), the faults-plan digest, the git
-    sha, the store schema version, and creation timestamps.
+    (:func:`repro.sources.code_salt`), the git sha, the store schema
+    version, and creation timestamps.
 
 ``ledger``
     Append-only: one row per engine answer, with source attribution
@@ -27,8 +27,9 @@ Tables (schema v2):
 
 v2 dropped what v1 wrote and nothing read: the ``artifacts`` table
 (report blobs) and the ``results.kernel_tier`` column (always
-``fast``).  A migration is never edited once shipped, so a fresh
-store applies v1 and then v2.
+``fast``).  v3 dropped ``results.faults_digest``, the hash of a fault
+plan no job carries any more.  A migration is never edited once
+shipped, so a fresh store applies v1, v2 and then v3.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ MIGRATIONS: List[Migration] = [
     Migration(2, "drop-artifacts-and-kernel-tier", (
         "DROP TABLE IF EXISTS artifacts",
         "ALTER TABLE results DROP COLUMN kernel_tier",
+    )),
+    Migration(3, "drop-faults-digest", (
+        "ALTER TABLE results DROP COLUMN faults_digest",
     )),
 ]
 

@@ -124,17 +124,15 @@ class Store:
 
         prov = provenance()
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        meta = dict(meta or {})
         with self.backend.transaction() as cur:
             cur.execute(
                 "INSERT OR IGNORE INTO results"
                 " (digest, fmt, payload, meta_json, elapsed, created,"
-                "  code_salt, faults_digest, git_sha, schema_version)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "  code_salt, git_sha, schema_version)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (digest, _FMT_PICKLE, payload, _meta_json(meta),
                  float(elapsed), time.time(), prov["code_salt"],
-                 meta.get("faults_digest"), prov["git_sha"],
-                 prov["schema_version"]))
+                 prov["git_sha"], prov["schema_version"]))
             inserted = cur.rowcount > 0
         telemetry.count("store.results.puts")
         if not inserted:
@@ -148,7 +146,7 @@ class Store:
         with self.backend.reading() as cur:
             cur.execute(
                 "SELECT fmt, payload, meta_json, elapsed, created,"
-                " code_salt, faults_digest, git_sha, schema_version"
+                " code_salt, git_sha, schema_version"
                 " FROM results WHERE digest = ?",
                 (digest,))
             row = cur.fetchone()
@@ -163,8 +161,8 @@ class Store:
                     elapsed=row[3],
                     created=row[4],
                     provenance={
-                        "code_salt": row[5], "faults_digest": row[6],
-                        "git_sha": row[7], "schema_version": row[8],
+                        "code_salt": row[5], "git_sha": row[6],
+                        "schema_version": row[7],
                     },
                 )
             except Exception:

@@ -44,8 +44,6 @@ KEY_COUNTERS = [
     "engine.jobs",
     "engine.executed",
     "dessim.prs.issued",
-    "faults.injected",
-    "faults.events",
     "faults.watchdog.attempts",
     "faults.watchdog.timeouts",
 ]

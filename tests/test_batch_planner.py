@@ -78,9 +78,6 @@ class TestGroupKey:
         {"config": _cfg(concat_delay_cycles_nic=1000)},
         {"config": _cfg(mtu=9000)},
         {"config": NetSparseConfig().with_features(concat_nic=False)},
-        {"faults": '{"name":"x","seed":0,"links":[{"scope":"all",'
-                   '"start":0.0,"end":1.0,"drop_rate":0.1,'
-                   '"corrupt_rate":0.0,"degrade":1.0}]}'},
     ])
     def test_residual_axes_split_groups(self, override):
         assert group_key(_job(**override)) != group_key(_job())

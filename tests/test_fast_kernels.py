@@ -560,28 +560,6 @@ class TestModelGolden:
         assert_results_equal(cold[1], warm_mid)
         model.reset_batch_state()
 
-    def test_faulted_run_bit_identical(self, cold_memos):
-        # faults= perturbs the *result* analytically; a memoized result
-        # must come back unperturbed by the previous call's faults.
-        from repro.faults import FaultPlan
-        from repro.parallel.jobs import SimJob, execute_job
-
-        plan = FaultPlan.scaled(0.5, seed=13)
-        job = SimJob(
-            scheme="netsparse",
-            matrix="queen",
-            k=8,
-            config=CFG16,
-            scale_name="tiny",
-            faults=plan.canonical_json(),
-        )
-        with cold_memos():
-            cold = execute_job(job)
-        warm = execute_job(job)
-        replay = execute_job(job)
-        assert_results_equal(cold, warm)
-        assert_results_equal(cold, replay)
-
 
 def test_module_state_stays_bounded():
     """No module-level table may grow with repeated calls, each of

@@ -9,6 +9,7 @@ entry tolerance), parallel == serial equivalence, and the CLI surface
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -65,9 +66,6 @@ class TestJobDigest:
         {"topology": ("leafspine", 2, 4, 1)},
         {"config": NetSparseConfig(n_nodes=64)},
         {"config": NetSparseConfig().with_features(property_cache=False)},
-        {"faults": '{"name":"x","seed":0,"links":[{"scope":"all",'
-                   '"start":0.0,"end":1.0,"drop_rate":0.1,'
-                   '"corrupt_rate":0.0,"degrade":1.0}]}'},
     ])
     def test_digest_changes_with_identity(self, override):
         assert _job(**override).digest() != _job().digest()
@@ -80,11 +78,9 @@ class TestJobDigest:
         with pytest.raises(ValueError):
             _job(topology=("fattree", 2, 4, 1))
 
-    def test_compute_job_takes_no_faults_or_nnz_partition(self):
+    def test_compute_job_takes_no_nnz_partition(self):
         with pytest.raises(ValueError):
             _job(scheme="compute", partition="nnz")
-        with pytest.raises(ValueError):
-            _job(scheme="compute", faults='{"name":"x","seed":0}')
 
     def test_job_is_frozen_and_picklable(self):
         import pickle
@@ -195,6 +191,43 @@ class TestParallelEqualsSerial:
             _assert_identical(a, b)
         # And the parallel run populated the cache for all jobs.
         assert ResultCache(tmp_path).info().n_entries == len(jobs)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the killer is patched in before the fork")
+class TestKilledWorker:
+    def test_dead_worker_fails_loudly_then_engine_recovers(
+            self, tmp_path, monkeypatch):
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.parallel import batch
+
+        real = batch.timed_execute
+
+        def die_on_suopt(job):
+            if job.scheme == "suopt":
+                os._exit(1)
+            return real(job)
+
+        jobs = [_job(scheme="suopt", k=1), _job(scheme="saopt", k=1),
+                _job(scheme="netsparse", k=1)]
+        digests = [job.digest() for job in jobs]
+        cache = ResultCache(tmp_path)
+        with ExecutionEngine(jobs=2, cache=cache) as eng:
+            monkeypatch.setattr(batch, "timed_execute", die_on_suopt)
+            with pytest.raises(BrokenProcessPool):
+                eng.run_jobs(jobs)
+            # The killer's group comes first, so no group was noted.
+            assert not set(digests) & set(eng._memo)
+            assert all(cache.get(d) is None for d in digests)
+            assert cache.store.history() == []
+            monkeypatch.setattr(batch, "timed_execute", real)
+            results = eng.run_jobs(jobs)
+            assert eng.stats.executed == len(jobs)
+        with ExecutionEngine(jobs=1) as serial:
+            for a, b in zip(serial.run_jobs(jobs), results):
+                _assert_identical(a, b)
 
 
 class TestEngineGlobals:

@@ -190,51 +190,30 @@ class TestWatchdog:
 
 
 class TestWatchdogBackoff:
-    def run_with(self, backoff):
+    def run_once(self):
         sim = Simulator()
         client, _, _ = build_loop(
             sim, drop_read=lambda pr: pr.idx == 9 and sim.now < 2e-3
         )
-        dog = RigWatchdog(sim, client, timeout=1e-3, max_retries=4,
-                          backoff=backoff)
+        dog = RigWatchdog(sim, client, timeout=1e-3, max_retries=4)
         op = dog.execute([9])
         sim.run()
         return op.value
 
     def test_default_reissues_immediately(self):
-        report = self.run_with(None)
+        report = self.run_once()
         assert report.completed
-        assert not any("backoff" in e for e in report.events)
-
-    def test_exponential_backoff_waits_between_attempts(self):
-        from repro.faults.policies import ExponentialBackoff
-
-        immediate = self.run_with(None)
-        spaced = self.run_with(
-            ExponentialBackoff(base=5e-4, factor=2.0, max_delay=1.0,
-                               jitter=0.0)
-        )
-        assert spaced.completed
-        assert any("backoff" in e for e in spaced.events)
-        # The waits push the completion later than immediate reissue
-        # (with 0 jitter the schedule is exact, so this is deterministic).
-        assert spaced.elapsed > immediate.elapsed
-
-    def test_spec_string_accepted_and_seeded_per_unit(self):
-        from repro.faults.policies import ExponentialBackoff
-
-        sim = Simulator()
-        client, _, _ = build_loop(sim)
-        dog = RigWatchdog(sim, client, timeout=1.0, backoff="exponential")
-        assert isinstance(dog.backoff, ExponentialBackoff)
-        assert dog.backoff.seed == client.unit_id
+        # Each re-issue starts the moment its predecessor times out, so
+        # the drops (until t=2ms) cost exactly two 1ms timeouts.
+        assert report.timeouts == 2
+        assert report.elapsed < 3e-3
 
     def test_attempt_and_timeout_counters_recorded(self):
         from repro.telemetry import MetricsRegistry, telemetry_scope
 
         reg = MetricsRegistry()
         with telemetry_scope(reg):
-            report = self.run_with(None)
+            report = self.run_once()
         assert report.completed
         counters = {k: c.value for k, c in reg.counters.items()}
         assert counters["faults.watchdog.attempts"] == report.attempts

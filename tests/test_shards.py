@@ -170,6 +170,25 @@ class TestShardStore:
             sm.row_degrees(), np.bincount(ref.rows, minlength=ref.n_rows)
         )
 
+    def test_column_reads_map_no_page(self, tmp_path, monkeypatch):
+        # Column windows and the distinct-column pass read the files
+        # into their own buffers; a mapped page would count in the
+        # resident set by however much the page cache let one fault map.
+        gen, kw = GENERATOR_CASES[1]
+        ref = gen(**kw)
+        sm = from_coo(ref, str(tmp_path / "m"), shard_nnz=4096)
+        assert sm.n_shards > 2
+
+        def no_memmap(self, i):
+            raise AssertionError("column shard memory-mapped")
+
+        monkeypatch.setattr(ShardedCOOMatrix, "shard_cols", no_memmap)
+        edges = sm.shard_offsets.tolist()
+        for a, b in [(0, ref.nnz), (edges[1] - 3, edges[2] + 5),
+                     (edges[1], edges[2]), (7, 7), (ref.nnz - 1, ref.nnz)]:
+            np.testing.assert_array_equal(sm.cols_slice(a, b), ref.cols[a:b])
+        assert sm.unique_col_count() == ref.unique_col_count()
+
     def test_drop_pages_tolerates_plain_arrays(self):
         drop_pages(np.arange(10))    # no memmap under it: a no-op
 

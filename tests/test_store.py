@@ -6,9 +6,7 @@ ledger attribution, cross-process races, engines sharing a store) lives in
 ``test_store_cache.py``; this file covers the store package itself.
 """
 
-import hashlib
 import importlib
-import json
 import os
 import pickle
 import subprocess
@@ -161,9 +159,9 @@ def test_v1_store_migrates_to_v2_and_works(tmp_path):
     _v1_store(path)
     store = open_store(f"sqlite:///{path}", migrate=False)
     assert store.schema_version() == 1
-    assert store.migrate() == [2]
+    assert store.migrate() == [2, 3]
     assert store.migrate() == []
-    assert store.schema_version() == SCHEMA_VERSION == 2
+    assert store.schema_version() == SCHEMA_VERSION == 3
     with store.backend.reading() as cur:
         cur.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
         tables = {row[0] for row in cur.fetchall()}
@@ -184,6 +182,41 @@ def test_v1_store_migrates_to_v2_and_works(tmp_path):
     assert store.counts() == {"results": 2, "ledger": 1}
     assert store.gc(older_than_days=0.5) == {"results": 1}
     assert store.get_result(DIGEST_A) is None
+
+
+def test_v2_store_migrates_to_v3_and_keeps_rows(tmp_path):
+    import sqlite3
+
+    path = tmp_path / "v2.sqlite3"
+    with sqlite3.connect(path) as conn:
+        conn.execute("CREATE TABLE schema_migrations (version INTEGER"
+                     " PRIMARY KEY, name TEXT NOT NULL,"
+                     " applied_at REAL NOT NULL)")
+        for mig in MIGRATIONS[:2]:
+            for stmt in mig.statements:
+                conn.execute(stmt)
+            conn.execute("INSERT INTO schema_migrations VALUES (?, ?, 0)",
+                         (mig.version, mig.name))
+        for i, (digest, fd) in enumerate([(DIGEST_A, None),
+                                          (DIGEST_B, "f" * 64)]):
+            conn.execute(
+                "INSERT INTO results VALUES (?, 'pickle-v1', ?, '{}', ?,"
+                " ?, 'salt', ?, 'abc', 2)",
+                (digest, pickle.dumps(make_result(i)), 1.0 + i,
+                 time.time(), fd))
+    store = open_store(f"sqlite:///{path}", migrate=False)
+    assert store.schema_version() == 2
+    assert store.migrate() == [3]
+    assert store.migrate() == []
+    with store.backend.reading() as cur:
+        cur.execute("PRAGMA table_info(results)")
+        assert "faults_digest" not in {row[1] for row in cur.fetchall()}
+    for i, digest in enumerate((DIGEST_A, DIGEST_B)):
+        rec = store.get_result(digest)
+        assert rec.elapsed == 1.0 + i
+        assert rec.result.total_time == make_result(i).total_time
+        assert rec.provenance == {"code_salt": "salt", "git_sha": "abc",
+                                  "schema_version": 2}
 
 
 # -- results: round-trip, provenance, dedupe -----------------------------
@@ -213,13 +246,10 @@ def test_provenance_complete_on_every_row(store, monkeypatch):
     p.git_sha.cache_clear()
     from repro.sources import code_salt
 
-    fd = hashlib.sha256(json.dumps({"plan": 1}).encode()).hexdigest()
-    store.put_result(DIGEST_A, make_result(),
-                     meta={"faults_digest": fd}, elapsed=0.5)
+    store.put_result(DIGEST_A, make_result(), elapsed=0.5)
     rec = store.get_result(DIGEST_A)
     assert rec.provenance["code_salt"] == code_salt()
     assert rec.provenance["git_sha"] == "cafebabe" * 5
-    assert rec.provenance["faults_digest"] == fd
     assert rec.provenance["schema_version"] == SCHEMA_VERSION
     p.git_sha.cache_clear()
 
