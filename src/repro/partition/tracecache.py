@@ -10,9 +10,11 @@ partition rule) across the whole process.
 
 Keying and invalidation rules (also documented in ``docs/api.md``):
 
-- The matrix key is :meth:`repro.sparse.matrix.COOMatrix.structural_digest`
-  — shape plus nonzero coordinates.  Values and the display name are
-  excluded because traces depend only on structure, so two matrices
+- The matrix key is a stored set's directory (``matrix.path``, shared
+  by its sharded reader and a one-shard set's view), else
+  :meth:`repro.sparse.matrix.COOMatrix.structural_digest` — shape plus
+  nonzero coordinates.  Values and the display name are excluded
+  because traces depend only on structure, so two in-memory matrices
   with the same sparsity pattern share an entry by design.
 - ``kind`` names the partition rule: ``"rows"`` (equal row blocks,
   the :class:`~repro.partition.oned.OneDPartition` default) or
@@ -20,6 +22,11 @@ Keying and invalidation rules (also documented in ``docs/api.md``):
   ``row_starts`` are keyed by their own byte digest.
 - Entries are never stale: a partition is a pure function of its key,
   and :class:`~repro.partition.oned.NodeTrace` objects are immutable.
+  For a stored set that rests on the set being immutable: it is
+  renamed into place whole, and
+  :class:`~repro.sparse.shards.ShardWriter` refuses a directory that
+  already holds a manifest, so no writer rewrites a set under a path
+  the cache has keyed.
 - The cache is an LRU bounded by entry count and, optionally, by
   resident trace elements (``max_resident_nnz``); evictions only cost
   a rebuild.
@@ -121,7 +128,7 @@ class TraceCache:
     ) -> BlockPartition:
         """The cached partition for ``matrix`` under the given rule,
         building (and tracing) it on first use."""
-        key = (matrix.structural_digest(), int(n_nodes),
+        key = (matrix.path or matrix.structural_digest(), int(n_nodes),
                self._rule_key(kind, row_starts))
         with self._lock:
             part = self._entries.get(key)

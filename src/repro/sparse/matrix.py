@@ -20,7 +20,8 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["COOMatrix", "CSRMatrix", "canonical_coords", "distinct_count"]
+__all__ = ["COOMatrix", "CSRMatrix", "canonical_coords", "distinct_count",
+           "digest_coords"]
 
 
 def canonical_coords(
@@ -48,6 +49,17 @@ def distinct_count(idx_chunks: Iterable[np.ndarray], n: int) -> int:
     return int(np.count_nonzero(seen))
 
 
+def digest_coords(n_rows: int, n_cols: int,
+                  blocks: Iterable[np.ndarray]) -> str:
+    """Hex digest of a shape and an int64 coordinate stream: all rows,
+    then all cols, fed in ``blocks`` so a caller can stream them."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.array([n_rows, n_cols], dtype=np.int64).tobytes())
+    for block in blocks:
+        h.update(np.ascontiguousarray(block, dtype=np.int64))
+    return h.hexdigest()
+
+
 @dataclass
 class COOMatrix:
     """Coordinate-format sparse matrix.
@@ -64,13 +76,18 @@ class COOMatrix:
     vals: Optional[np.ndarray] = None
     name: str = ""
     #: Lazily computed by :meth:`structural_digest`; excluded from
-    #: comparisons so digested and fresh instances still compare equal.
+    #: comparisons (digested and fresh instances compare equal) and
+    #: from ``__init__`` (no ``dataclasses.replace`` copy inherits it).
     _structural_digest: Optional[str] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
     #: Lazily computed by :meth:`unique_col_count`; excluded likewise.
     _unique_col_count: Optional[int] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The stored set this matrix views (``ShardedCOOMatrix.to_coo``).
+    path: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -101,14 +118,12 @@ class COOMatrix:
         Values and name are deliberately excluded: every communication
         analysis depends only on which coordinates are nonzero.  The
         digest is computed once and cached on the instance — it keys
-        the :class:`repro.partition.tracecache.TraceCache`.
+        the :class:`repro.partition.tracecache.TraceCache` unless
+        ``path`` names a stored set.
         """
         if self._structural_digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes())
-            h.update(np.ascontiguousarray(self.rows).tobytes())
-            h.update(np.ascontiguousarray(self.cols).tobytes())
-            self._structural_digest = h.hexdigest()
+            self._structural_digest = digest_coords(
+                self.n_rows, self.n_cols, (self.rows, self.cols))
         return self._structural_digest
 
     def unique_col_count(self) -> int:

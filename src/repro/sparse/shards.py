@@ -14,7 +14,7 @@ else writes matrix or trace data to disk.
 
 Layout of a shard directory::
 
-    manifest.json            # shape, nnz, digest, per-shard ranges
+    manifest.json            # schema, shape, nnz, per-shard row ranges
     shard-00000.rows.npy     # int64, canonical (row, col) order
     shard-00000.cols.npy
     shard-00001.rows.npy
@@ -27,16 +27,17 @@ Invariants (enforced by :class:`ShardWriter`):
   :meth:`repro.sparse.matrix.COOMatrix.canonicalize`;
 - shard boundaries fall on row boundaries, so any contiguous row range
   (a 1D partition block) maps to one contiguous global nnz range;
-- :meth:`ShardedCOOMatrix.structural_digest` is byte-identical to the
-  digest of the materialized :class:`~repro.sparse.matrix.COOMatrix`,
-  so every digest-keyed cache (``TraceCache``, ``SimJob`` results)
-  treats sharded and in-memory copies of one structure as the same
-  entry.
+- a set is immutable once renamed into place (a writer refuses a
+  directory that already holds a manifest), so its directory names
+  its structure: the ``TraceCache`` keys a stored matrix by ``path``,
+  and writing a set hashes nothing;
+- :meth:`ShardedCOOMatrix.structural_digest`, computed only when asked,
+  is byte-identical to the digest of the materialized
+  :class:`~repro.sparse.matrix.COOMatrix`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.sparse.matrix import COOMatrix, distinct_count
+from repro.sparse.matrix import COOMatrix, digest_coords, distinct_count
 
 __all__ = [
     "DEFAULT_SHARD_NNZ",
@@ -65,23 +66,18 @@ __all__ = [
 DEFAULT_SHARD_NNZ = 1 << 21
 
 _MANIFEST = "manifest.json"
-_SCHEMA = "repro.shards/v1"
+_SCHEMA = "repro.shards/v2"
 
-#: Digest header layout shared with COOMatrix.structural_digest.
-_DIGEST_SIZE = 16
-
-#: Bytes per read when hashing a written column file.
-_HASH_BLOCK = 1 << 20
-
-#: Elements per block of a whole-column pass (1 MiB of int64).
-_COL_BLOCK = 1 << 17
+#: Elements per block of a whole-stream pass (1 MiB of int64).
+_BLOCK = 1 << 17
 
 
 def drop_pages(arr: np.ndarray) -> None:
     """Advise the kernel that a memmapped array's pages can be freed.
 
     Keeps the *peak* resident set of streaming passes bounded even when
-    there is no memory pressure.  Best-effort: silently a no-op for
+    there is no memory pressure.  A writable map's dirty pages stay in
+    the page cache, unsynced.  Best-effort: silently a no-op for
     non-memmap arrays or platforms without ``madvise``.
     """
     base = arr
@@ -91,8 +87,6 @@ def drop_pages(arr: np.ndarray) -> None:
     if mm is None:
         return
     try:
-        if getattr(base, "mode", "r") != "r":
-            base.flush()
         mm.madvise(mmap.MADV_DONTNEED)
     except (AttributeError, OSError, ValueError):
         pass
@@ -119,24 +113,21 @@ class ShardWriter:
 
     ``append`` takes chunks that are already canonical (sorted,
     deduplicated) and row-aligned — the contract the family streamers
-    in :mod:`repro.sparse.synthetic` provide.  Rows are hashed
-    incrementally as chunks arrive; columns are hashed from disk at
-    :meth:`finalize` (the digest byte order is all rows then all cols,
-    matching ``COOMatrix.structural_digest``), so no O(nnz) buffer
-    ever exists in memory.
+    in :mod:`repro.sparse.synthetic` provide — and writes each as one
+    shard, so no O(nnz) buffer ever exists in memory.  A directory that
+    already holds a manifest is refused: a finished set is never
+    rewritten, so its path keys its structure.
     """
 
     def __init__(self, path: str, n_rows: int, n_cols: int, name: str = ""):
+        if os.path.exists(os.path.join(path, _MANIFEST)):
+            raise FileExistsError(f"{path}: already holds a shard set")
         self.path = path
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.name = name
         self.nnz = 0
         self._shards: List[dict] = []
-        self._hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        self._hash.update(
-            np.array([self.n_rows, self.n_cols], dtype=np.int64).tobytes()
-        )
         self._last_row = -1
         self._finalized = False
         os.makedirs(path, exist_ok=True)
@@ -161,7 +152,6 @@ class ShardWriter:
         col_path = os.path.join(self.path, f"shard-{i:05d}.cols.npy")
         np.save(row_path, rows)
         np.save(col_path, cols)
-        self._hash.update(rows)
         self._shards.append({
             "nnz": int(rows.size),
             "row_min": int(rows[0]),
@@ -171,20 +161,15 @@ class ShardWriter:
         self._last_row = int(rows[-1])
 
     def finalize(self) -> "ShardedCOOMatrix":
-        """Hash columns from disk, write the manifest, open the store."""
+        """Write the manifest, open the store."""
         if self._finalized:
             raise RuntimeError("writer already finalized")
-        for i in range(len(self._shards)):
-            _hash_npy_data(
-                self._hash, os.path.join(self.path, f"shard-{i:05d}.cols.npy")
-            )
         manifest = {
             "schema": _SCHEMA,
             "name": self.name,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
             "nnz": self.nnz,
-            "digest": self._hash.hexdigest(),
             "shards": self._shards,
         }
         tmp = os.path.join(self.path, _MANIFEST + ".tmp")
@@ -196,11 +181,11 @@ class ShardWriter:
         return ShardedCOOMatrix(self.path)
 
 
-def _open_npy_data(path: str, buffering: int = -1):
-    """Open the ``.npy`` file at ``path`` at its first data byte, past
-    the magic and header; returns ``(file, dtype)``."""
+def _open_npy_data(path: str):
+    """Open the ``.npy`` file at ``path``, unbuffered, at its first data
+    byte, past the magic and header; returns ``(file, dtype)``."""
     fmt = np.lib.format
-    fh = open(path, "rb", buffering=buffering)
+    fh = open(path, "rb", buffering=0)
     try:
         major, _ = fmt.read_magic(fh)
         dtype = (fmt.read_array_header_1_0 if major == 1
@@ -209,17 +194,6 @@ def _open_npy_data(path: str, buffering: int = -1):
         fh.close()
         raise
     return fh, dtype
-
-
-def _hash_npy_data(h, path: str) -> None:
-    """Feed the data bytes of the ``.npy`` file at ``path`` to ``h``,
-    in ``_HASH_BLOCK`` blocks: a memmap plus ``tobytes()`` would map
-    every page into the resident set and then copy it.
-    """
-    fh, _ = _open_npy_data(path)
-    with fh:
-        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
-            h.update(block)
 
 
 def write_sharded(
@@ -270,18 +244,18 @@ class ShardedCOOMatrix:
     """
 
     def __init__(self, path: str):
-        self.path = path
+        #: The set directory: the matrix's ``TraceCache`` key.
+        self.path = os.path.abspath(path)
         with open(os.path.join(path, _MANIFEST)) as fh:
             manifest = json.load(fh)
         if manifest.get("schema") != _SCHEMA:
-            raise ValueError(
-                f"{path}: unsupported shard schema {manifest.get('schema')!r}"
-            )
+            raise ValueError(f"{path}: shard schema {manifest.get('schema')!r}"
+                             f" is not {_SCHEMA!r}; delete the set to regenerate it")
         self.name: str = manifest["name"]
         self.n_rows: int = int(manifest["n_rows"])
         self.n_cols: int = int(manifest["n_cols"])
         self._nnz: int = int(manifest["nnz"])
-        self._digest: str = manifest["digest"]
+        self._digest: Optional[str] = None
         self._unique_col_count: Optional[int] = None
         self._shard_meta: List[dict] = manifest["shards"]
         #: Global nnz offset of each shard boundary (len n_shards + 1).
@@ -304,8 +278,13 @@ class ShardedCOOMatrix:
         return len(self._shard_meta)
 
     def structural_digest(self) -> str:
-        """Identical to the materialized COOMatrix's digest (manifest-
-        cached, computed incrementally at write time)."""
+        """Identical to the materialized COOMatrix's digest: streamed
+        from the files, one block resident at a time, when first asked
+        (no cache key needs it) and cached on the instance."""
+        if self._digest is None:
+            self._digest = digest_coords(
+                self.n_rows, self.n_cols,
+                (b for kind in ("rows", "cols") for b in self._blocks(kind)))
         return self._digest
 
     # -- windowed access ----------------------------------------------
@@ -320,16 +299,16 @@ class ShardedCOOMatrix:
             os.path.join(self.path, f"shard-{i:05d}.cols.npy"), mmap_mode="r"
         )
 
-    def _read_cols(self, i: int, start: int, out: np.ndarray) -> None:
-        """Fill ``out`` with ``cols[start:start + out.size]`` of shard ``i``.
+    def _read(self, i: int, kind: str, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with ``kind[start:start + out.size]`` of shard ``i``.
 
         A read into ``out``, not a memmap copy: a mapped page counts in
         the resident set while it stays mapped, and how many of a
         copy's mapped pages counted at the peak moved from run to run
         with the page cache, while ``out`` counts the same every run.
         """
-        path = os.path.join(self.path, f"shard-{i:05d}.cols.npy")
-        fh, dtype = _open_npy_data(path, buffering=0)
+        path = os.path.join(self.path, f"shard-{i:05d}.{kind}.npy")
+        fh, dtype = _open_npy_data(path)
         with fh:
             if dtype != out.dtype:
                 raise ValueError(f"{path}: dtype {dtype}, want {out.dtype}")
@@ -389,7 +368,7 @@ class ShardedCOOMatrix:
                 break
             a = max(start - s0, 0)
             b = min(stop, int(self.shard_offsets[i + 1])) - s0
-            self._read_cols(i, a, out[filled:filled + (b - a)])
+            self._read(i, "cols", a, out[filled:filled + (b - a)])
             filled += b - a
         telemetry.count("sparse.shards.window_nnz", int(out.size))
         return out
@@ -411,23 +390,23 @@ class ShardedCOOMatrix:
         Cached on the instance: the count is a function of structure.
         """
         if self._unique_col_count is None:
-            self._unique_col_count = distinct_count(self._iter_cols(),
+            self._unique_col_count = distinct_count(self._blocks("cols"),
                                                     self.n_cols)
         return self._unique_col_count
 
-    def _iter_cols(self) -> Iterator[np.ndarray]:
-        """The column stream in blocks of at most :data:`_COL_BLOCK`,
-        each read into one buffer that the next block overwrites."""
-        buf = np.empty(min(_COL_BLOCK, self._nnz), dtype=np.int64)
+    def _blocks(self, kind: str) -> Iterator[np.ndarray]:
+        """The ``"rows"`` or ``"cols"`` stream in blocks of at most
+        :data:`_BLOCK`, read into one buffer each block overwrites."""
+        buf = np.empty(min(_BLOCK, self._nnz), dtype=np.int64)
         for i, meta in enumerate(self._shard_meta):
             n = int(meta["nnz"])
-            for a in range(0, n, _COL_BLOCK):
-                block = buf[:min(_COL_BLOCK, n - a)]
-                self._read_cols(i, a, block)
+            for a in range(0, n, _BLOCK):
+                block = buf[:min(_BLOCK, n - a)]
+                self._read(i, kind, a, block)
                 yield block
 
     def to_coo(self) -> COOMatrix:
-        """The whole matrix as a :class:`COOMatrix`, digest preset.
+        """The whole matrix as a :class:`COOMatrix` naming this set.
 
         A one-shard store comes back as a view over its read-only
         memmaps (no copy, nothing hashed); a multi-shard store is
@@ -441,7 +420,7 @@ class ShardedCOOMatrix:
         else:
             rows, cols = np.zeros((2, 0), dtype=np.int64)
         mat = COOMatrix(self.n_rows, self.n_cols, rows, cols, None, self.name)
-        mat._structural_digest = self._digest
+        mat.path = self.path
         return mat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

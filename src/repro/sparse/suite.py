@@ -23,9 +23,9 @@ Every matrix is stored once per shard directory
 first load streams its family's generator into the store, every later
 load memory-maps it.  Matrices at sharded scales are written in many
 chunk-sized shards and come back as
-:class:`~repro.sparse.shards.ShardedCOOMatrix` — same
-``structural_digest`` as the whole matrix, bounded resident set.  The
-other scales are written as one chunk, one shard, and come back as a
+:class:`~repro.sparse.shards.ShardedCOOMatrix` — same nonzeros as the
+whole matrix, bounded resident set.  The other scales are written as
+one chunk, one shard, and come back as a
 :class:`COOMatrix` over the read-only memmaps.  The store is the one
 place matrix data lives: :func:`load_benchmark` memoizes these readers
 per process (:class:`MatrixMemo`, hits and misses only), and the page
@@ -44,7 +44,7 @@ import numpy as np
 from repro import telemetry
 from repro.sources import source_digest
 from repro.sparse.matrix import COOMatrix
-from repro.sparse import synthetic
+from repro.sparse import shards, synthetic
 
 __all__ = [
     "BenchmarkSpec",
@@ -268,13 +268,14 @@ def _set_name(spec: BenchmarkSpec, scale: str, seed: int) -> str:
 
     ``tag`` hashes what generates the matrix (generator, sorted
     ``gen_kwargs``, row count, and the bytes of
-    :data:`_GENERATOR_SOURCES`), so editing a spec, ``_SCALE_ROWS`` or
-    the generator code misses the old set instead of serving it.
+    :data:`_GENERATOR_SOURCES`) and the store's schema version, so
+    editing a spec, ``_SCALE_ROWS`` or the generator code, or bumping
+    the file format, misses the old set instead of serving it.
     """
     ident = repr((spec.generator.__qualname__,
                   sorted(spec.gen_kwargs.items()),
                   spec.rows_for_scale(scale),
-                  source_digest(_GENERATOR_SOURCES)))
+                  source_digest(_GENERATOR_SOURCES), shards._SCHEMA))
     tag = hashlib.blake2b(ident.encode(), digest_size=4).hexdigest()
     return f"{spec.name}-{scale}-s{seed}-{tag}"
 
@@ -290,8 +291,6 @@ def stored_set(name: str, scale: str = "small", seed: int = 7):
     every other scale as one chunk, one shard.  Returns the
     :class:`~repro.sparse.shards.ShardedCOOMatrix`.
     """
-    from repro.sparse import shards
-
     spec = BENCHMARKS[name]
     path = os.path.join(shards.shard_root(), _set_name(spec, scale, seed))
     if os.path.exists(os.path.join(path, "manifest.json")):
@@ -310,9 +309,9 @@ def load_benchmark(name: str, scale: str = "small", seed: int = 7):
     scale says: scales in :func:`sharded_scales` return the on-disk
     :class:`~repro.sparse.shards.ShardedCOOMatrix`, every other scale a
     :class:`COOMatrix` (a view over the memmaps of its one-shard set).
-    Both readers share one ``structural_digest``, read from the set's
-    manifest.  A caller that wants the sharded reader at another scale
-    calls :func:`stored_set` itself.
+    Both readers share one ``TraceCache`` entry, keyed by the set's
+    directory, and hash nothing.  A caller that wants the sharded
+    reader at another scale calls :func:`stored_set` itself.
 
     Raises ``KeyError`` with the available names for typos.
     """

@@ -244,7 +244,7 @@ class TestTraceCacheContention:
         assert cache.contended_builds == 0
         # A second miss while a build for the same key is in flight is
         # the contention the engine's trace-ordered dispatch avoids.
-        key = (mat.structural_digest(), 8, "rows")
+        key = (mat.path, 8, "rows")
         cache._building.add(key)
         cache.get_partition(mat, 8)
         assert cache.contended_builds == 1

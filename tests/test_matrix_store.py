@@ -19,7 +19,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.sparse import suite
+from repro.cli import main
+from repro.parallel import get_engine, set_engine
+from repro.partition import TraceCache, set_trace_cache
+from repro.sparse import shards, suite, synthetic
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.shards import ShardedCOOMatrix, shard_root, write_sharded
 from repro.sparse.suite import (
@@ -71,6 +74,19 @@ def generations(monkeypatch):
         return stream(self, *args, **kwargs)
 
     monkeypatch.setattr(suite.BenchmarkSpec, "stream", counting)
+    return calls
+
+
+@pytest.fixture()
+def digests(monkeypatch):
+    """Names of the matrices whose structural digest was asked for."""
+    calls = []
+    for cls in (COOMatrix, ShardedCOOMatrix):
+        def counting(self, real=cls.structural_digest):
+            calls.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(cls, "structural_digest", counting)
     return calls
 
 
@@ -131,7 +147,8 @@ class TestStoredSets:
         with open(os.path.join(s.path, "manifest.json")) as fh:
             manifest = json.load(fh)
         ref = BENCHMARKS[name].generate(scale="tiny", seed=7)
-        assert manifest["digest"] == ref.structural_digest() \
+        assert "digest" not in manifest      # computed only when asked
+        assert s.structural_digest() == ref.structural_digest() \
             == TINY_DIGESTS[name]
         mat = s.to_coo()
         np.testing.assert_array_equal(mat.rows, ref.rows)
@@ -158,8 +175,10 @@ class TestStoredSets:
             assert arr.base.filename == os.path.join(
                 s.path, f"shard-00000.{kind}.npy")
             assert not arr.flags.writeable
-        # The digest comes from the manifest: nothing is hashed.
-        assert mat._structural_digest == TINY_DIGESTS["queen"]
+        # The view names its set, so nothing is hashed until asked.
+        assert mat.path == s.path
+        assert mat._structural_digest is None
+        assert mat.structural_digest() == TINY_DIGESTS["queen"]
 
     def test_both_readers_open_one_set(self, store):
         dense = load_benchmark("uk", "tiny")
@@ -167,6 +186,24 @@ class TestStoredSets:
         assert len(_entries(store)) == 1
         assert dense.rows.base.filename.startswith(sharded.path)
         assert dense.structural_digest() == sharded.structural_digest()
+
+    def test_v1_set_is_refused_not_read(self, store):
+        # A set the int64 v1 store wrote, planted under today's name.
+        path = os.path.join(store, _set_name(BENCHMARKS["queen"], "tiny", 7))
+        os.makedirs(path)
+        with open(os.path.join(path, "manifest.json"), "w") as fh:
+            json.dump({"schema": "repro.shards/v1", "name": "queen",
+                       "n_rows": 1, "n_cols": 1, "nnz": 0, "shards": [],
+                       "digest": TINY_DIGESTS["queen"]}, fh)
+        for load in (stored_set, load_benchmark):
+            with pytest.raises(ValueError, match="repro.shards/v1"):
+                load("queen", "tiny")
+
+    def test_schema_version_names_the_set(self, store, monkeypatch):
+        # A set written in another format is never looked up by name.
+        name = _set_name(BENCHMARKS["queen"], "tiny", 7)
+        monkeypatch.setattr(shards, "_SCHEMA", "repro.shards/v1")
+        assert _set_name(BENCHMARKS["queen"], "tiny", 7) != name
 
     def test_generator_identity_names_the_set(self, store, monkeypatch,
                                               generations):
@@ -181,6 +218,50 @@ class TestStoredSets:
         assert second.path != first.path
         assert second.structural_digest() != first.structural_digest()
         assert len(_entries(store)) == 2
+
+
+class TestNothingHashed:
+    """Writing and reading a set hashes no nonzero: the ``TraceCache``
+    keys a stored matrix by its set directory."""
+
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["one-shot", "streamed"])
+    def test_cold_load_computes_no_digest(self, store, monkeypatch,
+                                          generations, digests, streamed):
+        if streamed:
+            # Many shards, drawn through the disk-backed scratch.
+            monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")
+            monkeypatch.setattr(synthetic, "DEFAULT_CHUNK_NNZ", 20000)
+        for name in MATRIX_NAMES:
+            assert (stored_set(name, "tiny").n_shards > 1) == streamed
+            load_benchmark(name, "tiny")
+        assert sorted(generations) == sorted(MATRIX_NAMES)
+        assert digests == []
+
+    def test_cold_run_computes_no_digest(self, store, tmp_path, digests,
+                                         capsys):
+        previous = set_engine(None)
+        prev_cache = set_trace_cache(TraceCache())
+        try:
+            assert main(["run", "fig13", "--scale", "tiny", "--no-cache",
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
+        finally:
+            get_engine().close()
+            set_engine(previous)
+            set_trace_cache(prev_cache)
+        assert "executed=" in capsys.readouterr().out
+        assert len(_entries(store)) == len(MATRIX_NAMES)
+        assert digests == []
+
+    @pytest.mark.parametrize("first", ["sharded", "dense"])
+    def test_both_readers_hit_one_trace_cache_entry(self, store, first):
+        readers = {"sharded": stored_set("uk", "tiny"),
+                   "dense": load_benchmark("uk", "tiny")}
+        cache = TraceCache()
+        built = cache.get_partition(readers[first], 8)
+        for mat in readers.values():
+            assert cache.get_partition(mat, 8) is built
+        assert (len(cache), cache.misses, cache.hits) == (1, 1, 2)
 
 
 class TestOneGenerationPerStore:

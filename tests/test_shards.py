@@ -21,6 +21,7 @@ from repro.partition import ShardedOneDPartition, build_partition
 from repro.sparse import synthetic
 from repro.sparse.matrix import COOMatrix
 from repro.sparse.shards import (
+    ShardWriter,
     ShardedCOOMatrix,
     drop_pages,
     from_coo,
@@ -132,8 +133,9 @@ class TestShardStore:
         assert sm.n_shards > 1
         assert sm.structural_digest() == ref.structural_digest()
         manifest = json.load(open(os.path.join(sm.path, "manifest.json")))
-        assert manifest["schema"] == "repro.shards/v1"
+        assert manifest["schema"] == "repro.shards/v2"
         assert manifest["nnz"] == ref.nnz
+        assert "digest" not in manifest     # computed only when asked
         back = sm.to_coo()
         np.testing.assert_array_equal(back.rows, ref.rows)
         np.testing.assert_array_equal(back.cols, ref.cols)
@@ -191,6 +193,38 @@ class TestShardStore:
 
     def test_drop_pages_tolerates_plain_arrays(self):
         drop_pages(np.arange(10))    # no memmap under it: a no-op
+
+    def test_drop_pages_keeps_unsynced_writes(self, tmp_path):
+        # A writable map drops its pages unsynced; a read-only reopen
+        # still sees every byte (the generator's scratch draws).
+        path = str(tmp_path / "scratch.npy")
+        out = np.lib.format.open_memmap(path, mode="w+", dtype=np.int64,
+                                        shape=(1 << 16,))
+        out[:] = np.arange(1 << 16)
+        drop_pages(out)
+        del out
+        np.testing.assert_array_equal(np.load(path, mmap_mode="r"),
+                                      np.arange(1 << 16))
+
+    def test_v1_set_is_refused(self, tmp_path):
+        gen, kw = GENERATOR_CASES[2]
+        _, sm = self._write(tmp_path, gen, kw)
+        manifest_path = os.path.join(sm.path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["schema"] = "repro.shards/v1"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="repro.shards/v1"):
+            ShardedCOOMatrix(sm.path)
+        with pytest.raises(ValueError, match="repro.shards/v1"):
+            write_sharded(sm.path, kw["n"], kw["n"], [], name="t")
+
+    def test_writer_refuses_a_finished_set(self, tmp_path):
+        # Its path keys the TraceCache, so a set is never rewritten.
+        gen, kw = GENERATOR_CASES[2]
+        _, sm = self._write(tmp_path, gen, kw)
+        with pytest.raises(FileExistsError, match="already holds"):
+            ShardWriter(sm.path, kw["n"], kw["n"])
 
 
 class TestShardedPartition:
@@ -288,7 +322,7 @@ class TestShardedDistinctCounts:
         mat = load_benchmark("arabic", "tiny")
         smat = from_coo(mat, str(tmp_path / "arabic"), shard_nnz=20000)
         dense_times = per_node_compute_times(mat, 16, 16)
-        # A private cache: the sharded twin shares the dense digest.
+        # A private cache, so the sharded copy's partition is built here.
         prev = set_trace_cache(TraceCache())
         try:
             part = cached_partition(smat, 16)

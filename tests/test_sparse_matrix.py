@@ -1,5 +1,7 @@
 """Unit tests for COO/CSR containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,13 @@ def test_empty_matrix():
     assert m.nnz == 0
     assert m.bandwidth() == 0
     assert m.to_csr().nnz == 0
+
+
+def test_replaced_copy_recomputes_cached_structure():
+    m = small_coo()
+    m.structural_digest(), m.unique_col_count()
+    r = dataclasses.replace(m, cols=np.array([1, 1, 1, 1, 1]))
+    fresh = COOMatrix(3, 4, r.rows, r.cols)
+    assert r.structural_digest() == fresh.structural_digest()
+    assert r.structural_digest() != m.structural_digest()
+    assert (r.unique_col_count(), m.unique_col_count()) == (1, 4)

@@ -327,7 +327,15 @@ def test_hybrid_pins_no_window(monkeypatch):
         reads = _count_reads(monkeypatch)
         choose_threshold(smat, 16, cfg, part)
         assert reads == []
-        dense = simulate_hybrid(smat.to_coo(), 16, cfg, scale=0.01)
+        dense = simulate_hybrid(_in_memory(smat), 16, cfg, scale=0.01)
         assert_results_equal(sharded, dense)
     finally:
         set_trace_cache(prev)
+
+
+def _in_memory(smat):
+    """A stored set's nonzeros as an in-memory matrix: its own
+    ``TraceCache`` entry, keyed by digest, with a dense partition."""
+    view = smat.to_coo()
+    return COOMatrix(view.n_rows, view.n_cols, view.rows, view.cols, None,
+                     view.name)
