@@ -147,6 +147,7 @@ def pytest_sessionfinish(session, exitstatus):
         payload["engine"] = get_engine().stats.summary()
     except Exception:
         pass
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{date}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

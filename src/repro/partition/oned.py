@@ -7,6 +7,11 @@ array are all split into contiguous row blocks, one per node.  Node
 index range.  With this scheme output writes are always local and only
 *input property reads* (the nonzeros' column ids) may be remote — these
 are the Property Requests the entire paper is about.
+
+A node's nonzeros in row-major order are one contiguous slice of a
+canonical matrix, so its trace is a read-only view of that slice of the
+column array, not a re-sorted copy: a stored set's traces map its
+column file and hold no idx in process memory of their own.
 """
 
 from __future__ import annotations
@@ -198,10 +203,11 @@ class NodeTrace(TraceSelections):
     """The per-node nonzero scan, in processing (row-major) order.
 
     ``idxs`` is the column index (= property index) of each local
-    nonzero.  The derived selections (``remote``, ``remote_idxs`` etc.) are
-    cached: a trace is immutable once built, and every scheme walking a
-    shared :class:`~repro.partition.tracecache.TraceCache` entry
-    re-reads the same selections.
+    nonzero, a read-only array.  The derived selections (``remote``,
+    ``remote_idxs`` etc.) are cached: a trace is immutable once built,
+    and every scheme walking a shared
+    :class:`~repro.partition.tracecache.TraceCache` entry re-reads the
+    same selections.
     """
 
     __slots__ = ("idxs",)
@@ -211,8 +217,35 @@ class NodeTrace(TraceSelections):
         self.idxs = idxs
 
     def resident_idxs(self) -> int:
-        """Idx elements held in RAM: the whole scan, always."""
+        """Idx elements the trace holds: the whole scan, always.  For a
+        view of a stored set's memmap these are mapped, and counted
+        whether or not the page cache holds them."""
         return int(self.idxs.size)
+
+
+#: Nonzeros per block of :func:`_row_major`'s scan (1 MiB of int64).
+_ORDER_BLOCK = 1 << 17
+
+
+def _row_major(matrix: COOMatrix) -> bool:
+    """Whether the nonzeros are in (row, col) order, ties allowed, so
+    a stable sort would leave them in place.  Scanned a block at a
+    time (each block overlaps the next by one nonzero), so the check
+    holds no nnz-length temporary."""
+    rows, cols, n_cols = matrix.rows, matrix.cols, matrix.n_cols
+    for a in range(0, max(matrix.nnz - 1, 0), _ORDER_BLOCK):
+        b = min(a + _ORDER_BLOCK + 1, matrix.nnz)
+        keys = rows[a:b] * n_cols + cols[a:b]
+        if (keys[1:] < keys[:-1]).any():
+            return False
+    return True
+
+
+def _read_only(idxs: np.ndarray) -> np.ndarray:
+    """A plain read-only ndarray view of ``idxs`` (no copy)."""
+    view = idxs.view(np.ndarray)
+    view.flags.writeable = False
+    return view
 
 
 def _check_partition(matrix, n_nodes: int) -> None:
@@ -239,7 +272,7 @@ class BlockPartition:
     columns independently.
 
     Subclasses differ only in where a node's idx stream comes from:
-    :class:`OneDPartition` sorts an in-memory matrix,
+    :class:`OneDPartition` slices an in-memory matrix,
     :class:`~repro.partition.windowed.ShardedOneDPartition` reads
     windows of the shard store.
     """
@@ -297,10 +330,10 @@ class BlockPartition:
         return np.concatenate(shards, axis=0)
 
     def resident_trace_nnz(self) -> int:
-        """Idx elements its node traces hold in RAM, counted alike on
-        both storage tiers: the unit ``TraceCache(max_resident_nnz=)``
-        budgets.  Derived selections (``remote_idxs``,
-        ``remote_owners``, ...) are not counted."""
+        """Idx elements its node traces hold, in RAM or mapped, counted
+        alike on both storage tiers: the unit
+        ``TraceCache(max_resident_nnz=)`` budgets.  Derived selections
+        (``remote_idxs``, ``remote_owners``, ...) are not counted."""
         if self._traces is None:
             return 0
         return sum(tr.resident_idxs() for tr in self._traces)
@@ -309,8 +342,10 @@ class BlockPartition:
 class OneDPartition(BlockPartition):
     """1D row-block partition of an in-memory :class:`COOMatrix`.
 
-    Node traces come from one row-major sort of the nonzeros, split at
-    the row-block boundaries.
+    Node traces are the row-major column stream split at the row-block
+    boundaries: read-only views of ``matrix.cols`` when the matrix is
+    in row-major order (a stored set's view maps them from its column
+    file), else of one stable sort's copy.
     """
 
     def __init__(self, matrix: COOMatrix, n_nodes: int,
@@ -332,17 +367,22 @@ class OneDPartition(BlockPartition):
         (NetSparse) walk through; all communication analyses start here.
         Built once per partition instance and memoized — traces are
         immutable, and sweeps revisit them for every scheme/knob point.
+
+        A matrix already in row-major order (every stored set) is not
+        sorted or copied: each trace is a read-only view of its slice
+        of ``matrix.cols``.  Only other input is stably sorted first.
         """
         if self._traces is not None:
             return self._traces
         mat = self.matrix
-        order = np.argsort(mat.rows * mat.n_cols + mat.cols, kind="stable")
-        rows_sorted = mat.rows[order]
-        cols_sorted = mat.cols[order]
-        # Split points between nodes in the sorted nonzero stream.
-        split = np.searchsorted(rows_sorted, self.row_starts[1:-1], side="left")
+        rows, cols = mat.rows, mat.cols
+        if not _row_major(mat):
+            order = np.argsort(rows * mat.n_cols + cols, kind="stable")
+            rows, cols = rows[order], cols[order]
+        # Split points between nodes in the row-major nonzero stream.
+        split = np.searchsorted(rows, self.row_starts[1:-1], side="left")
         self._traces = [
-            NodeTrace(node, idxs, self.col_starts)
-            for node, idxs in enumerate(np.split(cols_sorted, split))
+            NodeTrace(node, _read_only(idxs), self.col_starts)
+            for node, idxs in enumerate(np.split(cols, split))
         ]
         return self._traces

@@ -2,9 +2,10 @@
 
 Every scheme in a sweep — NetSparse, the software baselines, the
 traffic analyses — starts from the same object: a 1D partition of a
-matrix and its per-node idx scan traces.  Building one costs an
-``argsort`` over the nonzeros plus per-node selections, and a knob grid
-rebuilds it hundreds of times for identical inputs.  The
+matrix and its per-node idx scan traces.  Building one costs a scan
+of the nonzeros (a sort too for input not in row-major order) plus
+per-node selections, and a knob grid rebuilds it hundreds of times for
+identical inputs.  The
 :class:`TraceCache` shares one build per (matrix structure, node count,
 partition rule) across the whole process.
 

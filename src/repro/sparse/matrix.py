@@ -27,13 +27,23 @@ __all__ = ["COOMatrix", "CSRMatrix", "canonical_coords", "distinct_count",
 def canonical_coords(
     n_cols: int, rows: np.ndarray, cols: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` sorted by (row, col), duplicates dropped: one sort
-    of the int64 ``row * n_cols + col`` keys, split back by ``divmod``
-    (structure only, so no stable argsort and no gathers)."""
-    keys = np.sort(rows * n_cols + cols)
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return np.divmod(keys[keep], n_cols)
+    """``(rows, cols)`` sorted by (row, col), duplicates dropped: one
+    in-place sort of the int64 ``row * n_cols + col`` keys, split back
+    by ``divmod`` into the kept keys' own buffer (structure only, so no
+    stable argsort and no gathers).  Beside its inputs it holds two
+    key arrays at most."""
+    keys = rows * n_cols
+    keys += cols
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    if not keep.all():
+        keys = keys[keep]
+    del keep
+    out_rows = np.empty_like(keys)
+    np.divmod(keys, n_cols, out=(out_rows, keys))
+    return out_rows, keys
 
 
 def distinct_count(idx_chunks: Iterable[np.ndarray], n: int) -> int:

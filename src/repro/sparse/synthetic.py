@@ -38,14 +38,22 @@ and returns a :class:`COOMatrix`.  Every chunk size yields the same
 nonzeros — same seed, same draws, same digest.  The trick: numpy
 ``Generator`` draws consume the bit stream sequentially per value, so
 a full-array draw equals the concatenation of chunked draws.  A family
-draws several nnz-length arrays in a fixed order before combining
-them; when one chunk covers the matrix they stay in memory, otherwise
-each draw is replayed chunk-by-chunk into a disk-backed scratch memmap
-(preserving the exact consumption order) and aligned windows are
-combined, so no O(nnz) array is ever resident.  Chunk boundaries
-always fall on row boundaries, which makes per-chunk canonicalization
-equal to global canonicalization (duplicates of a ``(row, col)`` key
-can only live inside one row).
+draws several nnz-length arrays in a fixed order and folds each into
+the partial columns as soon as the later draws allow
+(``_Scratch.fold``; the row ids are one more operand, addressable by
+window).  When one chunk covers the matrix every fold runs at once, in
+memory, and frees its draws: the path holds the row ids, the partial
+columns and the draws no fold can take yet (two reduced draws at most,
+road and flow offsets), so its heap peaks at 32-52 bytes per raw
+nonzero, inside a fold or in :func:`canonical_coords`, which builds and
+sorts its keys in place.  Otherwise each draw is replayed
+chunk-by-chunk into a disk-backed scratch memmap (preserving the exact
+consumption order) and the folds run per aligned window, so no O(nnz)
+array is ever resident; every scratch map's pages are dropped after
+each window, so the maps' pages read so far do not stay in the
+resident set.  Chunk boundaries always fall on row boundaries, which
+makes per-chunk canonicalization equal to global canonicalization
+(duplicates of a ``(row, col)`` key can only live inside one row).
 """
 
 from __future__ import annotations
@@ -53,11 +61,13 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from functools import partial
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sparse.matrix import COOMatrix, canonical_coords
+from repro.sparse.shards import drop_pages
 
 __all__ = [
     "web_crawl",
@@ -132,33 +142,46 @@ def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
 
 
-def _web_crawl_cols(
-    n, block_size, rows, local_mask, u_cols_local, use_per_link,
-    u_per_link, u_page, hub_block_base, primary_of_block, cdf_hub, cdf_page,
-) -> np.ndarray:
-    """Combine :func:`web_crawl_chunks`'s uniform draws into column ids.
+def _web_crawl_local(n, block_size, rows, local_mask, u_cols_local):
+    """Partial columns from :func:`web_crawl_chunks`'s first two draws:
+    a local link's column, uniform within the row's host block; -1 for
+    a hub link, which the later draws resolve.  Computed for every
+    nonzero and masked after: whole-array passes beat gathers."""
+    cols = rows // block_size
+    cols *= block_size
+    lens = n - cols
+    np.minimum(lens, block_size, out=lens)
+    u = u_cols_local * lens
+    del lens
+    cols += u.astype(np.int64)
+    del u
+    cols[~local_mask] = -1
+    return cols
 
-    Every draw covers all nonzeros (that keeps the rng stream fixed),
-    but each lookup runs only on the nonzeros that keep its result: a
-    local link's column is uniform within the row's host block; a hub
-    link's is a Zipf-popular page of its source block's primary hub
-    host, or of an independently Zipf-drawn host where it escapes.
-    """
-    cols = np.empty(rows.size, dtype=np.int64)
-    local = np.flatnonzero(local_mask)
-    block_starts = (rows[local] // block_size) * block_size
-    block_lens = np.minimum(block_size, n - block_starts)
-    cols[local] = block_starts + (
-        u_cols_local[local] * block_lens
-    ).astype(np.int64)
-    hub = np.flatnonzero(~local_mask)
+
+def _web_crawl_hosts(block_size, hub_block_base, primary_of_block, cdf_hub,
+                     rows, cols, u_per_link, use_per_link):
+    """Fold the hub-host draws into ``cols``: a hub link's host is its
+    source block's primary hub host, or an independently Zipf-drawn one
+    where it escapes; its entry becomes ``-1 - host base``."""
+    hub = np.flatnonzero(cols < 0)
     chosen = primary_of_block[rows[hub] // block_size]
     escape = np.flatnonzero(use_per_link[hub])
     chosen[escape] = np.searchsorted(
         cdf_hub, u_per_link[hub[escape]], side="left"
     )
-    page_in_block = np.searchsorted(cdf_page, u_page[hub], side="left")
-    cols[hub] = hub_block_base[chosen] + page_in_block
+    cols[hub] = -1 - hub_block_base[chosen]
+    return cols
+
+
+def _web_crawl_pages(cdf_page, cols, u_page):
+    """Fold the last draw into ``cols``: a hub link's column is a
+    Zipf-popular page of its host."""
+    hub = np.flatnonzero(cols < 0)
+    page = np.searchsorted(cdf_page, u_page[hub], side="left")
+    page -= 1
+    page -= cols[hub]
+    cols[hub] = page
     return cols
 
 
@@ -175,7 +198,8 @@ class _Scratch:
     ``total`` values it *is* that call, in memory.  Otherwise the draw
     is filled chunk-by-chunk into a disk-backed memmap and reopened
     read-only, so the combining pass can window into it without an
-    O(nnz) resident array.  Used as a context manager: the scratch
+    O(nnz) resident array; :meth:`windows` drops each map's pages once
+    a plan window is read.  Used as a context manager: the scratch
     directory (made on the first disk-backed draw) goes on exit.
     """
 
@@ -186,25 +210,23 @@ class _Scratch:
         self.in_memory = self.total <= self.chunk
         self._dir = directory
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        self._n = 0
+        self._maps: List[np.ndarray] = []
 
     def __enter__(self) -> "_Scratch":
         return self
 
     def __exit__(self, *exc) -> None:
+        self._maps.clear()
         if self._tmp is not None:
             self._tmp.cleanup()
 
     def draw(self, fn, dtype=np.float64) -> np.ndarray:
         if self.in_memory:
             return fn(self.total)
-        from repro.sparse.shards import drop_pages
-
         if self._tmp is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-gen-",
                                                     dir=self._dir)
-        path = os.path.join(self._tmp.name, f"scratch-{self._n}.npy")
-        self._n += 1
+        path = os.path.join(self._tmp.name, f"scratch-{len(self._maps)}.npy")
         out = np.lib.format.open_memmap(
             path, mode="w+", dtype=dtype, shape=(self.total,)
         )
@@ -215,12 +237,29 @@ class _Scratch:
             off += m
         drop_pages(out)
         del out
-        return np.load(path, mmap_mode="r")
+        self._maps.append(np.load(path, mmap_mode="r"))
+        return self._maps[-1]
+
+    def rows(self, degrees: np.ndarray, plan):
+        """Each nonzero's row id as a fold operand: the whole array in
+        memory, else computed per ``plan`` window."""
+        if self.in_memory:
+            return _rows_of_window(0, degrees.size, degrees)
+        return _PlanRows(degrees, plan)
 
     def fold(self, fn, *draws):
         """``fn`` over aligned draws: applied now when they are in
         memory (so the operands can be freed), else per window."""
         return fn(*draws) if self.in_memory else _Fold(fn, draws)
+
+    def windows(self, plan):
+        """``plan``'s windows in order; once the caller is done with a
+        window, every scratch map's pages are dropped, so the resident
+        set holds the window being read, not every page read so far."""
+        for window in plan:
+            yield window
+            for scratch_map in self._maps:
+                drop_pages(scratch_map)
 
 
 class _Fold:
@@ -232,6 +271,19 @@ class _Fold:
 
     def __getitem__(self, window: slice) -> np.ndarray:
         return self.fn(*(d[window] for d in self.draws))
+
+
+class _PlanRows:
+    """Row ids of the nonzeros of each plan window ``[k0:k1]``, made
+    when sliced, so no nnz-length row array exists."""
+
+    def __init__(self, degrees: np.ndarray, plan):
+        self.degrees = degrees
+        self._rows_of = {(k0, k1): (r0, r1) for r0, r1, k0, k1 in plan}
+
+    def __getitem__(self, window: slice) -> np.ndarray:
+        r0, r1 = self._rows_of[window.start, window.stop]
+        return _rows_of_window(r0, r1, self.degrees)
 
 
 def _row_chunk_plan(degrees: np.ndarray,
@@ -299,28 +351,27 @@ def web_crawl_chunks(
     )
     plan = _row_chunk_plan(degrees, chunk_nnz)
     with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
-        local_mask = scratch.draw(lambda m: rng.random(m) < locality,
-                                  dtype=bool)
-        u_cols_local = scratch.draw(rng.random)
+        rows = scratch.rows(degrees, plan)
+        cols = scratch.fold(
+            partial(_web_crawl_local, n, block_size), rows,
+            scratch.draw(lambda m: rng.random(m) < locality, dtype=bool),
+            scratch.draw(rng.random),
+        )
         hub_block_base = rng.permutation(n - hub_block_size)[:n_hub_blocks]
         primary_of_block = zipf_sample(rng, n_hub_blocks, n_blocks,
                                        hub_alpha)
-        u_per_link = scratch.draw(rng.random)
-        use_per_link = scratch.draw(lambda m: rng.random(m) < escape_frac,
-                                    dtype=bool)
-        u_page = scratch.draw(rng.random)
-        cdf_hub = _zipf_cdf(n_hub_blocks, hub_alpha)
-        cdf_page = _zipf_cdf(hub_block_size, page_alpha)
-
-        for r0, r1, k0, k1 in plan:
-            rows = _rows_of_window(r0, r1, degrees)
-            cols = _web_crawl_cols(
-                n, block_size, rows, local_mask[k0:k1],
-                u_cols_local[k0:k1], use_per_link[k0:k1],
-                u_per_link[k0:k1], u_page[k0:k1], hub_block_base,
-                primary_of_block, cdf_hub, cdf_page,
-            )
-            yield canonical_coords(n, rows, cols)
+        cols = scratch.fold(
+            partial(_web_crawl_hosts, block_size, hub_block_base,
+                    primary_of_block, _zipf_cdf(n_hub_blocks, hub_alpha)),
+            rows, cols, scratch.draw(rng.random),
+            scratch.draw(lambda m: rng.random(m) < escape_frac, dtype=bool),
+        )
+        cols = scratch.fold(
+            partial(_web_crawl_pages, _zipf_cdf(hub_block_size, page_alpha)),
+            cols, scratch.draw(rng.random),
+        )
+        for r0, r1, k0, k1 in scratch.windows(plan):
+            yield canonical_coords(n, rows[k0:k1], cols[k0:k1])
 
 
 def road_network_chunks(
@@ -349,26 +400,34 @@ def road_network_chunks(
     max_long = max(int(n * max_long_frac), min_long * 2)
     plan = _row_chunk_plan(degrees, chunk_nnz)
     with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
-        short = scratch.fold(
-            np.multiply,
-            scratch.draw(lambda m: rng.integers(1, 4, size=m),
-                         dtype=np.int64),
-            scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
+        rows = scratch.rows(degrees, plan)
+        cols = scratch.fold(
+            partial(_road_cols, n), rows,
+            scratch.fold(
+                np.multiply,
+                scratch.draw(lambda m: rng.integers(1, 4, size=m),
+                             dtype=np.int64),
+                scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
+            ),
+            scratch.fold(
+                lambda log_mag, sign: np.exp(log_mag).astype(np.int64) * sign,
+                scratch.draw(lambda m: rng.uniform(np.log(min_long),
+                                                   np.log(max_long), size=m)),
+                scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
+            ),
+            scratch.draw(lambda m: rng.random(m) < long_range_frac,
+                         dtype=bool),
         )
-        long = scratch.fold(
-            lambda log_mag, sign: np.exp(log_mag).astype(np.int64) * sign,
-            scratch.draw(lambda m: rng.uniform(np.log(min_long),
-                                               np.log(max_long), size=m)),
-            scratch.draw(lambda m: _signs(rng, m), dtype=np.int64),
-        )
-        use_long = scratch.draw(lambda m: rng.random(m) < long_range_frac,
-                                dtype=bool)
+        for r0, r1, k0, k1 in scratch.windows(plan):
+            yield canonical_coords(n, rows[k0:k1], cols[k0:k1])
 
-        for r0, r1, k0, k1 in plan:
-            rows = _rows_of_window(r0, r1, degrees)
-            offsets = np.where(use_long[k0:k1], long[k0:k1], short[k0:k1])
-            cols = np.clip(rows + offsets, 0, n - 1)
-            yield canonical_coords(n, rows, cols)
+
+def _road_cols(n, rows, short, long, use_long):
+    """Columns of :func:`road_network_chunks`: each row plus its long
+    or short offset, clipped into the matrix (made in ``short``)."""
+    np.copyto(short, long, where=use_long)
+    short += rows
+    return np.clip(short, 0, n - 1, out=short)
 
 
 def banded_fem_chunks(
@@ -397,9 +456,9 @@ def banded_fem_chunks(
     )
     for r0, r1, k0, k1 in _row_chunk_plan(degrees, chunk_nnz):
         rows = _rows_of_window(r0, r1, degrees)
-        offsets = rng.integers(-band, band + 1, size=k1 - k0)
-        cols = np.clip(rows + offsets, 0, n - 1)
-        yield canonical_coords(n, rows, cols)
+        cols = rng.integers(-band, band + 1, size=k1 - k0)
+        cols += rows
+        yield canonical_coords(n, rows, np.clip(cols, 0, n - 1, out=cols))
 
 
 def coupled_flow_chunks(
@@ -431,25 +490,42 @@ def coupled_flow_chunks(
     seg = n // n_fields
     plan = _row_chunk_plan(degrees, chunk_nnz)
     with _Scratch(int(degrees.sum()), chunk_nnz, scratch_dir) as scratch:
-        in_band = scratch.draw(
-            lambda m: rng.integers(-band, band + 1, size=m), dtype=np.int64
+        rows = scratch.rows(degrees, plan)
+        cols = scratch.fold(
+            partial(_coupled_cols, n),
+            scratch.fold(
+                np.add, rows,
+                scratch.draw(lambda m: rng.integers(-band, band + 1, size=m),
+                             dtype=np.int64),
+            ),
+            scratch.fold(
+                partial(_coupled_far, n_fields, seg), rows,
+                scratch.draw(lambda m: rng.integers(-band, band + 1, size=m),
+                             dtype=np.int64),
+            ),
+            scratch.draw(lambda m: rng.random(m) < coupling_frac, dtype=bool),
         )
-        jitter = scratch.draw(
-            lambda m: rng.integers(-band, band + 1, size=m), dtype=np.int64
-        )
-        # use_coupling is the last draw: stream it inline per chunk.
-        for r0, r1, k0, k1 in plan:
-            rows = _rows_of_window(r0, r1, degrees)
-            # Field f couples to field f+1; the last field wraps to 0.
-            field_of_row = np.minimum(rows // seg, n_fields - 1)
-            shift = np.where(
-                field_of_row < n_fields - 1, seg, -(n_fields - 1) * seg
-            )
-            coupled = shift + jitter[k0:k1]
-            use_coupling = rng.random(k1 - k0) < coupling_frac
-            offsets = np.where(use_coupling, coupled, in_band[k0:k1])
-            cols = np.clip(rows + offsets, 0, n - 1)
-            yield canonical_coords(n, rows, cols)
+        for r0, r1, k0, k1 in scratch.windows(plan):
+            yield canonical_coords(n, rows[k0:k1], cols[k0:k1])
+
+
+def _coupled_cols(n, near, far, use_coupling):
+    """Columns of :func:`coupled_flow_chunks`: the coupling-stripe
+    column where the link couples, else the in-band one, clipped into
+    the matrix (made in ``near``)."""
+    np.copyto(near, far, where=use_coupling)
+    return np.clip(near, 0, n - 1, out=near)
+
+
+def _coupled_far(n_fields, seg, rows, jitter):
+    """Each row's coupling-stripe column before clipping: the matching
+    location in the next field (the last field wraps to 0), jittered."""
+    field_of_row = np.minimum(rows // seg, n_fields - 1)
+    far = np.where(field_of_row < n_fields - 1, seg, -(n_fields - 1) * seg)
+    del field_of_row
+    far += jitter
+    far += rows
+    return far
 
 
 # ---------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.partition import OneDPartition, col_owner_array
 from repro.sparse import COOMatrix
+from repro.sparse.shards import from_coo
 from repro.sparse.synthetic import web_crawl
 
 
@@ -74,6 +77,59 @@ def test_trace_row_major_order():
         [csr.row_slice(r) for r in p.rows_of(3)]
     )
     np.testing.assert_array_equal(t3.idxs, expected)
+
+
+def test_stored_traces_are_read_only_views_of_cols(tmp_path):
+    m = web_crawl(n=1024, mean_degree=6, seed=1)
+    mat = from_coo(m, str(tmp_path / "set")).to_coo()
+    traces = OneDPartition(mat, 8).node_traces()
+    for tr in traces:
+        assert np.shares_memory(tr.idxs, mat.cols)
+        assert not tr.idxs.flags.writeable
+        with pytest.raises(ValueError):
+            tr.idxs[:1] = 0
+    np.testing.assert_array_equal(
+        np.concatenate([tr.idxs for tr in traces]), m.cols)
+    # An in-memory canonical matrix is viewed the same way, and a
+    # trace's read-only flag leaves the matrix writable.
+    for tr in OneDPartition(m, 8).node_traces():
+        assert np.shares_memory(tr.idxs, m.cols)
+        assert not tr.idxs.flags.writeable
+    assert m.cols.flags.writeable
+
+
+def _argsort_traces(m, row_starts):
+    """Oracle: the stable argsort of the ``row * n_cols + col`` keys,
+    split at the row-block starts."""
+    order = np.argsort(m.rows * m.n_cols + m.cols, kind="stable")
+    rows, cols = m.rows[order], m.cols[order]
+    split = np.searchsorted(rows, row_starts[1:-1], side="left")
+    return np.split(cols, split)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_traces_match_stable_argsort(n_rows, n_cols, data):
+    """Shuffled, row-sorted or canonical input with duplicate entries
+    traces like the stable sort of its keys."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=60))
+    order = data.draw(st.sampled_from(["shuffled", "rows", "keys"]))
+    if order == "rows":
+        pairs.sort(key=lambda rc: rc[0])
+    elif order == "keys":
+        pairs.sort()
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c for _, c in pairs], dtype=np.int64)
+    m = COOMatrix(n_rows, n_cols, rows, cols)
+    part = OneDPartition(m, data.draw(st.integers(1, n_rows)))
+    want = _argsort_traces(m, part.row_starts)
+    got = part.node_traces()
+    assert len(got) == len(want)
+    for tr, idxs in zip(got, want):
+        np.testing.assert_array_equal(tr.idxs, idxs)
+        assert tr.idxs.dtype == np.int64
 
 
 def test_remote_mask_consistent_with_owner():

@@ -1,5 +1,7 @@
 """Structural tests for the synthetic matrix generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.partition import OneDPartition
 from repro.sparse.matrix import COOMatrix, canonical_coords
 from repro.sparse.suite import BENCHMARKS, MATRIX_NAMES, load_benchmark
+from repro.sparse import synthetic
 from repro.sparse.synthetic import (
     banded_fem,
     coupled_flow,
@@ -94,6 +97,55 @@ TINY_DIGESTS = {
 def test_tiny_benchmarks_are_pinned(name):
     mat = BENCHMARKS[name].generate(scale="tiny", seed=7)
     assert mat.structural_digest() == TINY_DIGESTS[name]
+
+
+#: Heap peak of one-chunk generation, in bytes per raw (pre-dedup)
+#: nonzero: at most the largest of ``tiny`` and ``small`` plus ~10%.
+#: Holding every nnz-length draw until the columns are combined read
+#: 55-97 B per raw nonzero.
+GENERATION_BYTES_PER_RAW_NNZ = {
+    "arabic": 48,
+    "europe": 56,
+    "queen": 36,
+    "stokes": 46,
+    "uk": 46,
+}
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_one_chunk_generation_heap_bound(name, scale, monkeypatch):
+    raw = []
+
+    def counted(n_cols, rows, cols):
+        raw.append(rows.size)
+        return canonical_coords(n_cols, rows, cols)
+
+    monkeypatch.setattr(synthetic, "canonical_coords", counted)
+    tracemalloc.start()
+    try:
+        mat = BENCHMARKS[name].generate(scale=scale, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(raw) == 1 and raw[0] >= mat.nnz
+    assert peak / raw[0] <= GENERATION_BYTES_PER_RAW_NNZ[name]
+
+
+def test_streamed_generation_drops_scratch_pages(monkeypatch):
+    """Each disk-backed draw's pages are dropped once written and again
+    after every plan window, so a streamed run's resident set holds
+    the window being read."""
+    dropped = []
+    monkeypatch.setattr(synthetic, "drop_pages",
+                        lambda arr: dropped.append(arr.size))
+    chunks = list(synthetic.web_crawl_chunks(4096, mean_degree=6, seed=1,
+                                             chunk_nnz=4096))
+    total = sum(rows.size for rows, _ in chunks)
+    n_draws = 5
+    assert len(chunks) > 1
+    assert len(dropped) == n_draws * (1 + len(chunks))
+    assert all(size >= total for size in dropped)
 
 
 def _stable_argsort_canonical(n_cols, rows, cols, vals=None):
