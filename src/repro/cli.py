@@ -6,8 +6,6 @@ Usage::
     netsparse run table1 [--scale small] [--jobs 4]
     netsparse run all [--scale tiny] [--jobs 4] [--no-cache]
     netsparse report [--scale small] [-o report.md] [--jobs 4]
-    netsparse profile fig12 [--scale tiny] [-o DIR]
-    netsparse profile --smoke
     netsparse cache info
     netsparse cache clear
     netsparse store info [--dsn sqlite:///...]
@@ -24,12 +22,6 @@ content-addressed SQLite store (``DIR/store.sqlite3`` with
 ``~/.cache/netsparse/store.sqlite3``) so repeated runs replay instead
 of recompute.  Simulations are deterministic, so cached and parallel
 runs are bit-identical to serial ones.
-
-``profile`` runs one experiment under full telemetry
-(:mod:`repro.telemetry`) — serial and uncached so every instrumented
-code path actually executes — and writes a JSON metrics dump, a CSV,
-and a Chrome ``trace_event`` file (open in Perfetto), then prints the
-per-stage breakdown.
 
 ``store`` inspects the result store (:mod:`repro.store`):
 ``info`` prints backend/schema/row counts,
@@ -119,28 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--only", nargs="*", default=None,
                         help="restrict to these experiment ids")
     _add_engine_flags(report)
-    prof = sub.add_parser(
-        "profile",
-        help="run one experiment under full telemetry and write a JSON "
-             "metrics dump, CSV, and Chrome trace (Perfetto)",
-    )
-    prof.add_argument(
-        "experiment", nargs="?", default="table7",
-        help="experiment id to profile (default: table7)",
-    )
-    prof.add_argument("--scale", default="small",
-                      choices=["tiny", "small", "medium", "large"])
-    prof.add_argument(
-        "-o", "--out-dir", default=".", metavar="DIR",
-        help="directory for profile_<exp>_<scale>.{json,csv,trace.json} "
-             "(default: current directory)",
-    )
-    prof.add_argument(
-        "--smoke", action="store_true",
-        help="CI self-check: force tiny scale and fail unless the "
-             "filter/coalesce/cache counters are live and the artifacts "
-             "were written",
-    )
     cache = sub.add_parser(
         "cache", help="inspect or clear the simulation result cache"
     )
@@ -332,39 +302,6 @@ def main(argv=None) -> int:
         return 0
 
 
-def _profile_main(args) -> int:
-    from repro.telemetry import breakdown_lines, profile_experiment
-
-    scale = "tiny" if args.smoke else args.scale
-    try:
-        prof = profile_experiment(args.experiment, scale=scale,
-                                  out_dir=args.out_dir)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    print(prof.table.format())
-    print()
-    for line in breakdown_lines(prof.registry):
-        print(line)
-    print()
-    for path in (prof.json_path, prof.trace_path, prof.csv_path):
-        print(f"wrote {path}")
-    if args.smoke:
-        counters = {k: c.value for k, c in prof.registry.counters.items()}
-        required = ("cluster.filter.candidates", "cluster.filter.issued",
-                    "pcache.lookups", "concat.packets", "engine.executed")
-        missing = [k for k in required if counters.get(k, 0) <= 0]
-        spans = prof.registry.span_totals("wall")
-        if not any(n.startswith("cluster.stage.") for n in spans):
-            missing.append("cluster.stage.* spans")
-        if missing:
-            print(f"[smoke] FAIL: dead instrumentation: {missing}",
-                  file=sys.stderr)
-            return 1
-        print("[smoke] telemetry instrumentation live")
-    return 0
-
-
 def _main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -375,9 +312,6 @@ def _main(argv=None) -> int:
     if args.command == "version":
         print(f"netsparse {repro.__version__}")
         return 0
-
-    if args.command == "profile":
-        return _profile_main(args)
 
     if args.command == "cache":
         return _cache_main(args)

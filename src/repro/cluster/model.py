@@ -158,7 +158,7 @@ class _MergeEntry:
 
 
 def reset_batch_state() -> None:
-    """Drop every logical memo (tests, benchmarks and profiling)."""
+    """Drop every logical memo (tests and benchmarks)."""
     for memo in _ALL_MEMOS.values():
         memo.clear()
     reusedist.reset_profile_stats()
@@ -687,8 +687,8 @@ def simulate_netsparse(
     ``partition`` overrides the default equal-rows 1D partition (e.g.
     :func:`repro.partition.balanced_by_nnz`).
 
-    The four stages run in order, each in its ``cluster.stage.*``
-    span: filter, merge/cache, traffic (``respond``) and timing.
+    The four stages run in order: filter, merge/cache, traffic
+    (``respond``) and timing.
     ``extras["binding"]`` names the limit that sets the time.
     """
     config = config or NetSparseConfig()
@@ -705,8 +705,7 @@ def simulate_netsparse(
     rig_batch = max(int(rig_batch * scale), 1)
     label = matrix.name
 
-    with telemetry.span("cluster.stage.filter", matrix=label, k=k):
-        filtered = _filter(part, config, knobs, rig_batch, payload)
+    filtered = _filter(part, config, knobs, rig_batch, payload)
     telemetry.count("cluster.filter.candidates", filtered.n_candidates,
                     matrix=label)
     telemetry.count("cluster.filter.drops", filtered.n_filtered, matrix=label)
@@ -719,9 +718,8 @@ def simulate_netsparse(
     for node in range(n):
         members.setdefault(int(rack_of[node]), []).append(node)
     racks = sorted(members.items())
-    with telemetry.span("cluster.stage.cache", matrix=label, k=k):
-        cached = _merge_and_cache(part, racks, filtered, config, knobs,
-                                  int(config.pcache_bytes * scale), payload)
+    cached = _merge_and_cache(part, racks, filtered, config, knobs,
+                              int(config.pcache_bytes * scale), payload)
     telemetry.count("pcache.lookups", cached.lookups, matrix=label)
     telemetry.count("pcache.hits", cached.n_hits, matrix=label)
 
@@ -729,14 +727,11 @@ def simulate_netsparse(
     w_nic, w_sw = _concat_windows(config, payload, issue_frac)
     if not config.features.concat_nic:
         w_nic = 1
-    with telemetry.span("cluster.stage.respond", matrix=label, k=k):
-        traffic = _traffic(topo, config, payload, rack_of, racks,
-                           filtered.streams, cached.merged, cached.hits,
-                           w_nic, w_sw)
-
-    with telemetry.span("cluster.stage.timing", matrix=label, k=k):
-        timing = _timing(topo, config, payload, scale, rig_batch, filtered,
-                         traffic)
+    traffic = _traffic(topo, config, payload, rack_of, racks,
+                       filtered.streams, cached.merged, cached.hits,
+                       w_nic, w_sw)
+    timing = _timing(topo, config, payload, scale, rig_batch, filtered,
+                     traffic)
 
     telemetry.count("concat.packets", traffic.n_packets, matrix=label)
     if traffic.n_packets:

@@ -141,11 +141,7 @@ class DesCluster:
         events = []
         for node, idxs in idxs_per_node.items():
             events.extend(self.nics[node].execute_gather(idxs))
-        sim_t0 = self.sim.now
-        with telemetry.span("dessim.run_gather", nodes=self.n_nodes):
-            self.sim.run(max_events=max_events)
-        telemetry.add_span("dessim.gather", sim_t0, self.sim.now - sim_t0,
-                           clock="sim", nodes=self.n_nodes)
+        self.sim.run(max_events=max_events)
         still_running = [ev for ev in events if not ev.processed]
         if still_running:
             raise RuntimeError(

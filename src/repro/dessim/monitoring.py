@@ -1,21 +1,12 @@
-"""DES instrumentation: PR latency and queue-occupancy profiles.
+"""DES instrumentation: PR latency profiles.
 
 The trace model reasons about throughput; the DES can additionally
 answer *latency* questions — how long an individual property request
-waits end to end, and how deep the hardware queues run (which sizes the
-Table 5 buffers).  This module provides:
-
-- :class:`LatencyProbe` — records per-PR issue/response timestamps via
-  the RIG units' hooks and reports percentiles.
-- :class:`QueueMonitor` — samples Store occupancies on a fixed period.
-
-Both are adapters onto :mod:`repro.telemetry`: when a registry is
-active, every completed-PR latency feeds the ``dessim.pr.latency``
-histogram and every occupancy sample feeds
-``dessim.queue.occupancy{store=...}`` — so a ``netsparse profile`` run
-over the DES lands in the same metrics dump and Chrome trace as the
-trace-model stages.  With telemetry disabled they keep their original
-stand-alone behaviour at the cost of one ``None`` check per sample.
+waits end to end.  :class:`LatencyProbe` records per-PR issue/response
+timestamps via the RIG units' hooks and reports percentiles.  When a
+telemetry registry is active, every completed-PR latency also feeds
+the ``dessim.pr.latency`` histogram.  Peak queue depths come from
+:attr:`repro.sim.Store.max_occupancy`.
 """
 
 from __future__ import annotations
@@ -26,9 +17,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
-__all__ = ["LatencyProbe", "LatencyStats", "QueueMonitor"]
+__all__ = ["LatencyProbe", "LatencyStats"]
 
 
 @dataclass
@@ -81,9 +72,7 @@ class LatencyProbe:
             return
         latency = self.sim.now - start
         self.samples.append(latency)
-        reg = telemetry.active()
-        if reg is not None:
-            reg.observe("dessim.pr.latency", latency)
+        telemetry.observe("dessim.pr.latency", latency)
 
     @property
     def outstanding(self) -> int:
@@ -91,39 +80,3 @@ class LatencyProbe:
 
     def stats(self) -> LatencyStats:
         return LatencyStats.from_samples(self.samples)
-
-
-class QueueMonitor:
-    """Periodically sample Store occupancies during a DES run."""
-
-    def __init__(self, sim: Simulator, stores: Dict[str, Store],
-                 period: float):
-        if period <= 0:
-            raise ValueError("sampling period must be positive")
-        self.sim = sim
-        self.stores = dict(stores)
-        self.period = period
-        self.samples: Dict[str, List[int]] = {n: [] for n in self.stores}
-        self._proc = sim.process(self._run(), name="queue-monitor")
-
-    def _run(self):
-        while True:
-            reg = telemetry.active()
-            for name, store in self.stores.items():
-                occupancy = len(store)
-                self.samples[name].append(occupancy)
-                if reg is not None:
-                    reg.observe("dessim.queue.occupancy", occupancy,
-                                store=name)
-            yield self.sim.timeout(self.period)
-
-    def occupancy_stats(self) -> Dict[str, Dict[str, float]]:
-        out = {}
-        for name, series in self.samples.items():
-            arr = np.asarray(series or [0], dtype=float)
-            out[name] = {
-                "mean": float(arr.mean()),
-                "p99": float(np.percentile(arr, 99)),
-                "max": float(arr.max()),
-            }
-        return out

@@ -100,37 +100,4 @@ def generate_report(
         "info`).",
         "",
     ]
-    sections += _telemetry_sections()
     return "\n".join(sections)
-
-
-def _telemetry_sections() -> List[str]:
-    """Per-stage breakdown when a telemetry registry is active.
-
-    The default report runs untelemetered and this contributes nothing
-    (keeping its output byte-identical); under
-    ``telemetry.telemetry_scope()`` — or inside ``netsparse profile`` —
-    the report grows a pipeline-stage accounting section.
-    """
-    from repro import telemetry
-    from repro.telemetry.profile import KEY_COUNTERS
-
-    reg = telemetry.active()
-    if reg is None:
-        return []
-    lines = [
-        "## Per-stage telemetry breakdown",
-        "",
-        "| span | clock | count | total (s) | share |",
-        "|---|---|---|---|---|",
-    ]
-    for name, clock, count, total, share in telemetry.breakdown_rows(reg):
-        pct = f"{share:.1f}%" if share != "-" else "-"
-        lines.append(f"| `{name}` | {clock} | {count} | {total:.4f} | {pct} |")
-    counters = {k: c.value for k, c in reg.counters.items()}
-    shown = [k for k in KEY_COUNTERS if k in counters]
-    if shown:
-        lines += ["", "| counter | value |", "|---|---|"]
-        lines += [f"| `{k}` | {counters[k]} |" for k in shown]
-    lines.append("")
-    return lines

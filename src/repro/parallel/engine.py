@@ -168,8 +168,9 @@ class ExecutionEngine:
         logical memos fold their shared stages.  Results are identical
         to evaluating each job alone; only attribution
         (``source="batched"`` for group riders) and wall time differ.
-        Worker processes carry their own (disabled) telemetry —
-        `netsparse profile` therefore always runs serial.
+        Worker processes carry their own (disabled) telemetry, so a
+        pooled job's simulator counters (``cluster.filter.*``,
+        ``pcache.*``) never reach the parent's registry.
         """
         digest_of = {job: digest for digest, job in pending.items()}
         plan = plan_batches(list(pending.values()))
@@ -185,7 +186,7 @@ class ExecutionEngine:
                                       chunksize=1)
         else:
             group_outcomes = (
-                [self._timed_instrumented(job) for job in group]
+                [timed_execute(job) for job in group]
                 for group in plan.groups
             )
         try:
@@ -261,12 +262,6 @@ class ExecutionEngine:
             mat = load_benchmark(job.matrix, job.scale_name, seed=job.seed)
             trace_cache.get_partition(mat, job.config.n_nodes, kind=key[-1])
             telemetry.count("perf.trace_cache.prewarmed")
-
-    @staticmethod
-    def _timed_instrumented(job: SimJob):
-        with telemetry.span("engine.job", scheme=job.scheme,
-                            matrix=job.matrix, k=job.k):
-            return timed_execute(job)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:

@@ -154,7 +154,6 @@ def execute_job(job: SimJob):
     it needs (the first process in a shard directory generates and
     stores them) and keeps them in ``load_benchmark``'s ``MatrixMemo``.
     """
-    from repro import telemetry
     from repro.baselines.hybrid import simulate_hybrid
     from repro.baselines.saopt import simulate_saopt
     from repro.baselines.su import simulate_suopt
@@ -169,23 +168,20 @@ def execute_job(job: SimJob):
         return compute_inputs(mat, job.config.n_nodes)
     sc = job.scale if job.scale is not None else scale_factor(job.matrix, mat)
     cfg = job.config
-    with telemetry.span(f"sim.{job.scheme}", matrix=job.matrix, k=job.k):
-        if job.scheme == "suopt":
-            result = simulate_suopt(mat, job.k, cfg)
-        elif job.scheme == "saopt":
-            result = simulate_saopt(mat, job.k, cfg, scale=sc)
-        elif job.scheme == "hybrid":
-            result = simulate_hybrid(mat, job.k, cfg, scale=sc)
-        else:
-            part = (
-                cached_partition(mat, cfg.n_nodes, kind="nnz")
-                if job.partition == "nnz"
-                else None
-            )
-            result = simulate_netsparse(mat, job.k, cfg, _build_topology(job),
-                                        rig_batch=job.rig_batch, scale=sc,
-                                        partition=part)
-    return result
+    if job.scheme == "suopt":
+        return simulate_suopt(mat, job.k, cfg)
+    if job.scheme == "saopt":
+        return simulate_saopt(mat, job.k, cfg, scale=sc)
+    if job.scheme == "hybrid":
+        return simulate_hybrid(mat, job.k, cfg, scale=sc)
+    part = (
+        cached_partition(mat, cfg.n_nodes, kind="nnz")
+        if job.partition == "nnz"
+        else None
+    )
+    return simulate_netsparse(mat, job.k, cfg, _build_topology(job),
+                              rig_batch=job.rig_batch, scale=sc,
+                              partition=part)
 
 
 def timed_execute(job: SimJob):

@@ -199,8 +199,11 @@ class _Scratch:
     is filled chunk-by-chunk into a disk-backed memmap and reopened
     read-only, so the combining pass can window into it without an
     O(nnz) resident array; :meth:`windows` drops each map's pages once
-    a plan window is read.  Used as a context manager: the scratch
-    directory (made on the first disk-backed draw) goes on exit.
+    a plan window is read.  Each draw backs onto an unnamed temporary
+    file under ``directory`` (default: the system temp dir), so no
+    name ever appears there and a killed process leaves nothing
+    behind: its space is freed when the last map of it goes, at the
+    latest when the context manager exits.
     """
 
     def __init__(self, total: int, chunk: int,
@@ -209,7 +212,6 @@ class _Scratch:
         self.chunk = max(int(chunk), 1)
         self.in_memory = self.total <= self.chunk
         self._dir = directory
-        self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._maps: List[np.ndarray] = []
 
     def __enter__(self) -> "_Scratch":
@@ -217,27 +219,22 @@ class _Scratch:
 
     def __exit__(self, *exc) -> None:
         self._maps.clear()
-        if self._tmp is not None:
-            self._tmp.cleanup()
 
     def draw(self, fn, dtype=np.float64) -> np.ndarray:
         if self.in_memory:
             return fn(self.total)
-        if self._tmp is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-gen-",
-                                                    dir=self._dir)
-        path = os.path.join(self._tmp.name, f"scratch-{len(self._maps)}.npy")
-        out = np.lib.format.open_memmap(
-            path, mode="w+", dtype=dtype, shape=(self.total,)
-        )
-        off = 0
-        while off < self.total:
-            m = min(self.chunk, self.total - off)
-            out[off:off + m] = fn(m)
-            off += m
-        drop_pages(out)
-        del out
-        self._maps.append(np.load(path, mmap_mode="r"))
+        # A map holds its own descriptor, so the file may close here.
+        with tempfile.TemporaryFile(dir=self._dir) as f:
+            out = np.memmap(f, mode="w+", dtype=dtype, shape=(self.total,))
+            off = 0
+            while off < self.total:
+                m = min(self.chunk, self.total - off)
+                out[off:off + m] = fn(m)
+                off += m
+            drop_pages(out)
+            del out
+            self._maps.append(np.memmap(f, mode="r", dtype=dtype,
+                                        shape=(self.total,)))
         return self._maps[-1]
 
     def rows(self, degrees: np.ndarray, plan):

@@ -1,16 +1,9 @@
-"""Unified instrumentation: metrics, tracing, and profiling.
+"""Unified instrumentation: one process-wide metrics registry.
 
-The subsystem has three layers:
-
-1. :mod:`repro.telemetry.registry` — the process-wide
-   :class:`MetricsRegistry` (counters / gauges / histograms under
-   stable dotted names), wall-clock and simulated-time spans, and the
-   zero-overhead-when-disabled module-level recording API
-   (``telemetry.count(...)``, ``telemetry.span(...)``).
-2. :mod:`repro.telemetry.export` — JSON metrics dumps, CSV, and Chrome
-   ``trace_event`` files loadable in Perfetto.
-3. :mod:`repro.telemetry.profile` — ``netsparse profile <experiment>``:
-   run one experiment fully instrumented and write all three artifacts.
+:mod:`repro.telemetry.registry` holds the :class:`MetricsRegistry`
+(counters and histograms under stable dotted names) and the
+zero-overhead-when-disabled module-level recording API
+(``telemetry.count(...)``, ``telemetry.observe(...)``).
 
 Telemetry is disabled by default and every simulator's results are
 bit-identical whether it is enabled or not — recording never feeds
@@ -21,71 +14,34 @@ back.  Enable it per scope::
         run_experiment("table7", scale="tiny")
         print(reg.counters["cluster.filter.drops"].value)
 
+Per-layer time comes from ``bench/traced_child.py``, which wraps
+functions from outside and never enables telemetry.
+
 Metric name catalogue: see ``docs/api.md`` (telemetry section).
 """
 
 from repro.telemetry.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    ProbeRecord,
-    SpanRecord,
     active,
-    add_span,
     count,
     disable,
     enable,
     enabled,
     observe,
-    probe,
-    set_gauge,
-    span,
     telemetry_scope,
-)
-from repro.telemetry.export import (
-    chrome_trace_dict,
-    load_chrome_trace,
-    metrics_csv_lines,
-    metrics_dict,
-    write_chrome_trace,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from repro.telemetry.profile import (
-    ProfileResult,
-    breakdown_lines,
-    breakdown_rows,
-    profile_experiment,
 )
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProbeRecord",
-    "ProfileResult",
-    "SpanRecord",
     "active",
-    "add_span",
-    "breakdown_lines",
-    "breakdown_rows",
-    "chrome_trace_dict",
     "count",
     "disable",
     "enable",
     "enabled",
-    "load_chrome_trace",
-    "metrics_csv_lines",
-    "metrics_dict",
     "observe",
-    "probe",
-    "profile_experiment",
-    "set_gauge",
-    "span",
     "telemetry_scope",
-    "write_chrome_trace",
-    "write_metrics_csv",
-    "write_metrics_json",
 ]

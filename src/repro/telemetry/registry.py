@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, spans.
+"""Process-wide metrics registry: counters and histograms.
 
 Telemetry is **disabled by default** and the instrumentation sites
 scattered through the simulators are written so the disabled path costs
@@ -11,14 +11,12 @@ instrumented component then records into it:
   names (``cluster.filter.drops``, ``pcache.hits``).  Optional labels
   additionally increment a labelled sibling (``pcache.hits{matrix=arabic}``)
   so per-matrix attribution never changes the base name.
-- **Gauges** — last-write-wins scalars (``engine.pool.workers``).
 - **Histograms** — sample collections with percentile summaries
   (``concat.prs_per_packet``, ``dessim.pr.latency``).
-- **Spans** — named intervals on either the *wall* clock (stage timings
-  in the trace model, engine jobs) or the *sim* clock (simulated-time
-  intervals in the DES), exportable as Chrome ``trace_event`` files
-  (:mod:`repro.telemetry.export`).
-- **Probes** — instant point events carrying a value.
+
+Where a run's time goes is measured from outside the program, by
+``bench/traced_child.py``, which wraps functions and never enables
+telemetry, so timing it does not change which code runs.
 
 Nothing in this module imports numpy or any simulator code: importing
 telemetry must stay cheap because every instrumented module imports it.
@@ -28,28 +26,20 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProbeRecord",
-    "SpanRecord",
     "active",
-    "add_span",
     "count",
     "disable",
     "enable",
     "enabled",
     "observe",
-    "probe",
-    "set_gauge",
-    "span",
     "telemetry_scope",
 ]
 
@@ -82,17 +72,6 @@ class Counter:
         if n < 0:
             raise ValueError("counters only increase")
         self.value += int(n)
-
-
-@dataclass
-class Gauge:
-    """A last-write-wins scalar metric."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -144,93 +123,16 @@ class Histogram:
         }
 
 
-@dataclass
-class SpanRecord:
-    """One named interval on the wall or the simulated clock.
-
-    ``start`` and ``duration`` are in seconds of the span's clock
-    (wall-clock starts are relative to the registry's epoch).
-    """
-
-    name: str
-    start: float
-    duration: float
-    clock: str = "wall"               # "wall" | "sim"
-    track: str = ""                   # groups spans onto one trace row
-    args: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class ProbeRecord:
-    """One instant point event (Chrome-trace 'i' phase)."""
-
-    name: str
-    at: float
-    clock: str = "wall"
-    value: Optional[float] = None
-    args: Dict[str, Any] = field(default_factory=dict)
-
-
-class _SpanContext:
-    """Context manager recording one wall-clock span on exit."""
-
-    __slots__ = ("_registry", "_name", "_track", "_args", "_t0")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, track: str,
-                 args: Dict[str, Any]):
-        self._registry = registry
-        self._name = name
-        self._track = track
-        self._args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_SpanContext":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        t1 = time.perf_counter()
-        self._registry.add_span(
-            self._name,
-            start=self._t0 - self._registry.epoch,
-            duration=t1 - self._t0,
-            clock="wall",
-            track=self._track,
-            **self._args,
-        )
-        return False
-
-
-class _NullSpan:
-    """The shared no-op context manager of the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class MetricsRegistry:
-    """All metrics of one profiled run.
+    """The counters and histograms of one telemetry scope.
 
     Metric accessors are get-or-create: the first ``counter("a.b")``
     defines the counter, later calls return the same object.
     """
 
     def __init__(self):
-        self.epoch = time.perf_counter()
-        self.created_at = time.time()
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.spans: List[SpanRecord] = []
-        self.probes: List[ProbeRecord] = []
 
     # -- metric accessors ----------------------------------------------
 
@@ -240,13 +142,6 @@ class MetricsRegistry:
         if c is None:
             c = self.counters[key] = Counter(key)
         return c
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = _labelled(_check_name(name), labels) if labels else _check_name(name)
-        g = self.gauges.get(key)
-        if g is None:
-            g = self.gauges[key] = Gauge(key)
-        return g
 
     def histogram(self, name: str, **labels) -> Histogram:
         key = _labelled(_check_name(name), labels) if labels else _check_name(name)
@@ -263,74 +158,17 @@ class MetricsRegistry:
         if labels:
             self.counter(name, **labels).inc(n)
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        self.gauge(name).set(value)
-        if labels:
-            self.gauge(name, **labels).set(value)
-
     def observe(self, name: str, value: float, **labels) -> None:
         self.histogram(name).observe(value)
         if labels:
             self.histogram(name, **labels).observe(value)
 
-    def span(self, name: str, *, track: str = "", **args) -> _SpanContext:
-        """Wall-clock span context manager."""
-        return _SpanContext(self, _check_name(name), track, args)
-
-    def add_span(self, name: str, start: float, duration: float,
-                 clock: str = "wall", track: str = "", **args) -> SpanRecord:
-        """Record an explicit span — the sim-clock entry point."""
-        if clock not in ("wall", "sim"):
-            raise ValueError(f"unknown span clock {clock!r}")
-        rec = SpanRecord(_check_name(name), float(start),
-                         max(float(duration), 0.0), clock, track, args)
-        self.spans.append(rec)
-        return rec
-
-    def probe(self, name: str, value: Optional[float] = None,
-              clock: str = "wall", at: Optional[float] = None,
-              **args) -> ProbeRecord:
-        """Record an instant event; numeric values also feed the
-        same-named histogram."""
-        if at is None:
-            at = time.perf_counter() - self.epoch if clock == "wall" else 0.0
-        rec = ProbeRecord(_check_name(name), float(at), clock,
-                          None if value is None else float(value), args)
-        self.probes.append(rec)
-        if value is not None:
-            self.observe(name, value)
-        return rec
-
-    # -- aggregation ---------------------------------------------------
-
-    def span_totals(
-        self, clock: Optional[str] = None
-    ) -> Dict[str, Tuple[int, float]]:
-        """``name -> (count, total_duration)`` over recorded spans."""
-        out: Dict[str, Tuple[int, float]] = {}
-        for s in self.spans:
-            if clock is not None and s.clock != clock:
-                continue
-            n, tot = out.get(s.name, (0, 0.0))
-            out[s.name] = (n + 1, tot + s.duration)
-        return out
-
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict view of every metric (the JSON dump's core)."""
+        """Plain-dict view of every metric."""
         return {
             "counters": {k: c.value for k, c in sorted(self.counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self.gauges.items())},
             "histograms": {
                 k: h.summary() for k, h in sorted(self.histograms.items())
-            },
-            "spans": {
-                clock: {
-                    name: {"count": n, "total_s": tot}
-                    for name, (n, tot) in sorted(
-                        self.span_totals(clock).items()
-                    )
-                }
-                for clock in ("wall", "sim")
             },
         }
 
@@ -388,34 +226,7 @@ def count(name: str, n: int = 1, **labels) -> None:
         reg.count(name, n, **labels)
 
 
-def set_gauge(name: str, value: float, **labels) -> None:
-    reg = _active
-    if reg is not None:
-        reg.set_gauge(name, value, **labels)
-
-
 def observe(name: str, value: float, **labels) -> None:
     reg = _active
     if reg is not None:
         reg.observe(name, value, **labels)
-
-
-def span(name: str, *, track: str = "", **args):
-    reg = _active
-    if reg is None:
-        return _NULL_SPAN
-    return reg.span(name, track=track, **args)
-
-
-def add_span(name: str, start: float, duration: float,
-             clock: str = "sim", track: str = "", **args) -> None:
-    reg = _active
-    if reg is not None:
-        reg.add_span(name, start, duration, clock, track, **args)
-
-
-def probe(name: str, value: Optional[float] = None, clock: str = "wall",
-          at: Optional[float] = None, **args) -> None:
-    reg = _active
-    if reg is not None:
-        reg.probe(name, value, clock, at, **args)

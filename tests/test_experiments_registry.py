@@ -97,6 +97,27 @@ class TestCli:
         assert main(["run", "nope"]) == 1
 
 
+class TestVersion:
+    def test_version_flag(self, capsys):
+        import repro
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert f"netsparse {repro.__version__}" in capsys.readouterr().out
+
+    def test_version_subcommand(self, capsys):
+        import repro
+
+        assert main(["version"]) == 0
+        assert f"netsparse {repro.__version__}" in capsys.readouterr().out
+
+    def test_version_is_nonempty_string(self):
+        import repro
+
+        assert isinstance(repro.__version__, str) and repro.__version__
+
+
 class TestFastExperimentsAtTinyScale:
     """Smoke-run the cheap experiments end to end at tiny scale so the
     harness itself is covered by the unit suite."""

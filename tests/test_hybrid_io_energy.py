@@ -152,34 +152,10 @@ class TestMonitoring:
         assert probe.unmatched_completions == 1
         assert probe.outstanding == 0
 
-    def test_queue_monitor_samples(self):
-        from repro.dessim.monitoring import QueueMonitor
-        from repro.sim import Simulator, Store
-
-        sim = Simulator()
-        store = Store(sim)
-        monitor = QueueMonitor(sim, {"q": store}, period=1.0)
-
-        def filler():
-            for i in range(5):
-                store.try_put(i)
-                yield sim.timeout(1.0)
-
-        sim.process(filler())
-        sim.run(until=6.0)
-        stats = monitor.occupancy_stats()
-        assert stats["q"]["max"] >= 4
-
-    def test_queue_monitor_validation(self):
-        from repro.dessim.monitoring import QueueMonitor
-        from repro.sim import Simulator
-
-        with pytest.raises(ValueError):
-            QueueMonitor(Simulator(), {}, period=0.0)
-
     def test_des_cluster_latency_probe(self):
         from repro.dessim import DesCluster
         from repro.partition import OneDPartition, col_owner_array
+        from repro.telemetry import telemetry_scope
 
         mat = web_crawl(n=512, mean_degree=4, seed=2, block_size=64)
         part = OneDPartition(mat, 8)
@@ -189,10 +165,15 @@ class TestMonitoring:
                              probe_latency=True)
         idxs = {n: t.remote_idxs.tolist()
                 for n, t in enumerate(part.node_traces()) if t.remote.any()}
-        res = cluster.run_gather(idxs)
+        with telemetry_scope() as reg:
+            res = cluster.run_gather(idxs)
         lat = res.extras["latency"]
         assert lat.count == res.issued_prs
         assert 0 < lat.p50 <= lat.p99 <= lat.max
+        # Every completed PR also feeds the telemetry histogram.
+        hist = reg.histograms["dessim.pr.latency"]
+        assert hist.count == lat.count
+        assert hist.percentile(100) == pytest.approx(lat.max)
 
 
 class TestEnergyModel:

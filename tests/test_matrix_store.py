@@ -301,15 +301,20 @@ class TestTornAndRacingWrites:
     @pytest.mark.parametrize("streamed", [False, True],
                              ids=["one-shard", "streamed"])
     def test_killed_writer_leaves_no_set(self, store, monkeypatch,
-                                         streamed):
+                                         tmp_path, streamed):
+        # The streamed writer's scratch draws go to the child's TMPDIR;
+        # they must leave no entry there even though it never exits.
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
         env = {"REPRO_SHARDED_SCALES": "tiny",
                "REPRO_CHUNK_NNZ": "20000"} if streamed else {}
-        proc = _run(_KILLED_WRITER, store, **env)
+        proc = _run(_KILLED_WRITER, store, TMPDIR=str(tmp), **env)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         path = os.path.join(store, _set_name(BENCHMARKS["arabic"], "tiny", 7))
         assert not os.path.exists(os.path.join(path, "manifest.json"))
         assert not os.path.exists(path)
         assert [e for e in _entries(store) if ".tmp-" in e]    # torn temp
+        assert _entries(tmp) == []                 # no generator scratch
 
         if streamed:
             monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")

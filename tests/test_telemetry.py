@@ -1,7 +1,5 @@
 """repro.telemetry core: registry semantics, disabled-mode guarantees,
-exporter round trips."""
-
-import json
+and live counters on a real experiment."""
 
 import numpy as np
 import pytest
@@ -10,17 +8,7 @@ from repro import telemetry
 from repro.cluster import batch_stats, reset_batch_state
 from repro.config import NetSparseConfig
 from repro.sparse.suite import load_benchmark, scale_factor
-from repro.telemetry import (
-    MetricsRegistry,
-    chrome_trace_dict,
-    load_chrome_trace,
-    metrics_csv_lines,
-    metrics_dict,
-    telemetry_scope,
-    write_chrome_trace,
-    write_metrics_csv,
-    write_metrics_json,
-)
+from repro.telemetry import MetricsRegistry, telemetry_scope
 
 
 @pytest.fixture(autouse=True)
@@ -31,7 +19,7 @@ def _telemetry_off():
     telemetry.disable()
 
 
-# -- counter / gauge / histogram semantics -----------------------------
+# -- counter / histogram semantics -------------------------------------
 
 
 class TestMetrics:
@@ -61,12 +49,6 @@ class TestMetrics:
         assert reg.counters["pcache.hits{matrix=arabic}"].value == 3
         assert reg.counters["pcache.hits{matrix=uk}"].value == 2
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("engine.pool.workers", 4)
-        reg.set_gauge("engine.pool.workers", 8)
-        assert reg.gauges["engine.pool.workers"].value == 8.0
-
     def test_histogram_summary_and_percentiles(self):
         reg = MetricsRegistry()
         h = reg.histogram("concat.prs_per_packet")
@@ -82,46 +64,17 @@ class TestMetrics:
     def test_empty_histogram_summary(self):
         assert MetricsRegistry().histogram("x.y").summary() == {"count": 0}
 
-
-# -- spans and probes --------------------------------------------------
-
-
-class TestSpans:
-    def test_wall_span_context_manager_records(self):
+    def test_snapshot_holds_counters_and_histograms(self):
         reg = MetricsRegistry()
-        with reg.span("cluster.stage.filter", matrix="arabic"):
-            pass
-        (s,) = reg.spans
-        assert s.name == "cluster.stage.filter"
-        assert s.clock == "wall"
-        assert s.duration >= 0
-        assert s.args == {"matrix": "arabic"}
-
-    def test_sim_span_explicit_times(self):
-        reg = MetricsRegistry()
-        reg.add_span("dessim.gather", 1.5, 2.5, clock="sim", nodes=8)
-        (s,) = reg.spans
-        assert (s.start, s.duration, s.clock) == (1.5, 2.5, "sim")
-
-    def test_bad_clock_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().add_span("a.b", 0, 1, clock="cpu")
-
-    def test_span_totals_by_clock(self):
-        reg = MetricsRegistry()
-        reg.add_span("a.b", 0, 1.0, clock="sim")
-        reg.add_span("a.b", 2, 3.0, clock="sim")
-        reg.add_span("a.b", 0, 0.5, clock="wall")
-        assert reg.span_totals("sim") == {"a.b": (2, 4.0)}
-        assert reg.span_totals("wall") == {"a.b": (1, 0.5)}
-        assert reg.span_totals() == {"a.b": (3, 4.5)}
-
-    def test_probe_records_instant_and_feeds_histogram(self):
-        reg = MetricsRegistry()
-        reg.probe("dessim.queue.sample", value=7.0, clock="sim", at=0.25)
-        (p,) = reg.probes
-        assert p.at == 0.25 and p.value == 7.0
-        assert reg.histograms["dessim.queue.sample"].samples == [7.0]
+        reg.count("cluster.filter.drops", 12, matrix="arabic")
+        reg.observe("concat.prs_per_packet", 5.5)
+        snap = reg.snapshot()
+        assert set(snap) == {"counters", "histograms"}
+        assert snap["counters"] == {
+            "cluster.filter.drops": 12,
+            "cluster.filter.drops{matrix=arabic}": 12,
+        }
+        assert snap["histograms"]["concat.prs_per_packet"]["count"] == 1
 
 
 # -- enable/disable and the zero-overhead module API -------------------
@@ -134,11 +87,6 @@ class TestActivation:
         # None of these may raise or allocate registries when disabled.
         telemetry.count("a.b", 3)
         telemetry.observe("a.b", 1.0)
-        telemetry.set_gauge("a.b", 2.0)
-        telemetry.add_span("a.b", 0, 1)
-        telemetry.probe("a.b", 1.0)
-        with telemetry.span("a.b", k=16):
-            pass
         assert telemetry.active() is None
 
     def test_scope_installs_and_restores(self):
@@ -156,14 +104,27 @@ class TestActivation:
         with telemetry_scope() as reg:
             telemetry.count("cluster.filter.drops", 5, matrix="uk")
             telemetry.observe("concat.prs_per_packet", 9.5)
-            with telemetry.span("cluster.stage.filter"):
-                pass
         assert reg.counters["cluster.filter.drops"].value == 5
+        assert reg.counters["cluster.filter.drops{matrix=uk}"].value == 5
         assert reg.histograms["concat.prs_per_packet"].count == 1
-        assert len(reg.spans) == 1
 
 
 # -- disabled-mode bit-identical simulation ----------------------------
+
+
+def _assert_stage_counters(reg, result):
+    """The filter, cache and respond stages recorded into ``reg``
+    exactly what ``result`` (one ``simulate_netsparse`` call) reports;
+    the timing stage counts nothing."""
+    counters = {k: c.value for k, c in reg.counters.items()}
+    assert counters["cluster.filter.candidates"] > 0          # filter
+    assert counters["cluster.filter.issued"] > 0
+    assert counters["cluster.filter.drops"] == result.n_filtered
+    assert counters["cluster.filter.coalesced"] == result.n_coalesced
+    assert counters["pcache.lookups"] > 0                     # cache
+    assert counters["pcache.hits"] == result.cache_hits
+    assert counters["concat.packets"] == result.n_packets     # respond
+    assert counters["concat.packets"] > 0
 
 
 class TestBitIdentical:
@@ -175,7 +136,7 @@ class TestBitIdentical:
         cfg = NetSparseConfig()
 
         baseline = simulate_netsparse(mat, 16, cfg, scale=sc)
-        # Cold memos, as `netsparse profile` runs: every stage executes.
+        # Cold memos: every stage executes.
         reset_batch_state()
         with telemetry_scope() as reg:
             instrumented = simulate_netsparse(mat, 16, cfg, scale=sc)
@@ -190,12 +151,8 @@ class TestBitIdentical:
             assert r.n_coalesced == baseline.n_coalesced
             assert r.cache_hits == baseline.cache_hits
             assert r.n_packets == baseline.n_packets
-        # ...and the instrumented run actually recorded the stages.
-        assert reg.counters["cluster.filter.candidates"].value > 0
-        stage_spans = {s.name for s in reg.spans}
-        assert {"cluster.stage.filter", "cluster.stage.cache",
-                "cluster.stage.respond",
-                "cluster.stage.timing"} <= stage_spans
+        # ...and the instrumented run recorded every stage's counters.
+        _assert_stage_counters(reg, baseline)
 
     def test_warm_instrumented_call_takes_the_memo_path(self):
         """Telemetry does not change which code runs: on warm memos an
@@ -249,9 +206,7 @@ class TestBitIdentical:
         # from their profiles: none is built again.
         built_now, scores_now = profile_counts()
         assert built_now == built and scores_now > scores
-        assert {"cluster.stage.filter", "cluster.stage.cache",
-                "cluster.stage.respond",
-                "cluster.stage.timing"} <= {s.name for s in reg.spans}
+        _assert_stage_counters(reg, instrumented)
         # The same geometries again: their held masks answer both calls,
         # so neither consults the profiles.
         with telemetry_scope():
@@ -284,92 +239,57 @@ class TestBitIdentical:
         assert instrumented.issued_prs == base.issued_prs
         assert instrumented.fabric_bytes == base.fabric_bytes
         assert instrumented.received == base.received
-        sim_spans = [s for s in reg.spans if s.clock == "sim"]
-        assert any(s.name == "dessim.gather" and s.duration > 0
-                   for s in sim_spans)
+        assert base.issued_prs > 0
         assert reg.counters["dessim.prs.issued"].value == base.issued_prs
+        assert reg.counters["dessim.fabric.bytes"].value == base.fabric_bytes
 
 
-# -- exporters ---------------------------------------------------------
+# -- counters are live on a real experiment ---------------------------
 
 
-def _loaded_registry():
-    reg = MetricsRegistry()
-    reg.count("cluster.filter.drops", 12, matrix="arabic")
-    reg.set_gauge("engine.pool.workers", 4)
-    reg.observe("concat.prs_per_packet", 5.5)
-    reg.observe("concat.prs_per_packet", 7.5)
-    reg.add_span("cluster.stage.filter", 0.125, 1.0, clock="wall",
-                 matrix="arabic", k=16)
-    reg.add_span("dessim.gather", 0.001, 0.002, clock="sim", nodes=8)
-    reg.probe("pcache.sample", value=3.0, clock="sim", at=0.0015)
-    return reg
+@pytest.fixture(scope="module")
+def table7_counters():
+    """One tiny table7 run under telemetry, on cold memos and a serial,
+    uncached engine, so every instrumented stage executes in this
+    process: ``(table, {counter: value})``."""
+    from repro.experiments import run_experiment
+    from repro.parallel import ExecutionEngine, engine_scope
+
+    telemetry.disable()
+    reset_batch_state()
+    with engine_scope(ExecutionEngine(jobs=1, cache=None)):
+        with telemetry_scope() as reg:
+            table = run_experiment("table7", scale="tiny")
+    return table, {k: c.value for k, c in reg.counters.items()}
 
 
-class TestExport:
-    def test_metrics_json_dump(self, tmp_path):
-        path = write_metrics_json(_loaded_registry(), str(tmp_path / "m.json"),
-                                  meta={"experiment": "table7"})
-        data = json.loads(open(path).read())
-        assert data["schema"] == "repro.telemetry/v1"
-        assert data["meta"]["experiment"] == "table7"
-        assert data["counters"]["cluster.filter.drops"] == 12
-        assert data["counters"]["cluster.filter.drops{matrix=arabic}"] == 12
-        assert data["histograms"]["concat.prs_per_packet"]["count"] == 2
-        assert data["spans"]["wall"]["cluster.stage.filter"]["total_s"] == 1.0
-        assert data["spans"]["sim"]["dessim.gather"]["count"] == 1
+class TestCounterLiveness:
+    def test_pipeline_counters_nonzero(self, table7_counters):
+        _, counters = table7_counters
+        for name in ("cluster.filter.candidates", "cluster.filter.drops",
+                     "cluster.filter.coalesced", "cluster.filter.issued",
+                     "pcache.lookups", "pcache.hits", "concat.packets",
+                     "engine.jobs", "engine.executed"):
+            assert counters.get(name, 0) > 0, f"dead counter: {name}"
+        # drops < candidates, hits <= lookups: basic sanity of the stages.
+        assert counters["cluster.filter.drops"] < \
+            counters["cluster.filter.candidates"]
+        assert counters["pcache.hits"] <= counters["pcache.lookups"]
 
-    def test_csv_covers_every_metric_kind(self, tmp_path):
-        path = write_metrics_csv(_loaded_registry(), str(tmp_path / "m.csv"))
-        lines = open(path).read().splitlines()
-        assert lines[0] == "metric,kind,field,value"
-        kinds = {ln.split(",")[1] for ln in lines[1:]}
-        assert {"counter", "gauge", "histogram", "span.wall",
-                "span.sim"} <= kinds
+    def test_arabic_labelled_counters_nonzero(self, table7_counters):
+        _, counters = table7_counters
+        for name in ("cluster.filter.drops{matrix=arabic}",
+                     "cluster.filter.coalesced{matrix=arabic}",
+                     "pcache.hits{matrix=arabic}"):
+            assert counters.get(name, 0) > 0, f"dead counter: {name}"
 
-    def test_chrome_trace_round_trip(self, tmp_path):
-        reg = _loaded_registry()
-        path = write_chrome_trace(reg, str(tmp_path / "t.trace.json"))
-        events = load_chrome_trace(path)
+    def test_table_matches_untelemetered_run(self, table7_counters):
+        """Telemetry must observe, never perturb: the instrumented
+        table equals the plain run's table."""
+        from repro.experiments import run_experiment
 
-        spans = [e for e in events if "duration" in e]
-        probes = [e for e in events if "at" in e]
-        assert len(spans) == len(reg.spans)
-        assert len(probes) == len(reg.probes)
-        by_name = {e["name"]: e for e in spans}
-        filt = by_name["cluster.stage.filter"]
-        assert filt["clock"] == "wall"
-        assert filt["start"] == pytest.approx(0.125, abs=1e-8)
-        assert filt["duration"] == pytest.approx(1.0, abs=1e-8)
-        assert filt["args"] == {"matrix": "arabic", "k": 16}
-        gather = by_name["dessim.gather"]
-        assert gather["clock"] == "sim"
-        assert gather["start"] == pytest.approx(0.001, abs=1e-9)
-        assert gather["duration"] == pytest.approx(0.002, abs=1e-9)
-        (p,) = probes
-        assert p["clock"] == "sim"
-        assert p["args"]["value"] == 3.0
-
-    def test_chrome_trace_separates_clock_processes(self):
-        trace = chrome_trace_dict(_loaded_registry())
-        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        pids = {e["name"]: e["pid"] for e in spans}
-        assert pids["cluster.stage.filter"] != pids["dessim.gather"]
-        proc_names = {
-            e["pid"]: e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert set(proc_names.values()) == {"wall-clock", "simulated-time"}
-
-    def test_metrics_dict_matches_snapshot(self):
-        reg = _loaded_registry()
-        d = metrics_dict(reg)
-        assert d["counters"] == reg.snapshot()["counters"]
-        assert "exported_at" in d
-
-    def test_csv_quotes_commas_in_labelled_names(self):
-        reg = MetricsRegistry()
-        reg.count("a.b", 1, x=1, y=2)     # -> a.b{x=1,y=2}
-        lines = metrics_csv_lines(reg)
-        assert any(ln.startswith('"a.b{x=1,y=2}"') for ln in lines)
+        table, _ = table7_counters
+        assert telemetry.active() is None
+        plain = run_experiment("table7", scale="tiny")
+        assert table.columns == plain.columns
+        assert table.rows == plain.rows
