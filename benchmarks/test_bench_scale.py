@@ -9,8 +9,10 @@ set, because traces come back as disk-backed windows and the model
 releases each node's window after its scatter stage.
 
 At ``paper`` scale the full model runs (3-34 s of model time per
-matrix), but the shard sets measured there need 1.6-3.9 GB of disk
-each, so the sweep skips itself there — the trace-extraction-only row
+matrix), but its generation needs GBs of disk per matrix (each set
+takes 4 bytes per nonzero plus 4 per row, and the streamed generator's
+scratch draws up to 26 bytes per nonzero more while it runs), so the
+sweep skips itself there — the trace-extraction-only row
 below is the benchmark that *does* run at paper scale: streamed
 generation into the shard store plus a full windowed-trace walk
 (touch, classify remote, release), no kernel dispatch.

@@ -20,7 +20,7 @@ import numpy as np
 from repro.config import NetSparseConfig
 from repro.core.filtering import FilterResult, filter_and_coalesce
 from repro.partition import BlockPartition, cached_partition
-from repro.sparse.matrix import COOMatrix
+from repro.sparse.matrix import COOMatrix, coord_keys
 from repro.sparse.shards import as_coo
 
 __all__ = ["DistributedRun", "distributed_spmm", "distributed_spmv",
@@ -91,7 +91,7 @@ def _run_distributed(matrix: COOMatrix, source: np.ndarray, n_nodes: int,
         if matrix.vals is not None
         else np.ones(matrix.nnz, dtype=np.float64)
     )
-    order = np.argsort(matrix.rows * matrix.n_cols + matrix.cols,
+    order = np.argsort(coord_keys(matrix.n_cols, matrix.rows, matrix.cols),
                        kind="stable")
     rows_s, cols_s, vals_s = (matrix.rows[order], matrix.cols[order],
                               vals[order])

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sparse.matrix import COOMatrix, distinct_count
+from repro.sparse.matrix import COOMatrix, coord_keys, distinct_count
 
 __all__ = ["BlockPartition", "NodeTrace", "OneDPartition",
            "TraceSelections", "span_distinct_count"]
@@ -231,12 +231,21 @@ def _row_major(matrix: COOMatrix) -> bool:
     """Whether the nonzeros are in (row, col) order, ties allowed, so
     a stable sort would leave them in place.  Scanned a block at a
     time (each block overlaps the next by one nonzero), so the check
-    holds no nnz-length temporary."""
-    rows, cols, n_cols = matrix.rows, matrix.cols, matrix.n_cols
-    for a in range(0, max(matrix.nnz - 1, 0), _ORDER_BLOCK):
-        b = min(a + _ORDER_BLOCK + 1, matrix.nnz)
-        keys = rows[a:b] * n_cols + cols[a:b]
-        if (keys[1:] < keys[:-1]).any():
+    holds no nnz-length temporary.  A row-pointer matrix is in row
+    order by construction: its columns may only fall where a row
+    starts."""
+    cols, nnz = matrix.cols, matrix.nnz
+    indptr = matrix.indptr
+    for a in range(0, max(nnz - 1, 0), _ORDER_BLOCK):
+        b = min(a + _ORDER_BLOCK + 1, nnz)
+        if indptr is None:
+            keys = coord_keys(matrix.n_cols, matrix.rows[a:b], cols[a:b])
+            if (keys[1:] < keys[:-1]).any():
+                return False
+            continue
+        falls = np.flatnonzero(cols[a + 1:b] < cols[a:b - 1]) + (a + 1)
+        at = np.searchsorted(indptr, falls)
+        if (indptr[np.minimum(at, indptr.size - 1)] != falls).any():
             return False
     return True
 
@@ -344,20 +353,19 @@ class OneDPartition(BlockPartition):
 
     Node traces are the row-major column stream split at the row-block
     boundaries: read-only views of ``matrix.cols`` when the matrix is
-    in row-major order (a stored set's view maps them from its column
-    file), else of one stable sort's copy.
+    in row-major order (a stored set's view maps them from its int32
+    column file), else of one stable sort's copy.  A row-pointer
+    matrix is split, and its nonzeros counted, from the pointer, with
+    no row id expanded.
     """
-
-    def __init__(self, matrix: COOMatrix, n_nodes: int,
-                 row_starts: Optional[np.ndarray] = None):
-        super().__init__(matrix, n_nodes, row_starts)
-        self.row_owner_of = np.searchsorted(
-            self.row_starts, np.arange(matrix.n_rows), side="right"
-        ) - 1
 
     def node_nnz(self) -> np.ndarray:
         """Number of nonzeros assigned to each node."""
-        row_owner = self.row_owner_of[self.matrix.rows]
+        if self.matrix.indptr is not None:
+            return np.diff(self.matrix.indptr[self.row_starts]).astype(
+                np.int64)
+        row_owner = np.searchsorted(self.row_starts, self.matrix.rows,
+                                    side="right") - 1
         return np.bincount(row_owner, minlength=self.n_nodes)
 
     def node_traces(self) -> List[NodeTrace]:
@@ -375,12 +383,17 @@ class OneDPartition(BlockPartition):
         if self._traces is not None:
             return self._traces
         mat = self.matrix
-        rows, cols = mat.rows, mat.cols
-        if not _row_major(mat):
-            order = np.argsort(rows * mat.n_cols + cols, kind="stable")
-            rows, cols = rows[order], cols[order]
-        # Split points between nodes in the row-major nonzero stream.
-        split = np.searchsorted(rows, self.row_starts[1:-1], side="left")
+        cols, ordered = mat.cols, _row_major(mat)
+        if ordered and mat.indptr is not None:
+            split = mat.indptr[self.row_starts[1:-1]]
+        else:
+            rows = mat.rows
+            if not ordered:
+                order = np.argsort(coord_keys(mat.n_cols, rows, cols),
+                                   kind="stable")
+                rows, cols = rows[order], cols[order]
+            # Split points between nodes in the row-major nonzero stream.
+            split = np.searchsorted(rows, self.row_starts[1:-1], side="left")
         self._traces = [
             NodeTrace(node, _read_only(idxs), self.col_starts)
             for node, idxs in enumerate(np.split(cols, split))

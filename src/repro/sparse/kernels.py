@@ -17,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from repro.sparse.matrix import COOMatrix, CSRMatrix
+from repro.sparse.shards import as_coo
 
 __all__ = ["spmv", "spmm", "sddmm"]
 
@@ -24,9 +25,7 @@ Matrix = Union[COOMatrix, CSRMatrix]
 
 
 def _as_coo(a: Matrix) -> COOMatrix:
-    if isinstance(a, CSRMatrix):
-        return a.to_coo()
-    return a
+    return a.to_coo() if isinstance(a, CSRMatrix) else as_coo(a)
 
 
 def _values(coo: COOMatrix) -> np.ndarray:

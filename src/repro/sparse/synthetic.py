@@ -83,7 +83,8 @@ __all__ = [
     "zipf_sample",
 ]
 
-#: Default nonzeros per streamed chunk (~32 MB of rows+cols at int64).
+#: Default nonzeros per streamed chunk (~32 MB of generated rows+cols
+#: at int64; 8 MB once stored as int32 columns).
 DEFAULT_CHUNK_NNZ = int(os.environ.get("REPRO_CHUNK_NNZ", str(1 << 21)))
 
 #: ``chunk_nnz`` that covers any matrix in one chunk.
@@ -163,7 +164,9 @@ def _web_crawl_hosts(block_size, hub_block_base, primary_of_block, cdf_hub,
                      rows, cols, u_per_link, use_per_link):
     """Fold the hub-host draws into ``cols``: a hub link's host is its
     source block's primary hub host, or an independently Zipf-drawn one
-    where it escapes; its entry becomes ``-1 - host base``."""
+    where it escapes; its entry becomes ``-1 - host base``.  Returns
+    ``(cols, hub)``, ``hub`` the hub links' positions, found once for
+    both hub folds."""
     hub = np.flatnonzero(cols < 0)
     chosen = primary_of_block[rows[hub] // block_size]
     escape = np.flatnonzero(use_per_link[hub])
@@ -171,13 +174,13 @@ def _web_crawl_hosts(block_size, hub_block_base, primary_of_block, cdf_hub,
         cdf_hub, u_per_link[hub[escape]], side="left"
     )
     cols[hub] = -1 - hub_block_base[chosen]
-    return cols
+    return cols, hub
 
 
-def _web_crawl_pages(cdf_page, cols, u_page):
+def _web_crawl_pages(cdf_page, cols_and_hub, u_page):
     """Fold the last draw into ``cols``: a hub link's column is a
     Zipf-popular page of its host."""
-    hub = np.flatnonzero(cols < 0)
+    cols, hub = cols_and_hub
     page = np.searchsorted(cdf_page, u_page[hub], side="left")
     page -= 1
     page -= cols[hub]
@@ -357,6 +360,7 @@ def web_crawl_chunks(
         hub_block_base = rng.permutation(n - hub_block_size)[:n_hub_blocks]
         primary_of_block = zipf_sample(rng, n_hub_blocks, n_blocks,
                                        hub_alpha)
+        # ``(cols, hub positions)`` until the pages fold takes both.
         cols = scratch.fold(
             partial(_web_crawl_hosts, block_size, hub_block_base,
                     primary_of_block, _zipf_cdf(n_hub_blocks, hub_alpha)),

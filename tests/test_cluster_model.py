@@ -202,7 +202,8 @@ def test_memoized_streams_are_int32_and_match_int64(arabic_tiny):
             window = max(int(frac * tr.remote_count()), 1)
             issued = filter_and_coalesce(tr.remote_idxs, units, batch, window,
                                          filtering, coalescing).issued_mask
-            ref = (tr.remote_pos[issued], tr.remote_idxs[issued],
+            ref = (tr.remote_pos[issued],
+                   tr.remote_idxs[issued].astype(np.int64),
                    tr.remote_owners[issued].astype(np.int64))
             for got, want in zip(value[:3], ref):
                 assert got.dtype == np.int32 and want.dtype == np.int64

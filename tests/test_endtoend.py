@@ -187,9 +187,10 @@ class TestDistinctColumnCounts:
         assert empty.unique_col_count() == 0
 
     def test_cached_count_keeps_equality_and_digest(self, matrix):
-        fresh = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
+        rows = matrix.rows      # expanded from the view's row pointer
+        fresh = COOMatrix(matrix.n_rows, matrix.n_cols, rows,
                           matrix.cols, name=matrix.name)
-        counted = COOMatrix(matrix.n_rows, matrix.n_cols, matrix.rows,
+        counted = COOMatrix(matrix.n_rows, matrix.n_cols, rows,
                             matrix.cols, name=matrix.name)
         digest = counted.structural_digest()
         counted.unique_col_count()

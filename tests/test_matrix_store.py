@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 
@@ -21,10 +22,20 @@ import pytest
 import repro
 from repro.cli import main
 from repro.parallel import get_engine, set_engine
-from repro.partition import TraceCache, set_trace_cache
+from repro.partition import (
+    OneDPartition,
+    TraceCache,
+    build_partition,
+    set_trace_cache,
+)
 from repro.sparse import shards, suite, synthetic
 from repro.sparse.matrix import COOMatrix
-from repro.sparse.shards import ShardedCOOMatrix, shard_root, write_sharded
+from repro.sparse.shards import (
+    ShardedCOOMatrix,
+    as_coo,
+    shard_root,
+    write_sharded,
+)
 from repro.sparse.suite import (
     BENCHMARKS,
     MATRIX_NAMES,
@@ -108,8 +119,8 @@ for name in suite.MATRIX_NAMES:
     mat = suite.load_benchmark(name, "tiny")
     out[name] = {
         "digest": mat.structural_digest(),
-        "memmap": [isinstance(a.base, np.memmap) for a in (mat.rows, mat.cols)],
-        "writeable": [bool(a.flags.writeable) for a in (mat.rows, mat.cols)],
+        "memmap": [isinstance(a.base, np.memmap) for a in (mat.indptr, mat.cols)],
+        "writeable": [bool(a.flags.writeable) for a in (mat.indptr, mat.cols)],
     }
 print(json.dumps({"generated": calls, "mats": out}))
 """
@@ -170,7 +181,7 @@ class TestStoredSets:
     def test_one_shard_to_coo_is_a_view(self, store):
         s = stored_set("queen", "tiny")
         mat = s.to_coo()
-        for arr, kind in ((mat.rows, "rows"), (mat.cols, "cols")):
+        for arr, kind in ((mat.indptr, "indptr"), (mat.cols, "cols")):
             assert isinstance(arr.base, np.memmap)
             assert arr.base.filename == os.path.join(
                 s.path, f"shard-00000.{kind}.npy")
@@ -184,10 +195,10 @@ class TestStoredSets:
         dense = load_benchmark("uk", "tiny")
         sharded = stored_set("uk", "tiny")
         assert len(_entries(store)) == 1
-        assert dense.rows.base.filename.startswith(sharded.path)
+        assert dense.cols.base.filename.startswith(sharded.path)
         assert dense.structural_digest() == sharded.structural_digest()
 
-    def test_v1_set_is_refused_not_read(self, store):
+    def test_v1_set_is_refused_not_read(self, store, tmp_path):
         # A set the int64 v1 store wrote, planted under today's name.
         path = os.path.join(store, _set_name(BENCHMARKS["queen"], "tiny", 7))
         os.makedirs(path)
@@ -198,6 +209,19 @@ class TestStoredSets:
         for load in (stored_set, load_benchmark):
             with pytest.raises(ValueError, match="repro.shards/v1"):
                 load("queen", "tiny")
+        # A set the int64 v2 store wrote, opened by its path.
+        v2 = tmp_path / "v2"
+        v2.mkdir()
+        with open(v2 / "manifest.json", "w") as fh:
+            json.dump({"schema": "repro.shards/v2", "name": "queen",
+                       "n_rows": 4, "n_cols": 4, "nnz": 2,
+                       "shards": [{"nnz": 2, "row_min": 0, "row_max": 3}]},
+                      fh)
+        np.save(v2 / "shard-00000.rows.npy", np.array([0, 3]))
+        np.save(v2 / "shard-00000.cols.npy", np.array([1, 2]))
+        with pytest.raises(ValueError, match="'repro.shards/v2' is not "
+                           "'repro.shards/v3'; delete the set to regenerate"):
+            ShardedCOOMatrix(str(v2))
 
     def test_schema_version_names_the_set(self, store, monkeypatch):
         # A set written in another format is never looked up by name.
@@ -218,6 +242,78 @@ class TestStoredSets:
         assert second.path != first.path
         assert second.structural_digest() != first.structural_digest()
         assert len(_entries(store)) == 2
+
+
+def _npy_data_bytes(path) -> int:
+    """Bytes of a ``.npy`` file past its magic and header."""
+    fh, _ = shards._open_npy_data(path)
+    with fh:
+        return os.path.getsize(path) - fh.tell()
+
+
+class TestFourBytesPerNonzero:
+    """A set stores int32 columns and an int32 row pointer per shard,
+    and a one-shard set's view reads the trace path from them."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_set_takes_four_bytes_per_nonzero_and_row(self, store, scale):
+        for name in MATRIX_NAMES:
+            s = stored_set(name, scale)
+            files = [os.path.join(s.path, f) for f in os.listdir(s.path)
+                     if f.endswith(".npy")]
+            assert len(files) == 2 * s.n_shards
+            headers = sum(os.path.getsize(f) - _npy_data_bytes(f)
+                          for f in files)
+            # One pointer entry per row, plus each shard's leading 0.
+            bound = 4 * s.nnz + 4 * (s.n_rows + s.n_shards) + headers
+            assert sum(os.path.getsize(f) for f in files) == bound, name
+
+    def test_view_traces_are_int32_views_of_the_column_map(self, store):
+        view = stored_set("queen", "tiny").to_coo()
+        col_map = view.cols.base
+        assert isinstance(col_map, np.memmap)
+        assert view.cols.dtype == view.indptr.dtype == np.int32
+        traces = OneDPartition(view, 16).node_traces()
+        for tr in traces:
+            assert tr.idxs.dtype == np.int32
+            assert not tr.idxs.flags.writeable
+            assert np.shares_memory(tr.idxs, col_map)
+        ref = BENCHMARKS["queen"].generate(scale="tiny", seed=7)
+        for tr, want in zip(traces, OneDPartition(ref, 16).node_traces()):
+            np.testing.assert_array_equal(tr.idxs, want.idxs)
+
+    @pytest.mark.parametrize("name", ["arabic", "europe"])
+    def test_trace_path_never_expands_rows(self, store, monkeypatch, name):
+        view = stored_set(name, "tiny").to_coo()
+        ref = BENCHMARKS[name].generate(scale="tiny", seed=7)
+        dense = {kind: build_partition(ref, 16, kind=kind)
+                 for kind in ("rows", "nnz")}
+
+        def no_rows(self):
+            raise AssertionError("rows expanded")
+
+        monkeypatch.setattr(COOMatrix, "_expand_rows", no_rows)
+        np.testing.assert_array_equal(view.row_degrees(), ref.row_degrees())
+        assert view.row_degrees().dtype == np.int64
+        for kind, want in dense.items():
+            part = build_partition(view, 16, kind=kind)
+            np.testing.assert_array_equal(part.row_starts, want.row_starts)
+            np.testing.assert_array_equal(part.node_nnz(), want.node_nnz())
+            assert part.node_nnz().dtype == want.node_nnz().dtype
+            for got, exp in zip(part.node_traces(), want.node_traces()):
+                np.testing.assert_array_equal(got.idxs, exp.idxs)
+        assert "rows" not in vars(view)
+        with pytest.raises(AssertionError, match="rows expanded"):
+            view.rows
+
+    def test_as_coo_expands_rows_once_and_keeps_the_set(self, store):
+        view = load_benchmark("stokes", "tiny")
+        full = as_coo(view)
+        assert full is not view and full.path == view.path
+        assert vars(full)["rows"].dtype == np.int64
+        assert as_coo(full) is full
+        ref = BENCHMARKS["stokes"].generate(scale="tiny", seed=7)
+        np.testing.assert_array_equal(full.rows, ref.rows)
 
 
 class TestNothingHashed:
@@ -313,16 +409,37 @@ class TestTornAndRacingWrites:
         path = os.path.join(store, _set_name(BENCHMARKS["arabic"], "tiny", 7))
         assert not os.path.exists(os.path.join(path, "manifest.json"))
         assert not os.path.exists(path)
-        assert [e for e in _entries(store) if ".tmp-" in e]    # torn temp
+        torn, = [e for e in _entries(store) if ".tmp-" in e]
+        assert torn.startswith(
+            f"{os.path.basename(path)}.tmp-{socket.gethostname()}-")
         assert _entries(tmp) == []                 # no generator scratch
 
         if streamed:
             monkeypatch.setenv("REPRO_SHARDED_SCALES", "tiny")
         mat = stored_set("arabic", "tiny").to_coo()
+        # The next writer of the set removed the killed one's temp dir.
+        assert _entries(store) == [os.path.basename(path)]
         ref = BENCHMARKS["arabic"].generate(scale="tiny", seed=7)
         assert mat.structural_digest() == TINY_DIGESTS["arabic"]
         np.testing.assert_array_equal(mat.rows, ref.rows)
         np.testing.assert_array_equal(mat.cols, ref.cols)
+
+    def test_writer_removes_only_dead_writers_temp_dirs(self, tmp_path):
+        done = subprocess.Popen([sys.executable, "-c", "pass"])
+        done.wait()
+        host = socket.gethostname()
+        root = tmp_path / "root"
+        dead = root / f"m.tmp-{host}-{done.pid}-x1"
+        live = root / f"m.tmp-{host}-{os.getpid()}-x2"
+        elsewhere = root / f"m.tmp-{host}x-{done.pid}-x3"
+        other_set = root / f"m2.tmp-{host}-{done.pid}-x4"
+        for d in (dead, live, elsewhere, other_set):
+            (d / "sub").mkdir(parents=True)
+        ref = BENCHMARKS["queen"].generate(scale="tiny", seed=7)
+        write_sharded(str(root / "m"), ref.n_rows, ref.n_cols,
+                      [(ref.rows, ref.cols)])
+        assert _entries(root) == sorted(
+            ["m", live.name, elsewhere.name, other_set.name])
 
     def test_lost_race_keeps_the_winners_set(self, tmp_path):
         ref = BENCHMARKS["europe"].generate(scale="tiny", seed=7)

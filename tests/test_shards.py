@@ -133,7 +133,7 @@ class TestShardStore:
         assert sm.n_shards > 1
         assert sm.structural_digest() == ref.structural_digest()
         manifest = json.load(open(os.path.join(sm.path, "manifest.json")))
-        assert manifest["schema"] == "repro.shards/v2"
+        assert manifest["schema"] == "repro.shards/v3"
         assert manifest["nnz"] == ref.nnz
         assert "digest" not in manifest     # computed only when asked
         back = sm.to_coo()
@@ -218,6 +218,40 @@ class TestShardStore:
             ShardedCOOMatrix(sm.path)
         with pytest.raises(ValueError, match="repro.shards/v1"):
             write_sharded(sm.path, kw["n"], kw["n"], [], name="t")
+
+    def test_row_pointer_covers_empty_rows(self, tmp_path):
+        # Empty rows lead the matrix, fall between shards and end it.
+        rows = np.array([2, 2, 3, 6, 6, 6, 7, 9])
+        cols = np.array([0, 5, 1, 2, 3, 9, 4, 8])
+        ref = COOMatrix(12, 12, rows, cols)
+        sm = from_coo(ref, str(tmp_path / "m"), shard_nnz=2)
+        assert sm.n_shards == 3
+        files = sorted(f for f in os.listdir(sm.path) if f.endswith(".npy"))
+        assert files == [f"shard-0000{i}.{k}.npy"
+                         for i in range(3) for k in ("cols", "indptr")]
+        assert {np.load(os.path.join(sm.path, f)).dtype for f in files} \
+            == {np.dtype(np.int32)}
+        for view in (sm.to_coo(), from_coo(ref, str(tmp_path / "one")).to_coo()):
+            np.testing.assert_array_equal(view.rows, rows)
+            np.testing.assert_array_equal(view.cols, cols)
+            assert view.cols.dtype == np.int32
+        np.testing.assert_array_equal(sm.row_degrees(), ref.row_degrees())
+        for row in range(13):
+            assert sm.nnz_before_row(row) == int(np.searchsorted(rows, row))
+        assert sm.structural_digest() == ref.structural_digest()
+
+    @pytest.mark.parametrize("chunks", [
+        [([1, 0], [0, 0])],                     # rows not sorted
+        [([0, 1, 0], [0, 0, 1])],               # a row split in one chunk
+        [([0, 1], [0, 0]), ([1, 2], [1, 0])],   # a row across two chunks
+        [([0, 5], [0, 0])],                     # row past n_rows
+        [([0, 1], [0, 4])],                     # col past n_cols
+    ], ids=["unsorted", "split-row", "straddle", "row-range", "col-range"])
+    def test_writer_refuses_a_bad_chunk(self, tmp_path, chunks):
+        writer = ShardWriter(str(tmp_path / "m"), 4, 4)
+        with pytest.raises(ValueError):
+            for rows, cols in chunks:
+                writer.append(np.array(rows), np.array(cols))
 
     def test_writer_refuses_a_finished_set(self, tmp_path):
         # Its path keys the TraceCache, so a set is never rewritten.
