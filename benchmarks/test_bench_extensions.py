@@ -46,10 +46,11 @@ def test_autotune(benchmark, scale):
         return
     speedups = table.column("speedup vs static")
     probes = table.column("probes")
-    # Tuning never loses to the static choice and helps somewhere.
+    # Tuning never loses to the static choice and helps somewhere, in
+    # at most the 8 probes EXPERIMENTS.md claims.
     assert all(s >= 0.999 for s in speedups)
     assert max(speedups) > 1.2
-    assert all(p <= 14 for p in probes)
+    assert all(p <= 8 for p in probes)
 
 
 def test_spgemm_preview(benchmark):
@@ -116,6 +117,10 @@ def test_comm_energy(benchmark, scale):
     vs_sa = table.column("vs SA x")
     assert all(v > 5 for v in vs_su)
     assert all(v > 20 for v in vs_sa)
+    if PAPER_CLAIMS:
+        # EXPERIMENTS.md: at least 27x vs SUOpt and 278x vs SAOpt.
+        assert all(v >= 27 for v in vs_su)
+        assert all(v >= 278 for v in vs_sa)
 
 
 def test_latency_profile(benchmark):

@@ -80,15 +80,21 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _VersionAction(argparse.Action):
+    """``--version``, reading ``repro.__version__`` only when asked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"netsparse {repro.__version__}")
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netsparse",
         description="NetSparse (MICRO 2025) reproduction harness",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"netsparse {repro.__version__}",
-    )
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
     sub.add_parser("version", help="print the installed package version")

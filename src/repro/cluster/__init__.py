@@ -10,40 +10,16 @@
   the per-node compute models for the strong-scaling studies.
 """
 
-from repro.results import CommResult
-from repro.cluster.model import (
-    batch_stats,
-    build_cluster_topology,
-    reset_batch_state,
-    simulate_netsparse,
-)
-from repro.baselines.saopt import simulate_saopt
-from repro.baselines.su import simulate_suopt
-from repro.cluster.endtoend import (
-    ComputeInputs,
-    compute_inputs,
-    end_to_end_time,
-    single_node_time,
-)
-from repro.cluster.execute import (
-    distributed_sddmm,
-    distributed_spmm,
-    distributed_spmv,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CommResult",
-    "ComputeInputs",
-    "batch_stats",
-    "build_cluster_topology",
-    "compute_inputs",
-    "reset_batch_state",
-    "distributed_sddmm",
-    "distributed_spmm",
-    "distributed_spmv",
-    "end_to_end_time",
-    "simulate_netsparse",
-    "simulate_saopt",
-    "simulate_suopt",
-    "single_node_time",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.results": ("CommResult",),
+    "repro.cluster.model": ("batch_stats", "build_cluster_topology",
+                            "reset_batch_state", "simulate_netsparse"),
+    "repro.baselines.saopt": ("simulate_saopt",),
+    "repro.baselines.su": ("simulate_suopt",),
+    "repro.cluster.endtoend": ("ComputeInputs", "compute_inputs",
+                               "end_to_end_time", "single_node_time"),
+    "repro.cluster.execute": ("distributed_sddmm", "distributed_spmm",
+                              "distributed_spmv"),
+})

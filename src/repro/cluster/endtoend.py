@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.accel.spade import SpadeConfig, spmm_compute_time
 from repro.results import CommResult
-from repro.partition import cached_partition
 
 __all__ = ["ComputeInputs", "EndToEndResult", "compute_inputs",
            "end_to_end_time", "single_node_time", "per_node_compute_times"]
@@ -51,6 +50,8 @@ def compute_inputs(matrix, n_nodes: int) -> ComputeInputs:
     its trace, which the :class:`~repro.partition.TraceCache` keeps
     across schemes and K.
     """
+    from repro.partition.tracecache import cached_partition
+
     part = cached_partition(matrix, n_nodes)
     nnz, rows, cols = np.array(
         [(tr.n_nonzeros, len(part.rows_of(node)),

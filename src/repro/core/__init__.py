@@ -12,18 +12,13 @@
   the batch-scheduling timing math (§5.1, §5.3).
 """
 
-from repro.core.protocol import header_traffic_fraction, sa_pair_header_bytes
-from repro.core.filtering import FilterResult, filter_and_coalesce
-from repro.core.concat import ConcatStats, DelayQueueConcatenator, window_concat
-from repro.core.pcache import PropertyCache
+from repro import lazy_exports
 
-__all__ = [
-    "ConcatStats",
-    "DelayQueueConcatenator",
-    "FilterResult",
-    "PropertyCache",
-    "filter_and_coalesce",
-    "header_traffic_fraction",
-    "sa_pair_header_bytes",
-    "window_concat",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.protocol": ("header_traffic_fraction",
+                            "sa_pair_header_bytes"),
+    "repro.core.filtering": ("FilterResult", "filter_and_coalesce"),
+    "repro.core.concat": ("ConcatStats", "DelayQueueConcatenator",
+                          "window_concat"),
+    "repro.core.pcache": ("PropertyCache",),
+})

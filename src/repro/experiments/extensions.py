@@ -15,20 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.spade import spmm_compute_time
-from repro.analysis import rack_sharing_fraction, working_set_sizes
-from repro.cluster import build_cluster_topology
-from repro.cluster.iterative import run_iterations
 from repro.config import NetSparseConfig
-from repro.core.autotune import tune_rig_batch
-from repro.core.concat_virtual import VirtualConcatenator
-from repro.core.concat import DelayQueueConcatenator
-from repro.dessim import run_des_gather
 from repro.experiments.runner import ExpTable, experiment
 from repro.parallel import SimJob, simulate, simulate_many
-from repro.partition import cached_partition, col_owner_array
-from repro.sim import Simulator
-from repro.sparse.spgemm import spgemm_comm_analysis
 from repro.sparse.suite import (
     BENCHMARKS,
     MATRIX_NAMES,
@@ -42,6 +31,9 @@ def run_sharing(scale: str = "small", n_nodes: int = 128,
                 nodes_per_rack: int = 16) -> ExpTable:
     """§3's sharing claim: fraction of useful PRs wanted by >1 node of
     the same rack, plus the rack working set that sizes the cache."""
+    from repro.analysis import rack_sharing_fraction, working_set_sizes
+    from repro.partition import cached_partition
+
     rows = []
     for name in MATRIX_NAMES:
         mat = load_benchmark(name, scale)
@@ -68,6 +60,8 @@ def run_sharing(scale: str = "small", n_nodes: int = 128,
 def run_des_validation(scale: str = "tiny", k: int = 16) -> ExpTable:
     """Cross-validate the vectorized trace model against the
     packet-level DES on small clusters (2 racks x 4 nodes)."""
+    from repro.dessim import run_des_gather
+
     rows = []
     cfg = NetSparseConfig(n_nodes=8, n_racks=2, nodes_per_rack=4)
     for name in ("arabic", "queen", "europe"):
@@ -108,6 +102,10 @@ def run_concat_virtualization() -> ExpTable:
     several pool sizes and reports packets emitted (packing quality)
     and peak physical-queue usage (SRAM).
     """
+    from repro.core.concat import DelayQueueConcatenator
+    from repro.core.concat_virtual import VirtualConcatenator
+    from repro.sim import Simulator
+
     rng = np.random.default_rng(0)
     # 128 possible destinations with temporal locality (runs of the
     # same destination), as Table 4 measures.
@@ -169,6 +167,8 @@ def run_autotune(scale: str = "small", k: int = 16) -> ExpTable:
     iteration) and is compared against the paper's static per-matrix
     defaults.
     """
+    from repro.core.autotune import tune_rig_batch
+
     cfg = NetSparseConfig()
     rows = []
     for name in MATRIX_NAMES:
@@ -213,6 +213,8 @@ def run_autotune(scale: str = "small", k: int = 16) -> ExpTable:
 @experiment("spgemm_preview")
 def run_spgemm_preview(scale: str = "tiny") -> ExpTable:
     """§11 future work: SpGeMM (two sparse operands) communication."""
+    from repro.sparse.spgemm import spgemm_comm_analysis
+
     rows = []
     for name in ("arabic", "uk", "queen"):
         a = load_benchmark(name, scale)
@@ -243,6 +245,9 @@ def run_iterative(scale: str = "small", k: int = 16,
                   n_iterations: int = 4) -> ExpTable:
     """Multi-iteration kernels with per-iteration edge sampling (§2.1:
     'the structure of the sparse matrix may change')."""
+    from repro.cluster.iterative import run_iterations
+    from repro.cluster.model import build_cluster_topology
+
     cfg = NetSparseConfig()
     topo = build_cluster_topology(cfg)
     rows = []
@@ -281,6 +286,7 @@ def run_cache_policy(scale: str = "small", k: int = 16) -> ExpTable:
     merged PR stream.
     """
     from repro.core.pcache import PropertyCache
+    from repro.partition import cached_partition
 
     rows = []
     cfg = NetSparseConfig()
@@ -454,6 +460,7 @@ def run_latency_profile() -> ExpTable:
     """Per-PR round-trip latency percentiles from the packet-level DES
     (extension: the trace model is throughput-only)."""
     from repro.dessim import DesCluster
+    from repro.partition import cached_partition, col_owner_array
 
     rows = []
     for name in ("arabic", "queen"):
@@ -498,6 +505,9 @@ def run_partitioning(scale: str = "small", k: int = 16) -> ExpTable:
     swaps in a nonzero-balanced contiguous partition and measures what
     it recovers.
     """
+    from repro.accel.spade import spmm_compute_time
+    from repro.partition import cached_partition
+
     cfg = NetSparseConfig()
     rows = []
     for name in MATRIX_NAMES:

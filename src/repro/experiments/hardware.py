@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from repro.experiments.runner import ExpTable, experiment
-from repro.hw import rig_unit_area_breakdown, snic_overheads
-from repro.hw.snic import snic_storage_bytes, snic_totals
-from repro.hw.switch import crossbar_area_range_mm2, switch_overheads, switch_totals
 
 PAPER_TABLE9 = {"Idx Buffer": 12, "Pend. PR Table": 53, "Prop. Buffer": 12,
                 "LSQ": 10, "Rest": 13}
@@ -14,6 +11,8 @@ PAPER_TABLE9 = {"Idx Buffer": 12, "Pend. PR Table": 53, "Prop. Buffer": 12,
 @experiment("fig20")
 def run_fig20() -> ExpTable:
     """Figure 20: per-structure power and area of the SNIC extensions."""
+    from repro.hw.snic import snic_overheads, snic_storage_bytes, snic_totals
+
     parts = snic_overheads()
     rows = []
     for name, cost in parts.items():
@@ -42,6 +41,8 @@ def run_fig20() -> ExpTable:
 @experiment("table9")
 def run_table9() -> ExpTable:
     """Table 9: contribution of each structure to RIG Unit area."""
+    from repro.hw.snic import rig_unit_area_breakdown
+
     shares = rig_unit_area_breakdown()
     rows = [
         [name, round(share * 100), PAPER_TABLE9[name]]
@@ -59,6 +60,9 @@ def run_table9() -> ExpTable:
 @experiment("switch_overheads")
 def run_switch_overheads() -> ExpTable:
     """§9.5 item 2: ToR switch extension overheads (text, not a figure)."""
+    from repro.hw.switch import (crossbar_area_range_mm2, switch_overheads,
+                                 switch_totals)
+
     parts = switch_overheads()
     rows = [
         [name, round(c.area_mm2, 1), round(c.total_power_w, 2)]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.endtoend import end_to_end_time
 from repro.experiments.runner import (
     ExpTable,
     compute_job,
@@ -100,6 +99,8 @@ def run_table7(scale: str = "small", k: int = 16) -> ExpTable:
 @experiment("fig13")
 def run_fig13(scale: str = "small", ks=(16, 128), overlap: float = 0.0) -> ExpTable:
     """Figure 13: end-to-end SpMM speedup of 128 nodes over one node."""
+    from repro.cluster.endtoend import end_to_end_time
+
     rows = []
     agg = {"suopt": [], "saopt": [], "netsparse": [], "ideal": []}
     inputs = _compute_inputs(scale)
@@ -137,6 +138,8 @@ def run_fig13(scale: str = "small", ks=(16, 128), overlap: float = 0.0) -> ExpTa
 @experiment("fig14")
 def run_fig14(scale: str = "small", k: int = 16) -> ExpTable:
     """Figure 14: communication-to-computation time ratio per matrix."""
+    from repro.cluster.endtoend import end_to_end_time
+
     rows = []
     inputs = _compute_inputs(scale)
     for name in MATRIX_NAMES:

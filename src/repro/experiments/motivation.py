@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.software import saopt_goodput_curve
-from repro.baselines.vanilla import vanilla_sa_transfer
 from repro.config import NetSparseConfig
-from repro.core.protocol import header_traffic_fraction
 from repro.experiments.runner import ExpTable, experiment
-from repro.partition import cached_partition
 from repro.sparse.suite import MATRIX_NAMES, load_benchmark
 
 PAPER_TABLE1_SU = {"arabic": 1947, "europe": 582, "queen": 74,
@@ -23,6 +19,8 @@ PAPER_TABLE4 = {"arabic": 2.51, "europe": 7.43, "queen": 1.00,
 @experiment("table1")
 def run_table1(scale: str = "small", n_nodes: int = 128) -> ExpTable:
     """Table 1: useful-to-redundant property-transfer ratio, SU and SA."""
+    from repro.partition import cached_partition
+
     rows = []
     for name in MATRIX_NAMES:
         mat = load_benchmark(name, scale)
@@ -60,6 +58,8 @@ def run_table2(scale: str = "small") -> ExpTable:
     uses the calibrated per-PR software cost on our 400 Gbps config, so
     utilization percentages are what carry over.
     """
+    from repro.baselines.vanilla import vanilla_sa_transfer
+
     paper = {"arabic": (0.5, 0.26, 0.11), "europe": (0.2, 0.09, 0.04),
              "queen": (0.7, 0.36, 0.16), "uk": (0.5, 0.25, 0.11)}
     rows = []
@@ -87,6 +87,8 @@ def run_table2(scale: str = "small") -> ExpTable:
 @experiment("table3")
 def run_table3() -> ExpTable:
     """Table 3: packet-header share of SA traffic vs property size K."""
+    from repro.core.protocol import header_traffic_fraction
+
     paper = {1: 97.6, 2: 95.2, 4: 90.9, 8: 83.3, 16: 71.4,
              32: 55.6, 64: 38.5, 128: 23.8, 256: 13.5}
     rows = [
@@ -105,6 +107,8 @@ def run_table3() -> ExpTable:
 @experiment("table4")
 def run_table4(scale: str = "small", n_nodes: int = 128) -> ExpTable:
     """Table 4: unique destination nodes in 64 consecutive PRs."""
+    from repro.partition import cached_partition
+
     rows = []
     for name in MATRIX_NAMES:
         mat = load_benchmark(name, scale)
@@ -128,6 +132,8 @@ def run_table4(scale: str = "small", n_nodes: int = 128) -> ExpTable:
 @experiment("fig10")
 def run_fig10() -> ExpTable:
     """Figure 10: ideal SAOpt goodput (% of line rate) vs core count."""
+    from repro.baselines.software import saopt_goodput_curve
+
     config = NetSparseConfig()
     cores = [1, 2, 4, 8, 16, 32, 64]
     rows = []

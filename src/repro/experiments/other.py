@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel import SPR_DDR, SPR_HBM
-from repro.cluster.endtoend import end_to_end_time
 from repro.config import NetSparseConfig
 from repro.experiments.runner import ExpTable, compute_job, experiment
 from repro.parallel import SimJob, simulate_many
@@ -25,6 +23,9 @@ def run_fig21(scale: str = "small", k: int = 128) -> ExpTable:
     CPU-independent, so one engine batch covers them once; only the
     end-to-end composition differs per CPU.
     """
+    from repro.accel import SPR_DDR, SPR_HBM
+    from repro.cluster.endtoend import end_to_end_time
+
     cfg = NetSparseConfig()
     jobs, keys = [], []
     for name in MATRIX_NAMES:

@@ -6,9 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import NetSparseConfig
-from repro.cluster import simulate_netsparse
-from repro.baselines.saopt import simulate_saopt
-from repro.baselines.su import simulate_suopt
 from repro.parallel import SimJob, get_engine
 from repro.sparse.suite import BENCHMARKS, load_benchmark, scale_factor
 
@@ -137,6 +134,10 @@ def run_schemes(
         rig_batch = BENCHMARKS[name].default_rig_batch
     out = {}
     if topology is not None:
+        from repro.baselines.saopt import simulate_saopt
+        from repro.baselines.su import simulate_suopt
+        from repro.cluster.model import simulate_netsparse
+
         mat = load_benchmark(name, scale_name, seed=seed)
         sc = scale_factor(name, mat)
         if "netsparse" in schemes:

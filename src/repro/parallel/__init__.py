@@ -22,33 +22,14 @@ configures the process-global default engine; library callers that do
 nothing get the historical behavior (serial, uncached).
 """
 
-from repro.parallel.batch import BatchPlan, plan_batches
-from repro.parallel.cache import ResultCache, default_cache_dir
-from repro.parallel.engine import (
-    EngineStats,
-    ExecutionEngine,
-    configure_engine,
-    engine_scope,
-    get_engine,
-    set_engine,
-    simulate,
-    simulate_many,
-)
-from repro.parallel.jobs import SimJob, execute_job
+from repro import lazy_exports
 
-__all__ = [
-    "BatchPlan",
-    "EngineStats",
-    "ExecutionEngine",
-    "ResultCache",
-    "SimJob",
-    "configure_engine",
-    "default_cache_dir",
-    "engine_scope",
-    "execute_job",
-    "get_engine",
-    "plan_batches",
-    "set_engine",
-    "simulate",
-    "simulate_many",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.batch": ("BatchPlan", "plan_batches"),
+    "repro.parallel.cache": ("ResultCache", "default_cache_dir"),
+    "repro.parallel.engine": ("EngineStats", "ExecutionEngine",
+                              "configure_engine", "engine_scope",
+                              "get_engine", "set_engine", "simulate",
+                              "simulate_many"),
+    "repro.parallel.jobs": ("SimJob", "execute_job"),
+})

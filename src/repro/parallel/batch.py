@@ -38,9 +38,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro import telemetry
 from repro.parallel.jobs import SimJob, timed_execute
 
-__all__ = ["BatchPlan", "execute_group", "group_key", "plan_batches"]
+__all__ = ["BatchPlan", "execute_group", "execute_group_measured",
+           "group_key", "plan_batches"]
 
 #: Top-level ``key_dict`` axes a group may vary along.
 _JOB_AXES = ("k", "rig_batch")
@@ -144,3 +146,17 @@ def execute_group(jobs: Sequence[SimJob]) -> List[Tuple[object, float]]:
     the members individually.
     """
     return [timed_execute(job) for job in jobs]
+
+
+def execute_group_measured(jobs: Sequence[SimJob]):
+    """:func:`execute_group` under a fresh telemetry registry, for a
+    pool worker whose parent records telemetry.  Returns the outcomes,
+    the worker's registry and its ``reusedist.profile_stats()`` deltas;
+    the engine merges both into the parent's."""
+    from repro.core import reusedist
+
+    before = reusedist.profile_stats()
+    with telemetry.telemetry_scope() as registry:
+        outcomes = execute_group(jobs)
+    after = reusedist.profile_stats()
+    return outcomes, registry, {k: after[k] - before[k] for k in after}

@@ -16,20 +16,23 @@ caller's submission order.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import NetSparseConfig
-from repro.core import reusedist
-from repro.parallel.batch import execute_group, plan_batches
+from repro.parallel.batch import (
+    execute_group,
+    execute_group_measured,
+    plan_batches,
+)
 from repro.parallel.cache import ResultCache
-from repro.parallel.jobs import SimJob, timed_execute
+from repro.parallel.jobs import SimJob, import_simulator, timed_execute
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "EngineStats",
@@ -86,6 +89,8 @@ class EngineStats:
 def _pool_context():
     # fork shares the parent's already-generated matrices for free;
     # fall back to the platform default (spawn) where unavailable.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -168,22 +173,29 @@ class ExecutionEngine:
         logical memos fold their shared stages.  Results are identical
         to evaluating each job alone; only attribution
         (``source="batched"`` for group riders) and wall time differ.
-        Worker processes carry their own (disabled) telemetry, so a
-        pooled job's simulator counters (``cluster.filter.*``,
-        ``pcache.*``) never reach the parent's registry.
+        While the parent records telemetry, each pool worker runs its
+        group under a fresh registry and returns its counters,
+        histograms and profile-stat deltas, which are merged here, so
+        a pooled run reads the same simulator counters as a serial one.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core import reusedist
+
         digest_of = {job: digest for digest, job in pending.items()}
         plan = plan_batches(list(pending.values()))
         telemetry.count("perf.batch.groups", plan.n_groups)
         telemetry.count("perf.batch.folded", plan.n_folded)
+        registry = telemetry.active()
         prof0 = reusedist.profile_stats()
+        build = score = 0.0          # the pool workers' profile seconds
         pool = None
         if self.jobs > 1 and plan.n_groups > 1:
             if self._pool is None:
                 self._prewarm_traces(list(pending.values()))
             pool = self._ensure_pool()
-            group_outcomes = pool.map(execute_group, plan.groups,
-                                      chunksize=1)
+            task = execute_group if registry is None else execute_group_measured
+            group_outcomes = pool.map(task, plan.groups, chunksize=1)
         else:
             group_outcomes = (
                 [timed_execute(job) for job in group]
@@ -191,6 +203,11 @@ class ExecutionEngine:
             )
         try:
             for group, outcomes in zip(plan.groups, group_outcomes):
+                if pool is not None and registry is not None:
+                    outcomes, worker_registry, prof = outcomes
+                    registry.merge(worker_registry)
+                    build += prof["build_seconds"]
+                    score += prof["score_seconds"]
                 for rank, (job, (result, elapsed)) in enumerate(
                         zip(group, outcomes)):
                     source = ("batched" if rank and len(group) > 1
@@ -207,8 +224,8 @@ class ExecutionEngine:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
         prof1 = reusedist.profile_stats()
-        build = prof1["build_seconds"] - prof0["build_seconds"]
-        score = prof1["score_seconds"] - prof0["score_seconds"]
+        build += prof1["build_seconds"] - prof0["build_seconds"]
+        score += prof1["score_seconds"] - prof0["score_seconds"]
         if build or score:
             telemetry.observe("perf.batch.profile.build_seconds", build)
             telemetry.observe("perf.batch.profile.score_seconds", score)
@@ -264,6 +281,11 @@ class ExecutionEngine:
             telemetry.count("perf.trace_cache.prewarmed")
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The workers fork from this process: import the simulator once
+        # here, not once in each worker.
+        import_simulator()
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(

@@ -13,6 +13,7 @@ keys the on-disk result cache.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from dataclasses import dataclass
@@ -143,6 +144,16 @@ def _build_topology(job: SimJob):
         _topology_cache.clear()
     _topology_cache[key] = topo
     return topo
+
+
+def import_simulator() -> None:
+    """Import every module :func:`execute_job` runs.  A job imports
+    them on first use; the engine calls this before a pool forks, so
+    the workers inherit them."""
+    for module in ("baselines.hybrid", "baselines.saopt", "baselines.su",
+                   "cluster.endtoend", "cluster.model", "network.topology",
+                   "sparse.suite"):
+        importlib.import_module(f"repro.{module}")
 
 
 def execute_job(job: SimJob):

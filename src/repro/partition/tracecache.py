@@ -50,14 +50,15 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.partition.oned import BlockPartition
-from repro.partition.windowed import build_partition
-from repro.sparse.matrix import COOMatrix
+
+if TYPE_CHECKING:
+    from repro.partition.oned import BlockPartition
+    from repro.sparse.matrix import COOMatrix
 
 __all__ = [
     "TraceCache",
@@ -151,6 +152,8 @@ class TraceCache:
         # telemetry instead of only in wall time.  build_partition
         # picks the class by storage tier, so sharded matrices come back
         # with windowed (bounded) traces.
+        from repro.partition.windowed import build_partition
+
         try:
             part = build_partition(matrix, n_nodes, kind=kind,
                                    row_starts=row_starts)

@@ -8,17 +8,10 @@ generators for the paper's five SuiteSparse benchmarks
 (:mod:`repro.sparse.kernels`).
 """
 
-from repro.sparse.kernels import sddmm, spmm, spmv
-from repro.sparse.matrix import COOMatrix, CSRMatrix
-from repro.sparse.suite import BENCHMARKS, BenchmarkSpec, load_benchmark
+from repro import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "BenchmarkSpec",
-    "COOMatrix",
-    "CSRMatrix",
-    "load_benchmark",
-    "sddmm",
-    "spmm",
-    "spmv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sparse.kernels": ("sddmm", "spmm", "spmv"),
+    "repro.sparse.matrix": ("COOMatrix", "CSRMatrix"),
+    "repro.sparse.suite": ("BENCHMARKS", "BenchmarkSpec", "load_benchmark"),
+})

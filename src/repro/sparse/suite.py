@@ -37,14 +37,15 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.sources import source_digest
-from repro.sparse.matrix import COOMatrix
-from repro.sparse import shards, synthetic
+
+if TYPE_CHECKING:
+    from repro.sparse.matrix import COOMatrix
 
 __all__ = [
     "BenchmarkSpec",
@@ -126,12 +127,13 @@ class BenchmarkSpec:
     ``paper_rows_m`` / ``paper_nnz_m`` record the original SuiteSparse
     sizes (in millions) from Table 6; ``default_rig_batch`` is the RIG
     batch size the paper uses for this matrix (§8.2), scaled in the
-    cluster model by the matrix scale factor.  ``generator`` is the
-    family's streamer in :mod:`repro.sparse.synthetic`.
+    cluster model by the matrix scale factor.  ``generator`` names the
+    family's streamer in :mod:`repro.sparse.synthetic`, which is
+    imported only when a set is generated.
     """
 
     name: str
-    generator: Callable[..., Iterator[Tuple[np.ndarray, np.ndarray]]]
+    generator: str
     gen_kwargs: Dict
     paper_rows_m: float
     paper_nnz_m: float
@@ -148,9 +150,11 @@ class BenchmarkSpec:
 
     def generate(self, scale: str = "small", seed: int = 7) -> COOMatrix:
         """The whole matrix in memory: :meth:`stream` as one chunk."""
+        from repro.sparse import synthetic
+
         return synthetic.materialize(
-            self.generator, self.rows_for_scale(scale), self.name,
-            seed=seed, **self.gen_kwargs,
+            getattr(synthetic, self.generator), self.rows_for_scale(scale),
+            self.name, seed=seed, **self.gen_kwargs,
         )
 
     def stream(
@@ -159,14 +163,17 @@ class BenchmarkSpec:
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Canonical ``(rows, cols)`` chunks of about ``chunk_nnz``
         nonzeros; every chunk size yields the same matrix."""
-        return self.generator(self.rows_for_scale(scale), seed=seed,
-                              chunk_nnz=chunk_nnz, **self.gen_kwargs)
+        from repro.sparse import synthetic
+
+        return getattr(synthetic, self.generator)(
+            self.rows_for_scale(scale), seed=seed, chunk_nnz=chunk_nnz,
+            **self.gen_kwargs)
 
 
 BENCHMARKS: Dict[str, BenchmarkSpec] = {
     "arabic": BenchmarkSpec(
         name="arabic",
-        generator=synthetic.web_crawl_chunks,
+        generator="web_crawl_chunks",
         gen_kwargs=dict(mean_degree=26.0, locality=0.72, hub_alpha=1.2,
                         page_alpha=1.3, block_size=512, escape_frac=0.03),
         paper_rows_m=23.0,
@@ -176,7 +183,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "europe": BenchmarkSpec(
         name="europe",
-        generator=synthetic.road_network_chunks,
+        generator="road_network_chunks",
         gen_kwargs=dict(mean_degree=2.2, long_range_frac=0.25),
         paper_rows_m=51.0,
         paper_nnz_m=108.0,
@@ -185,7 +192,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "queen": BenchmarkSpec(
         name="queen",
-        generator=synthetic.banded_fem_chunks,
+        generator="banded_fem_chunks",
         gen_kwargs=dict(mean_degree=56.0, band=160),
         paper_rows_m=4.0,
         paper_nnz_m=317.0,
@@ -194,7 +201,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "stokes": BenchmarkSpec(
         name="stokes",
-        generator=synthetic.coupled_flow_chunks,
+        generator="coupled_flow_chunks",
         gen_kwargs=dict(mean_degree=26.0, band=48, coupling_frac=0.3),
         paper_rows_m=11.0,
         paper_nnz_m=350.0,
@@ -203,7 +210,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     ),
     "uk": BenchmarkSpec(
         name="uk",
-        generator=synthetic.web_crawl_chunks,
+        generator="web_crawl_chunks",
         gen_kwargs=dict(mean_degree=16.0, locality=0.55, hub_alpha=1.15,
                         page_alpha=1.1, block_size=256, escape_frac=0.10),
         paper_rows_m=19.0,
@@ -272,7 +279,9 @@ def _set_name(spec: BenchmarkSpec, scale: str, seed: int) -> str:
     editing a spec, ``_SCALE_ROWS`` or the generator code, or bumping
     the file format, misses the old set instead of serving it.
     """
-    ident = repr((spec.generator.__qualname__,
+    from repro.sparse import shards
+
+    ident = repr((spec.generator,
                   sorted(spec.gen_kwargs.items()),
                   spec.rows_for_scale(scale),
                   source_digest(_GENERATOR_SOURCES), shards._SCHEMA))
@@ -291,6 +300,8 @@ def stored_set(name: str, scale: str = "small", seed: int = 7):
     every other scale as one chunk, one shard.  Returns the
     :class:`~repro.sparse.shards.ShardedCOOMatrix`.
     """
+    from repro.sparse import shards, synthetic
+
     spec = BENCHMARKS[name]
     path = os.path.join(shards.shard_root(), _set_name(spec, scale, seed))
     if os.path.exists(os.path.join(path, "manifest.json")):

@@ -163,6 +163,15 @@ class MetricsRegistry:
         if labels:
             self.histogram(name, **labels).observe(value)
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Add ``other``'s counts and samples into this registry (a
+        pool worker's registry into its parent's)."""
+        for key, c in other.counters.items():
+            self.counters.setdefault(key, Counter(key)).inc(c.value)
+        for key, h in other.histograms.items():
+            self.histograms.setdefault(key, Histogram(key)).samples.extend(
+                h.samples)
+
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view of every metric."""
         return {

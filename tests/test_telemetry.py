@@ -76,6 +76,18 @@ class TestMetrics:
         }
         assert snap["histograms"]["concat.prs_per_packet"]["count"] == 1
 
+    def test_merge_adds_counts_and_samples(self):
+        parent, worker = MetricsRegistry(), MetricsRegistry()
+        parent.count("pcache.hits", 2)
+        parent.observe("concat.prs_per_packet", 1.0)
+        worker.count("pcache.hits", 3, matrix="uk")
+        worker.observe("concat.prs_per_packet", 4.0)
+        parent.merge(worker)
+        assert parent.snapshot()["counters"] == {
+            "pcache.hits": 5, "pcache.hits{matrix=uk}": 3}
+        assert parent.histograms["concat.prs_per_packet"].samples == [1.0, 4.0]
+        assert worker.counters["pcache.hits"].value == 3
+
 
 # -- enable/disable and the zero-overhead module API -------------------
 
@@ -293,3 +305,33 @@ class TestCounterLiveness:
         plain = run_experiment("table7", scale="tiny")
         assert table.columns == plain.columns
         assert table.rows == plain.rows
+
+
+#: Metrics of per-process caches: which process asks first sets their
+#: hit/miss split, not what the simulation did.
+_PROCESS_LOCAL = ("perf.trace_cache.", "sparse.suite.cache.")
+
+
+def _table7_metrics(jobs):
+    from repro.experiments import run_experiment
+    from repro.parallel import ExecutionEngine, engine_scope
+
+    reset_batch_state()
+    with ExecutionEngine(jobs=jobs, cache=None) as eng, engine_scope(eng):
+        with telemetry_scope() as reg:
+            table = run_experiment("table7", scale="tiny")
+    snap = reg.snapshot()
+    counters = {k: v for k, v in snap["counters"].items()
+                if not k.startswith(_PROCESS_LOCAL)}
+    hist_counts = {k: h["count"] for k, h in snap["histograms"].items()}
+    return table.rows, counters, hist_counts
+
+
+def test_pool_workers_counters_reach_parent():
+    """A pooled run's workers return their counters and histograms to
+    the parent's registry: tiny table7 reads the same at jobs=2 as at
+    jobs=1."""
+    serial = _table7_metrics(jobs=1)
+    pooled = _table7_metrics(jobs=2)
+    assert serial[1]["cluster.filter.candidates"] > 0
+    assert pooled == serial
